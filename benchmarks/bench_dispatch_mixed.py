@@ -27,7 +27,6 @@ default 8000), ``REPRO_BENCH_MIXED_WORKERS`` (fleet size, default 3).
 
 import os
 import subprocess
-import sys
 import threading
 import time
 
@@ -37,7 +36,6 @@ from benchmarks.conftest import once
 from repro.core import format_table
 from repro.devices import ptm22
 from repro.distributed import (
-    DirectoryStore,
     ShardDispatcher,
     benchmark_model_spec,
     concat_blocks,
@@ -47,10 +45,12 @@ from repro.distributed import (
     margin_tally_jobs,
     model_from_spec,
     nn_fault_eval_jobs,
+    worker_command,
 )
 from repro.fault.evaluate import FaultTrialSpec
 from repro.fault.injector import WeightFaultInjector
 from repro.fault.model import BitErrorRates
+from repro.runtime import ResultCache
 from repro.sram import make_cell
 from repro.sram.importance_sampling import (
     ImportanceSampler,
@@ -145,23 +145,16 @@ def _oracle_digest(jobs, decode, merge):
     return digest_of(merged)
 
 
-def _spawn_worker(host, port, store_dir, name):
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "worker",
-         "--connect", f"{host}:{port}", "--cache-dir", store_dir,
-         "--name", name],
-        env=os.environ.copy(),
-        stdout=subprocess.DEVNULL,
-    )
-
-
 def _drive_mixed(workloads, store_dir):
     """All four kinds at once: one client thread per kind, one fleet."""
     results, elapsed = {}, {}
-    with ShardDispatcher(store=DirectoryStore(store_dir)) as dispatcher:
+    with ShardDispatcher(store=ResultCache(store_dir)) as dispatcher:
         host, port = dispatcher.start()
         procs = [
-            _spawn_worker(host, port, store_dir, f"mix-{i}")
+            subprocess.Popen(
+                worker_command(host, port, cache_dir=store_dir, name=f"mix-{i}"),
+                stdout=subprocess.DEVNULL,
+            )
             for i in range(N_WORKERS)
         ]
         try:

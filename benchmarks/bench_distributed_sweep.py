@@ -26,13 +26,13 @@ default 4).
 import json
 import os
 import subprocess
-import sys
 import time
 
 from benchmarks.conftest import once
 from repro.core import format_table
 from repro.devices import ptm22
-from repro.distributed import DirectoryStore, ShardDispatcher
+from repro.distributed import ShardDispatcher, worker_command
+from repro.runtime import ResultCache
 from repro.sram import make_cell
 from repro.sram.montecarlo import MonteCarloAnalyzer
 
@@ -57,22 +57,15 @@ def _canon(rates) -> str:
     return json.dumps(rates.to_dict(), sort_keys=True)
 
 
-def _spawn_worker(host, port, store_dir, name):
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "worker",
-         "--connect", f"{host}:{port}", "--cache-dir", store_dir,
-         "--name", name],
-        env=os.environ.copy(),
-        stdout=subprocess.DEVNULL,
-    )
-
-
 def _drive_fleet(analyzer, n_workers, store_dir, label):
     """One sweep through a fresh dispatcher + n worker subprocesses."""
-    with ShardDispatcher(store=DirectoryStore(store_dir)) as dispatcher:
+    with ShardDispatcher(store=ResultCache(store_dir)) as dispatcher:
         host, port = dispatcher.start()
         procs = [
-            _spawn_worker(host, port, store_dir, f"{label}-{i}")
+            subprocess.Popen(
+                worker_command(host, port, cache_dir=store_dir, name=f"{label}-{i}"),
+                stdout=subprocess.DEVNULL,
+            )
             for i in range(n_workers)
         ]
         try:

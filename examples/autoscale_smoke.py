@@ -36,9 +36,9 @@ from repro.devices import ptm22  # noqa: E402
 from repro.distributed import (  # noqa: E402
     AutoscaleController,
     AutoscalePolicy,
-    DirectoryStore,
     ShardDispatcher,
 )
+from repro.runtime import ResultCache  # noqa: E402
 from repro.sram import make_cell  # noqa: E402
 from repro.sram.montecarlo import MonteCarloAnalyzer  # noqa: E402
 
@@ -70,7 +70,7 @@ def main() -> int:
 
     store_dir = tempfile.mkdtemp(prefix="repro-autoscale-smoke-")
     dispatcher = ShardDispatcher(
-        store=DirectoryStore(store_dir),
+        store=ResultCache(store_dir),
         heartbeat_interval=0.2,
         heartbeat_timeout=2.0,
     )

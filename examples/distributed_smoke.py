@@ -34,8 +34,9 @@ import time
 import urllib.request
 
 from repro.devices import ptm22
-from repro.distributed import DirectoryStore, ShardDispatcher
+from repro.distributed import ShardDispatcher, worker_command
 from repro.obs import MetricsServer, Tracer
+from repro.runtime import ResultCache
 from repro.sram import make_cell
 from repro.sram.montecarlo import MonteCarloAnalyzer
 
@@ -49,15 +50,6 @@ REQUIRED_SERIES = (
     "repro_dispatch_assignments_total",
     "repro_dispatch_active_workers",
 )
-
-
-def spawn_worker(host, port, store_dir, name):
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "worker",
-         "--connect", f"{host}:{port}", "--cache-dir", store_dir,
-         "--name", name],
-        env=os.environ.copy(),
-    )
 
 
 def scrape_metrics(url):
@@ -98,7 +90,7 @@ def main(argv=None) -> int:
 
     store_dir = tempfile.mkdtemp(prefix="repro-dist-smoke-")
     dispatcher = ShardDispatcher(
-        store=DirectoryStore(store_dir),
+        store=ResultCache(store_dir),
         heartbeat_interval=0.2,
         heartbeat_timeout=1.0,
         tracer=tracer,
@@ -112,8 +104,10 @@ def main(argv=None) -> int:
     host, port = dispatcher.start()
     print(f"dispatcher on {host}:{port}, store {store_dir}")
 
-    victim = spawn_worker(host, port, store_dir, "victim")
-    survivor = spawn_worker(host, port, store_dir, "survivor")
+    victim, survivor = (
+        subprocess.Popen(worker_command(host, port, cache_dir=store_dir, name=name))
+        for name in ("victim", "survivor")
+    )
     try:
         dispatcher.await_workers(2, timeout=120)
         print("2 workers registered; dispatching "

@@ -49,15 +49,6 @@ def free_port() -> int:
         return sock.getsockname()[1]
 
 
-def spawn_worker(port, store_dir, name):
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "worker",
-         "--connect", f"127.0.0.1:{port}", "--cache-dir", store_dir,
-         "--name", name, "--reconnect", "--reconnect-backoff", "0.2"],
-        env=os.environ.copy(),
-    )
-
-
 def spawn_driver(port, store_dir, journal_dir, out_path):
     return subprocess.Popen(
         [sys.executable, os.path.abspath(__file__), "--driver",
@@ -81,7 +72,8 @@ def run_driver(args) -> int:
     """One dispatcher incarnation: serve the journal-backed dispatcher
     on the agreed port, drive the sweep, write the evidence as JSON."""
     from repro.devices import ptm22
-    from repro.distributed import DirectoryStore, RunJournal, ShardDispatcher
+    from repro.distributed import RunJournal, ShardDispatcher
+    from repro.runtime import ResultCache
     from repro.sram import make_cell
     from repro.sram.montecarlo import MonteCarloAnalyzer
 
@@ -91,7 +83,7 @@ def run_driver(args) -> int:
         block_samples=max(1, SAMPLES // SHARDS),
     )
     with ShardDispatcher(
-        store=DirectoryStore(args.store_dir),
+        store=ResultCache(args.store_dir),
         journal=RunJournal(args.journal_dir),
         heartbeat_interval=0.2,
         heartbeat_timeout=1.0,
@@ -126,6 +118,7 @@ def main(argv=None) -> int:
         return run_driver(args)
 
     from repro.devices import ptm22
+    from repro.distributed import worker_command
     from repro.sram import make_cell
     from repro.sram.montecarlo import MonteCarloAnalyzer
 
@@ -143,7 +136,13 @@ def main(argv=None) -> int:
     out_path = os.path.join(work_dir, "evidence.json")
     port = free_port()
 
-    workers = [spawn_worker(port, store_dir, name) for name in ("w1", "w2")]
+    workers = [
+        subprocess.Popen(
+            worker_command("127.0.0.1", port, cache_dir=store_dir, name=name,
+                           reconnect=True) + ["--reconnect-backoff", "0.2"]
+        )
+        for name in ("w1", "w2")
+    ]
     first = spawn_driver(port, store_dir, journal_dir, out_path)
     second = None
     try:

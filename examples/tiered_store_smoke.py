@@ -32,7 +32,7 @@ import threading
 import time
 
 from repro.devices import ptm22
-from repro.distributed import ObjectStore, ShardDispatcher
+from repro.distributed import ObjectStore, ShardDispatcher, worker_command
 from repro.runtime import make_tiered_store
 from repro.serving.server import request_stats
 from repro.sram import make_cell
@@ -57,15 +57,6 @@ def spawn_object_store():
     return process, url
 
 
-def spawn_worker(host, port, cache_dir, store_url, name):
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "worker",
-         "--connect", f"{host}:{port}", "--cache-dir", cache_dir,
-         "--store-url", store_url, "--name", name],
-        env=os.environ.copy(),
-    )
-
-
 def run_fleet(analyzer, vdd, store_url, kill=None):
     """One dispatch over a fleet whose local cache tiers start cold.
 
@@ -83,10 +74,10 @@ def run_fleet(analyzer, vdd, store_url, kill=None):
         store=store, heartbeat_interval=0.2, heartbeat_timeout=1.0,
     )
     host, port = dispatcher.start()
-    worker = spawn_worker(
-        host, port, tempfile.mkdtemp(prefix="repro-tier-worker-"),
-        store_url, "w0",
-    )
+    worker = subprocess.Popen(worker_command(
+        host, port, name="w0", store_url=store_url,
+        cache_dir=tempfile.mkdtemp(prefix="repro-tier-worker-"),
+    ))
     try:
         dispatcher.await_workers(1, timeout=120)
         outcome = {}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Optional
 
 from repro.core import (
     CircuitToSystemSimulator,
@@ -25,7 +26,7 @@ from repro.distributed.worker import (
     DEFAULT_RECONNECT_BACKOFF,
 )
 from repro.mem import CellTables
-from repro.runtime import DEFAULT_BLOCK_SAMPLES, ResultCache
+from repro.runtime import DEFAULT_BLOCK_SAMPLES, CacheStore, ResultCache
 from repro.sram import characterize_cell
 from repro.sram.area import format_area
 from repro.units import format_si
@@ -232,6 +233,7 @@ def cmd_serve(args) -> int:
         print(format_stats(request_stats(args.host, args.port)))
         return 0
     sim = _build_sim(args)
+    cache: Optional[CacheStore]
     if args.no_cache:
         # None, not a disabled cache: submit() skips the per-request
         # store round trip entirely when there is no cache.
@@ -405,7 +407,7 @@ def _run_dag(args, dispatcher) -> None:
 
 
 def cmd_dispatch(args) -> int:
-    from repro.distributed import DirectoryStore, ShardDispatcher
+    from repro.distributed import ShardDispatcher
     from repro.serving.server import format_stats, request_stats
     from repro.sram import DEFAULT_VDD_GRID, make_cell
     from repro.sram.importance_sampling import ImportanceSampler
@@ -419,10 +421,11 @@ def cmd_dispatch(args) -> int:
     listen_host, listen_port = _parse_endpoint(args.listen, "--listen")
     cell = make_cell(args.cell, get_technology(args.tech))
     vdds = tuple(args.vdd) if args.vdd else DEFAULT_VDD_GRID
+    store: CacheStore
     if _tiering_requested(args):
         store = _build_store(args, cache_dir=args.cache_dir)
     else:
-        store = DirectoryStore(args.cache_dir)
+        store = ResultCache(args.cache_dir)
     journal = None
     if args.journal_dir is not None:
         from repro.distributed import RunJournal

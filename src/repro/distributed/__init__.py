@@ -12,11 +12,11 @@ count, any retry history and any cache state.
 
 The pieces:
 
-* :mod:`~repro.distributed.store` — the shared
-  :class:`~repro.distributed.store.CacheStore` (a
-  :class:`~repro.distributed.store.DirectoryStore` over the
-  content-addressed result cache) that makes recomputation idempotent
-  and lets local and distributed runs resume from each other's work;
+* the shared :class:`~repro.runtime.cache.CacheStore` — a
+  :class:`~repro.runtime.cache.ResultCache` directory, the same
+  content-addressed cache single-host sweeps write — that makes
+  recomputation idempotent and lets local and distributed runs resume
+  from each other's work;
 * :mod:`~repro.distributed.objectstore` — the remote tier: an
   :class:`~repro.distributed.objectstore.ObjectStore` speaking a
   minimal S3-style HTTP protocol, plus the in-process
@@ -100,8 +100,11 @@ from repro.distributed.objectstore import (
     serve_object_store,
 )
 from repro.distributed.protocol import PROTOCOL_VERSION, ProtocolError
-from repro.distributed.store import CacheStore, DirectoryStore
-from repro.distributed.worker import Worker, run_worker
+from repro.distributed.worker import Worker, run_worker, worker_command
+from repro.runtime.cache import CacheStore, ResultCache
+
+#: Former name of the directory store, kept for existing callers.
+DirectoryStore = ResultCache
 
 __all__ = [
     "AutoscaleController",
@@ -109,7 +112,6 @@ __all__ = [
     "CacheStore",
     "DagNode",
     "DagRun",
-    "DirectoryStore",
     "DispatchError",
     "DispatcherStats",
     "FakeObjectStoreServer",
@@ -143,4 +145,5 @@ __all__ = [
     "run_worker",
     "sampler_from_spec",
     "serve_object_store",
+    "worker_command",
 ]

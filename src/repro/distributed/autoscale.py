@@ -37,12 +37,12 @@ from __future__ import annotations
 import math
 import os
 import subprocess
-import sys
 import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
+from repro.distributed.worker import worker_command as build_worker_command
 from repro.errors import ConfigurationError, ReproError
 from repro.obs.metrics import Instrumented, MetricField, MetricsRegistry
 
@@ -253,24 +253,12 @@ class AutoscaleController(Instrumented):
         return request_stats(self.host, self.port)
 
     def _default_worker_command(self, name: str) -> List[str]:
-        cmd = [
-            sys.executable, "-m", "repro.cli", "worker",
-            "--connect", f"{self.host}:{self.port}",
-            "--name", name,
-        ]
-        if self.cache_dir is not None:
-            cmd += ["--cache-dir", self.cache_dir]
-        if self.store_url is not None:
-            cmd += ["--store-url", self.store_url]
-        if self.lru_entries is not None:
-            cmd += ["--lru-entries", str(self.lru_entries)]
-        if self.lru_bytes is not None:
-            cmd += ["--lru-bytes", str(self.lru_bytes)]
-        if self.ttl is not None:
-            cmd += ["--ttl", str(self.ttl)]
-        if self.policy.drain_max_jobs is not None:
-            cmd += ["--max-jobs", str(self.policy.drain_max_jobs)]
-        return cmd
+        return build_worker_command(
+            self.host, self.port, name=name, cache_dir=self.cache_dir,
+            store_url=self.store_url, lru_entries=self.lru_entries,
+            lru_bytes=self.lru_bytes, ttl=self.ttl,
+            max_jobs=self.policy.drain_max_jobs,
+        )
 
     @property
     def alive(self) -> int:

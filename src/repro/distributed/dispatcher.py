@@ -5,7 +5,7 @@ register and *pull* work (a worker announces ``ready``, the dispatcher
 assigns at most one job per ready worker), so a slow worker never
 accumulates a private backlog.  Results stream back inline and are
 merged as they arrive; every result is also persisted to the shared
-:class:`~repro.distributed.store.CacheStore` twice over — by the worker
+:class:`~repro.runtime.cache.CacheStore` twice over — by the worker
 that computed it (to the worker's store) and by the dispatcher (to its
 own store, off-loop), which is what warms a remote object store only
 the dispatcher is configured to reach.  Double writes are harmless:
@@ -81,7 +81,7 @@ from repro.distributed.protocol import (
     recv_message,
     send_message,
 )
-from repro.distributed.store import CacheStore
+from repro.runtime.cache import CacheStore
 
 #: Default seconds between worker heartbeats (dispatcher-chosen; the
 #: value travels to workers in the ``welcome`` message).
@@ -298,7 +298,7 @@ class ShardDispatcher:
     Parameters
     ----------
     store:
-        Shared :class:`~repro.distributed.store.CacheStore`.  The
+        Shared :class:`~repro.runtime.cache.CacheStore`.  The
         dispatcher consults it before queueing a job (resume support);
         ``None`` skips dispatcher-side lookups and leaves store use to
         the workers.

@@ -7,7 +7,7 @@ kind-specific *spec* (for ``margin_tally`` exactly the fields of
 spec doubles as the population's cache identity), the shard's
 :meth:`~repro.runtime.sharding.Shard.descriptor`, and the content
 address (``namespace`` + ``payload``) the result is stored under in the
-shared :class:`~repro.distributed.store.CacheStore`.
+shared :class:`~repro.runtime.cache.CacheStore`.
 
 The address is built with the *same* rule the single-host paths use,
 which is the load-bearing design decision of the subsystem: a
@@ -62,6 +62,7 @@ from repro.fault.evaluate import (
 from repro.fault.injector import WeightFaultInjector
 from repro.fault.model import BitErrorRates
 from repro.rng import SeedLike, derive_seed, resolve_seed
+from repro.runtime.cache import CacheStore
 from repro.runtime.sharding import Shard, ShardedMonteCarlo, ShardPlan
 from repro.sram.bitcell import make_cell
 from repro.sram.failures import FailureType
@@ -69,7 +70,6 @@ from repro.sram.importance_sampling import ImportanceSampler
 from repro.sram.montecarlo import MonteCarloAnalyzer, tally_shard
 from repro.sram.read_path import BitlineModel
 from repro.sram.sizing import CellSizing
-from repro.distributed.store import CacheStore
 
 #: Cache namespace of distributed margin tallies — deliberately the
 #: same namespace :class:`~repro.runtime.sharding.ShardedMonteCarlo`

@@ -5,7 +5,7 @@ time (``ready`` → ``assign`` → ``result`` → ``ready``).  Execution
 happens *off* the event loop on a thread-pool worker, so heartbeats
 keep flowing while a shard computes — the dispatcher can tell a
 crunching worker from a dead one.  Every result is written to the
-worker's :class:`~repro.distributed.store.CacheStore` before it is
+worker's :class:`~repro.runtime.cache.CacheStore` before it is
 reported, and a populated store address short-circuits the computation
 entirely (see :func:`~repro.distributed.jobs.execute_job`).
 
@@ -26,7 +26,8 @@ import asyncio
 import os
 import random
 import socket
-from typing import TYPE_CHECKING, Any, Dict, Optional
+import sys
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.tiering import TieredStore
@@ -42,7 +43,7 @@ from repro.distributed.protocol import (
     recv_message,
     send_message,
 )
-from repro.distributed.store import CacheStore, DirectoryStore
+from repro.runtime.cache import CacheStore, ResultCache
 
 #: Base reconnect delay (seconds); doubles per consecutive failure.
 DEFAULT_RECONNECT_BACKOFF = 0.5
@@ -57,6 +58,43 @@ RECONNECT_BACKOFF_CAP = 30.0
 def default_worker_name() -> str:
     """``host-pid``: unique per process, stable for a worker's lifetime."""
     return f"{socket.gethostname()}-{os.getpid()}"
+
+
+def worker_command(
+    host: str,
+    port: int,
+    *,
+    name: Optional[str] = None,
+    cache_dir: Optional[str] = None,
+    store_url: Optional[str] = None,
+    lru_entries: Optional[int] = None,
+    lru_bytes: Optional[int] = None,
+    ttl: Optional[float] = None,
+    max_jobs: Optional[int] = None,
+    reconnect: bool = False,
+) -> List[str]:
+    """The argv that runs ``repro-sram worker`` with this interpreter.
+
+    Every fleet spawner (the autoscaler, the smoke scripts, the
+    distributed benchmarks) builds its worker processes from here, so
+    the flags stay in step with :func:`run_worker`.  ``None`` omits a
+    flag; ``ttl=0.0`` is a real setting and renders as ``--ttl 0.0``.
+    """
+    cmd = [sys.executable, "-m", "repro.cli", "worker", "--connect", f"{host}:{port}"]
+    for flag, value in (
+        ("--name", name),
+        ("--cache-dir", cache_dir),
+        ("--store-url", store_url),
+        ("--lru-entries", lru_entries),
+        ("--lru-bytes", lru_bytes),
+        ("--ttl", ttl),
+        ("--max-jobs", max_jobs),
+    ):
+        if value is not None:
+            cmd += [flag, str(value)]
+    if reconnect:
+        cmd.append("--reconnect")
+    return cmd
 
 
 class Worker:
@@ -367,7 +405,7 @@ def run_worker(
     """Blocking worker entry point (the ``repro-sram worker`` command).
 
     Without tiering options the worker keeps its historical store — a
-    plain :class:`DirectoryStore` over ``cache_dir``.  Any of
+    plain :class:`~repro.runtime.cache.ResultCache` over ``cache_dir``.  Any of
     ``store_url`` / ``lru_entries`` / ``lru_bytes`` / ``ttl`` upgrades
     it to the standard tiered composition
     (:func:`~repro.runtime.tiering.make_tiered_store`): memory LRU →
@@ -406,7 +444,7 @@ def run_worker(
         )
         store = tiered
     else:
-        store = DirectoryStore(cache_dir)
+        store = ResultCache(cache_dir)
     worker = Worker(
         host, port,
         store=store,

@@ -63,21 +63,20 @@ __all__ = [
 def bind_store_metrics(registry: MetricsRegistry, store: object, component: str) -> None:
     """Gather a cache store's tier counters into ``registry``.
 
-    Works for both a plain :class:`~repro.runtime.tiering.CacheStore`
-    (one tier labeled by its ``describe()`` scheme) and a
-    :class:`~repro.runtime.tiering.TieredStore` (one labeled series per
-    tier plus the write-behind counters).  Used by CLI entry points
+    A :class:`~repro.runtime.tiering.TieredStore` binds one labeled
+    series per tier plus the write-behind counters; any other
+    :class:`~repro.runtime.cache.CacheStore` binds its counters as the
+    ``local`` tier; anything else is a no-op.  Used by CLI entry points
     before starting a :class:`MetricsServer`.
     """
+    # Imported here: the runtime stores import this package for metrics.
+    from repro.runtime.cache import CacheStore
+    from repro.runtime.tiering import TieredStore
+
     base = {"component": component}
-    tiers = getattr(store, "tier_stores", None)
-    if callable(tiers):
-        for name, tier_store in tiers():
+    if isinstance(store, TieredStore):
+        for name, tier_store in store.tier_stores():
             tier_store.tier.bind_metrics(registry, {**base, "tier": name})
-        bind = getattr(store, "bind_metrics", None)
-        if callable(bind):
-            bind(registry, base)
-        return
-    tier = getattr(store, "tier", None)
-    if tier is not None:
-        tier.bind_metrics(registry, {**base, "tier": "local"})
+        store.bind_metrics(registry, base)
+    elif isinstance(store, CacheStore):
+        store.tier.bind_metrics(registry, {**base, "tier": "local"})

@@ -12,7 +12,9 @@ provides the two pieces of infrastructure those sweeps share:
 * :class:`~repro.runtime.cache.ResultCache` — a content-addressed JSON
   store (key = SHA-256 of everything that affects the numbers, plus a
   schema version) with atomic writes, so concurrent sweeps can share a
-  cache directory and a version bump invalidates stale results.
+  cache directory and a version bump invalidates stale results.  It is
+  the directory tier of the :class:`~repro.runtime.cache.CacheStore`
+  interface every store backend implements.
 * :class:`~repro.runtime.sharding.ShardPlan` /
   :class:`~repro.runtime.sharding.ShardedMonteCarlo` — deterministic
   block-granular sharding of one Monte-Carlo population across the
@@ -40,8 +42,10 @@ benchmark harness are all built on these primitives.  The contracts
 from repro.runtime.cache import (
     CACHE_VERSION,
     CacheStats,
+    CacheStore,
     CompactionResult,
     ResultCache,
+    TierStats,
     content_key,
     default_cache_dir,
 )
@@ -54,17 +58,13 @@ from repro.runtime.sharding import (
 )
 from repro.runtime.singleflight import SingleFlight
 from repro.runtime.tiering import (
-    CacheLike,
-    CacheStore,
     MemoryLRUStore,
     TieredStore,
-    TierStats,
     make_tiered_store,
 )
 
 __all__ = [
     "CACHE_VERSION",
-    "CacheLike",
     "CacheStats",
     "CacheStore",
     "CompactionResult",

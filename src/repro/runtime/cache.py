@@ -14,6 +14,11 @@ directory), so concurrent sweep workers and even concurrent *processes*
 can share one cache directory: a reader sees either the complete old
 document or the complete new one, never a torn write.  Corrupt or
 foreign files are treated as misses rather than errors.
+
+:class:`ResultCache` is the directory tier of the :class:`CacheStore`
+interface every store backend speaks (:mod:`repro.runtime.tiering`,
+:mod:`repro.distributed.objectstore`), so one directory serves
+single-host sweeps, worker fleets and serving front-ends alike.
 """
 
 from __future__ import annotations
@@ -23,8 +28,11 @@ import json
 import os
 import tempfile
 import time
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
+
+from repro.obs.metrics import Instrumented, MetricField, MetricsRegistry
 
 #: Global cache-schema version.  Bump when the meaning of cached values
 #: changes (new fields, changed physics) to invalidate every entry at
@@ -72,6 +80,126 @@ def content_key(namespace: str, payload: Dict[str, Any], version: int) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:32]
 
 
+def value_bytes(value: Any) -> int:
+    """Canonical-JSON size of a cached value (the tier byte accounting).
+
+    Deliberately the size of the *value*, not of any backend's on-disk
+    document: every tier counts the same bytes for the same value, so
+    byte counters compare across tiers.
+    """
+    return len(
+        json.dumps(
+            value, sort_keys=True, separators=(",", ":"), default=_canonical
+        ).encode()
+    )
+
+
+class TierStats(Instrumented):
+    """Per-tier counters: hits/misses, bytes, latency, failures.
+
+    ``errors`` counts backend failures (unreachable store, failed
+    write attempt) — *not* misses, which are a normal outcome.
+    ``retries`` counts in-band second attempts after a transient
+    failure (the remote tier's read retry); each failed attempt still
+    lands in ``errors``, so ``errors - retries`` bounds the reads that
+    actually degraded.
+    ``expirations`` counts TTL-expired reads, ``evictions`` LRU
+    displacements; both are zero for tiers without the mechanism.
+    Latency is accumulated seconds, so ``get_seconds / (hits + misses)``
+    is the mean read latency of the tier.
+
+    Counters live in a :class:`~repro.obs.metrics.MetricsRegistry`
+    (private by default; CLI entry points rebind them into the
+    process registry via :meth:`~repro.obs.metrics.Instrumented.
+    bind_metrics` so ``/metrics`` exposes every tier).
+    """
+
+    hits = MetricField("repro_cache_hits_total")
+    misses = MetricField("repro_cache_misses_total")
+    puts = MetricField("repro_cache_puts_total")
+    bytes_read = MetricField("repro_cache_bytes_read_total")
+    bytes_written = MetricField("repro_cache_bytes_written_total")
+    errors = MetricField("repro_cache_errors_total")
+    retries = MetricField("repro_cache_retries_total")
+    evictions = MetricField("repro_cache_evictions_total")
+    expirations = MetricField("repro_cache_expirations_total")
+    get_seconds = MetricField("repro_cache_get_seconds_total")
+    put_seconds = MetricField("repro_cache_put_seconds_total")
+
+    _FIELDS = (
+        "hits", "misses", "puts", "bytes_read", "bytes_written",
+        "errors", "retries", "evictions", "expirations", "get_seconds",
+        "put_seconds",
+    )
+
+    def __init__(
+        self,
+        registry: Optional[MetricsRegistry] = None,
+        labels: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        self._obs_init(registry, labels)
+        self.get_seconds = 0.0
+        self.put_seconds = 0.0
+
+    def record_get(self, value: Optional[Any], seconds: float) -> None:
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+            self.bytes_read += value_bytes(value)
+        self.get_seconds += seconds
+
+    def record_put(self, value: Any, seconds: float) -> None:
+        self.puts += 1
+        self.bytes_written += value_bytes(value)
+        self.put_seconds += seconds
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-able snapshot (latency rounded to microseconds)."""
+        out: Dict[str, Any] = {name: getattr(self, name) for name in self._FIELDS}
+        out["get_seconds"] = round(out["get_seconds"], 6)
+        out["put_seconds"] = round(out["put_seconds"], 6)
+        return out
+
+
+class CacheStore(ABC):
+    """Content-addressed result store shared across processes and hosts.
+
+    Contract (inherited from ``docs/runtime.md``'s cache rules): the
+    payload must contain everything that determines the stored value,
+    writes must be atomic (readers never observe a torn document), and
+    concurrent writers of one address must be safe because they all
+    write identical bytes.  ``get`` returns ``None`` on any kind of
+    miss — absence, corruption, backend unavailability — never raises
+    for a recoverable condition; a store that cannot be *written*
+    degrades caching, not correctness, so callers treat ``put``
+    failures as non-fatal.
+
+    Every concrete store maintains a :class:`TierStats` (``self.tier``)
+    and reports it through :meth:`stats_payload` — the object the
+    ``stats`` probes of serve and dispatch embed.
+    """
+
+    def __init__(self) -> None:
+        self.tier = TierStats()
+
+    @abstractmethod
+    def get(self, namespace: str, payload: Dict[str, Any]) -> Optional[Any]:
+        """The stored value addressed by ``payload``, or ``None``."""
+
+    @abstractmethod
+    def put(self, namespace: str, payload: Dict[str, Any], value: Any) -> None:
+        """Atomically store ``value`` under the address of ``payload``."""
+
+    @abstractmethod
+    def describe(self) -> str:
+        """Human-readable location of the store (for logs and stats)."""
+
+    def stats_payload(self) -> Dict[str, Any]:
+        """JSON-able counters for the ``stats`` protocol probes."""
+        return {"store": self.describe(), **self.tier.to_dict()}
+
+
 @dataclass(frozen=True)
 class CompactionResult:
     """Outcome of one :meth:`ResultCache.compact` pass."""
@@ -111,8 +239,8 @@ class CacheStats:
         return "\n".join(lines)
 
 
-class ResultCache:
-    """Content-addressed JSON store with atomic writes.
+class ResultCache(CacheStore):
+    """Content-addressed JSON store with atomic writes: the directory tier.
 
     Correctness contract: a payload must contain *everything* that
     determines the value stored under it (model parameters, sample and
@@ -121,6 +249,10 @@ class ResultCache:
     never changes a number.  Values must be JSON-serializable; floats
     round-trip bit-for-bit.  The full contract (key completeness,
     versioning levers, atomicity) is documented in ``docs/runtime.md``.
+
+    The directory is a plain one, sharable over NFS or rsync'd between
+    hosts.  ``self.tier`` counts hits, misses, expirations, write
+    errors, bytes and latency.
 
     Parameters
     ----------
@@ -131,6 +263,17 @@ class ResultCache:
         the hook behind the CLI's ``--no-cache``.
     version:
         Schema version folded into every key; see :data:`CACHE_VERSION`.
+    ttl:
+        Optional freshness bound in seconds: an entry that has lived
+        its full TTL (file age ``>= ttl``) reads as a miss and counts
+        an expiration; ``ttl=0`` treats every entry as already expired.
+        File age is **wall-clock** time (``time.time() - mtime``) —
+        unlike the memory tier's monotonic clock — so a backward clock
+        step makes files look younger than they are; ages are clamped
+        to be non-negative, so a future mtime reads as age 0 and
+        expires ``ttl`` seconds after the clock catches up.  Expired
+        files stay on disk for :meth:`compact` to reap, so a TTL-reading
+        process never races a TTL-less one on deletion.
     """
 
     def __init__(
@@ -138,12 +281,15 @@ class ResultCache:
         cache_dir: Optional[str] = None,
         enabled: bool = True,
         version: int = CACHE_VERSION,
+        ttl: Optional[float] = None,
     ):
+        super().__init__()
+        if ttl is not None and ttl < 0:
+            raise ValueError(f"ttl must be >= 0, got {ttl}")
         self.cache_dir = cache_dir or default_cache_dir()
         self.enabled = enabled
         self.version = int(version)
-        self.hits = 0
-        self.misses = 0
+        self.ttl = None if ttl is None else float(ttl)
 
     # ------------------------------------------------------------------
     # Addressing
@@ -161,48 +307,29 @@ class ResultCache:
     # ------------------------------------------------------------------
     # Read / write
     # ------------------------------------------------------------------
-    def get(
-        self,
-        namespace: str,
-        payload: Dict[str, Any],
-        ttl: Optional[float] = None,
-    ) -> Optional[Any]:
-        """Cached value for ``payload``, or None on any kind of miss.
+    def get(self, namespace: str, payload: Dict[str, Any]) -> Optional[Any]:
+        """Cached value for ``payload``, or None on any kind of miss
+        (absent, expired, corrupt or foreign document, disabled cache)."""
+        start = time.perf_counter()
+        value = self._read(namespace, payload) if self.enabled else None
+        self.tier.record_get(value, time.perf_counter() - start)
+        return value
 
-        With ``ttl`` (seconds), an entry that has lived its full TTL —
-        file age ``>= ttl`` — is treated as a miss: the caller
-        recomputes, and the fresh ``put`` replaces the stale file.
-        Expired files are left on disk for :meth:`compact` to reap, so
-        a TTL-reading process never races a TTL-less one on deletion.
-
-        File age is **wall-clock** time (``time.time()`` against the
-        file's mtime); a backward clock step therefore rejuvenates
-        entries by the size of the step.  The age is clamped to be
-        non-negative, so a file whose mtime lies in the future reads
-        as age 0 — it expires ``ttl`` seconds after the clock catches
-        up, never "indefinitely later".
-        """
-        if not self.enabled:
-            self.misses += 1
-            return None
+    def _read(self, namespace: str, payload: Dict[str, Any]) -> Optional[Any]:
         path = self.path(namespace, payload)
         try:
-            if ttl is not None and (
-                max(0.0, time.time() - os.path.getmtime(path)) >= ttl
+            if self.ttl is not None and (
+                max(0.0, time.time() - os.path.getmtime(path)) >= self.ttl
             ):
-                self.misses += 1
+                self.tier.expirations += 1
                 return None
             with open(path) as fh:
-                document = json.load(fh)
-            value = document["value"]
+                return json.load(fh)["value"]
         # ValueError covers JSONDecodeError and UnicodeDecodeError;
         # TypeError/KeyError cover well-formed JSON that is not a
         # put()-shaped document.  All are misses, not errors.
         except (OSError, ValueError, TypeError, KeyError):
-            self.misses += 1
             return None
-        self.hits += 1
-        return value
 
     def put(self, namespace: str, payload: Dict[str, Any], value: Any) -> None:
         """Atomically store ``value`` under the address of ``payload``.
@@ -212,10 +339,13 @@ class ResultCache:
         readers always observe a complete document (last writer wins —
         and every writer of one key produces identical bytes anyway,
         since the key captures everything that determines the value).
+        A write that fails (full disk, unwritable or revoked directory)
+        counts a ``tier.errors`` and leaves no temp file behind; it
+        never raises — the value was computed, only its caching is lost.
         """
         if not self.enabled:
             return
-        os.makedirs(self.cache_dir, exist_ok=True)
+        start = time.perf_counter()
         document = {
             "namespace": namespace,
             "cache_version": self.version,
@@ -224,19 +354,25 @@ class ResultCache:
             "value": value,
         }
         text = json.dumps(document, sort_keys=True, default=_canonical, indent=1)
-        fd, tmp_path = tempfile.mkstemp(
-            dir=self.cache_dir, prefix=f".{namespace}-", suffix=".tmp"
-        )
+        tmp_path: Optional[str] = None
         try:
+            os.makedirs(self.cache_dir, exist_ok=True)
+            fd, tmp_path = tempfile.mkstemp(
+                dir=self.cache_dir, prefix=f".{namespace}-", suffix=".tmp"
+            )
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
             os.replace(tmp_path, self.path(namespace, payload))
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+            tmp_path = None
+        except OSError:
+            self.tier.errors += 1
+        finally:
+            if tmp_path is not None:
+                try:
+                    os.unlink(tmp_path)
+                except OSError:
+                    pass
+        self.tier.record_put(value, time.perf_counter() - start)
 
     def get_or_compute(
         self,
@@ -250,6 +386,9 @@ class ResultCache:
             value = compute()
             self.put(namespace, payload, value)
         return value
+
+    def describe(self) -> str:
+        return f"directory:{self.cache_dir}"
 
     # ------------------------------------------------------------------
     # Maintenance (the ``repro-sram cache`` subcommand)
@@ -291,8 +430,8 @@ class ResultCache:
             entries=len(entries),
             total_bytes=total_bytes,
             by_namespace=by_namespace,
-            hits=self.hits,
-            misses=self.misses,
+            hits=self.tier.hits,
+            misses=self.tier.misses,
         )
 
     def compact(
@@ -308,8 +447,8 @@ class ResultCache:
 
         1. ``max_age`` — delete every entry whose file age is
            ``>= max_age`` seconds (the same "lived its full TTL" rule
-           :meth:`get` uses, so compaction deletes exactly the entries
-           reads already refuse).
+           :meth:`get` applies to ``ttl``, so compaction deletes exactly
+           the entries reads already refuse).
         2. ``max_bytes`` — delete **oldest first** until the surviving
            entries total at most ``max_bytes``.
 

@@ -45,7 +45,7 @@ from typing import Any, Callable, Dict, Generic, List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.rng import derive_seed
 from repro.runtime.executor import SweepExecutor
-from repro.runtime.tiering import CacheLike
+from repro.runtime.cache import CacheStore
 
 T = TypeVar("T")
 
@@ -280,7 +280,7 @@ class ShardPlan:
 def _compute_and_store(
     compute: Callable[[Shard], T],
     encode: Callable[[T], Any],
-    cache: CacheLike,
+    cache: CacheStore,
     namespace: str,
     item: Tuple[Shard, Dict[str, Any]],
 ) -> T:
@@ -308,10 +308,9 @@ class ShardedMonteCarlo(Generic[T]):
         Worker pool for shard fan-out; ``None`` runs shards serially,
         which bounds peak memory to one shard's working set.
     cache:
-        Optional cache — a :class:`~repro.runtime.cache.ResultCache`,
-        any :class:`~repro.runtime.tiering.CacheStore` tier, or a full
-        :class:`~repro.runtime.tiering.TieredStore` (anything
-        satisfying :class:`~repro.runtime.tiering.CacheLike`); each
+        Optional :class:`~repro.runtime.cache.CacheStore` — a
+        :class:`~repro.runtime.cache.ResultCache`, any other tier, or a
+        full :class:`~repro.runtime.tiering.TieredStore`; each
         shard is cached under its own content address, so interrupted
         or re-sharded runs recompute only the shards they are missing.
     namespace:
@@ -323,7 +322,7 @@ class ShardedMonteCarlo(Generic[T]):
         self,
         plan: ShardPlan,
         executor: Optional[SweepExecutor] = None,
-        cache: Optional[CacheLike] = None,
+        cache: Optional[CacheStore] = None,
         namespace: str = "mcshard",
     ):
         self.plan = plan

@@ -1,11 +1,10 @@
 """Tiered content-addressed caching: memory LRU → directory → object store.
 
 The library's dedupe story grew bottom-up: :class:`~repro.runtime.cache.ResultCache`
-dedupes one host, the distributed ``DirectoryStore`` dedupes one fleet
-sharing a filesystem.  This module adds the planet-scale tier — a
-*shared remote store with local hot tiers* — so fleets of workers and
-serving front-ends on different machines dedupe each other's warm
-configurations too::
+dedupes one host — or one fleet sharing its directory.  This module
+adds the planet-scale tier — a *shared remote store with local hot
+tiers* — so fleets of workers and serving front-ends on different
+machines dedupe each other's warm configurations too::
 
     get:  memory LRU ──miss──▶ local directory ──miss──▶ object store
             ▲  ▲ promote ◀──────── hit ◀──────────────────── hit
@@ -13,10 +12,11 @@ configurations too::
           object store (write-behind: background flusher, bounded
           queue, retry with exponential backoff + jitter, fail-open)
 
-Every tier speaks the same three-method :class:`CacheStore` interface
-and addresses bytes with the same SHA-256 content key
-(:func:`~repro.runtime.cache.content_key`), so a value computed
-anywhere is a hit everywhere — and the tiers compose freely.
+Every tier speaks the same three-method
+:class:`~repro.runtime.cache.CacheStore` interface and addresses bytes
+with the same SHA-256 content key (:func:`~repro.runtime.cache.content_key`),
+so a value computed anywhere is a hit everywhere — and the tiers
+compose freely.
 
 The degradation contract is the load-bearing guarantee: **a store that
 cannot be read or written degrades caching, never correctness**.  A
@@ -32,23 +32,27 @@ Semantics, TTL rules and store-URL configuration are documented in
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 import threading
 import time
-from abc import ABC, abstractmethod
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Protocol, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.flight import FlightRecorder, get_flight_recorder
 from repro.obs.metrics import Instrumented, MetricField, MetricsRegistry
-from repro.runtime.cache import CACHE_VERSION, _canonical, content_key
+from repro.runtime.cache import (
+    CACHE_VERSION,
+    CacheStore,
+    ResultCache,
+    TierStats,
+    content_key,
+    value_bytes,
+)
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "CacheLike",
     "CacheStore",
     "MemoryLRUStore",
     "TierStats",
@@ -62,142 +66,6 @@ __all__ = [
 #: every shard tally of a paper-scale run.
 DEFAULT_LRU_ENTRIES = 1024
 DEFAULT_LRU_BYTES = 64 << 20
-
-
-class CacheLike(Protocol):
-    """Structural type of anything the sharded runtime can cache into.
-
-    Both :class:`~repro.runtime.cache.ResultCache` and every
-    :class:`CacheStore` satisfy it; callers that only ``get``/``put``
-    (:class:`~repro.runtime.sharding.ShardedMonteCarlo`, the serving
-    batcher) accept either.
-    """
-
-    def get(self, namespace: str, payload: Dict[str, Any]) -> Optional[Any]: ...
-
-    def put(self, namespace: str, payload: Dict[str, Any], value: Any) -> None: ...
-
-
-def value_bytes(value: Any) -> int:
-    """Canonical-JSON size of a cached value (the tier byte accounting).
-
-    Deliberately the size of the *value*, not of any backend's on-disk
-    document: every tier counts the same bytes for the same value, so
-    byte counters compare across tiers.
-    """
-    return len(
-        json.dumps(
-            value, sort_keys=True, separators=(",", ":"), default=_canonical
-        ).encode()
-    )
-
-
-class TierStats(Instrumented):
-    """Per-tier counters: hits/misses, bytes, latency, failures.
-
-    ``errors`` counts backend failures (unreachable store, failed
-    write attempt) — *not* misses, which are a normal outcome.
-    ``retries`` counts in-band second attempts after a transient
-    failure (the remote tier's read retry); each failed attempt still
-    lands in ``errors``, so ``errors - retries`` bounds the reads that
-    actually degraded.
-    ``expirations`` counts TTL-expired reads, ``evictions`` LRU
-    displacements; both are zero for tiers without the mechanism.
-    Latency is accumulated seconds, so ``get_seconds / (hits + misses)``
-    is the mean read latency of the tier.
-
-    Counters live in a :class:`~repro.obs.metrics.MetricsRegistry`
-    (private by default; CLI entry points rebind them into the
-    process registry via :meth:`~repro.obs.metrics.Instrumented.
-    bind_metrics` so ``/metrics`` exposes every tier).
-    """
-
-    hits = MetricField("repro_cache_hits_total")
-    misses = MetricField("repro_cache_misses_total")
-    puts = MetricField("repro_cache_puts_total")
-    bytes_read = MetricField("repro_cache_bytes_read_total")
-    bytes_written = MetricField("repro_cache_bytes_written_total")
-    errors = MetricField("repro_cache_errors_total")
-    retries = MetricField("repro_cache_retries_total")
-    evictions = MetricField("repro_cache_evictions_total")
-    expirations = MetricField("repro_cache_expirations_total")
-    get_seconds = MetricField("repro_cache_get_seconds_total")
-    put_seconds = MetricField("repro_cache_put_seconds_total")
-
-    _FIELDS = (
-        "hits", "misses", "puts", "bytes_read", "bytes_written",
-        "errors", "retries", "evictions", "expirations", "get_seconds",
-        "put_seconds",
-    )
-
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        labels: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        self._obs_init(registry, labels)
-        self.get_seconds = 0.0
-        self.put_seconds = 0.0
-
-    def record_get(self, value: Optional[Any], seconds: float) -> None:
-        if value is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-            self.bytes_read += value_bytes(value)
-        self.get_seconds += seconds
-
-    def record_put(self, value: Any, seconds: float) -> None:
-        self.puts += 1
-        self.bytes_written += value_bytes(value)
-        self.put_seconds += seconds
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-able snapshot (latency rounded to microseconds)."""
-        out: Dict[str, Any] = {name: getattr(self, name) for name in self._FIELDS}
-        out["get_seconds"] = round(out["get_seconds"], 6)
-        out["put_seconds"] = round(out["put_seconds"], 6)
-        return out
-
-
-class CacheStore(ABC):
-    """Content-addressed result store shared across processes and hosts.
-
-    Contract (inherited from ``docs/runtime.md``'s cache rules): the
-    payload must contain everything that determines the stored value,
-    writes must be atomic (readers never observe a torn document), and
-    concurrent writers of one address must be safe because they all
-    write identical bytes.  ``get`` returns ``None`` on any kind of
-    miss — absence, corruption, backend unavailability — never raises
-    for a recoverable condition; a store that cannot be *written*
-    degrades caching, not correctness, so callers treat ``put``
-    failures as non-fatal.
-
-    Every concrete store maintains a :class:`TierStats` (``self.tier``)
-    and reports it through :meth:`stats_payload` — the object the
-    ``stats`` probes of serve and dispatch embed.
-    """
-
-    def __init__(self) -> None:
-        self.tier = TierStats()
-
-    @abstractmethod
-    def get(self, namespace: str, payload: Dict[str, Any]) -> Optional[Any]:
-        """The stored value addressed by ``payload``, or ``None``."""
-
-    @abstractmethod
-    def put(self, namespace: str, payload: Dict[str, Any], value: Any) -> None:
-        """Atomically store ``value`` under the address of ``payload``."""
-
-    @abstractmethod
-    def describe(self) -> str:
-        """Human-readable location of the store (for logs and stats)."""
-
-    def stats_payload(self) -> Dict[str, Any]:
-        """JSON-able counters for the ``stats`` protocol probes."""
-        if not hasattr(self, "tier"):  # subclass skipped __init__
-            self.tier = TierStats()
-        return {"store": self.describe(), **self.tier.to_dict()}
 
 
 class MemoryLRUStore(CacheStore):
@@ -338,7 +206,7 @@ class TieredStore(CacheStore, Instrumented):
     memory / local / remote:
         The tiers, fastest first; any may be ``None``.  ``memory`` is
         typically a :class:`MemoryLRUStore`, ``local`` a
-        :class:`~repro.distributed.store.DirectoryStore`, ``remote`` an
+        :class:`~repro.runtime.cache.ResultCache`, ``remote`` an
         :class:`~repro.distributed.objectstore.ObjectStore` — but any
         :class:`CacheStore` fits any slot.
     flush_queue:
@@ -653,23 +521,19 @@ def make_tiered_store(
 ) -> TieredStore:
     """The standard composition behind ``--store-url``/``--lru-entries``.
 
-    ``memory LRU → DirectoryStore(cache_dir) → ObjectStore(store_url)``,
+    ``memory LRU → ResultCache(cache_dir) → ObjectStore(store_url)``,
     with the remote tier omitted when ``store_url`` is ``None`` and the
     memory tier omitted when ``lru_entries`` is 0 or ``None``.  ``ttl``
     applies to both local tiers (the remote store is shared state; only
     :meth:`~repro.runtime.cache.ResultCache.compact` deletes).  Extra
     keyword arguments reach the :class:`TieredStore` flusher knobs.
     """
-    # Imported lazily: repro.distributed imports this module for the
-    # CacheStore interface, so the reverse import must not be circular.
-    from repro.distributed.store import DirectoryStore
-
     memory = None
     if lru_entries:
         memory = MemoryLRUStore(
             max_entries=lru_entries, max_bytes=lru_bytes, ttl=ttl
         )
-    local = DirectoryStore(cache_dir, ttl=ttl)
+    local = ResultCache(cache_dir, ttl=ttl)
     remote = None
     if store_url:
         from repro.distributed.objectstore import ObjectStore

@@ -41,7 +41,7 @@ from repro.errors import ConfigurationError, ReproError
 from repro.obs.metrics import Instrumented, MetricField, MetricsRegistry
 from repro.obs.tracing import Tracer, get_tracer
 from repro.runtime.singleflight import SingleFlight
-from repro.runtime.tiering import CacheLike
+from repro.runtime.cache import CacheStore
 from repro.serving.request import EvalRequest
 
 #: Cache namespace of serving responses (``repro-sram cache clear
@@ -109,12 +109,12 @@ class BatchingEvaluator:
         cache directory can safely serve many differently-configured
         simulators.
     cache:
-        Optional response store — a
-        :class:`~repro.runtime.cache.ResultCache`, or any
-        :class:`~repro.runtime.tiering.CacheStore` tier up to the full
-        :class:`~repro.runtime.tiering.TieredStore` (``--store-url``
-        on ``repro-sram serve``); ``None`` (or a disabled cache) serves
-        every unique request from a live evaluation.
+        Optional response :class:`~repro.runtime.cache.CacheStore` — a
+        :class:`~repro.runtime.cache.ResultCache`, or any other tier up
+        to the full :class:`~repro.runtime.tiering.TieredStore`
+        (``--store-url`` on ``repro-sram serve``); ``None`` (or a
+        disabled cache) serves every unique request from a live
+        evaluation.
     batch_window:
         Seconds to hold the first pending request while more arrive.
         ``0`` still coalesces requests submitted in the same event-loop
@@ -134,7 +134,7 @@ class BatchingEvaluator:
     def __init__(
         self,
         simulator: Any,
-        cache: Optional[CacheLike] = None,
+        cache: Optional[CacheStore] = None,
         batch_window: float = 0.01,
         max_batch: int = 32,
         metrics: Optional[MetricsRegistry] = None,
@@ -377,34 +377,11 @@ class BatchingEvaluator:
             ):
                 response = self._response_payload(memory, evaluation)
                 if self.cache is not None:
-                    try:
-                        self.cache.put(
-                            SERVE_NAMESPACE,
-                            self.cache_payload(requests[i]),
-                            response,
-                        )
-                    except OSError:
-                        pass
+                    self.cache.put(
+                        SERVE_NAMESPACE, self.cache_payload(requests[i]), response
+                    )
                 results[i] = response
         return results
-
-    # ------------------------------------------------------------------
-    # Store introspection
-    # ------------------------------------------------------------------
-    def store_stats(self) -> Optional[Dict[str, Any]]:
-        """Per-tier cache counters, when the response store keeps them.
-
-        A :class:`~repro.runtime.tiering.CacheStore` (including the
-        tiered composition) reports hits/misses/bytes/latency/errors
-        per tier; a plain :class:`~repro.runtime.cache.ResultCache`
-        (or no cache) returns ``None``.  This is what the server's
-        ``{"type": "stats"}`` probe embeds under ``"store"``.
-        """
-        payload_fn = getattr(self.cache, "stats_payload", None)
-        if payload_fn is None:
-            return None
-        result: Dict[str, Any] = payload_fn()
-        return result
 
     # ------------------------------------------------------------------
     # Responses

@@ -138,11 +138,10 @@ def _control_response(
     if kind == "stats":
         stats: Dict[str, Any] = dict(evaluator.stats.to_dict())
         stats["stats_version"] = STATS_VERSION
-        store = evaluator.store_stats()
-        if store is not None:
+        if evaluator.cache is not None:
             # Per-tier cache counters (docs/caching.md) ride along with
-            # the serving counters when the response store keeps them.
-            stats["store"] = store
+            # the serving counters.
+            stats["store"] = evaluator.cache.stats_payload()
         return _dumps(
             {
                 "ok": True,

@@ -22,7 +22,7 @@ if TYPE_CHECKING:  # import would cycle at runtime (distributed -> sram)
 
 from repro.errors import ConfigurationError
 from repro.rng import SeedLike
-from repro.runtime import DEFAULT_BLOCK_SAMPLES, ResultCache
+from repro.runtime import DEFAULT_BLOCK_SAMPLES, CacheStore
 from repro.sram.area import bitcell_area
 from repro.sram.bitcell import BitcellBase
 from repro.sram.montecarlo import FailureRates, MonteCarloAnalyzer
@@ -77,7 +77,7 @@ class SubArray:
     #: bit-identical, the numbers cannot change.
     backend: Optional[str] = None
     #: Shared result cache for per-shard tallies (``None`` = uncached).
-    cache: Optional[ResultCache] = field(
+    cache: Optional[CacheStore] = field(
         default=None, compare=False, repr=False
     )
     #: Started :class:`~repro.distributed.ShardDispatcher`; when set,

@@ -35,6 +35,7 @@ from repro.errors import ConfigurationError
 from repro.rng import DEFAULT_SEED, resolve_seed
 from repro.runtime import (
     DEFAULT_BLOCK_SAMPLES,
+    CacheStore,
     ResultCache,
     SweepExecutor,
     default_cache_dir,
@@ -193,7 +194,7 @@ def characterize_cell(
     use_cache: bool = True,
     cache_dir: Optional[str] = None,
     jobs: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
+    cache: Optional[CacheStore] = None,
     shards: Optional[int] = None,
     max_shard_samples: Optional[int] = None,
     block_samples: Optional[int] = None,

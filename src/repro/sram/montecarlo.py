@@ -46,7 +46,7 @@ from repro.errors import ConfigurationError
 from repro.rng import SeedLike, derive_seed, resolve_seed
 from repro.runtime import (
     DEFAULT_BLOCK_SAMPLES,
-    CacheLike,
+    CacheStore,
     Shard,
     ShardedMonteCarlo,
     ShardPlan,
@@ -584,7 +584,7 @@ class MonteCarloAnalyzer:
         shards: Optional[int] = None,
         max_shard_samples: Optional[int] = None,
         jobs: Optional[int] = None,
-        cache: Optional[CacheLike] = None,
+        cache: Optional[CacheStore] = None,
         dispatcher: Optional["ShardDispatcher"] = None,
     ) -> FailureRates:
         """Estimate failure rates with the population split into shards.
@@ -649,7 +649,7 @@ class MonteCarloAnalyzer:
         self,
         vdds: Sequence[float],
         jobs: Optional[int] = None,
-        cache: Optional[CacheLike] = None,
+        cache: Optional[CacheStore] = None,
         shards: Optional[int] = None,
         max_shard_samples: Optional[int] = None,
     ) -> List[FailureRates]:
@@ -772,7 +772,7 @@ def failure_rates_vs_vdd(
     seed: SeedLike = None,
     read_cycle: Optional[float] = None,
     jobs: Optional[int] = None,
-    cache: Optional[CacheLike] = None,
+    cache: Optional[CacheStore] = None,
     shards: Optional[int] = None,
     max_shard_samples: Optional[int] = None,
     backend: Optional[str] = None,

@@ -71,9 +71,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.distributed import DirectoryStore, ShardDispatcher
+from repro.distributed import ShardDispatcher
 from repro.distributed.jobs import ShardJob, execute_job
 from repro.distributed.protocol import PROTOCOL_VERSION, STREAM_LIMIT
+from repro.runtime import ResultCache
 
 from tests.distributed.conftest import HEARTBEAT_INTERVAL, HEARTBEAT_TIMEOUT
 
@@ -182,7 +183,7 @@ class ChaosWorker:
     def __init__(self, host, port, store_dir=None, name="chaos",
                  event=None, stall_seconds=1.0, max_jobs=None):
         self.host, self.port = host, port
-        self.store = None if store_dir is None else DirectoryStore(store_dir)
+        self.store = None if store_dir is None else ResultCache(store_dir)
         self.name = name
         self.event = event
         self.stall_seconds = stall_seconds
@@ -411,7 +412,7 @@ def run_chaos_fleet(
     dispatcher_kwargs.setdefault(
         "speculation_threshold", max(schedule.stall_seconds / 2, 0.05)
     )
-    store = None if store_dir is None else DirectoryStore(store_dir)
+    store = None if store_dir is None else ResultCache(store_dir)
     workers: List[ChaosWorker] = []
     scale_log: List[str] = []
     stop_driver = threading.Event()
@@ -496,7 +497,7 @@ def run_chaos_dag(
     dispatcher_kwargs.setdefault(
         "speculation_threshold", max(schedule.stall_seconds / 2, 0.05)
     )
-    store = None if store_dir is None else DirectoryStore(store_dir)
+    store = None if store_dir is None else ResultCache(store_dir)
     workers: List[ChaosWorker] = []
     scale_log: List[str] = []
     stop_driver = threading.Event()

@@ -13,7 +13,8 @@ import threading
 
 import pytest
 
-from repro.distributed import DirectoryStore, ShardDispatcher, Worker
+from repro.distributed import ShardDispatcher, Worker
+from repro.runtime import ResultCache
 from repro.sram.montecarlo import MonteCarloAnalyzer
 
 #: Small, fast population: 1200 samples in 256-sample blocks = 5 blocks,
@@ -41,7 +42,7 @@ def store_dir(tmp_path):
 def make_dispatcher(store_dir=None, **kwargs):
     kwargs.setdefault("heartbeat_interval", HEARTBEAT_INTERVAL)
     kwargs.setdefault("heartbeat_timeout", HEARTBEAT_TIMEOUT)
-    store = None if store_dir is None else DirectoryStore(store_dir)
+    store = None if store_dir is None else ResultCache(store_dir)
     return ShardDispatcher(store=store, **kwargs)
 
 
@@ -51,7 +52,7 @@ class WorkerThread:
     def __init__(self, host, port, store_dir=None, name=None, max_jobs=None):
         self.worker = Worker(
             host, port,
-            store=None if store_dir is None else DirectoryStore(store_dir),
+            store=None if store_dir is None else ResultCache(store_dir),
             name=name, max_jobs=max_jobs,
         )
         self.result = None

@@ -18,6 +18,7 @@ from repro.distributed.autoscale import (
     AutoscalePolicy,
     desired_workers,
 )
+from repro.distributed.worker import worker_command
 from repro.errors import ConfigurationError, ReproError
 
 
@@ -315,6 +316,8 @@ class TestWorkerCommand:
         assert "--lru-bytes 1048576" in joined
         assert "--ttl 0.0" in joined  # ttl=0 is a real tiering request
         assert "--max-jobs 32" in joined
+        # The shared helper renders ttl=0 the same way for any spawner.
+        assert worker_command("h", 1, ttl=0.0)[-2:] == ["--ttl", "0.0"]
 
     def test_minimal_command_has_no_store_flags(self):
         controller = AutoscaleController("127.0.0.1", 8417)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.devices import ptm22
 from repro.distributed import (
-    DirectoryStore,
     ShardJob,
     analyzer_from_spec,
     benchmark_model_spec,
@@ -33,6 +32,7 @@ from repro.fault.evaluate import (
 )
 from repro.fault.injector import WeightFaultInjector
 from repro.fault.model import BitErrorRates
+from repro.runtime import ResultCache
 from repro.runtime.sharding import ShardedMonteCarlo
 from repro.sram import make_cell
 from repro.sram.importance_sampling import ImportanceSampler
@@ -124,7 +124,7 @@ class TestExecuteJob:
             assert value == reference
 
     def test_store_short_circuits_recomputation(self, dist_analyzer, store_dir):
-        store = DirectoryStore(store_dir)
+        store = ResultCache(store_dir)
         _, _, (job, *_) = jobs_for(dist_analyzer)
         value, cached = execute_job(job, store)
         assert cached is False

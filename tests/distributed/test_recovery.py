@@ -11,8 +11,9 @@ import threading
 
 import pytest
 
-from repro.distributed import DirectoryStore, DispatchError, RunJournal
+from repro.distributed import DispatchError, RunJournal
 from repro.distributed.jobs import execute_job, margin_tally_jobs
+from repro.runtime import ResultCache
 from repro.serving.server import request_stats
 
 from tests.distributed.conftest import WorkerThread, canon, make_dispatcher
@@ -77,7 +78,7 @@ class TestRestartOnJournal:
         merge byte-identically."""
         reference = canon(dist_analyzer.analyze(VDD))
         jobs = margin_jobs(dist_analyzer)
-        store = DirectoryStore(store_dir)
+        store = ResultCache(store_dir)
         with RunJournal(str(tmp_path / "journal")) as journal:
             journal.open_session()
             for job in jobs:

@@ -1,135 +1,49 @@
-"""Tests of the shared cache-store abstraction."""
+"""Tests of ``DirectoryStore``, the former name of the directory store.
 
-import pytest
+``repro.distributed.DirectoryStore`` is an alias of ``ResultCache`` kept
+for existing callers (the benchmark harness constructs it by that name
+and reads ``store.tier``).  These tests pin the store behaviour those
+callers rely on through the old name.
+"""
+
+import os
+import time
 
 from repro.distributed import CacheStore, DirectoryStore
+from repro.runtime import ResultCache
 
 
 class TestDirectoryStore:
     def test_round_trip(self, tmp_path):
         store = DirectoryStore(str(tmp_path / "s"))
+        assert isinstance(store, ResultCache) and isinstance(store, CacheStore)
         payload = {"cell": "6t", "vdd": 0.7, "seed": 3}
         assert store.get("mcshard", payload) is None
         store.put("mcshard", payload, {"fails": [1, 2]})
         assert store.get("mcshard", payload) == {"fails": [1, 2]}
-
-    def test_shares_entries_with_result_cache(self, tmp_path):
-        """Store and ResultCache address the same bytes — the property
-        that lets distributed runs resume single-host caches."""
-        from repro.runtime import ResultCache
-
-        path = str(tmp_path / "shared")
-        ResultCache(cache_dir=path).put("mcshard", {"k": 1}, [1.5, 2.5])
-        assert DirectoryStore(path).get("mcshard", {"k": 1}) == [1.5, 2.5]
-
-    def test_describe_names_the_directory(self, tmp_path):
-        store = DirectoryStore(str(tmp_path / "s"))
-        assert store.describe() == f"directory:{tmp_path / 's'}"
-
-    def test_put_failure_degrades_not_raises(self, tmp_path, monkeypatch):
-        store = DirectoryStore(str(tmp_path / "s"))
-
-        def boom(*args, **kwargs):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(store.cache, "put", boom)
-        store.put("mcshard", {"k": 1}, 42)  # must not raise
-        assert store.get("mcshard", {"k": 1}) is None
-
-    def test_interface_is_abstract(self):
-        with pytest.raises(TypeError):
-            CacheStore()  # type: ignore[abstract]
-
-    def test_torn_document_reads_as_none(self, tmp_path):
-        """The CacheStore contract: corruption is a miss, never an error.
-
-        A torn write (killed process, full disk on a non-atomic backend)
-        leaves a truncated JSON document; ``get`` must return ``None``
-        so the caller recomputes — the fresh put then repairs the entry.
-        """
-        store = DirectoryStore(str(tmp_path / "s"))
-        payload = {"cell": "6t", "vdd": 0.7}
-        store.put("mcshard", payload, {"fails": [1, 2, 3]})
-        path = store.cache.path("mcshard", payload)
-        with open(path) as fh:
-            intact = fh.read()
-        for torn in (intact[: len(intact) // 2],  # truncated mid-document
-                     "",                           # zero bytes
-                     "{\"value\": "):              # cut inside the value
-            with open(path, "w") as fh:
-                fh.write(torn)
-            assert store.get("mcshard", payload) is None, repr(torn[:20])
-        # A well-formed document that is not a cache document either.
-        with open(path, "w") as fh:
-            fh.write("[1, 2, 3]")
-        assert store.get("mcshard", payload) is None
-        # The recompute path heals the slot.
-        store.put("mcshard", payload, {"fails": [1, 2, 3]})
-        assert store.get("mcshard", payload) == {"fails": [1, 2, 3]}
-
-    def test_tier_counters(self, tmp_path):
-        store = DirectoryStore(str(tmp_path / "s"))
-        payload = {"k": 1}
-        assert store.get("mcshard", payload) is None
-        store.put("mcshard", payload, [1, 2])
-        assert store.get("mcshard", payload) == [1, 2]
-        stats = store.stats_payload()
-        assert stats["store"].startswith("directory:")
-        assert stats["hits"] == 1 and stats["misses"] == 1
-        assert stats["puts"] == 1
-        assert stats["bytes_written"] == stats["bytes_read"] > 0
-        assert stats["errors"] == 0
-
-    def test_put_failure_counts_an_error(self, tmp_path, monkeypatch):
-        store = DirectoryStore(str(tmp_path / "s"))
-
-        def boom(*args, **kwargs):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(store.cache, "put", boom)
-        store.put("mcshard", {"k": 1}, 42)
-        assert store.tier.errors == 1
+        assert store.tier.puts == 1
 
     def test_ttl_expires_and_counts(self, tmp_path):
-        import os
-        import time
-
         store = DirectoryStore(str(tmp_path / "s"), ttl=60.0)
         payload = {"k": 1}
         store.put("mcshard", payload, "fresh")
         assert store.get("mcshard", payload) == "fresh"
-        path = store.cache.path("mcshard", payload)
+        path = store.path("mcshard", payload)
         old = time.time() - 61.0
         os.utime(path, (old, old))
         assert store.get("mcshard", payload) is None
         assert store.tier.expirations == 1
         assert os.path.exists(path)  # left for compact to reap
 
-    def test_ttl_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="ttl"):
-            DirectoryStore(str(tmp_path / "s"), ttl=-1.0)
-
-    def test_ttl_zero_means_already_expired(self, tmp_path):
-        """``ttl=0`` is legal and means every entry has lived its full
-        TTL — reads miss (and count an expiration), writes still land."""
-        store = DirectoryStore(str(tmp_path / "s"), ttl=0.0)
-        store.put("mcshard", {"k": 1}, "v")
-        assert store.get("mcshard", {"k": 1}) is None
-        assert store.tier.expirations == 1
-
     def test_backward_clock_step_clamps_age_to_zero(
         self, tmp_path, monkeypatch
     ):
-        """Satellite of the TTL-clock sweep: file tiers age by
-        wall-clock mtime, so a backward clock step yields a *future*
-        mtime; the age clamp makes that read as age 0 (fresh for any
-        positive ttl, expired for ttl=0) rather than a negative age."""
-        import os as _os
-        import time as _time
-
+        """File tiers age by wall-clock mtime, so a backward clock step
+        yields a *future* mtime; the age clamp makes that read as age 0
+        (fresh for any positive ttl) rather than a negative age."""
         store = DirectoryStore(str(tmp_path / "s"), ttl=60.0)
         store.put("mcshard", {"k": 1}, "v")
-        mtime = _os.path.getmtime(store.cache.path("mcshard", {"k": 1}))
-        monkeypatch.setattr(_time, "time", lambda: mtime - 500.0)
+        mtime = os.path.getmtime(store.path("mcshard", {"k": 1}))
+        monkeypatch.setattr(time, "time", lambda: mtime - 500.0)
         assert store.get("mcshard", {"k": 1}) == "v"
         assert store.tier.expirations == 0

@@ -26,10 +26,11 @@ from functools import lru_cache, reduce
 import pytest
 
 from repro.devices import ptm22
-from repro.distributed import DirectoryStore, ShardDispatcher, Worker
+from repro.distributed import ShardDispatcher, Worker
 from repro.distributed.dag import DagRun, job_node, reduce_node
 from repro.distributed.jobs import execute_job, margin_tally_jobs
 from repro.obs.tracing import Tracer
+from repro.runtime import ResultCache
 from repro.sram import make_cell
 from repro.sram.montecarlo import MarginTally, MonteCarloAnalyzer
 
@@ -171,7 +172,7 @@ class TestChaosTracing:
         jobs, oracle = margin_case()
         tracer = Tracer(enabled=True, deterministic=True)
         dispatcher = ShardDispatcher(
-            store=DirectoryStore(store_dir),
+            store=ResultCache(store_dir),
             heartbeat_interval=HEARTBEAT_INTERVAL,
             heartbeat_timeout=HEARTBEAT_TIMEOUT,
             tracer=tracer,
@@ -179,7 +180,7 @@ class TestChaosTracing:
         with dispatcher:
             host, port = dispatcher.start()
             worker = Worker(
-                host, port, store=DirectoryStore(store_dir),
+                host, port, store=ResultCache(store_dir),
                 name="traced", tracer=tracer,
             )
             thread = threading.Thread(
@@ -208,13 +209,13 @@ class TestChaosTracing:
         # span is minted and no "trace" key rides on assignments.
         jobs, oracle = margin_case()
         dispatcher = ShardDispatcher(
-            store=DirectoryStore(store_dir),
+            store=ResultCache(store_dir),
             heartbeat_interval=HEARTBEAT_INTERVAL,
             heartbeat_timeout=HEARTBEAT_TIMEOUT,
         )
         with dispatcher:
             host, port = dispatcher.start()
-            worker = Worker(host, port, store=DirectoryStore(store_dir))
+            worker = Worker(host, port, store=ResultCache(store_dir))
             thread = threading.Thread(
                 target=lambda: asyncio.run(worker.run()), daemon=True
             )

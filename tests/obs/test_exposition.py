@@ -68,10 +68,9 @@ class TestBindStoreMetrics:
     def test_tiered_store_binds_per_tier_and_write_behind_series(
         self, tmp_path
     ):
-        from repro.distributed.store import DirectoryStore
-        from repro.runtime.tiering import TieredStore
+        from repro.runtime import ResultCache, TieredStore
 
-        store = TieredStore(local=DirectoryStore(str(tmp_path)))
+        store = TieredStore(local=ResultCache(str(tmp_path)))
         store.put("ns", {"k": 1}, {"v": 2})
         assert store.get("ns", {"k": 1}) == {"v": 2}
         registry = MetricsRegistry()
@@ -84,9 +83,9 @@ class TestBindStoreMetrics:
         store.close()
 
     def test_plain_store_binds_one_local_tier(self, tmp_path):
-        from repro.distributed.store import DirectoryStore
+        from repro.runtime import ResultCache
 
-        store = DirectoryStore(str(tmp_path))
+        store = ResultCache(str(tmp_path))
         store.put("ns", {"k": 1}, {"v": 2})
         registry = MetricsRegistry()
         bind_store_metrics(registry, store, component="worker")

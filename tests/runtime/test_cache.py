@@ -1,13 +1,14 @@
-"""Tests of the content-addressed result cache."""
+"""Tests of the content-addressed result cache — the directory store."""
 
 import json
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.runtime import ResultCache
+from repro.runtime import CacheStore, ResultCache
 
 
 @pytest.fixture()
@@ -45,13 +46,13 @@ class TestAddressing:
 class TestRoundtrip:
     def test_miss_returns_none(self, cache):
         assert cache.get("mc", {"vdd": 0.7}) is None
-        assert cache.misses == 1
+        assert cache.tier.misses == 1
 
     def test_put_then_get(self, cache):
         value = {"p_cell": 1.25e-3, "stats": {"mu": 0.1}}
         cache.put("mc", {"vdd": 0.7}, value)
         assert cache.get("mc", {"vdd": 0.7}) == value
-        assert cache.hits == 1
+        assert cache.tier.hits == 1
 
     def test_floats_roundtrip_bit_exact(self, cache):
         value = {"p": 0.1 + 0.2, "tiny": 4.9e-324}
@@ -89,6 +90,28 @@ class TestRoundtrip:
             with open(cache.path("mc", {"k": 1}), "w") as fh:
                 fh.write(foreign)
             assert cache.get("mc", {"k": 1}) is None
+
+    def test_torn_document_reads_as_none(self, cache):
+        """The CacheStore contract: corruption is a miss, never an error.
+
+        A torn write (killed process, full disk on a non-atomic backend)
+        leaves a truncated JSON document; ``get`` must return ``None``
+        so the caller recomputes — the fresh put then repairs the entry.
+        """
+        payload = {"cell": "6t", "vdd": 0.7}
+        cache.put("mcshard", payload, {"fails": [1, 2, 3]})
+        path = cache.path("mcshard", payload)
+        with open(path) as fh:
+            intact = fh.read()
+        for torn in (intact[: len(intact) // 2],  # truncated mid-document
+                     "",                           # zero bytes
+                     "{\"value\": "):              # cut inside the value
+            with open(path, "w") as fh:
+                fh.write(torn)
+            assert cache.get("mcshard", payload) is None, repr(torn[:20])
+        # The recompute path heals the slot.
+        cache.put("mcshard", payload, {"fails": [1, 2, 3]})
+        assert cache.get("mcshard", payload) == {"fails": [1, 2, 3]}
 
     def test_no_temp_files_left_behind(self, cache):
         for i in range(5):
@@ -210,61 +233,157 @@ class TestConcurrency:
         assert document["payload"] == {"k": 1}
 
 
-class TestTTL:
-    def test_entry_younger_than_ttl_hits(self, cache):
-        cache.put("mc", {"k": 1}, "fresh")
-        assert cache.get("mc", {"k": 1}, ttl=3600.0) == "fresh"
+class TestStore:
+    """ResultCache as a CacheStore: the directory tier of every fleet."""
 
-    def test_expiry_at_exactly_ttl(self, cache):
+    def test_is_a_cache_store(self, cache):
+        assert isinstance(cache, CacheStore)
+
+    def test_interface_is_abstract(self):
+        with pytest.raises(TypeError):
+            CacheStore()  # type: ignore[abstract]
+
+    def test_describe_names_the_directory(self, tmp_path):
+        store = ResultCache(str(tmp_path / "s"))
+        assert store.describe() == f"directory:{tmp_path / 's'}"
+
+    def test_tier_counters(self, cache):
+        payload = {"k": 1}
+        assert cache.get("mcshard", payload) is None
+        cache.put("mcshard", payload, [1, 2])
+        assert cache.get("mcshard", payload) == [1, 2]
+        stats = cache.stats_payload()
+        assert stats["store"] == f"directory:{cache.cache_dir}"
+        assert stats["hits"] == 1 and stats["misses"] == 1
+        assert stats["puts"] == 1
+        assert stats["bytes_written"] == stats["bytes_read"] > 0
+        assert stats["errors"] == 0
+        # `repro-sram cache stats` reads its session line from the tier.
+        assert (cache.stats().hits, cache.stats().misses) == (1, 1)
+
+    def test_unwritable_directory_put_degrades_and_counts(
+        self, cache, monkeypatch
+    ):
+        """A directory that refuses the final rename (read-only mount,
+        revoked permissions) costs the caching, never the run: ``put``
+        does not raise, counts an error and leaves no temp file."""
+        cache.put("mcshard", {"k": 0}, "seed the directory")
+
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", dst)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        cache.put("mcshard", {"k": 1}, 42)  # must not raise
+        monkeypatch.undo()
+        assert cache.tier.errors == 1
+        assert cache.tier.puts == 2
+        assert cache.get("mcshard", {"k": 1}) is None
+        assert [n for n in os.listdir(cache.cache_dir) if n.endswith(".tmp")] == []
+
+    def test_directory_path_taken_by_a_file_degrades(self, tmp_path):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("occupies the cache path")
+        store = ResultCache(str(blocker))
+        store.put("mcshard", {"k": 1}, 42)  # must not raise
+        assert store.tier.errors == 1
+        assert store.get("mcshard", {"k": 1}) is None
+
+    def test_address_and_document_format_are_stable(self, tmp_path):
+        """Caches written by earlier releases must stay warm: the file
+        name of an address and the document shape are pinned."""
+        cache = ResultCache(str(tmp_path))
+        cache.put("mcshard", {"k": 1}, [1.5, 2.5])
+        name = "mcshard-76d2e227ab37c5d493b27b9a69c49146.json"
+        assert os.listdir(tmp_path) == [name]
+        with open(tmp_path / name) as fh:
+            document = json.load(fh)
+        assert set(document) == {
+            "namespace", "cache_version", "payload", "written_at", "value",
+        }
+        assert document["value"] == [1.5, 2.5]
+
+
+class TestTTL:
+    """Constructor ``ttl``: entries that lived their full TTL read as
+    expired misses; files stay on disk for ``compact``."""
+
+    def _aged(self, cache, age):
+        cache.put("mc", {"k": 1}, "v")
+        path = cache.path("mc", {"k": 1})
+        then = time.time() - age
+        os.utime(path, (then, then))
+        return path
+
+    def test_entry_younger_than_ttl_hits(self, tmp_path):
+        cache = ResultCache(str(tmp_path), ttl=3600.0)
+        self._aged(cache, 0.0)
+        assert cache.get("mc", {"k": 1}) == "v"
+        assert cache.tier.expirations == 0
+
+    def test_expiry_at_exactly_ttl(self, tmp_path):
         """The boundary rule: an entry that has lived its FULL ttl (age
         >= ttl, not age > ttl) is expired."""
-        cache.put("mc", {"k": 1}, "stale")
-        path = cache.path("mc", {"k": 1})
-        import time as _time
+        cache = ResultCache(str(tmp_path), ttl=30.0)
+        self._aged(cache, 30.0)
+        assert cache.get("mc", {"k": 1}) is None
+        assert cache.tier.expirations == 1
 
-        exactly = _time.time() - 30.0
-        os.utime(path, (exactly, exactly))
-        assert cache.get("mc", {"k": 1}, ttl=30.0) is None
-
-    def test_expired_file_left_for_compact(self, cache):
-        cache.put("mc", {"k": 1}, "stale")
-        path = cache.path("mc", {"k": 1})
-        os.utime(path, (0, 0))
-        assert cache.get("mc", {"k": 1}, ttl=1.0) is None
-        assert os.path.exists(path)
+    def test_expired_file_left_for_compact(self, tmp_path):
+        cache = ResultCache(str(tmp_path), ttl=60.0)
+        path = self._aged(cache, 61.0)
+        assert cache.get("mc", {"k": 1}) is None
+        assert cache.tier.expirations == 1 and cache.tier.misses == 1
+        assert os.path.exists(path)  # left for compact to reap
 
     def test_ttl_none_never_expires(self, cache):
-        cache.put("mc", {"k": 1}, "old")
-        os.utime(cache.path("mc", {"k": 1}), (0, 0))
-        assert cache.get("mc", {"k": 1}) == "old"
+        self._aged(cache, 1e9)
+        assert cache.get("mc", {"k": 1}) == "v"
 
-    def test_backward_clock_step_clamps_age_to_zero(self, cache, monkeypatch):
+    def test_ttl_zero_means_already_expired(self, tmp_path):
+        """``ttl=0`` is legal and means every entry has lived its full
+        TTL — reads miss (and count an expiration), writes still land."""
+        cache = ResultCache(str(tmp_path), ttl=0.0)
+        path = self._aged(cache, 0.0)
+        assert cache.get("mc", {"k": 1}) is None
+        assert cache.tier.expirations == 1
+        assert os.path.exists(path)
+
+    def test_absent_entry_is_not_an_expiry(self, tmp_path):
+        cache = ResultCache(str(tmp_path), ttl=0.0)
+        assert cache.get("mc", {"k": 1}) is None
+        assert cache.tier.expirations == 0
+
+    def test_ttl_validation(self, tmp_path):
+        with pytest.raises(ValueError, match="ttl"):
+            ResultCache(str(tmp_path), ttl=-1.0)
+
+    def test_backward_clock_step_clamps_age_to_zero(self, tmp_path, monkeypatch):
         """File ages are wall-clock (``time.time() - mtime``), so a
         backward clock step makes entries look younger than they are —
         but never *negatively* aged.  The clamp's observable edge is
         ``ttl=0`` ("already expired"): a negative age would compare
         ``< 0`` and resurrect the entry."""
-        import time as _time
-
-        cache.put("mc", {"k": 1}, "fresh")
-        mtime = os.path.getmtime(cache.path("mc", {"k": 1}))
-        monkeypatch.setattr(_time, "time", lambda: mtime - 1000.0)
+        fresh = ResultCache(str(tmp_path), ttl=30.0)
+        zero = ResultCache(str(tmp_path), ttl=0.0)
+        path = self._aged(fresh, 0.0)
+        mtime = os.path.getmtime(path)
+        monkeypatch.setattr(time, "time", lambda: mtime - 1000.0)
         # Clamped age 0 is younger than any positive ttl: a hit.
-        assert cache.get("mc", {"k": 1}, ttl=30.0) == "fresh"
+        assert fresh.get("mc", {"k": 1}) == "v"
+        assert fresh.tier.expirations == 0
         # ...and exactly at ttl=0, so the entry is already expired —
         # unclamped, -1000 < 0 would make ttl=0 a hit.
-        assert cache.get("mc", {"k": 1}, ttl=0.0) is None
+        assert zero.get("mc", {"k": 1}) is None
+        assert zero.tier.expirations == 1
 
 
 class TestCompaction:
     def _plant(self, cache, namespace, key, age, size=None):
         """One entry whose file is ``age`` seconds old (and optionally
         padded to a deliberate size for byte-budget tests)."""
-        import time as _time
-
         cache.put(namespace, {"k": key}, "x" * (size or 1))
         path = cache.path(namespace, {"k": key})
-        then = _time.time() - age
+        then = time.time() - age
         os.utime(path, (then, then))
         return path
 
@@ -284,7 +403,7 @@ class TestCompaction:
         fresh = self._plant(cache, "mc", "fresh", age=0.0)
         result = cache.compact(max_age=50.0)
         # age >= max_age expires: the boundary entry goes too (same rule
-        # get(ttl=...) applies, so compact deletes what reads refuse).
+        # a ttl read applies, so compact deletes what reads refuse).
         assert result.removed == 2
         assert not os.path.exists(old) and not os.path.exists(boundary)
         assert os.path.exists(fresh)

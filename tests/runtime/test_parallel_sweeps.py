@@ -50,7 +50,7 @@ class TestSweepCaching:
         )
         assert cold == serial_rates
         assert warm == serial_rates
-        assert cache.hits == len(VDDS)
+        assert cache.tier.hits == len(VDDS)
 
     def test_warm_cache_skips_monte_carlo(self, cell6, tmp_path, monkeypatch):
         cache = ResultCache(cache_dir=str(tmp_path))
@@ -76,8 +76,8 @@ class TestSweepCaching:
         failure_rates_vs_vdd(
             cell6, VDDS[:2], n_samples=N_SAMPLES, seed=11, cache=bumped
         )
-        assert bumped.hits == 0
-        assert bumped.misses == len(VDDS[:2])
+        assert bumped.tier.hits == 0
+        assert bumped.tier.misses == len(VDDS[:2])
 
     def test_different_seeds_do_not_collide(self, cell6, tmp_path):
         cache = ResultCache(cache_dir=str(tmp_path))
@@ -87,7 +87,7 @@ class TestSweepCaching:
         b = failure_rates_vs_vdd(
             cell6, VDDS[:1], n_samples=N_SAMPLES, seed=2, cache=cache
         )
-        assert cache.hits == 0
+        assert cache.tier.hits == 0
         assert a != b
 
 

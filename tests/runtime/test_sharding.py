@@ -174,10 +174,10 @@ class TestShardCaching:
         cache = ResultCache(cache_dir=str(tmp_path))
         cold = analyzer.analyze_sharded(0.7, shards=4, cache=cache)
         assert cold == monolithic
-        assert cache.misses == 4
+        assert cache.tier.misses == 4
         warm = analyzer.analyze_sharded(0.7, shards=4, cache=cache)
         assert warm == monolithic
-        assert cache.hits == 4
+        assert cache.tier.hits == 4
         assert cache.stats().by_namespace.get("mcshard", 0) == 4
 
     def test_shard_hits_survive_clearing_unrelated_namespaces(
@@ -194,7 +194,7 @@ class TestShardCaching:
         reread = ResultCache(cache_dir=str(tmp_path))
         warm = analyzer.analyze_sharded(0.7, shards=4, cache=reread)
         assert warm == monolithic
-        assert reread.hits == 4 and reread.misses == 0
+        assert reread.tier.hits == 4 and reread.tier.misses == 0
 
     def test_interrupted_run_resumes_from_completed_shards(
         self, analyzer, monolithic, tmp_path, monkeypatch
@@ -222,7 +222,7 @@ class TestShardCaching:
             decode=MarginTally.from_dict,
             merge=MarginTally.merge,
         )
-        assert cache.hits == 2 and cache.misses == 2
+        assert cache.tier.hits == 2 and cache.tier.misses == 2
         from repro.sram.montecarlo import _rates_from_tally
 
         assert _rates_from_tally(0.7, full) == monolithic
@@ -265,7 +265,7 @@ class TestShardCaching:
             decode=MarginTally.from_dict,
             merge=MarginTally.merge,
         )
-        assert resumed.hits == 2 and resumed.misses == 2
+        assert resumed.tier.hits == 2 and resumed.tier.misses == 2
         assert _rates_from_tally(0.7, full) == monolithic
 
     def test_different_block_sizes_do_not_collide(self, cell6, tmp_path):
@@ -274,4 +274,4 @@ class TestShardCaching:
         b = MonteCarloAnalyzer(cell=cell6, n_samples=1600, seed=42, block_samples=400)
         a.analyze_sharded(0.7, shards=2, cache=cache)
         b.analyze_sharded(0.7, shards=2, cache=cache)
-        assert cache.hits == 0
+        assert cache.tier.hits == 0

@@ -15,7 +15,6 @@ from repro.runtime.tiering import (
     make_tiered_store,
     value_bytes,
 )
-from repro.distributed.store import DirectoryStore
 
 
 class RecordingStore(CacheStore):
@@ -344,7 +343,7 @@ class TestMakeTieredStore:
     def test_default_composition(self, tmp_path):
         store = make_tiered_store(cache_dir=str(tmp_path / "c"))
         assert isinstance(store.memory, MemoryLRUStore)
-        assert isinstance(store.local, DirectoryStore)
+        assert isinstance(store.local, ResultCache)
         assert store.remote is None
         store.close()
 

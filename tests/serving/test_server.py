@@ -161,6 +161,32 @@ class TestStatsRequest:
         assert stats["type"] == "stats"
         assert stats["stats"]["requests"] == 1
         assert stats["stats"]["evaluations"] == 1
+        assert "store" not in stats["stats"]  # no response store
+
+    def test_stats_on_a_plain_result_cache_carry_a_store_block(
+        self, serving_sim, tmp_path
+    ):
+        """A plain directory cache reports its tier counters too."""
+        from repro.runtime import ResultCache
+
+        lines = [
+            line(config="base", vdd=0.70, id="warm"),
+            line(type="stats", id="probe"),
+        ]
+
+        async def run():
+            evaluator = BatchingEvaluator(
+                serving_sim, cache=ResultCache(str(tmp_path)), batch_window=0.0
+            )
+            await respond_lines(evaluator, lines[:1])
+            probe = await respond_lines(evaluator, lines[1:])
+            await evaluator.close()
+            return probe
+
+        store = json.loads(asyncio.run(run())[0])["stats"]["store"]
+        assert store["store"] == f"directory:{tmp_path}"
+        assert store["misses"] == 1 and store["puts"] == 1
+        assert store["errors"] == 0
 
     def test_unknown_control_type_rejected(self, serving_sim):
         async def run():

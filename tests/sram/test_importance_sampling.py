@@ -114,7 +114,7 @@ class TestSweep:
             cache=cache,
         )
         assert [r.probability for r in warm] == [r.probability for r in cold]
-        assert cache.hits == len(self.VDDS)
+        assert cache.tier.hits == len(self.VDDS)
 
 
 class TestValidation:
