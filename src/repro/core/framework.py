@@ -48,7 +48,11 @@ from repro.mem.configs import (
     config2_architecture,
 )
 from repro.mem.tables import CellTables
-from repro.nn.datasets import DigitDataset, load_synthetic_digits
+from repro.nn.datasets import (
+    DigitDataset,
+    load_synthetic_digits,
+    load_test_split,
+)
 from repro.nn.metrics import accuracy
 from repro.nn.network import FeedforwardANN, NetworkSpec
 from repro.nn.quantize import QuantizedWeights, quantize_network
@@ -131,14 +135,14 @@ def train_benchmark_ann(
 ) -> TrainedModel:
     """Train (or load from cache) the benchmark digit-recognition ANN.
 
-    The trained float parameters are cached on disk; the dataset is
-    regenerated deterministically from its seed each call (generation is
-    a few seconds, and caching images would dwarf the weight cache).
+    The trained float parameters are cached on disk; images are not
+    (they would dwarf the weight cache) but regenerated from the seed.
+    A weight-cache hit only evaluates, so it generates just the test
+    split — the same bytes as the full dataset's, since every split has
+    its own derived seed — and the returned model's train/val splits are
+    empty.  A miss generates all three splits and trains.
     """
     spec = resolve_profile(profile, seed=seed)
-    dataset = load_synthetic_digits(
-        n_train=n_train, n_val=n_val, n_test=n_test, seed=seed
-    )
     network = FeedforwardANN(spec)
 
     key_blob = json.dumps(
@@ -157,11 +161,15 @@ def train_benchmark_ann(
     path = _model_cache_path(key_blob, cache_dir)
 
     if use_cache and os.path.exists(path):
+        dataset = load_test_split(n_test=n_test, seed=seed)
         payload = np.load(path)
         for i, layer in enumerate(network.layers):
             layer.weights = payload[f"w{i}"]
             layer.biases = payload[f"b{i}"]
     else:
+        dataset = load_synthetic_digits(
+            n_train=n_train, n_val=n_val, n_test=n_test, seed=seed
+        )
         # weight_clip just under 1.0 keeps every parameter representable
         # in the paper's sub-unity 8-bit format (sign + 7 fraction bits).
         trainer = SGDTrainer(

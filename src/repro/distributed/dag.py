@@ -54,7 +54,6 @@ from repro.distributed.dispatcher import ShardDispatcher
 from repro.distributed.jobs import (
     ShardJob,
     margin_tally_jobs,
-    model_from_spec,
     nn_fault_eval_jobs,
 )
 
@@ -391,8 +390,12 @@ def paper_pipeline_dag(
     ))
 
     def _nn_fault_jobs(upstream: Mapping[str, Any]) -> List[ShardJob]:
+        from repro.core.framework import resolve_profile
+
         tables: CellTables = upstream["tables"]
-        n_layers = model_from_spec(model_spec).image.n_layers
+        # One rate vector per weight layer; the coordinator needs only
+        # the layer count, never the model itself.
+        n_layers = len(resolve_profile(model_spec["profile"]).layer_sizes) - 1
         points: List[Dict[str, Any]] = []
         for vdd in vdd_list:
             rates = word_bit_error_rates(

@@ -48,8 +48,10 @@ dispatcher or worker code.
 
 from __future__ import annotations
 
+import copy
+import threading
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.devices.technology import MosfetParams, Technology
@@ -517,9 +519,11 @@ def benchmark_model_spec(
 
     Exactly the arguments of
     :func:`~repro.core.framework.train_benchmark_ann` that determine
-    the trained weights; every worker rebuilding this spec gets a
-    bit-identical model (training is seeded, and the on-disk weight
-    cache makes rebuilds cheap).
+    the trained weights; every worker building this spec gets a
+    bit-identical model (training is seeded).  A worker process builds
+    it once (see :func:`model_from_spec`), and with warm weights that
+    build loads the on-disk weight cache and generates only the test
+    split.
     """
     spec = {
         "profile": profile,
@@ -534,20 +538,38 @@ def benchmark_model_spec(
     return spec
 
 
-def model_from_spec(spec: Dict[str, Any]) -> Any:
-    """Train (or load from the weight cache) the spec's benchmark model."""
-    _validate_model_spec(spec)
-    from repro.core.framework import train_benchmark_ann
+#: The last model :func:`model_from_spec` built, as ``(key, model)``.
+#: Guarded by ``_MODEL_LOCK``, which is held across a build so that
+#: concurrent jobs of one spec (in-process worker threads) wait for one
+#: build instead of racing to repeat it.
+_MODEL_LOCK = threading.Lock()
+_model_memo: Optional[Tuple[Any, Any]] = None
 
-    return train_benchmark_ann(
-        profile=spec["profile"],
-        seed=int(spec["seed"]),
-        n_train=int(spec["n_train"]),
-        n_val=int(spec["n_val"]),
-        n_test=int(spec["n_test"]),
-        epochs=int(spec["epochs"]),
-        n_bits=int(spec["n_bits"]),
-    )
+
+def model_from_spec(spec: Dict[str, Any]) -> Any:
+    """The spec's benchmark model, built once per process.
+
+    The first call trains (or loads from the weight cache) the model;
+    later calls with an equal spec reuse it.  The memo holds one model,
+    keyed by the spec with ``profile=None`` resolved through
+    ``REPRO_PROFILE``, and a build that raises leaves it empty.  Every
+    caller gets its own copy of the network, because evaluation writes
+    faulty weights into it; the quantized image and the dataset are
+    shared and must be treated as read-only.
+    """
+    global _model_memo
+    _validate_model_spec(spec)
+    from repro.core.framework import resolve_profile, train_benchmark_ann
+
+    args = {name: int(spec[name]) for name in _MODEL_SPEC_FIELDS[1:]}
+    key = (resolve_profile(spec["profile"], seed=args["seed"]), args)
+    with _MODEL_LOCK:
+        if _model_memo is None or _model_memo[0] != key:
+            _model_memo = None
+            model = train_benchmark_ann(profile=spec["profile"], **args)
+            _model_memo = (key, model)
+        pristine = _model_memo[1]
+    return replace(pristine, network=copy.deepcopy(pristine.network))
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,11 @@ from repro.nn.datasets.synth_digits import (
     generate_digit_images,
     glyph_distance_field,
 )
-from repro.nn.datasets.loader import DigitDataset, load_synthetic_digits
+from repro.nn.datasets.loader import (
+    DigitDataset,
+    load_synthetic_digits,
+    load_test_split,
+)
 
 __all__ = [
     "SyntheticDigitConfig",
@@ -21,4 +25,5 @@ __all__ = [
     "glyph_distance_field",
     "DigitDataset",
     "load_synthetic_digits",
+    "load_test_split",
 ]

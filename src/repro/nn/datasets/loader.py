@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -10,10 +11,18 @@ from repro.errors import DatasetError
 from repro.nn.datasets.synth_digits import SyntheticDigitConfig, generate_digit_images
 from repro.rng import SeedLike, derive_seed
 
+#: Derived-seed stream of the test split (train and val use 1 and 2).
+_TEST_STREAM = 3
+
 
 @dataclass(frozen=True)
 class DigitDataset:
-    """Train/validation/test split of the digit task."""
+    """Train/validation/test split of the digit task.
+
+    Any split may be empty — evaluation-only datasets
+    (:func:`load_test_split`, pruned worker copies) keep just the test
+    split — so the derived properties read the first non-empty one.
+    """
 
     x_train: np.ndarray
     y_train: np.ndarray
@@ -22,13 +31,20 @@ class DigitDataset:
     x_test: np.ndarray
     y_test: np.ndarray
 
+    def _nonempty_split(self) -> Tuple[np.ndarray, np.ndarray]:
+        for x, y in ((self.x_train, self.y_train), (self.x_val, self.y_val),
+                     (self.x_test, self.y_test)):
+            if len(y):
+                return x, y
+        raise DatasetError("dataset has no samples in any split")
+
     @property
     def n_features(self) -> int:
-        return self.x_train.shape[1]
+        return self._nonempty_split()[0].shape[1]
 
     @property
     def n_classes(self) -> int:
-        return int(self.y_train.max()) + 1
+        return int(self._nonempty_split()[1].max()) + 1
 
     def summary(self) -> str:
         return (
@@ -55,10 +71,34 @@ def load_synthetic_digits(
                                              config=config)
     x_val, y_val = generate_digit_images(n_val, seed=derive_seed(seed, 2),
                                          config=config)
-    x_test, y_test = generate_digit_images(n_test, seed=derive_seed(seed, 3),
-                                           config=config)
+    x_test, y_test = generate_digit_images(
+        n_test, seed=derive_seed(seed, _TEST_STREAM), config=config
+    )
     return DigitDataset(
         x_train=x_train, y_train=y_train,
         x_val=x_val, y_val=y_val,
+        x_test=x_test, y_test=y_test,
+    )
+
+
+def load_test_split(
+    n_test: int = 2000,
+    seed: SeedLike = None,
+    config: SyntheticDigitConfig = SyntheticDigitConfig(),
+) -> DigitDataset:
+    """Only the test split of :func:`load_synthetic_digits`.
+
+    For an integer (or ``None``) ``seed`` the test arrays are the bytes
+    :func:`load_synthetic_digits` returns for the same ``n_test``,
+    whatever its train/val sizes; train and val are empty.  This is all
+    an evaluation-only consumer (a network loaded from cached weights)
+    needs, at a fraction of the generation cost.
+    """
+    x_test, y_test = generate_digit_images(
+        n_test, seed=derive_seed(seed, _TEST_STREAM), config=config
+    )
+    return DigitDataset(
+        x_train=x_test[:0], y_train=y_test[:0],
+        x_val=x_test[:0], y_val=y_test[:0],
         x_test=x_test, y_test=y_test,
     )

@@ -40,7 +40,7 @@ if TYPE_CHECKING:  # runtime import lives in analyze_sharded (avoids a cycle)
     from repro.distributed.dispatcher import ShardDispatcher
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from repro.errors import ConfigurationError
 from repro.rng import SeedLike, derive_seed, resolve_seed
@@ -267,7 +267,7 @@ def _tail_probability(tally: MechanismTally, n_samples: int) -> float:
     if sigma == 0.0:
         tail = 0.0 if mu > 0 else 1.0
     else:
-        tail = float(norm.cdf(-mu / sigma))
+        tail = float(ndtr(-mu / sigma))
     return min(1.0, tail * finite / n + float(inf_fail) / n)
 
 

@@ -69,6 +69,34 @@ class TestTrainedModel:
                         again.network.weight_matrices()):
             np.testing.assert_allclose(a, b, atol=1e-12)
 
+    def test_weight_cache_hit_builds_only_the_test_split(self, tmp_path, tables):
+        """A warm build loads weights and generates only the test split;
+        everything evaluation reads is byte-identical to the cold build."""
+        kwargs = dict(profile="fast", seed=5, n_train=200, n_val=50,
+                      n_test=120, epochs=1, cache_dir=str(tmp_path))
+        cold = train_benchmark_ann(**kwargs)
+        warm = train_benchmark_ann(**kwargs)
+        assert len(cold.dataset.y_train) == 200
+        assert len(cold.dataset.y_val) == 50
+        for name in ("x_test", "y_test"):
+            assert (getattr(warm.dataset, name).tobytes()
+                    == getattr(cold.dataset, name).tobytes())
+        for a, b in zip(cold.network.layers, warm.network.layers):
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert a.biases.tobytes() == b.biases.tobytes()
+        assert warm.image.fmt == cold.image.fmt
+        for a, b in zip((*cold.image.weight_codes, *cold.image.bias_codes),
+                        (*warm.image.weight_codes, *warm.image.bias_codes)):
+            assert a.tobytes() == b.tobytes()
+        assert warm.float_accuracy == cold.float_accuracy
+        assert warm.quantized_accuracy == cold.quantized_accuracy
+        assert len(warm.dataset.y_train) == len(warm.dataset.y_val) == 0
+        assert warm.dataset.n_classes == 10
+        clone = CircuitToSystemSimulator(warm, tables=tables).worker_clone()
+        assert clone.model.dataset.x_test.tobytes() == cold.dataset.x_test.tobytes()
+        assert clone.fingerprint() == CircuitToSystemSimulator(
+            cold, tables=tables).fingerprint()
+
 
 class TestSimulator:
     def test_rejects_bad_trials(self, model, tables):

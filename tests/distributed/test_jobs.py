@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import framework
 from repro.devices import ptm22
 from repro.distributed import (
     ShardJob,
@@ -23,6 +25,7 @@ from repro.distributed import (
     registered_job_kinds,
 )
 from repro.distributed import concat_blocks, model_from_spec, sampler_from_spec
+from repro.distributed import jobs as jobs_module
 from repro.distributed.jobs import _JOB_KINDS
 from repro.errors import ConfigurationError
 from repro.fault.evaluate import (
@@ -40,7 +43,8 @@ from repro.sram.montecarlo import MarginTally, MonteCarloAnalyzer, tally_shard
 
 VDD = 0.7
 
-#: Model spec used only for job *construction* (validators never train).
+#: Tiny model spec: job construction never trains it, and the tests
+#: that execute NN jobs train it in about a second.
 MODEL = benchmark_model_spec(profile="fast", n_train=120, n_val=40,
                              n_test=160, epochs=1)
 
@@ -449,3 +453,135 @@ class TestExecuteAllKinds:
         assert value == {
             "vdd": VDD, "label": "hybrid", "evaluation": reference.to_dict(),
         }
+
+
+# ----------------------------------------------------------------------
+# The per-process model memo behind model_from_spec
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def empty_memo(monkeypatch, model_cache):
+    """A cold memo for one test (the previous entry comes back after)."""
+    monkeypatch.setattr(jobs_module, "_model_memo", None)
+
+
+@pytest.fixture()
+def counted_builds(monkeypatch):
+    """Every model build, recorded as its keyword arguments."""
+    calls = []
+    real = framework.train_benchmark_ann
+
+    def counting(**kwargs):
+        calls.append(kwargs)
+        return real(**kwargs)
+
+    monkeypatch.setattr(framework, "train_benchmark_ann", counting)
+    return calls
+
+
+class TestModelMemo:
+    def test_calls_return_independent_networks(self, empty_memo):
+        a = model_from_spec(MODEL)
+        b = model_from_spec(MODEL)
+        assert a.network is not b.network
+        before = [layer.weights.copy() for layer in b.network.layers]
+        injector = WeightFaultInjector([_rates(0.2, 0.1)] * a.image.n_layers)
+        injector.inject(a.image, seed=1).apply_to(a.network)
+        assert any(
+            not np.array_equal(x.weights, y.weights)
+            for x, y in zip(a.network.layers, b.network.layers)
+        )
+        for layer, weights in zip(b.network.layers, before):
+            assert layer.weights.tobytes() == weights.tobytes()
+        # A third caller still gets the pristine network.
+        c = model_from_spec(MODEL)
+        for layer, weights in zip(c.network.layers, before):
+            assert layer.weights.tobytes() == weights.tobytes()
+
+    def test_concurrent_jobs_match_serial_run(self, empty_memo):
+        """In-process workers run jobs of one spec on concurrent threads
+        (each faulting its own network); the answers stay the serial
+        bytes, including when the threads race for the first build."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        injector = WeightFaultInjector([_rates(1e-2, 4e-3)] * 5)
+        nn_jobs = nn_fault_eval_jobs(MODEL, [
+            {"vdd": VDD, "injector": injector, "n_trials": 2, "seed": s}
+            for s in range(6)
+        ] + [{"vdd": VDD, "injector": None, "n_trials": 1, "seed": 0}])
+        fb_jobs = fault_block_jobs(MODEL, [
+            FaultTrialSpec(injector=injector, n_trials=1, seed=s)
+            for s in range(6)
+        ], blocks=3)
+        jobs = nn_jobs + fb_jobs
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(execute_job, job, None) for job in jobs]
+                threaded = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        serial = [execute_job(job, None) for job in jobs]
+        assert json.dumps(threaded) == json.dumps(serial)
+
+    def test_profile_none_follows_repro_profile(
+        self, empty_memo, monkeypatch, counted_builds
+    ):
+        spec = {**MODEL, "profile": None}
+        monkeypatch.setenv("REPRO_PROFILE", "fast")
+        fast = model_from_spec(spec)
+        assert model_from_spec({**MODEL, "profile": "fast"}).spec == fast.spec
+        assert len(counted_builds) == 1
+        monkeypatch.setenv("REPRO_PROFILE", "paper")
+        paper = model_from_spec(spec)
+        assert len(counted_builds) == 2
+        assert fast.spec.layer_sizes[1] == 300
+        assert paper.spec.layer_sizes[1] == 1000
+
+    def test_failed_build_is_not_memoized(self, empty_memo, monkeypatch):
+        calls = []
+        real = framework.train_benchmark_ann
+
+        def flaky(**kwargs):
+            calls.append(kwargs)
+            if len(calls) == 1:
+                raise OSError("weight cache unreadable")
+            return real(**kwargs)
+
+        monkeypatch.setattr(framework, "train_benchmark_ann", flaky)
+        with pytest.raises(OSError, match="unreadable"):
+            model_from_spec(MODEL)
+        assert jobs_module._model_memo is None
+        model_from_spec(MODEL)
+        model_from_spec(MODEL)
+        assert len(calls) == 2
+
+    def test_memo_holds_one_entry(self, empty_memo, counted_builds):
+        other = {**MODEL, "n_test": 80}
+        assert len(model_from_spec(MODEL).dataset.y_test) == 160
+        assert len(model_from_spec(other).dataset.y_test) == 80
+        key, model = jobs_module._model_memo
+        assert len(model.dataset.y_test) == 80
+        model_from_spec(MODEL)  # evicted by `other`: built again
+        assert len(counted_builds) == 3
+
+    def test_nn_fault_node_never_builds_a_model(self, empty_memo, monkeypatch):
+        from repro.distributed.dag import paper_pipeline_dag
+        from repro.mem import CellTables
+
+        tables = CellTables.build(vdd_grid=(0.65, VDD), n_samples=1000,
+                                  use_cache=False)
+
+        def refuse(**kwargs):
+            raise AssertionError("the coordinator built a model")
+
+        monkeypatch.setattr(framework, "train_benchmark_ann", refuse)
+        dag = paper_pipeline_dag(MODEL, [0.65, VDD], n_samples=1000)
+        (node,) = [n for n in dag.nodes if n.name == "nn-fault"]
+        jobs = node.jobs_fn({"tables": tables})
+        n_weight_layers = len(framework.fast_ann_spec().layer_sizes) - 1
+        assert [len(job.spec["rates"]) for job in jobs[:-1]] == [
+            n_weight_layers, n_weight_layers,
+        ]
+        assert jobs[-1].spec["label"] == "baseline"
+        assert jobs[-1].spec["rates"] is None

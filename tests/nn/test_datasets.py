@@ -1,5 +1,7 @@
 """Tests of the synthetic digit generator and loader."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.nn.datasets import (
     generate_digit_images,
     glyph_distance_field,
     load_synthetic_digits,
+    load_test_split,
 )
 from repro.nn.datasets.synth_digits import GLYPHS, render_digit
 from repro.rng import ensure_rng
@@ -99,3 +102,32 @@ class TestLoader:
     def test_rejects_bad_sizes(self):
         with pytest.raises(DatasetError):
             load_synthetic_digits(n_train=0, n_val=1, n_test=1)
+
+    def test_test_split_alone_matches_full_load(self):
+        full = load_synthetic_digits(n_train=60, n_val=20, n_test=40, seed=4)
+        alone = load_test_split(n_test=40, seed=4)
+        assert alone.x_test.tobytes() == full.x_test.tobytes()
+        assert alone.y_test.tobytes() == full.y_test.tobytes()
+        assert len(alone.y_train) == len(alone.y_val) == 0
+        assert alone.x_train.shape == (0, 784)
+
+    def test_properties_on_pruned_dataset(self):
+        """Evaluation-only datasets keep just the test split; the
+        derived properties must not read the empty training split."""
+        full = load_synthetic_digits(n_train=30, n_val=20, n_test=40, seed=6)
+        pruned = dataclasses.replace(
+            full,
+            x_train=full.x_train[:0], y_train=full.y_train[:0],
+            x_val=full.x_val[:0], y_val=full.y_val[:0],
+        )
+        assert pruned.n_classes == full.n_classes == 10
+        assert pruned.n_features == full.n_features == 784
+        assert "train=0" in pruned.summary()
+
+    def test_properties_on_dataset_without_samples(self):
+        data = load_test_split(n_test=10, seed=1)
+        empty = dataclasses.replace(
+            data, x_test=data.x_test[:0], y_test=data.y_test[:0]
+        )
+        with pytest.raises(DatasetError, match="no samples"):
+            empty.n_classes

@@ -105,3 +105,50 @@ class TestPaperFig5Shape:
         rates = failure_rates_vs_vdd(cell6, [0.7, 0.8], n_samples=2000, seed=5)
         assert [r.vdd for r in rates] == [0.7, 0.8]
         assert rates[0].p_cell >= rates[1].p_cell
+
+
+class TestTailProbability:
+    """The Gaussian tail uses ``scipy.special.ndtr`` — the function
+    ``scipy.stats.norm.cdf`` evaluates — so that importing the CLI does
+    not load ``scipy.stats``; both must give the same bits."""
+
+    def test_tail_probability_bit_equal_to_norm_cdf(self, monkeypatch):
+        from scipy.stats import norm
+
+        from repro.sram import montecarlo
+        from repro.sram.montecarlo import MechanismTally, _tail_probability
+
+        z = np.concatenate([np.linspace(-40.0, 12.0, 200_001),
+                            -np.logspace(-12, 1.5, 2_001)])
+        np.testing.assert_array_equal(montecarlo.ndtr(z), norm.cdf(z))
+        tallies = []
+        for mean in np.linspace(-0.05, 0.3, 36):
+            for std in (1e-4, 3e-3, 0.02, 0.05, 0.11):
+                finite = 4096
+                total = mean * finite
+                total_sq = std * std * (finite - 1) + finite * mean * mean
+                tallies.append(MechanismTally(
+                    fails=(0,), finite=(finite,), inf_fails=(3,),
+                    totals=(total,), totals_sq=(total_sq,), mins=(mean,),
+                ))
+        fast = [_tail_probability(t, 4100) for t in tallies]
+        monkeypatch.setattr(montecarlo, "ndtr", norm.cdf)
+        reference = [_tail_probability(t, 4100) for t in tallies]
+        assert [p.hex() for p in fast] == [p.hex() for p in reference]
+        assert len(set(fast)) > 50  # the grid spans bulk and deep tail
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert result.stdout.strip() == "False"
