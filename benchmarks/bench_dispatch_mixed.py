@@ -183,7 +183,7 @@ def _drive_mixed(workloads, store_dir):
                 proc.terminate()
             for proc in procs:
                 proc.wait(timeout=30)
-        return results, elapsed, total, dispatcher.stats
+        return results, elapsed, total, dispatcher
 
 
 def _speculation_study(workloads, tmp_path_factory):
@@ -216,7 +216,8 @@ def test_mixed_workload_dispatch(benchmark, tmp_path_factory, emit):
         store_dir = str(tmp_path_factory.mktemp("mixed"))
         return _drive_mixed(workloads, store_dir)
 
-    results, elapsed, total, stats = once(benchmark, study)
+    results, elapsed, total, dispatcher = once(benchmark, study)
+    stats = dispatcher.stats
 
     n_jobs = {kind: len(workloads[kind][0]) for kind in workloads}
     for kind in workloads:
@@ -256,7 +257,7 @@ def test_mixed_workload_dispatch(benchmark, tmp_path_factory, emit):
         format_table(
             ["workload", "jobs", "wall s", "jobs/s"], table_rows
         ) + "\n\n" + speculation_note,
-        metrics=stats.metrics,
+        metrics=dispatcher.metrics,
         data={
             "fleet_workers": N_WORKERS,
             "kinds": [

@@ -33,6 +33,7 @@ import time
 from benchmarks.conftest import BENCH_SAMPLES, once
 from repro.core import format_table
 from repro.distributed import FakeObjectStoreServer
+from repro.obs import MetricsRegistry, bind_store_metrics
 from repro.runtime import make_tiered_store
 from repro.sram.bitcell import make_cell
 from repro.sram.montecarlo import MonteCarloAnalyzer
@@ -132,7 +133,9 @@ def test_tiered_cache_throughput(benchmark, tech, emit):
                 for d in data
             ],
         )
-        emit("tiered_cache", table, data=data, metrics=cold_store.metrics)
+        registry = MetricsRegistry()
+        bind_store_metrics(registry, cold_store, component="bench")
+        emit("tiered_cache", table, data=data, metrics=registry)
     finally:
         cold_store.close()
         server.stop()

@@ -14,7 +14,9 @@ This is the end-to-end acceptance script of the distributed subsystem
 
 With ``--metrics-port`` the dispatcher's registry is scraped over HTTP
 mid-run and the required ``repro_dispatch_*`` series are asserted
-non-zero (the CI ``obs-smoke`` job's check).  With ``--trace-out`` the
+non-zero; after the merge a second scrape must equal the ``stats``
+probe counter for counter, worker for worker (the CI ``obs-smoke``
+job's check).  With ``--trace-out`` the
 run executes under a deterministic tracer and exports a Chrome
 trace-event file loadable in Perfetto.
 
@@ -63,6 +65,29 @@ def scrape_metrics(url):
         name, _, value = line.rpartition(" ")
         values[name] = float(value)
     return values
+
+
+def assert_scrape_matches_probe(scraped, probe):
+    """Every ``stats`` probe counter equals its ``repro_dispatch_*``
+    series, and ``per_worker`` equals the ``{worker}`` family."""
+    probe = dict(probe)
+    per_worker = probe.pop("per_worker")
+    for name, value in probe.items():
+        series = (
+            "repro_dispatch_active_workers" if name == "active_workers"
+            else f"repro_dispatch_{name}_total"
+        )
+        assert scraped.get(series) == value, (
+            f"{series}: /metrics {scraped.get(series)!r} != probe {value!r}"
+        )
+    prefix = 'repro_dispatch_worker_assignments_total{worker="'
+    family = {
+        key[len(prefix):-len('"}')]: value
+        for key, value in scraped.items() if key.startswith(prefix)
+    }
+    assert family == per_worker, (
+        f"per-worker assignments: /metrics {family} != probe {per_worker}"
+    )
 
 
 def main(argv=None) -> int:
@@ -162,6 +187,11 @@ def main(argv=None) -> int:
         assert identical, "distributed merge differs from monolithic analyze"
         assert dispatcher.stats.workers_lost >= 1, "worker death not recorded"
         assert dispatcher.stats.completed == SHARDS
+        if metrics_server is not None:
+            assert_scrape_matches_probe(
+                scrape_metrics(metrics_server.url), dispatcher.stats.to_dict()
+            )
+            print("post-merge /metrics scrape matches the stats probe")
         flight_kinds = [e["kind"] for e in dispatcher.flight.snapshot()]
         assert "worker_join" in flight_kinds, "worker joins not recorded"
         assert "worker_death" in flight_kinds, "worker death not in flight log"

@@ -44,7 +44,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.distributed.worker import worker_command as build_worker_command
 from repro.errors import ConfigurationError, ReproError
-from repro.obs.metrics import Instrumented, MetricField, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, publish_counters
 
 __all__ = [
     "AutoscalePolicy",
@@ -173,7 +173,7 @@ class AutoscaleDecision:
     stopped: int = 0
 
 
-class AutoscaleController(Instrumented):
+class AutoscaleController:
     """Reconcile a local worker-subprocess pool against dispatcher load.
 
     Parameters
@@ -193,15 +193,12 @@ class AutoscaleController(Instrumented):
     stats_fn, clock, sleep, popen:
         Injection points for tests: the probe call, the monotonic
         clock, the loop sleep and the process factory.
-    metrics:
-        Optional shared :class:`~repro.obs.metrics.MetricsRegistry`;
-        the lifetime counters (``repro_autoscale_*``) and the pool-state
-        gauges refreshed by :meth:`poll_once` live there.
-    """
 
-    spawned_total = MetricField("repro_autoscale_spawned_total")
-    crash_restarts = MetricField("repro_autoscale_crash_restarts_total")
-    stats_errors = MetricField("repro_autoscale_stats_errors_total")
+    The lifetime counters ``spawned_total``, ``crash_restarts`` and
+    ``stats_errors`` are plain attributes; a collector on
+    :attr:`metrics` publishes them as ``repro_autoscale_*`` series at
+    scrape time, next to the pool-state gauges :meth:`poll_once` sets.
+    """
 
     def __init__(
         self,
@@ -219,9 +216,18 @@ class AutoscaleController(Instrumented):
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
         popen: Optional[Callable[..., "subprocess.Popen[bytes]"]] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ):
-        self._obs_init(metrics)
+        self.spawned_total = 0
+        self.crash_restarts = 0
+        self.stats_errors = 0
+        self.metrics = MetricsRegistry()
+        self.metrics.add_collector(
+            lambda r: publish_counters(r, "repro_autoscale_", {
+                "spawned": self.spawned_total,
+                "crash_restarts": self.crash_restarts,
+                "stats_errors": self.stats_errors,
+            })
+        )
         self.host = host
         self.port = int(port)
         self.policy = policy or AutoscalePolicy()

@@ -58,19 +58,14 @@ import asyncio
 import heapq
 import threading
 from collections import deque
+from dataclasses import dataclass, field, fields
 from typing import (
     Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple,
 )
 
 from repro.errors import ReproError
 from repro.obs.flight import FlightRecorder
-from repro.obs.metrics import (
-    STATS_VERSION,
-    Instrumented,
-    LabeledCounterMap,
-    MetricField,
-    MetricsRegistry,
-)
+from repro.obs.metrics import STATS_VERSION, MetricsRegistry, publish_counters
 from repro.obs.tracing import NULL_SPAN, SpanLike, TraceContext, Tracer, get_tracer
 from repro.distributed.jobs import ShardJob
 from repro.distributed.journal import JournaledJob, RunJournal, job_address
@@ -95,7 +90,8 @@ class DispatchError(ReproError):
     """A distributed run could not complete (retries exhausted, …)."""
 
 
-class DispatcherStats(Instrumented):
+@dataclass
+class DispatcherStats:
     """Counters describing one dispatcher's lifetime of work.
 
     ``completed`` splits by where the answer came from: ``store_hits``
@@ -110,50 +106,45 @@ class DispatcherStats(Instrumented):
     assignments, which is how an operator (or the smoke test) sees who
     did what.
 
-    Every field is backed by a series in a
-    :class:`~repro.obs.metrics.MetricsRegistry` (a private one unless
-    ``registry`` is passed), so the same numbers the ``stats`` probe
-    reports are scrapeable as ``repro_dispatch_*`` Prometheus series.
+    The ``stats`` probe reads these attributes; the dispatcher's
+    collector publishes the same values as ``repro_dispatch_*`` series
+    (``per_worker`` as ``repro_dispatch_worker_assignments_total``
+    labeled by ``worker``).
     """
 
-    jobs = MetricField("repro_dispatch_jobs_total")
-    completed = MetricField("repro_dispatch_completed_total")
-    store_hits = MetricField("repro_dispatch_store_hits_total")
-    worker_cache_hits = MetricField("repro_dispatch_worker_cache_hits_total")
-    computed = MetricField("repro_dispatch_computed_total")
-    assignments = MetricField("repro_dispatch_assignments_total")
-    retries = MetricField("repro_dispatch_retries_total")
-    drain_requeues = MetricField("repro_dispatch_drain_requeues_total")
-    speculations = MetricField("repro_dispatch_speculations_total")
-    speculative_wins = MetricField("repro_dispatch_speculative_wins_total")
-    failures = MetricField("repro_dispatch_failures_total")
-    workers_seen = MetricField("repro_dispatch_workers_seen_total")
-    workers_lost = MetricField("repro_dispatch_workers_lost_total")
-    active_workers = MetricField("repro_dispatch_active_workers", kind="gauge")
+    jobs: int = 0
+    completed: int = 0
+    store_hits: int = 0
+    worker_cache_hits: int = 0
+    computed: int = 0
+    assignments: int = 0
+    retries: int = 0
+    drain_requeues: int = 0
+    speculations: int = 0
+    speculative_wins: int = 0
+    failures: int = 0
+    workers_seen: int = 0
+    workers_lost: int = 0
+    #: A gauge: currently registered workers.
+    active_workers: int = 0
     #: Journaled jobs re-enqueued by a ``--journal-dir`` replay (their
     #: completion was missing, or absent from the store).
-    journal_replayed = MetricField("repro_dispatch_journal_replayed_total")
+    journal_replayed: int = 0
     #: Journaled jobs a replay did *not* re-enqueue: their completion
     #: record was present and the result still lives in the store.
-    journal_skipped = MetricField("repro_dispatch_journal_skipped_total")
-
-    _FIELDS = (
-        "jobs", "completed", "store_hits", "worker_cache_hits", "computed",
-        "assignments", "retries", "drain_requeues", "speculations",
-        "speculative_wins", "failures", "workers_seen", "workers_lost",
-        "active_workers", "journal_replayed", "journal_skipped",
-    )
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None):
-        self._obs_init(registry)
-        self.per_worker = LabeledCounterMap(
-            self, "repro_dispatch_worker_assignments_total", "worker"
-        )
+    journal_skipped: int = 0
+    per_worker: Dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-able snapshot (the ``stats`` probe response)."""
-        out: Dict[str, Any] = {name: getattr(self, name) for name in self._FIELDS}
-        out["per_worker"] = self.per_worker.to_dict()
+        """JSON-able snapshot (the ``stats`` probe response).
+
+        Copies ``per_worker`` in one step, so the scrape-time collector
+        may call this off the event loop that mutates it.
+        """
+        out: Dict[str, Any] = {
+            f.name: getattr(self, f.name) for f in fields(self)
+        }
+        out["per_worker"] = dict(self.per_worker)
         return out
 
     def summary(self) -> str:
@@ -342,7 +333,6 @@ class ShardDispatcher:
         speculation_quantile: float = 0.75,
         speculation_factor: float = 3.0,
         speculation_min_samples: int = 5,
-        metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         flight_capacity: int = 512,
         journal: Optional[RunJournal] = None,
@@ -387,18 +377,19 @@ class ShardDispatcher:
         self.speculation_factor = float(speculation_factor)
         self.speculation_min_samples = int(speculation_min_samples)
         self.journal = journal
-        self.stats = DispatcherStats(metrics)
-        #: Registry backing ``stats`` (private unless injected) — also
-        #: carries the live queue/latency gauges and the compute-latency
-        #: histogram, so one ``render_prometheus()`` covers everything.
-        self.metrics = self.stats.metrics
+        self.stats = DispatcherStats()
+        #: Registry a collector fills from ``stats`` and the live
+        #: queue/latency state at scrape time; it also owns the
+        #: compute-latency histogram, so one ``render_prometheus()``
+        #: covers everything.
+        self.metrics = MetricsRegistry()
         self.tracer = tracer if tracer is not None else get_tracer()
         #: Ring buffer of fleet events (worker churn, retries,
         #: speculation); dumpable via the ``flight`` probe or
         #: :meth:`repro.obs.flight.FlightRecorder.dump` on crash.
         self.flight = FlightRecorder(flight_capacity)
         self._compute_hist = self.metrics.histogram("repro_dispatch_compute_seconds")
-        self.metrics.add_collector(self._publish_gauges)
+        self.metrics.add_collector(self._publish_metrics)
         self._gauge_kinds: Set[str] = set()
         self._gauge_clients: Set[str] = set()
         self._workers: Set[_WorkerConn] = set()
@@ -1225,13 +1216,24 @@ class ShardDispatcher:
             "max": ordered[-1],
         }
 
-    def _publish_gauges(self, registry: MetricsRegistry) -> None:
-        """Collector hook: refresh queue/latency gauges at scrape time.
+    def _publish_metrics(self, registry: MetricsRegistry) -> None:
+        """Collector hook: publish ``stats`` and the live queue/latency
+        gauges at scrape time.
 
         Runs on the scraping thread; the snapshots only read dicts the
         event loop mutates, and :meth:`MetricsRegistry.collect` swallows
         the rare mid-mutation race.
         """
+        counters = self.stats.to_dict()
+        per_worker = counters.pop("per_worker")
+        registry.gauge("repro_dispatch_active_workers").set(
+            counters.pop("active_workers")
+        )
+        publish_counters(registry, "repro_dispatch_", counters)
+        for name, assignments in per_worker.items():
+            registry.counter(
+                "repro_dispatch_worker_assignments_total", {"worker": name}
+            ).set(assignments)
         snap = self.queue_snapshot()
         registry.gauge("repro_dispatch_queue_depth").set(snap["depth"])
         registry.gauge("repro_dispatch_inflight").set(snap["inflight"])

@@ -5,6 +5,9 @@ dashboard) is imported lazily by the CLI to keep this package free of
 serving-layer imports.
 """
 
+from dataclasses import asdict
+from typing import TYPE_CHECKING, Dict
+
 from .exposition import CONTENT_TYPE, MetricsServer
 from .flight import FlightRecorder, get_flight_recorder, set_flight_recorder
 from .metrics import (
@@ -12,12 +15,9 @@ from .metrics import (
     Counter,
     Gauge,
     Histogram,
-    Instrumented,
-    LabeledCounterMap,
-    MetricField,
     MetricsRegistry,
     default_registry,
-    metric_fields,
+    publish_counters,
     set_default_registry,
 )
 from .tracing import (
@@ -31,15 +31,15 @@ from .tracing import (
     set_tracer,
 )
 
+if TYPE_CHECKING:
+    from repro.runtime.cache import CacheStore
+
 __all__ = [
     "CONTENT_TYPE",
     "Counter",
     "FlightRecorder",
     "Gauge",
     "Histogram",
-    "Instrumented",
-    "LabeledCounterMap",
-    "MetricField",
     "MetricsRegistry",
     "MetricsServer",
     "NULL_SPAN",
@@ -53,7 +53,7 @@ __all__ = [
     "get_flight_recorder",
     "get_tracer",
     "maybe_enable_tracing_from_env",
-    "metric_fields",
+    "publish_counters",
     "set_default_registry",
     "set_flight_recorder",
     "set_tracer",
@@ -61,22 +61,38 @@ __all__ = [
 
 
 def bind_store_metrics(registry: MetricsRegistry, store: object, component: str) -> None:
-    """Gather a cache store's tier counters into ``registry``.
+    """Publish a cache store's tier counters through ``registry``.
 
-    A :class:`~repro.runtime.tiering.TieredStore` binds one labeled
-    series per tier plus the write-behind counters; any other
-    :class:`~repro.runtime.cache.CacheStore` binds its counters as the
-    ``local`` tier; anything else is a no-op.  Used by CLI entry points
-    before starting a :class:`MetricsServer`.
+    Adds scrape-time collectors: a
+    :class:`~repro.runtime.tiering.TieredStore` publishes one
+    ``{component, tier}``-labeled set of ``repro_cache_*`` counters per
+    tier plus its ``{component}``-labeled write-behind counters; any
+    other :class:`~repro.runtime.cache.CacheStore` publishes its
+    counters as the ``local`` tier; anything else is a no-op.  Used by
+    CLI entry points before starting a :class:`MetricsServer`.
     """
-    # Imported here: the runtime stores import this package for metrics.
+    # Imported here: the tiered store imports this package for its
+    # flight recorder.
     from repro.runtime.cache import CacheStore
     from repro.runtime.tiering import TieredStore
 
     base = {"component": component}
     if isinstance(store, TieredStore):
         for name, tier_store in store.tier_stores():
-            tier_store.tier.bind_metrics(registry, {**base, "tier": name})
-        store.bind_metrics(registry, base)
+            _add_tier_collector(registry, tier_store, {**base, "tier": name})
+        write_behind = store.write_behind_counters
+        registry.add_collector(
+            lambda r: publish_counters(
+                r, "repro_cache_write_behind_", write_behind(), base
+            )
+        )
     elif isinstance(store, CacheStore):
-        store.tier.bind_metrics(registry, {**base, "tier": "local"})
+        _add_tier_collector(registry, store, {**base, "tier": "local"})
+
+
+def _add_tier_collector(
+    registry: MetricsRegistry, store: "CacheStore", labels: Dict[str, str]
+) -> None:
+    registry.add_collector(
+        lambda r: publish_counters(r, "repro_cache_", asdict(store.tier), labels)
+    )

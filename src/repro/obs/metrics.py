@@ -1,22 +1,22 @@
 """Zero-dependency metrics registry: counters, gauges, histograms.
 
-This is the single source of truth for every statistic the system
-exposes.  The existing ad-hoc stats dataclasses (``DispatcherStats``,
-``ServingStats``, ``TierStats``, the tiered-store write-behind
-counters) are *facades* over series owned by a
-:class:`MetricsRegistry`: attribute reads and writes go through
-:class:`MetricField` descriptors, so fifty existing ``stats.x += 1``
-call sites keep working verbatim while ``/metrics`` and the ``stats``
-probes render from one consistent store.
+Components count their work in plain attributes — the stats
+dataclasses (``DispatcherStats``, ``ServingStats``, ``TierStats``), the
+tiered store's write-behind counters, the autoscaler's lifetime
+counters — and the ``stats`` probes read those attributes directly.  A
+component that serves ``/metrics`` owns a :class:`MetricsRegistry` and
+registers a *collector* (:meth:`MetricsRegistry.add_collector`) that
+copies the same attributes into counters and gauges at scrape time
+(:func:`publish_counters`), so the probe and the exposition read one
+set of numbers.
 
 Design constraints honoured here:
 
 - zero third-party dependencies (stdlib ``threading`` only);
 - thread safety: every series guards mutation with its own lock, the
-  registry guards series creation with an ``RLock``;
-- picklable: stores carrying a ``TierStats`` travel into spawn-based
-  sweep workers, so registries and series drop their locks on
-  ``__getstate__`` and regrow them on ``__setstate__``;
+  registry guards series creation with an ``RLock``; collectors run on
+  the scraping thread, so they copy any container another thread
+  mutates before iterating it;
 - integer-preserving: counters started from ``0`` stay ``int`` until a
   float is observed, so JSON wire formats keep emitting ``3`` rather
   than ``3.0``.
@@ -26,19 +26,16 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "STATS_VERSION",
     "Counter",
     "Gauge",
     "Histogram",
-    "Instrumented",
-    "LabeledCounterMap",
-    "MetricField",
     "MetricsRegistry",
     "default_registry",
-    "metric_fields",
+    "publish_counters",
     "set_default_registry",
 ]
 
@@ -83,15 +80,6 @@ class _SeriesBase:
         self.labels = labels
         self._lock = threading.Lock()
 
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        state.pop("_lock", None)
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name}{_format_labels(self.labels)}>"
 
@@ -99,9 +87,8 @@ class _SeriesBase:
 class Counter(_SeriesBase):
     """Monotonic-by-convention numeric series.
 
-    ``set`` exists as the write seam for the stats facades (so
-    ``stats.retries += 1`` — a read-modify-write through a descriptor —
-    works); exporters treat the series as a counter.
+    Collectors publish a component's own running total with ``set``;
+    exporters treat the series as a counter either way.
     """
 
     kind = "counter"
@@ -188,14 +175,15 @@ Series = Union[Counter, Gauge, Histogram]
 
 
 class MetricsRegistry:
-    """Thread-safe, picklable home for every metric series.
+    """Thread-safe home for every metric series.
 
-    Components default to a *private* registry (so two dispatchers in
-    one test process never share counters); CLI entry points pass the
-    process-default registry so one ``/metrics`` endpoint exposes the
-    whole process.  ``add_collector`` registers callbacks that publish
-    live state (queue depths, pool sizes) as gauges just before a
-    snapshot or exposition render.
+    Each component that serves ``/metrics`` owns a private registry, so
+    two dispatchers in one test process never share series.
+    ``add_collector`` registers callbacks that publish the component's
+    counters and live state (queue depths, pool sizes) just before a
+    snapshot or exposition render; :func:`bind_store_metrics
+    <repro.obs.bind_store_metrics>` adds a cache store's collectors to
+    the registry of the component serving it.
     """
 
     def __init__(self) -> None:
@@ -304,19 +292,16 @@ class MetricsRegistry:
                 lines.append(f"{series.name}{_format_labels(series.labels)} {series.value}")
         return "\n".join(lines) + "\n"
 
-    # -- pickling -------------------------------------------------------
 
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        state.pop("_lock", None)
-        # Collector closures capture live objects (dispatchers, HTTP
-        # server state); they never survive a hop to another process.
-        state["_collectors"] = []
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
+def publish_counters(
+    registry: MetricsRegistry,
+    prefix: str,
+    values: Mapping[str, Number],
+    labels: Optional[Mapping[str, Any]] = None,
+) -> None:
+    """Collector helper: set a ``<prefix><name>_total`` counter per value."""
+    for name, value in values.items():
+        registry.counter(f"{prefix}{name}_total", labels).set(value)
 
 
 _default_lock = threading.Lock()
@@ -324,7 +309,7 @@ _default_registry: Optional[MetricsRegistry] = None
 
 
 def default_registry() -> MetricsRegistry:
-    """The process-wide registry used by CLI entry points."""
+    """A process-wide registry for callers without a component's own."""
     global _default_registry
     with _default_lock:
         if _default_registry is None:
@@ -337,191 +322,3 @@ def set_default_registry(registry: Optional[MetricsRegistry]) -> None:
     global _default_registry
     with _default_lock:
         _default_registry = registry
-
-
-# ---------------------------------------------------------------------------
-# Stats-facade plumbing
-
-
-class MetricField:
-    """Descriptor mapping an attribute onto a registry series.
-
-    ``stats.retries += 1`` reads the counter, adds one, and writes the
-    result back — exactly what the pre-registry dataclasses did, but
-    against the shared store.
-    """
-
-    def __init__(self, metric: str, kind: str = "counter") -> None:
-        if kind not in ("counter", "gauge"):
-            raise ValueError(f"unsupported metric field kind: {kind!r}")
-        self.metric = metric
-        self.kind = kind
-        self.attr = ""
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.attr = name
-
-    def __get__(self, obj: Any, objtype: Optional[type] = None) -> Any:
-        if obj is None:
-            return self
-        return obj._obs_series(self.metric, self.kind).value
-
-    def __set__(self, obj: Any, value: Number) -> None:
-        obj._obs_series(self.metric, self.kind).set(value)
-
-
-def metric_fields(cls: type) -> List[MetricField]:
-    """Every :class:`MetricField` declared on ``cls`` (MRO order)."""
-    out: List[MetricField] = []
-    seen: set = set()
-    for klass in cls.__mro__:
-        for name, attr in vars(klass).items():
-            if isinstance(attr, MetricField) and name not in seen:
-                seen.add(name)
-                out.append(attr)
-    return out
-
-
-class Instrumented:
-    """Mixin giving a class registry-backed :class:`MetricField` attrs.
-
-    Subclasses call ``_obs_init(registry, labels)`` in ``__init__``;
-    classes that can be revived without ``__init__`` (unpickling) fall
-    back to a lazily created private registry.
-    """
-
-    def _obs_init(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        labels: Optional[Mapping[str, Any]] = None,
-    ) -> None:
-        self._obs_registry = registry if registry is not None else MetricsRegistry()
-        self._obs_labels: Dict[str, str] = {str(k): str(v) for k, v in (labels or {}).items()}
-        self._obs_cache: Dict[str, Series] = {}
-        # Materialise every declared field at zero so expositions show
-        # the full catalogue before the first event.
-        for field in metric_fields(type(self)):
-            self._obs_series(field.metric, field.kind)
-
-    def _obs_series(self, metric: str, kind: str) -> Any:
-        cache = self.__dict__.get("_obs_cache")
-        if cache is None:
-            self._obs_init()
-            cache = self.__dict__["_obs_cache"]
-        series = cache.get(metric)
-        if series is None:
-            registry: MetricsRegistry = self.__dict__["_obs_registry"]
-            if kind == "gauge":
-                series = registry.gauge(metric, self._obs_labels)
-            else:
-                series = registry.counter(metric, self._obs_labels)
-            cache[metric] = series
-        return series
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        if "_obs_registry" not in self.__dict__:
-            self._obs_init()
-        return self._obs_registry
-
-    def bind_metrics(
-        self,
-        registry: MetricsRegistry,
-        labels: Optional[Mapping[str, Any]] = None,
-    ) -> "Instrumented":
-        """Re-home this facade onto ``registry``, carrying values over.
-
-        Used by CLI entry points to gather component-private series
-        into the one registry their ``/metrics`` endpoint exposes.
-        """
-        fields = metric_fields(type(self))
-        values = {f.attr: getattr(self, f.attr) for f in fields}
-        maps: Dict[str, Dict[str, Number]] = {
-            name: m.to_dict() for name, m in self.__dict__.get("_obs_maps", {}).items()
-        }
-        self._obs_registry = registry
-        self._obs_labels = {str(k): str(v) for k, v in (labels or {}).items()}
-        self._obs_cache = {}
-        for f in fields:
-            setattr(self, f.attr, values[f.attr])
-        for name, snapshot in maps.items():
-            family = self.__dict__["_obs_maps"][name]
-            family.rebind(snapshot)
-        return self
-
-
-class LabeledCounterMap:
-    """Dict-like view over a labeled counter family.
-
-    Backs ``DispatcherStats.per_worker``: reads and writes behave like
-    a plain ``Dict[str, int]`` (including ``==`` against dicts), while
-    values live in per-label registry series such as
-    ``repro_dispatch_worker_assignments_total{worker="w0"}``.
-    """
-
-    def __init__(self, owner: Instrumented, metric: str, label: str) -> None:
-        self._owner = owner
-        self._metric = metric
-        self._label = label
-        self._keys: List[str] = []
-        owner.__dict__.setdefault("_obs_maps", {})[metric] = self
-
-    def _series(self, key: str) -> Counter:
-        registry: MetricsRegistry = self._owner.metrics
-        labels = dict(self._owner._obs_labels)
-        labels[self._label] = key
-        return registry.counter(self._metric, labels)
-
-    def __getitem__(self, key: str) -> Number:
-        if key not in self._keys:
-            raise KeyError(key)
-        return self._series(key).value
-
-    def get(self, key: str, default: Optional[Number] = None) -> Optional[Number]:
-        if key not in self._keys:
-            return default
-        return self._series(key).value
-
-    def __setitem__(self, key: str, value: Number) -> None:
-        if key not in self._keys:
-            self._keys.append(key)
-        self._series(key).set(value)
-
-    def inc(self, key: str, amount: Number = 1) -> None:
-        if key not in self._keys:
-            self._keys.append(key)
-        self._series(key).inc(amount)
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._keys
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(list(self._keys))
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def keys(self) -> List[str]:
-        return list(self._keys)
-
-    def items(self) -> List[Tuple[str, Number]]:
-        return [(k, self._series(k).value) for k in self._keys]
-
-    def to_dict(self) -> Dict[str, Number]:
-        return dict(self.items())
-
-    def rebind(self, snapshot: Mapping[str, Number]) -> None:
-        """Recreate the family in the owner's (new) registry."""
-        self._keys = list(snapshot)
-        for key, value in snapshot.items():
-            self._series(key).set(value)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, LabeledCounterMap):
-            return self.to_dict() == other.to_dict()
-        if isinstance(other, Mapping):
-            return self.to_dict() == dict(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"LabeledCounterMap({self.to_dict()!r})"

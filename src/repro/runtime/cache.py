@@ -29,10 +29,8 @@ import os
 import tempfile
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Optional
-
-from repro.obs.metrics import Instrumented, MetricField, MetricsRegistry
 
 #: Global cache-schema version.  Bump when the meaning of cached values
 #: changes (new fields, changed physics) to invalidate every entry at
@@ -94,7 +92,8 @@ def value_bytes(value: Any) -> int:
     )
 
 
-class TierStats(Instrumented):
+@dataclass
+class TierStats:
     """Per-tier counters: hits/misses, bytes, latency, failures.
 
     ``errors`` counts backend failures (unreachable store, failed
@@ -108,38 +107,22 @@ class TierStats(Instrumented):
     Latency is accumulated seconds, so ``get_seconds / (hits + misses)``
     is the mean read latency of the tier.
 
-    Counters live in a :class:`~repro.obs.metrics.MetricsRegistry`
-    (private by default; CLI entry points rebind them into the
-    process registry via :meth:`~repro.obs.metrics.Instrumented.
-    bind_metrics` so ``/metrics`` exposes every tier).
+    Plain attributes, read by the ``stats`` probes through
+    :meth:`CacheStore.stats_payload`; :func:`repro.obs.bind_store_metrics`
+    publishes them as ``repro_cache_*`` series at scrape time.
     """
 
-    hits = MetricField("repro_cache_hits_total")
-    misses = MetricField("repro_cache_misses_total")
-    puts = MetricField("repro_cache_puts_total")
-    bytes_read = MetricField("repro_cache_bytes_read_total")
-    bytes_written = MetricField("repro_cache_bytes_written_total")
-    errors = MetricField("repro_cache_errors_total")
-    retries = MetricField("repro_cache_retries_total")
-    evictions = MetricField("repro_cache_evictions_total")
-    expirations = MetricField("repro_cache_expirations_total")
-    get_seconds = MetricField("repro_cache_get_seconds_total")
-    put_seconds = MetricField("repro_cache_put_seconds_total")
-
-    _FIELDS = (
-        "hits", "misses", "puts", "bytes_read", "bytes_written",
-        "errors", "retries", "evictions", "expirations", "get_seconds",
-        "put_seconds",
-    )
-
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        labels: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        self._obs_init(registry, labels)
-        self.get_seconds = 0.0
-        self.put_seconds = 0.0
+    hits: int = 0
+    misses: int = 0
+    puts: int = 0
+    bytes_read: int = 0
+    bytes_written: int = 0
+    errors: int = 0
+    retries: int = 0
+    evictions: int = 0
+    expirations: int = 0
+    get_seconds: float = 0.0
+    put_seconds: float = 0.0
 
     def record_get(self, value: Optional[Any], seconds: float) -> None:
         if value is None:
@@ -156,7 +139,7 @@ class TierStats(Instrumented):
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-able snapshot (latency rounded to microseconds)."""
-        out: Dict[str, Any] = {name: getattr(self, name) for name in self._FIELDS}
+        out: Dict[str, Any] = asdict(self)
         out["get_seconds"] = round(out["get_seconds"], 6)
         out["put_seconds"] = round(out["put_seconds"], 6)
         return out

@@ -40,7 +40,6 @@ from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.flight import FlightRecorder, get_flight_recorder
-from repro.obs.metrics import Instrumented, MetricField, MetricsRegistry
 from repro.runtime.cache import (
     CACHE_VERSION,
     CacheStore,
@@ -198,7 +197,7 @@ class MemoryLRUStore(CacheStore):
 _STOP = object()
 
 
-class TieredStore(CacheStore, Instrumented):
+class TieredStore(CacheStore):
     """Read-through / write-behind composition of up to three tiers.
 
     Parameters
@@ -230,11 +229,6 @@ class TieredStore(CacheStore, Instrumented):
     content address, so silent cache erosion is observable.
     """
 
-    queued = MetricField("repro_cache_write_behind_queued_total")
-    flushed = MetricField("repro_cache_write_behind_flushed_total")
-    retried = MetricField("repro_cache_write_behind_retried_total")
-    dropped = MetricField("repro_cache_write_behind_dropped_total")
-
     def __init__(
         self,
         memory: Optional[CacheStore] = None,
@@ -244,11 +238,9 @@ class TieredStore(CacheStore, Instrumented):
         flush_retries: int = 4,
         flush_backoff: float = 0.05,
         flush_backoff_cap: float = 2.0,
-        metrics: Optional[MetricsRegistry] = None,
         flight: Optional[FlightRecorder] = None,
     ):
         super().__init__()
-        self._obs_init(metrics)
         self._flight = flight
         if memory is None and local is None and remote is None:
             raise ValueError("a TieredStore needs at least one tier")
@@ -268,8 +260,7 @@ class TieredStore(CacheStore, Instrumented):
         self.flush_retries = int(flush_retries)
         self.flush_backoff = float(flush_backoff)
         self.flush_backoff_cap = float(flush_backoff_cap)
-        # Write-behind counters (the "write_behind" stats block) —
-        # registry-backed via the MetricField descriptors above.
+        # Write-behind counters (the "write_behind" stats block).
         self.queued = 0
         self.flushed = 0
         self.retried = 0
@@ -471,14 +462,20 @@ class TieredStore(CacheStore, Instrumented):
     # ------------------------------------------------------------------
     # Stats
     # ------------------------------------------------------------------
+    def write_behind_counters(self) -> Dict[str, int]:
+        """Lifetime write-behind counters (``repro_cache_write_behind_*``)."""
+        return {
+            "queued": self.queued,
+            "flushed": self.flushed,
+            "retried": self.retried,
+            "dropped": self.dropped,
+        }
+
     def stats(self) -> Dict[str, Any]:
         """Nested per-tier counters plus the write-behind block."""
         with self._cond:
             write_behind = {
-                "queued": self.queued,
-                "flushed": self.flushed,
-                "retried": self.retried,
-                "dropped": self.dropped,
+                **self.write_behind_counters(),
                 "queue_depth": self._pending,
             }
         return {

@@ -33,12 +33,12 @@ from __future__ import annotations
 import asyncio
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.errors import ConfigurationError, ReproError
-from repro.obs.metrics import Instrumented, MetricField, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, publish_counters
 from repro.obs.tracing import Tracer, get_tracer
 from repro.runtime.singleflight import SingleFlight
 from repro.runtime.cache import CacheStore
@@ -53,7 +53,8 @@ SERVE_NAMESPACE = "serve"
 SERVE_REV = 1
 
 
-class ServingStats(Instrumented):
+@dataclass
+class ServingStats:
     """Counters describing how much work the front-end avoided.
 
     ``requests`` splits into ``cache_hits`` (answered from the response
@@ -62,22 +63,17 @@ class ServingStats(Instrumented):
     acceptance invariant of the serving layer is ``evaluations <
     requests`` whenever the traffic contains repeats.
 
-    The counters live in a :class:`~repro.obs.metrics.MetricsRegistry`
-    (``repro_serve_*`` series), so the ``stats`` probe and a
-    ``--metrics-port`` Prometheus scrape read the same numbers.
+    The ``stats`` probe reads these attributes; the evaluator's
+    collector publishes the same values as ``repro_serve_*`` series on
+    ``--metrics-port``.
     """
 
-    requests = MetricField("repro_serve_requests_total")
-    cache_hits = MetricField("repro_serve_cache_hits_total")
-    coalesced = MetricField("repro_serve_coalesced_total")
-    batches = MetricField("repro_serve_batches_total")
-    evaluations = MetricField("repro_serve_evaluations_total")
-    errors = MetricField("repro_serve_errors_total")
-
-    _FIELDS = ("requests", "cache_hits", "coalesced", "batches", "evaluations", "errors")
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self._obs_init(registry)
+    requests: int = 0
+    cache_hits: int = 0
+    coalesced: int = 0
+    batches: int = 0
+    evaluations: int = 0
+    errors: int = 0
 
     def summary(self) -> str:
         return (
@@ -88,7 +84,7 @@ class ServingStats(Instrumented):
 
     def to_dict(self) -> Dict[str, int]:
         """JSON-able snapshot — the ``{"type": "stats"}`` probe response."""
-        return {name: getattr(self, name) for name in self._FIELDS}
+        return asdict(self)
 
 
 @dataclass
@@ -122,9 +118,6 @@ class BatchingEvaluator:
         burst pattern.
     max_batch:
         Pending-request count that triggers an immediate flush.
-    metrics:
-        Registry backing :attr:`stats`; defaults to a private one (the
-        CLI passes the process registry so ``/metrics`` sees it).
     tracer:
         Span source for request/batch tracing; defaults to the process
         tracer (disabled unless explicitly enabled — spans never alter
@@ -137,7 +130,6 @@ class BatchingEvaluator:
         cache: Optional[CacheStore] = None,
         batch_window: float = 0.01,
         max_batch: int = 32,
-        metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
     ):
         if batch_window < 0:
@@ -150,8 +142,13 @@ class BatchingEvaluator:
         self.cache = cache
         self.batch_window = float(batch_window)
         self.max_batch = int(max_batch)
-        self.stats = ServingStats(metrics)
-        self.metrics = self.stats.metrics
+        self.stats = ServingStats()
+        #: Registry the CLI serves on ``--metrics-port``; a collector
+        #: publishes :attr:`stats` into it at scrape time.
+        self.metrics = MetricsRegistry()
+        self.metrics.add_collector(
+            lambda r: publish_counters(r, "repro_serve_", self.stats.to_dict())
+        )
         self.tracer = tracer if tracer is not None else get_tracer()
         self._leader_spans: Dict[str, str] = {}
         self._fingerprint: str = simulator.fingerprint()

@@ -296,6 +296,29 @@ class TestControllerLifecycle:
         assert h.controller.alive == 0
         assert h.controller.spawned_total >= 2
 
+    def test_metrics_publish_the_lifetime_counters_and_pool_gauges(self):
+        h = Harness()
+        h.doc = stats_doc(depth=2, inflight=1)  # wants exactly 1 worker
+        h.controller.poll_once()
+        h.procs[0].exit(1)
+        h.fail_probe = ConnectionError("dispatcher unreachable")
+        h.controller.poll_once()  # reap the crash, then a probe outage
+        values = {
+            row["name"]: row["value"]
+            for row in h.controller.metrics.snapshot()["series"]
+        }
+        assert values == {
+            "repro_autoscale_spawned_total": h.controller.spawned_total,
+            "repro_autoscale_crash_restarts_total": h.controller.crash_restarts,
+            "repro_autoscale_stats_errors_total": h.controller.stats_errors,
+            "repro_autoscale_alive_workers": 0,
+            "repro_autoscale_desired_workers": 1,
+            "repro_autoscale_queue_depth": 2,
+            "repro_autoscale_inflight": 1,
+        }
+        assert (h.controller.spawned_total, h.controller.crash_restarts,
+                h.controller.stats_errors) == (1, 1, 1)
+
 
 class TestWorkerCommand:
     def test_default_command_carries_store_wiring(self):

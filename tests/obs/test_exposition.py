@@ -75,6 +75,7 @@ class TestBindStoreMetrics:
         assert store.get("ns", {"k": 1}) == {"v": 2}
         registry = MetricsRegistry()
         bind_store_metrics(registry, store, component="serve")
+        registry.collect()
         assert registry.counter(
             "repro_cache_hits_total", {"component": "serve", "tier": "local"}
         ).value == 1
@@ -89,6 +90,7 @@ class TestBindStoreMetrics:
         store.put("ns", {"k": 1}, {"v": 2})
         registry = MetricsRegistry()
         bind_store_metrics(registry, store, component="worker")
+        registry.collect()
         assert registry.counter(
             "repro_cache_puts_total", {"component": "worker", "tier": "local"}
         ).value == 1

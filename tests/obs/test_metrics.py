@@ -1,14 +1,10 @@
-"""Unit coverage of the metrics registry and the stats-facade plumbing.
+"""Unit coverage of the metrics registry behind every ``/metrics``.
 
-The registry is the single source of truth behind every ``stats`` probe
-and ``/metrics`` endpoint, so its contracts are pinned here directly:
-thread-safe series creation, integer preservation on the JSON wire,
-Prometheus text rendering, pickling across spawn boundaries, and the
-:class:`MetricField` / :class:`LabeledCounterMap` descriptor machinery
-that keeps fifty pre-existing ``stats.x += 1`` call sites working.
+Pinned here directly: thread-safe series creation, integer
+preservation on the JSON wire, Prometheus text rendering, and the
+scrape-time collectors that publish the components' own counters.
 """
 
-import pickle
 import threading
 
 import pytest
@@ -18,12 +14,9 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
-    Instrumented,
-    LabeledCounterMap,
-    MetricField,
     MetricsRegistry,
     default_registry,
-    metric_fields,
+    publish_counters,
     set_default_registry,
 )
 
@@ -140,16 +133,20 @@ class TestRegistry:
         text = r.render_prometheus()
         assert 'path="a\\"b\\\\c\\nd"' in text
 
-    def test_registry_pickles_without_collectors(self):
+    def test_publish_counters_mirrors_plain_values(self):
         r = MetricsRegistry()
-        r.counter("jobs_total").inc(5)
-        r.add_collector(lambda reg: reg.gauge("live").set(1))
-        clone = pickle.loads(pickle.dumps(r))
-        assert clone.counter("jobs_total").value == 5
-        # Collector closures capture live objects; they must not travel.
-        assert clone.snapshot()["series"][0]["name"] == "jobs_total"
-        clone.counter("jobs_total").inc()  # lock regrown and usable
-        assert clone.counter("jobs_total").value == 6
+        counts = {"done": 0, "seconds": 0.0}
+        r.add_collector(
+            lambda reg: publish_counters(reg, "x_", counts, {"tier": "a"})
+        )
+        counts["done"] += 2
+        rows = {row["name"]: row for row in r.snapshot()["series"]}
+        assert rows["x_done_total"] == {
+            "name": "x_done_total", "kind": "counter",
+            "labels": {"tier": "a"}, "value": 2,
+        }
+        # Int-vs-float follows the published attribute.
+        assert isinstance(rows["x_seconds_total"]["value"], float)
 
     def test_concurrent_increments_do_not_lose_updates(self):
         r = MetricsRegistry()
@@ -176,96 +173,3 @@ class TestRegistry:
             assert default_registry() is mine
         finally:
             set_default_registry(None)
-
-
-class _Stats(Instrumented):
-    done = MetricField("test_done_total")
-    live = MetricField("test_live", kind="gauge")
-
-    def __init__(self, registry=None):
-        self._obs_init(registry)
-        self.per_worker = LabeledCounterMap(self, "test_per_worker_total", "worker")
-
-
-class TestFacade:
-    def test_metric_field_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="unsupported metric field kind"):
-            MetricField("x", kind="histogram")
-
-    def test_class_access_returns_descriptor(self):
-        assert isinstance(_Stats.done, MetricField)
-        assert [f.metric for f in metric_fields(_Stats)] == [
-            "test_done_total", "test_live",
-        ]
-
-    def test_augmented_assignment_reaches_the_registry(self):
-        r = MetricsRegistry()
-        s = _Stats(r)
-        s.done += 1
-        s.done += 1
-        s.live = 4
-        assert s.done == 2
-        assert r.counter("test_done_total").value == 2
-        assert r.gauge("test_live").value == 4
-
-    def test_fields_materialise_at_zero_on_init(self):
-        r = MetricsRegistry()
-        _Stats(r)
-        names = {row["name"] for row in r.snapshot()["series"]}
-        assert {"test_done_total", "test_live"} <= names
-
-    def test_unpickled_facade_regrows_a_private_registry(self):
-        s = _Stats()
-        s.done += 3
-        clone = pickle.loads(pickle.dumps(s))
-        assert clone.done == 3
-        clone.done += 1
-        assert clone.done == 4
-        assert clone.metrics is not s.metrics
-
-    def test_bind_metrics_carries_values_and_label_families(self):
-        s = _Stats()
-        s.done += 7
-        s.per_worker.inc("w0", 2)
-        shared = MetricsRegistry()
-        s.bind_metrics(shared, {"component": "dispatch"})
-        assert s.done == 7
-        assert s.per_worker.to_dict() == {"w0": 2}
-        assert shared.counter(
-            "test_done_total", {"component": "dispatch"}
-        ).value == 7
-        assert shared.counter(
-            "test_per_worker_total", {"component": "dispatch", "worker": "w0"}
-        ).value == 2
-        s.done += 1  # post-bind writes land in the shared registry
-        assert shared.counter(
-            "test_done_total", {"component": "dispatch"}
-        ).value == 8
-
-
-class TestLabeledCounterMap:
-    def test_dict_like_surface(self):
-        s = _Stats()
-        m = s.per_worker
-        assert len(m) == 0
-        assert m.get("w0") is None
-        assert m.get("w0", 0) == 0
-        with pytest.raises(KeyError):
-            m["w0"]
-        m["w0"] = 2
-        m.inc("w0")
-        m.inc("w1")
-        assert m["w0"] == 3
-        assert "w0" in m and "missing" not in m
-        assert sorted(m) == ["w0", "w1"]
-        assert m.keys() == ["w0", "w1"]
-        assert m.items() == [("w0", 3), ("w1", 1)]
-        assert m.to_dict() == {"w0": 3, "w1": 1}
-
-    def test_equality_against_dicts_and_maps(self):
-        a, b = _Stats(), _Stats()
-        a.per_worker.inc("w0")
-        b.per_worker.inc("w0")
-        assert a.per_worker == {"w0": 1}
-        assert a.per_worker == b.per_worker
-        assert (a.per_worker == 3) is False

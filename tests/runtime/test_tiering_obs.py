@@ -11,6 +11,7 @@ and a raising tier leaves a ``tier_error`` event behind.
 import logging
 import threading
 
+from repro.obs import bind_store_metrics
 from repro.obs.flight import FlightRecorder, get_flight_recorder, set_flight_recorder
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.cache import CACHE_VERSION, content_key
@@ -110,16 +111,16 @@ class TestWriteBehindDropObservability:
 
     def test_write_behind_counters_live_in_the_registry(self):
         registry = MetricsRegistry()
-        store = TieredStore(
-            local=RecordingStore(), remote=RecordingStore(),
-            metrics=registry,
-        )
+        store = TieredStore(local=RecordingStore(), remote=RecordingStore())
+        bind_store_metrics(registry, store, component="serve")
         store.put("ns", {"k": 4}, "v")
         assert store.flush(timeout=10.0)
         store.close()
+        registry.collect()
+        labels = {"component": "serve"}
         assert registry.counter(
-            "repro_cache_write_behind_queued_total"
+            "repro_cache_write_behind_queued_total", labels
         ).value == 1
         assert registry.counter(
-            "repro_cache_write_behind_flushed_total"
+            "repro_cache_write_behind_flushed_total", labels
         ).value == 1

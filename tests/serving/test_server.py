@@ -188,6 +188,40 @@ class TestStatsRequest:
         assert store["misses"] == 1 and store["puts"] == 1
         assert store["errors"] == 0
 
+    def test_probe_and_metrics_report_the_same_counters(
+        self, serving_sim, tmp_path
+    ):
+        """Evaluated, coalesced and cache-hit requests land in the probe
+        and in the ``repro_serve_*`` series alike."""
+        from repro.runtime import ResultCache
+
+        cache = ResultCache(str(tmp_path))
+        repeat = [line(config="base", vdd=0.70, id=str(i)) for i in range(2)]
+
+        async def run():
+            evaluator = BatchingEvaluator(serving_sim, cache=cache,
+                                          batch_window=0.0)
+            await respond_lines(evaluator, repeat)  # evaluated + coalesced
+            await respond_lines(evaluator, repeat[:1])  # cache hit
+            probe = await respond_lines(
+                evaluator, [line(type="stats", id="probe")]
+            )
+            await evaluator.close()
+            return evaluator, json.loads(probe[0])["stats"]
+
+        evaluator, stats = asyncio.run(run())
+        assert (stats["requests"], stats["evaluations"], stats["coalesced"],
+                stats["cache_hits"]) == (3, 1, 1, 1)
+        published = {
+            row["name"]: row["value"]
+            for row in evaluator.metrics.snapshot()["series"]
+        }
+        assert published == {
+            f"repro_serve_{name}_total": stats[name]
+            for name in ("requests", "cache_hits", "coalesced", "batches",
+                         "evaluations", "errors")
+        }
+
     def test_unknown_control_type_rejected(self, serving_sim):
         async def run():
             evaluator = BatchingEvaluator(serving_sim, cache=None,
