@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from repro.core import (
@@ -26,18 +27,31 @@ from repro.distributed.worker import (
     DEFAULT_RECONNECT_BACKOFF,
 )
 from repro.mem import CellTables
-from repro.runtime import DEFAULT_BLOCK_SAMPLES, CacheStore, ResultCache
+from repro.runtime import DEFAULT_BLOCK_SAMPLES, CacheStore, ResultCache, shutdown_pool
 from repro.sram import characterize_cell
 from repro.sram.area import format_area
 from repro.units import format_si
 from repro.version import __version__
 
 
+def _positive_int(value: str) -> int:
+    """argparse type for sizes and counts: an integer of at least 1."""
+    try:
+        number = int(value)
+    except ValueError:
+        number = 0
+    if number < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {value!r}"
+        )
+    return number
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tech", default="ptm22", help="technology name")
-    parser.add_argument("--samples", type=int, default=8000,
+    parser.add_argument("--samples", type=_positive_int, default=8000,
                         help="Monte-Carlo samples per voltage point")
-    parser.add_argument("--trials", type=int, default=3,
+    parser.add_argument("--trials", type=_positive_int, default=3,
                         help="fault-injection trials per evaluation")
     parser.add_argument("--profile", default=None,
                         help="ANN profile: fast (default) or paper")
@@ -47,17 +61,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the on-disk result cache (recompute and "
                              "do not store)")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
+    parser.add_argument("--shards", type=_positive_int, default=None, metavar="N",
                         help="split each Monte-Carlo population into N "
                              "deterministic shards (bit-identical to a "
                              "monolithic run; shards are cached individually)")
-    parser.add_argument("--max-shard-samples", type=int, default=None,
-                        metavar="M",
+    parser.add_argument("--max-shard-samples", type=_positive_int, default=None, metavar="M",
                         help="cap any shard at M Monte-Carlo samples, raising "
                              "the shard count as needed (bounds per-shard "
                              "memory for paper-scale populations; granularity "
                              "is --block-samples)")
-    parser.add_argument("--block-samples", type=int, default=None, metavar="B",
+    parser.add_argument("--block-samples", type=_positive_int, default=None, metavar="B",
                         help="Monte-Carlo samples per seeded block — the "
                              "sharding granularity. Unlike --jobs/--shards "
                              "this DEFINES the sampled population (default "
@@ -126,17 +139,26 @@ def _build_store(args, cache_dir=None):
 
 
 def _build_sim(args) -> CircuitToSystemSimulator:
-    model = train_benchmark_ann(profile=args.profile,
-                                use_cache=not args.no_cache)
-    tables = CellTables.build(
-        technology=get_technology(args.tech), n_samples=args.samples,
-        use_cache=not args.no_cache, jobs=args.jobs,
-        shards=args.shards, max_shard_samples=args.max_shard_samples,
-        block_samples=args.block_samples,
-        backend=getattr(args, "backend", None),
-    )
-    return CircuitToSystemSimulator(model, tables=tables, n_trials=args.trials,
-                                    jobs=args.jobs)
+    """Train the ANN and build the 6T/8T failure tables concurrently.
+
+    The two inputs are independent until fault injection, so the tables
+    build runs on a background thread while this one trains.  Leaving
+    the ``with`` block waits for that thread, so a training error
+    propagates only once no tables work is left running.
+    """
+    with ThreadPoolExecutor(max_workers=1) as background:
+        tables = background.submit(
+            CellTables.build,
+            technology=get_technology(args.tech), n_samples=args.samples,
+            use_cache=not args.no_cache, jobs=args.jobs,
+            shards=args.shards, max_shard_samples=args.max_shard_samples,
+            block_samples=args.block_samples,
+            backend=getattr(args, "backend", None),
+        )
+        model = train_benchmark_ann(profile=args.profile,
+                                    use_cache=not args.no_cache)
+    return CircuitToSystemSimulator(model, tables=tables.result(),
+                                    n_trials=args.trials, jobs=args.jobs)
 
 
 def cmd_characterize(args) -> int:
@@ -233,6 +255,7 @@ def cmd_serve(args) -> int:
         print(format_stats(request_stats(args.host, args.port)))
         return 0
     sim = _build_sim(args)
+    shutdown_pool()  # a long-running server keeps no idle sweep workers
     cache: Optional[CacheStore]
     if args.no_cache:
         # None, not a disabled cache: submit() skips the per-request
@@ -719,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "DAG instead of --workload: margin shards (both "
                         "cells, every --vdd) -> rate tables -> NN fault "
                         "points, all through this dispatcher")
-    p.add_argument("--trials", type=int, default=5, metavar="T",
+    p.add_argument("--trials", type=_positive_int, default=5, metavar="T",
                    help="with --dag: fault-injection trials per NN "
                         "accuracy point (default 5)")
     p.add_argument("--speculation-threshold", type=float, default=None,
@@ -732,18 +755,18 @@ def build_parser() -> argparse.ArgumentParser:
                         "derive from it; default: entropy)")
     p.add_argument("--cell", choices=["6t", "8t"], default="6t")
     p.add_argument("--tech", default="ptm22", help="technology name")
-    p.add_argument("--samples", type=int, default=8000,
+    p.add_argument("--samples", type=_positive_int, default=8000,
                    help="Monte-Carlo samples per voltage point")
     p.add_argument("--vdd", type=float, action="append", default=None,
                    metavar="V", help="voltage point (repeatable; default: "
                                      "the standard characterization grid)")
-    p.add_argument("--shards", type=int, default=None, metavar="N",
+    p.add_argument("--shards", type=_positive_int, default=None, metavar="N",
                    help="shards per voltage point (default: one per "
                         "connected worker)")
-    p.add_argument("--max-shard-samples", type=int, default=None, metavar="M",
+    p.add_argument("--max-shard-samples", type=_positive_int, default=None, metavar="M",
                    help="cap any shard at M samples, raising the shard "
                         "count as needed")
-    p.add_argument("--block-samples", type=int, default=None, metavar="B",
+    p.add_argument("--block-samples", type=_positive_int, default=None, metavar="B",
                    help="samples per seeded block (population-defining; "
                         "default 32768)")
     p.add_argument("--backend", default=None, metavar="NAME",

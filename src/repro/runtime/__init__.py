@@ -8,7 +8,8 @@ provides the two pieces of infrastructure those sweeps share:
 * :class:`~repro.runtime.executor.SweepExecutor` — fans sweep points
   across a ``spawn``-based process pool while guaranteeing results are
   bit-identical to a serial run regardless of worker count or
-  completion order (every point carries its own derived seed).
+  completion order (every point carries its own derived seed).  One
+  pool serves every map of a process; :func:`shutdown_pool` stops it.
 * :class:`~repro.runtime.cache.ResultCache` — a content-addressed JSON
   store (key = SHA-256 of everything that affects the numbers, plus a
   schema version) with atomic writes, so concurrent sweeps can share a
@@ -49,7 +50,7 @@ from repro.runtime.cache import (
     content_key,
     default_cache_dir,
 )
-from repro.runtime.executor import SweepExecutor, resolve_jobs
+from repro.runtime.executor import SweepExecutor, resolve_jobs, shutdown_pool
 from repro.runtime.sharding import (
     DEFAULT_BLOCK_SAMPLES,
     Shard,
@@ -82,4 +83,5 @@ __all__ = [
     "default_cache_dir",
     "make_tiered_store",
     "resolve_jobs",
+    "shutdown_pool",
 ]

@@ -12,14 +12,29 @@ Workers use the ``spawn`` start method: it is the only method available
 on every supported platform, and it guarantees children never inherit a
 forked copy of the parent's (possibly already-consumed) RNG state or
 open file handles to the result cache.
+
+Pool lifetime.  A spawned child costs an interpreter start plus the
+``repro``/numpy/scipy imports, so a process keeps at most one pool and
+reuses it across maps.  The pool is created by the first parallel map
+and keyed on its worker count and the ``REPRO_*`` environment: children
+copy the environment once, at start-up, so a map under a different key
+(say a new ``REPRO_CACHE_DIR``) shuts the old pool down and starts a
+fresh one.  A map that finds the pool broken (a child died) discards it,
+so the next map starts a new one.  The pool is shut down at interpreter
+exit, or earlier by :func:`shutdown_pool` — a long-running process that
+is done with sweeps calls it to keep no idle children.
 """
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing
 import os
+import threading
 from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
+from concurrent.futures.process import BrokenProcessPool
+from functools import partial
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -69,8 +84,68 @@ def _partition(items: Sequence[T], n_chunks: int) -> List[List[T]]:
     return chunks
 
 
+# The process-wide pool and the key it was created under.  The lock
+# covers creation, replacement and submission, so a replacement can
+# never shut a pool down between another thread's lookup and its
+# submits (shutdown waits for the futures already submitted).
+_pool_lock = threading.RLock()
+_pool: Optional[ProcessPoolExecutor] = None
+_pool_key: Optional[Tuple[object, ...]] = None
+
+
+def _submit_all(workers: int, fn: Callable, chunks: List[List[T]]
+                ) -> Tuple[ProcessPoolExecutor, List[Future]]:
+    """Submit ``fn(chunk)`` for every chunk to the shared pool."""
+    global _pool, _pool_key
+    key = (workers, *sorted(
+        (name, value) for name, value in os.environ.items()
+        if name.startswith("REPRO_")
+    ))
+    with _pool_lock:
+        if _pool is not None and _pool_key != key:
+            _pool.shutdown(wait=True)
+            _pool = None
+        if _pool is None:
+            _pool = ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("spawn"),
+            )
+            _pool_key = key
+        pool = _pool
+        try:
+            return pool, [pool.submit(fn, chunk) for chunk in chunks]
+        except BrokenProcessPool:
+            _discard(pool)
+            raise
+
+
+def _discard(pool: ProcessPoolExecutor) -> None:
+    """Drop a broken pool so the next map starts a new one."""
+    global _pool
+    with _pool_lock:
+        if _pool is pool:
+            _pool = None
+    pool.shutdown(wait=True)
+
+
+def shutdown_pool() -> None:
+    """Shut the shared worker pool down, waiting for its children.
+
+    The next parallel map starts a new pool.  Registered to run at
+    interpreter exit.
+    """
+    global _pool
+    with _pool_lock:
+        pool, _pool = _pool, None
+    if pool is not None:
+        pool.shutdown(wait=True)
+
+
+atexit.register(shutdown_pool)
+
+
 class SweepExecutor:
-    """Fan independent sweep points across a ``spawn`` worker pool.
+    """Fan independent sweep points across the shared ``spawn`` pool.
 
     Parameters
     ----------
@@ -79,20 +154,10 @@ class SweepExecutor:
         semantics.  ``jobs=1`` runs serially in-process (no pool, no
         pickling) and is the reference behaviour every parallel run must
         reproduce bit-for-bit.
-    chunks_per_worker:
-        How many chunks each worker receives on average.  Values above 1
-        trade a little extra pickling for better load balancing when
-        point costs are uneven (e.g. low-VDD Monte-Carlo points resolve
-        more failures and run marginally longer).
     """
 
-    def __init__(self, jobs: Optional[int] = None, chunks_per_worker: int = 1):
-        if chunks_per_worker < 1:
-            raise ValueError(
-                f"chunks_per_worker must be >= 1, got {chunks_per_worker}"
-            )
+    def __init__(self, jobs: Optional[int] = None):
         self.jobs = resolve_jobs(jobs)
-        self.chunks_per_worker = int(chunks_per_worker)
 
     # ------------------------------------------------------------------
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
@@ -106,21 +171,7 @@ class SweepExecutor:
         points = list(items)
         if self.jobs == 1 or len(points) <= 1:
             return [fn(item) for item in points]
-
-        chunks = _partition(points, self.jobs * self.chunks_per_worker)
-        ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(chunks)), mp_context=ctx
-        ) as pool:
-            futures: List[Future] = [
-                pool.submit(_run_chunk, fn, chunk) for chunk in chunks
-            ]
-            # Collect in submission order: completion order is irrelevant
-            # to the output, which is what makes the run reproducible.
-            results: List[R] = []
-            for future in futures:
-                results.extend(future.result())
-        return results
+        return self._fan_out(partial(_run_chunk, fn), points)
 
     def map_chunked(
         self, fn: Callable[[List[T]], List[R]], items: Iterable[T]
@@ -137,22 +188,29 @@ class SweepExecutor:
             return []
         if self.jobs == 1 or len(points) == 1:
             return fn(points)
+        return self._fan_out(fn, points)
 
-        chunks = _partition(points, self.jobs * self.chunks_per_worker)
-        ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(chunks)), mp_context=ctx
-        ) as pool:
-            futures = [pool.submit(fn, chunk) for chunk in chunks]
-            results: List[R] = []
-            for future, chunk in zip(futures, chunks):
+    def _fan_out(self, fn: Callable[[List[T]], List[R]],
+                 points: List[T]) -> List[R]:
+        """Run ``fn`` on contiguous chunks of ``points`` in the pool and
+        concatenate the chunk results in submission order."""
+        chunks = _partition(points, self.jobs)
+        pool, futures = _submit_all(self.jobs, fn, chunks)
+        # Collect in submission order: completion order is irrelevant
+        # to the output, which is what makes the run reproducible.
+        results: List[R] = []
+        for future, chunk in zip(futures, chunks):
+            try:
                 chunk_result = future.result()
-                if len(chunk_result) != len(chunk):
-                    raise RuntimeError(
-                        "chunk worker returned "
-                        f"{len(chunk_result)} results for {len(chunk)} points"
-                    )
-                results.extend(chunk_result)
+            except BrokenProcessPool:
+                _discard(pool)
+                raise
+            if len(chunk_result) != len(chunk):
+                raise RuntimeError(
+                    "chunk worker returned "
+                    f"{len(chunk_result)} results for {len(chunk)} points"
+                )
+            results.extend(chunk_result)
         return results
 
     # ------------------------------------------------------------------

@@ -1,12 +1,37 @@
 """Tests of the parallel sweep executor."""
 
+import multiprocessing
 import operator
+import os
+import sys
+import threading
+from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 
 import pytest
 
-from repro.runtime import SweepExecutor, resolve_jobs
+from repro.runtime import SweepExecutor, resolve_jobs, shutdown_pool
 from repro.runtime.executor import _partition
+
+
+def _child_pid(_item):
+    return os.getpid()
+
+
+def _chunk_pids(chunk):
+    return [os.getpid()] * len(chunk)
+
+
+def _cache_dir_seen(_item):
+    return os.getpid(), os.environ.get("REPRO_CACHE_DIR")
+
+
+def _die(_item):
+    os._exit(1)
+
+
+def _live_children():
+    return {p.pid for p in multiprocessing.active_children()}
 
 
 class TestResolveJobs:
@@ -69,10 +94,6 @@ class TestSweepExecutorSerial:
     def test_map_chunked_empty(self):
         assert SweepExecutor(jobs=1).map_chunked(list, []) == []
 
-    def test_rejects_bad_chunks_per_worker(self):
-        with pytest.raises(ValueError):
-            SweepExecutor(jobs=1, chunks_per_worker=0)
-
 
 class TestSweepExecutorParallel:
     """The pool path must reproduce the serial path exactly."""
@@ -88,8 +109,72 @@ class TestSweepExecutorParallel:
         fn = partial(operator.add, 1)
         assert SweepExecutor(jobs=8).map(fn, [1, 2]) == [2, 3]
 
-    def test_load_balanced_chunking_matches(self):
-        fn = partial(operator.mul, 2)
-        items = list(range(9))
-        balanced = SweepExecutor(jobs=2, chunks_per_worker=3).map(fn, items)
-        assert balanced == [2 * x for x in items]
+
+class TestSharedPool:
+    """One spawn pool per process, replaced only when it has to be."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_pool(self):
+        shutdown_pool()
+        yield
+        shutdown_pool()
+
+    def test_maps_reuse_the_pool(self):
+        first = set(SweepExecutor(jobs=2).map(_child_pid, range(8)))
+        children = _live_children()
+        second = set(SweepExecutor(jobs=2).map(_child_pid, range(8)))
+        chunked = set(SweepExecutor(jobs=2).map_chunked(_chunk_pids, range(8)))
+        assert os.getpid() not in first | second | chunked
+        assert first | second | chunked <= children
+        assert _live_children() == children
+
+    def test_changed_environment_gets_fresh_children(self, monkeypatch,
+                                                     tmp_path):
+        executor = SweepExecutor(jobs=2)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "a"))
+        before = executor.map(_cache_dir_seen, range(4))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "b"))
+        after = executor.map(_cache_dir_seen, range(4))
+        assert {seen for _, seen in before} == {str(tmp_path / "a")}
+        assert {seen for _, seen in after} == {str(tmp_path / "b")}
+        old = {pid for pid, _ in before}
+        assert not old & {pid for pid, _ in after}
+        assert not old & _live_children()
+
+    def test_broken_pool_is_discarded(self):
+        executor = SweepExecutor(jobs=2)
+        with pytest.raises(BrokenProcessPool):
+            executor.map(_die, range(2))
+        assert executor.map(partial(operator.add, 1), range(4)) == [1, 2, 3, 4]
+
+    def test_concurrent_maps_from_several_threads(self):
+        factors = (2, 3, 5, 7)
+        start = threading.Barrier(len(factors), timeout=30)
+        results = {}
+
+        def run(factor):
+            start.wait()
+            results[factor] = SweepExecutor(jobs=2).map(
+                partial(operator.mul, factor), range(25)
+            )
+
+        threads = [threading.Thread(target=run, args=(f,)) for f in factors]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {f: [f * x for x in range(25)] for f in factors}
+        # Two racing creations would leave an orphaned pool running.
+        assert len(_live_children()) <= 2
+
+    def test_shutdown_leaves_no_children(self):
+        SweepExecutor(jobs=2).map(_child_pid, range(4))
+        assert _live_children()
+        shutdown_pool()
+        assert multiprocessing.active_children() == []

@@ -1,8 +1,15 @@
 """Tests of the command-line interface (fast paths only)."""
 
+import threading
+import time
+from functools import partial
+
 import pytest
 
-from repro.cli import build_parser, main
+import repro.cli
+from repro.cli import _build_sim, build_parser, main
+from repro.core import train_benchmark_ann
+from repro.errors import ConfigurationError
 
 
 class TestParser:
@@ -111,6 +118,31 @@ class TestParser:
         assert defaults.max_retries == 3 and defaults.min_workers == 1
         assert defaults.vdd is None and defaults.stats is False
 
+    @pytest.mark.parametrize("flag", ["--samples", "--trials", "--shards",
+                                      "--max-shard-samples",
+                                      "--block-samples"])
+    @pytest.mark.parametrize("value", ["0", "-3", "many"])
+    def test_sizes_must_be_positive(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["hybrid", flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected a positive integer" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("flag", ["--shards", "--max-shard-samples"])
+    def test_bad_shard_size_fails_on_a_warm_cache(self, flag, tmp_cache,
+                                                  capsys):
+        # A cached table would be served without consulting the shard
+        # plan, so the flag itself must refuse the value.
+        base = ["characterize", "--samples", "2000"]
+        assert main(base) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(base + [flag, "0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_endpoint_parsing(self):
         from repro.cli import _parse_endpoint
         from repro.errors import ConfigurationError
@@ -185,3 +217,84 @@ class TestCacheCommand:
         assert main(["cache", "clear"]) == 0
         assert main(["cache", "stats"]) == 0
         assert "entries   : 0" in capsys.readouterr().out
+
+
+class TestBuildSimOverlap:
+    """The cell tables are built while the ANN trains."""
+
+    ARGS = ["hybrid", "--samples", "64", "--trials", "1"]
+
+    @pytest.fixture(autouse=True)
+    def _fake_simulator(self, monkeypatch):
+        monkeypatch.setattr(
+            repro.cli, "CircuitToSystemSimulator",
+            lambda model, tables, n_trials, jobs: (model, tables),
+        )
+
+    def test_tables_build_while_training(self, monkeypatch):
+        meet = threading.Barrier(2, timeout=5)
+
+        def train(**kwargs):
+            meet.wait()
+            return "model"
+
+        def build(**kwargs):
+            meet.wait()
+            return "tables"
+
+        monkeypatch.setattr(repro.cli, "train_benchmark_ann", train)
+        monkeypatch.setattr(repro.cli.CellTables, "build", build)
+        args = build_parser().parse_args(self.ARGS)
+        assert _build_sim(args) == ("model", "tables")
+
+    def test_training_error_waits_for_tables(self, monkeypatch):
+        training = threading.Event()
+        tables_done = threading.Event()
+
+        def train(**kwargs):
+            training.set()
+            raise RuntimeError("training failed")
+
+        def build(**kwargs):
+            training.wait(5)
+            time.sleep(0.2)
+            tables_done.set()
+            return "tables"
+
+        monkeypatch.setattr(repro.cli, "train_benchmark_ann", train)
+        monkeypatch.setattr(repro.cli.CellTables, "build", build)
+        args = build_parser().parse_args(self.ARGS)
+        with pytest.raises(RuntimeError, match="training failed"):
+            _build_sim(args)
+        assert tables_done.is_set()
+
+    def test_tables_error_propagates(self, monkeypatch):
+        def build(**kwargs):
+            raise ConfigurationError("bad shard plan")
+
+        monkeypatch.setattr(repro.cli, "train_benchmark_ann",
+                            lambda **kwargs: "model")
+        monkeypatch.setattr(repro.cli.CellTables, "build", build)
+        args = build_parser().parse_args(self.ARGS)
+        with pytest.raises(ConfigurationError, match="bad shard plan"):
+            _build_sim(args)
+
+
+class TestHybridCommand:
+    def test_cold_output_is_independent_of_jobs(self, tmp_path, monkeypatch,
+                                                 capsys):
+        """Cold tables, training and study print the same bytes at any
+        --jobs.  A small training set keeps the two cold runs quick."""
+        monkeypatch.setattr(
+            repro.cli, "train_benchmark_ann",
+            partial(train_benchmark_ann, n_train=600, n_val=100,
+                    n_test=300, epochs=2),
+        )
+        outputs = []
+        for jobs in ("1", "2"):
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / jobs))
+            assert main(["hybrid", "--vdd", "0.7", "--samples", "2000",
+                         "--trials", "1", "--jobs", jobs]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "(4,4)" in outputs[0]
