@@ -56,8 +56,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--profile", default=None,
                         help="ANN profile: fast (default) or paper")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes for sweeps (0 = all cores; "
-                             "default: REPRO_JOBS env var, else serial)")
+                        help="worker processes for the Monte-Carlo and "
+                             "sensitivity sweeps (0 = all cores; default: "
+                             "REPRO_JOBS env var, else serial); the accuracy "
+                             "studies always evaluate in-process")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the on-disk result cache (recompute and "
                              "do not store)")
@@ -158,7 +160,7 @@ def _build_sim(args) -> CircuitToSystemSimulator:
         model = train_benchmark_ann(profile=args.profile,
                                     use_cache=not args.no_cache)
     return CircuitToSystemSimulator(model, tables=tables.result(),
-                                    n_trials=args.trials, jobs=args.jobs)
+                                    n_trials=args.trials)
 
 
 def cmd_characterize(args) -> int:

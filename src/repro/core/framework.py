@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -34,7 +33,6 @@ from repro.fault.evaluate import (
     FaultEvaluation,
     FaultTrialSpec,
     evaluate_many_under_faults,
-    evaluate_under_faults,
 )
 from repro.mem.accounting import (
     BASELINE_VDD_6T,
@@ -211,11 +209,14 @@ class CircuitToSystemSimulator:
 
     Determinism contract: every study built on this simulator is a pure
     function of the model, the characterization tables and the seeds.
-    The execution knobs (``jobs`` worker fan-out, ``shards`` /
-    ``max_shard_samples`` Monte-Carlo sharding when the simulator builds
-    its own tables, the shared result cache) change wall-clock and
+    The execution knobs used when the simulator builds its own tables
+    (``jobs`` worker fan-out, ``shards`` / ``max_shard_samples``
+    Monte-Carlo sharding, the shared result cache) change wall-clock and
     memory, never a published number.  Accuracies are fractions in
     [0, 1]; powers W; areas m^2; voltages V.
+
+    The clean-image baseline accuracy depends only on the model, so the
+    simulator computes it on its first evaluation and reuses it.
     """
 
     def __init__(
@@ -240,41 +241,7 @@ class CircuitToSystemSimulator:
         self.n_trials = n_trials
         self.include_write_failures = include_write_failures
         self.include_read_disturb = include_read_disturb
-        #: Default worker count for the studies built on this simulator
-        #: (``None`` = honour ``REPRO_JOBS``, else serial); individual
-        #: sweeps may override it with their own ``jobs`` argument.
-        self.jobs = jobs
-
-    def sweep_jobs(self, jobs: Optional[int] = None) -> Optional[int]:
-        """Resolve a per-sweep ``jobs`` override against the simulator
-        default."""
-        return jobs if jobs is not None else self.jobs
-
-    def worker_clone(self) -> "CircuitToSystemSimulator":
-        """A copy that is cheap to ship to sweep workers.
-
-        Evaluation only ever reads the *test* split, but the training
-        and validation arrays dominate the simulator's pickled size
-        (~5x); the clone replaces them with empty arrays so process
-        fan-out doesn't serialize megabytes of unused data.  Results
-        are unaffected.
-        """
-        ds = self.model.dataset
-        pruned_dataset = dataclasses.replace(
-            ds,
-            x_train=ds.x_train[:0], y_train=ds.y_train[:0],
-            x_val=ds.x_val[:0], y_val=ds.y_val[:0],
-        )
-        pruned_model = dataclasses.replace(self.model, dataset=pruned_dataset)
-        clone = CircuitToSystemSimulator(
-            pruned_model,
-            tables=self.tables,
-            n_trials=self.n_trials,
-            include_write_failures=self.include_write_failures,
-            include_read_disturb=self.include_read_disturb,
-        )
-        clone.jobs = self.jobs
-        return clone
+        self._baseline_accuracy: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Architecture construction bound to this model's bank sizes
@@ -386,19 +353,7 @@ class CircuitToSystemSimulator:
         seed: SeedLike = None,
     ) -> FaultEvaluation:
         """Classification accuracy with this memory's fault statistics."""
-        injector = memory.fault_injector(
-            include_write_failures=self.include_write_failures,
-            include_read_disturb=self.include_read_disturb,
-        )
-        return evaluate_under_faults(
-            self.model.network,
-            self.model.image,
-            injector,
-            self.model.dataset.x_test,
-            self.model.dataset.y_test,
-            n_trials=n_trials or self.n_trials,
-            seed=seed,
-        )
+        return self.evaluate_batch([(memory, n_trials, seed)])[0]
 
     def evaluate_batch(
         self,
@@ -411,9 +366,10 @@ class CircuitToSystemSimulator:
         (``n_trials=None`` takes the simulator default).  Element ``i``
         of the result equals ``self.evaluate(*items[i])`` bit-for-bit —
         each request's flip masks derive from its own seed — but the
-        batch pays the parameter snapshot, the clean-image load and the
-        baseline forward pass once instead of ``len(items)`` times.
-        This is the flush path of the batch-serving front-end
+        batch pays the parameter snapshot once instead of ``len(items)``
+        times, and the clean baseline pass only on the simulator's first
+        evaluation.  This is the path of the Fig. 7 / Fig. 8 studies and
+        the flush path of the batch-serving front-end
         (:mod:`repro.serving`).
 
         ``injectors`` optionally supplies one prebuilt
@@ -437,17 +393,21 @@ class CircuitToSystemSimulator:
             specs.append(
                 FaultTrialSpec(
                     injector=injector,
-                    n_trials=n_trials or self.n_trials,
+                    n_trials=self.n_trials if n_trials is None else n_trials,
                     seed=seed,
                 )
             )
-        return evaluate_many_under_faults(
+        results = evaluate_many_under_faults(
             self.model.network,
             self.model.image,
             specs,
             self.model.dataset.x_test,
             self.model.dataset.y_test,
+            baseline=self._baseline_accuracy,
         )
+        if results:
+            self._baseline_accuracy = results[0].baseline_accuracy
+        return results
 
     def compare(
         self,

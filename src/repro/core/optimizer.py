@@ -90,6 +90,8 @@ def allocate_msbs(
         )
     if start_msb < 0:
         raise ConfigurationError(f"start_msb must be >= 0, got {start_msb}")
+    if n_trials <= 0:
+        raise ConfigurationError(f"n_trials must be positive, got {n_trials}")
 
     counts = sim.model.layer_synapse_counts
     n_layers = len(counts)

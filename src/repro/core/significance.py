@@ -10,19 +10,22 @@ CircuitToSystemSimulator`:
   a range of protected-MSB counts at scaled voltages: accuracy
   (Fig. 8(a)), power reduction vs the iso-stability 6T baseline
   (Fig. 8(b)) and area overhead (Fig. 8(c)).
+
+Each study evaluates all its memories in one
+:meth:`~repro.core.framework.CircuitToSystemSimulator.evaluate_batch`
+call, in-process: a point's flip masks derive from its own seed, so the
+batch equals evaluating the points one by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.core.framework import CircuitToSystemSimulator
 from repro.fault.evaluate import FaultEvaluation
 from repro.mem.accounting import ComparisonReport
 from repro.rng import SeedLike, derive_seed, resolve_seed
-from repro.runtime import SweepExecutor
 
 
 @dataclass(frozen=True)
@@ -50,44 +53,33 @@ class VoltagePointResult:
         return self.comparison_vs_nominal.leakage_power_reduction_pct
 
 
-def _scaling_point(
-    sim: CircuitToSystemSimulator,
-    base_seed: int,
-    nominal_vdd: float,
-    item: Tuple[int, float],
-) -> VoltagePointResult:
-    """Worker entry point: one voltage point of the Fig. 7 study."""
-    i, vdd = item
-    memory = sim.base_memory(vdd)
-    evaluation = sim.evaluate(memory, seed=derive_seed(base_seed, i))
-    comparison = sim.compare(memory, baseline=sim.base_memory(nominal_vdd))
-    return VoltagePointResult(
-        vdd=float(vdd),
-        evaluation=evaluation,
-        comparison_vs_nominal=comparison,
-    )
-
-
 def voltage_scaling_study(
     sim: CircuitToSystemSimulator,
     vdds: Sequence[float] = (0.95, 0.90, 0.85, 0.80, 0.75, 0.70, 0.65),
     seed: SeedLike = None,
-    jobs: Optional[int] = None,
 ) -> List[VoltagePointResult]:
     """Sweep the all-6T synaptic memory across supply voltages.
 
     Returns one :class:`VoltagePointResult` per voltage (descending or in
     the order given).  Savings are measured against the same memory at
-    the nominal voltage, which is how Fig. 7(b) is normalized.  Points
-    are independent, seeded by their index, and fan out across a worker
-    pool (``jobs``, defaulting to the simulator's) with bit-identical
-    results for any worker count.
+    the nominal voltage, which is how Fig. 7(b) is normalized.  Point
+    ``i`` is seeded by ``derive_seed(seed, i)``.
     """
-    nominal_vdd = float(sim.tables.table_6t.points[-1].vdd)
-    worker = partial(
-        _scaling_point, sim.worker_clone(), resolve_seed(seed), nominal_vdd
-    )
-    return SweepExecutor(sim.sweep_jobs(jobs)).map(worker, enumerate(vdds))
+    base_seed = resolve_seed(seed)
+    nominal = sim.base_memory(float(sim.tables.table_6t.points[-1].vdd))
+    memories = [sim.base_memory(vdd) for vdd in vdds]
+    evaluations = sim.evaluate_batch([
+        (memory, None, derive_seed(base_seed, i))
+        for i, memory in enumerate(memories)
+    ])
+    return [
+        VoltagePointResult(
+            vdd=float(vdd),
+            evaluation=evaluation,
+            comparison_vs_nominal=sim.compare(memory, baseline=nominal),
+        )
+        for vdd, memory, evaluation in zip(vdds, memories, evaluations)
+    ]
 
 
 @dataclass(frozen=True)
@@ -122,42 +114,36 @@ class HybridConfigResult:
         return self.comparison_vs_baseline.area_overhead_pct
 
 
-def _hybrid_point(
-    sim: CircuitToSystemSimulator,
-    base_seed: int,
-    item: Tuple[int, float, int],
-) -> HybridConfigResult:
-    """Worker entry point: one (vdd, msb) point of the Fig. 8 study."""
-    vi, vdd, n = item
-    memory = sim.config1_memory(vdd, msb_in_8t=n)
-    evaluation = sim.evaluate(memory, seed=derive_seed(base_seed, vi, n))
-    comparison = sim.compare(memory, baseline=sim.baseline_memory())
-    return HybridConfigResult(
-        vdd=float(vdd),
-        msb_in_8t=int(n),
-        evaluation=evaluation,
-        comparison_vs_baseline=comparison,
-    )
-
-
 def hybrid_configuration_study(
     sim: CircuitToSystemSimulator,
     vdds: Sequence[float] = (0.65, 0.70),
     msb_counts: Sequence[int] = (1, 2, 3, 4),
     seed: SeedLike = None,
-    jobs: Optional[int] = None,
 ) -> List[HybridConfigResult]:
     """Sweep Config-1 hybrid words across protected-MSB counts.
 
     The power/area comparison uses the paper's iso-stability baseline
     (all-6T at 0.75 V).  Returns a flat list ordered voltage-major.
-    Each (vdd, msb) point carries its own derived seed, so the sweep
-    fans out across a worker pool with bit-identical results.
+    The point of voltage index ``vi`` and MSB count ``n`` is seeded by
+    ``derive_seed(seed, vi, n)``.
     """
-    items = [
-        (vi, float(vdd), int(n))
+    base_seed = resolve_seed(seed)
+    points = [
+        (float(vdd), int(n), sim.config1_memory(float(vdd), msb_in_8t=int(n)),
+         derive_seed(base_seed, vi, n))
         for vi, vdd in enumerate(vdds)
         for n in msb_counts
     ]
-    worker = partial(_hybrid_point, sim.worker_clone(), resolve_seed(seed))
-    return SweepExecutor(sim.sweep_jobs(jobs)).map(worker, items)
+    evaluations = sim.evaluate_batch([
+        (memory, None, point_seed) for _, _, memory, point_seed in points
+    ])
+    baseline = sim.baseline_memory()
+    return [
+        HybridConfigResult(
+            vdd=vdd,
+            msb_in_8t=n,
+            evaluation=evaluation,
+            comparison_vs_baseline=sim.compare(memory, baseline=baseline),
+        )
+        for (vdd, n, memory, _), evaluation in zip(points, evaluations)
+    ]

@@ -141,6 +141,7 @@ def evaluate_many_under_faults(
     specs: Sequence[FaultTrialSpec],
     x_eval: np.ndarray,
     y_eval: np.ndarray,
+    baseline: Optional[float] = None,
 ) -> List[FaultEvaluation]:
     """Batched persistent-mode evaluation sharing the clean pass.
 
@@ -153,6 +154,11 @@ def evaluate_many_under_faults(
     requests: one parameter snapshot/restore cycle, one application of
     the clean image and one clean forward pass over the evaluation set
     serve every spec, instead of being repeated per request.
+
+    ``baseline`` is the clean-image accuracy of ``image`` on the
+    evaluation set when the caller already has it (from an earlier call
+    on the same network, image and set); the clean pass is then
+    skipped.
 
     This is the vectorized fault-injection pass behind
     :meth:`repro.core.framework.CircuitToSystemSimulator.evaluate_batch`
@@ -167,8 +173,9 @@ def evaluate_many_under_faults(
     results: List[FaultEvaluation] = []
     snapshot = network.snapshot()
     try:
-        image.apply_to(network)
-        baseline = accuracy(network.predict(x_eval), y_eval)
+        if baseline is None:
+            image.apply_to(network)
+            baseline = accuracy(network.predict(x_eval), y_eval)
 
         for spec in specs:
             if spec.injector is None:

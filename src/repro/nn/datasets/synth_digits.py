@@ -9,6 +9,11 @@ segments in a unit box).  A sample is produced by
    translation) via ``scipy.ndimage.affine_transform``,
 4. adding slight blur and pixel noise.
 
+:func:`render_digit` runs those steps for one image.
+:func:`generate_digit_images` draws the same random numbers in the same
+order and warps image by image, but blurs and adds noise to a batch of
+images at once; both give the same bytes.
+
 The glyphs occupy the central region of the canvas with an empty border,
 mirroring MNIST's centred digits — the property the paper's Sec. VI-C
 uses to argue that input-layer synapses are comparatively resilient
@@ -21,7 +26,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from repro.errors import DatasetError
 from repro.rng import SeedLike, ensure_rng
@@ -133,6 +137,12 @@ def glyph_distance_field(
 
 _FIELD_CACHE: Dict[Tuple[int, SyntheticDigitConfig], np.ndarray] = {}
 
+#: Images blurred per ``gaussian_filter`` call.  Each image's noise is
+#: drawn between warps but added after the blur, so it waits in a buffer
+#: of this many images (2 MB at 28x28) rather than one the size of the
+#: whole split.
+_BLUR_BATCH = 256
+
 
 def _cached_field(digit: int, config: SyntheticDigitConfig) -> np.ndarray:
     key = (digit, config)
@@ -159,12 +169,13 @@ def _random_affine(rng: np.random.Generator, config: SyntheticDigitConfig):
     return matrix, offset
 
 
-def render_digit(
-    digit: int,
-    rng: np.random.Generator,
-    config: SyntheticDigitConfig = SyntheticDigitConfig(),
+def _warped_ink(
+    digit: int, rng: np.random.Generator, config: SyntheticDigitConfig
 ) -> np.ndarray:
-    """One augmented sample of ``digit`` as a (size, size) float image."""
+    """Steps 1-3 of one sample: draws the stroke width, then the 6
+    affine uniforms, from ``rng``."""
+    from scipy import ndimage
+
     field = _cached_field(digit, config)
     width = config.stroke_width + rng.uniform(
         -config.stroke_width_jitter, config.stroke_width_jitter
@@ -172,9 +183,20 @@ def render_digit(
     ink = np.clip((width + config.edge_softness - field) / config.edge_softness,
                   0.0, 1.0)
     matrix, offset = _random_affine(rng, config)
-    warped = ndimage.affine_transform(
+    return ndimage.affine_transform(
         ink, matrix, offset=offset, order=1, mode="constant", cval=0.0
     )
+
+
+def render_digit(
+    digit: int,
+    rng: np.random.Generator,
+    config: SyntheticDigitConfig = SyntheticDigitConfig(),
+) -> np.ndarray:
+    """One augmented sample of ``digit`` as a (size, size) float image."""
+    from scipy import ndimage
+
+    warped = _warped_ink(digit, rng, config)
     if config.blur_sigma > 0:
         warped = ndimage.gaussian_filter(warped, config.blur_sigma)
     if config.noise_sigma > 0:
@@ -191,15 +213,33 @@ def generate_digit_images(
 
     ``images`` has shape ``(n_samples, size*size)`` (flattened, float in
     [0, 1]); ``labels`` are int digits.  Classes are interleaved and then
-    shuffled so any prefix of the dataset is still balanced.
+    shuffled so any prefix of the dataset is still balanced.  Image
+    ``i`` equals the ``i``-th :func:`render_digit` call on the same
+    generator, bit for bit.
     """
+    from scipy import ndimage
+
     if n_samples <= 0:
         raise DatasetError(f"n_samples must be positive, got {n_samples}")
     rng = ensure_rng(seed)
     labels = np.arange(n_samples) % 10
     rng.shuffle(labels)
     size = config.image_size
-    images = np.empty((n_samples, size * size), dtype=np.float64)
-    for i, digit in enumerate(labels):
-        images[i] = render_digit(int(digit), rng, config).ravel()
-    return images, labels.astype(int)
+    images = np.empty((n_samples, size, size), dtype=np.float64)
+    noise = np.empty((min(n_samples, _BLUR_BATCH), size, size))
+    for lo in range(0, n_samples, _BLUR_BATCH):
+        batch = images[lo:lo + _BLUR_BATCH]
+        for i, digit in enumerate(labels[lo:lo + _BLUR_BATCH]):
+            batch[i] = _warped_ink(int(digit), rng, config)
+            if config.noise_sigma > 0:
+                noise[i] = rng.normal(0.0, config.noise_sigma, (size, size))
+        if config.blur_sigma > 0:
+            # In place, along the image axes only: per image, this is the
+            # 2-D filter render_digit applies.
+            ndimage.gaussian_filter(
+                batch, (0, config.blur_sigma, config.blur_sigma), output=batch
+            )
+        if config.noise_sigma > 0:
+            batch += noise[:len(batch)]
+    np.clip(images, 0.0, 1.0, out=images)
+    return images.reshape(n_samples, size * size), labels.astype(int)

@@ -40,7 +40,6 @@ if TYPE_CHECKING:  # runtime import lives in analyze_sharded (avoids a cycle)
     from repro.distributed.dispatcher import ShardDispatcher
 
 import numpy as np
-from scipy.special import ndtr
 
 from repro.errors import ConfigurationError
 from repro.rng import SeedLike, derive_seed, resolve_seed
@@ -267,6 +266,9 @@ def _tail_probability(tally: MechanismTally, n_samples: int) -> float:
     if sigma == 0.0:
         tail = 0.0 if mu > 0 else 1.0
     else:
+        # Imported here: only a Monte-Carlo miss needs scipy.
+        from scipy.special import ndtr
+
         tail = float(ndtr(-mu / sigma))
     return min(1.0, tail * finite / n + float(inf_fail) / n)
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import (
     CircuitToSystemSimulator,
+    allocate_msbs,
     fast_ann_spec,
     paper_ann_spec,
     resolve_profile,
@@ -11,6 +12,7 @@ from repro.core import (
 )
 from repro.errors import ConfigurationError
 from repro.mem.accounting import BASELINE_VDD_6T
+from repro.nn.network import FeedforwardANN
 
 
 class TestSpecs:
@@ -92,10 +94,8 @@ class TestTrainedModel:
         assert warm.quantized_accuracy == cold.quantized_accuracy
         assert len(warm.dataset.y_train) == len(warm.dataset.y_val) == 0
         assert warm.dataset.n_classes == 10
-        clone = CircuitToSystemSimulator(warm, tables=tables).worker_clone()
-        assert clone.model.dataset.x_test.tobytes() == cold.dataset.x_test.tobytes()
-        assert clone.fingerprint() == CircuitToSystemSimulator(
-            cold, tables=tables).fingerprint()
+        assert CircuitToSystemSimulator(warm, tables=tables).fingerprint() == (
+            CircuitToSystemSimulator(cold, tables=tables).fingerprint())
 
 
 class TestSimulator:
@@ -120,3 +120,44 @@ class TestSimulator:
     def test_compare_defaults_to_iso_stability_baseline(self, sim):
         report = sim.compare(sim.config1_memory(0.65, 3))
         assert report.baseline_vdd == BASELINE_VDD_6T
+
+    def test_zero_trials_rejected(self, sim):
+        """An explicit ``n_trials=0`` is an error, not the default."""
+        with pytest.raises(ConfigurationError):
+            sim.evaluate(sim.base_memory(0.70), n_trials=0)
+        with pytest.raises(ConfigurationError):
+            sim.evaluate_batch([(sim.base_memory(0.70), 0, 1)])
+
+
+class TestBaselineMemo:
+    """The clean-image baseline is computed once per simulator."""
+
+    @pytest.fixture
+    def predict_calls(self, monkeypatch):
+        calls = []
+        original = FeedforwardANN.predict
+
+        def counting(network, x):
+            calls.append(len(x))
+            return original(network, x)
+
+        monkeypatch.setattr(FeedforwardANN, "predict", counting)
+        return calls
+
+    def test_allocate_pays_one_clean_pass(self, model, tables, predict_calls):
+        fresh = CircuitToSystemSimulator(model, tables=tables, n_trials=3)
+        result = allocate_msbs(fresh, vdd=0.65, max_accuracy_drop=0.01,
+                               start_msb=3, n_trials=2, seed=22)
+        assert result.evaluations_run > 1
+        assert len(predict_calls) == 1 + 2 * result.evaluations_run
+        before = len(predict_calls)
+        fresh.evaluate(fresh.base_memory(0.70), seed=3)
+        assert len(predict_calls) - before == fresh.n_trials
+
+    def test_memoized_baseline_changes_no_number(self, model, tables):
+        warm = CircuitToSystemSimulator(model, tables=tables, n_trials=2)
+        warm.evaluate(warm.base_memory(0.95), seed=1)
+        memory = warm.config1_memory(0.65, 2)
+        cold = CircuitToSystemSimulator(model, tables=tables, n_trials=2)
+        assert (warm.evaluate(memory, seed=4).to_dict()
+                == cold.evaluate(memory, seed=4).to_dict())

@@ -80,3 +80,8 @@ class TestAllocator:
             allocate_msbs(sim, max_accuracy_drop=1.5)
         with pytest.raises(ConfigurationError):
             allocate_msbs(sim, start_msb=-1)
+
+    def test_zero_trials_rejected(self, sim):
+        """An explicit ``n_trials=0`` is an error, not the default."""
+        with pytest.raises(ConfigurationError, match="n_trials"):
+            allocate_msbs(sim, vdd=0.65, n_trials=0)

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core import hybrid_configuration_study, voltage_scaling_study
+from repro.fault.evaluate import evaluate_under_faults
+from repro.rng import derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -71,3 +73,56 @@ class TestHybridFig8:
     def test_labels_use_paper_notation(self, fig8):
         assert fig8[0].label == "(1,7)"
         assert fig8[-1].label == "(4,4)"
+
+
+def _per_point_reference(sim, memory, seed):
+    """The studies' former path: one ``evaluate_under_faults`` call per
+    point, with its own clean pass."""
+    injector = memory.fault_injector(
+        include_write_failures=sim.include_write_failures,
+        include_read_disturb=sim.include_read_disturb,
+    )
+    return evaluate_under_faults(
+        sim.model.network, sim.model.image, injector,
+        sim.model.dataset.x_test, sim.model.dataset.y_test,
+        n_trials=sim.n_trials, seed=seed,
+    ).to_dict()
+
+
+class TestStudiesMatchPerPointEvaluation:
+    """Evaluating a study's points in one batch changes no number."""
+
+    def test_scaling_points(self, sim, fig7):
+        nominal = sim.base_memory(float(sim.tables.table_6t.points[-1].vdd))
+        for i, point in enumerate(fig7):
+            memory = sim.base_memory(point.vdd)
+            assert point.evaluation.to_dict() == _per_point_reference(
+                sim, memory, derive_seed(11, i)
+            )
+            assert point.comparison_vs_nominal == sim.compare(
+                memory, baseline=nominal
+            )
+
+    def test_hybrid_points(self, sim, fig8):
+        assert [(r.vdd, r.msb_in_8t) for r in fig8] == [
+            (0.65, n) for n in (1, 2, 3, 4)
+        ]
+        for r in fig8:
+            memory = sim.config1_memory(r.vdd, msb_in_8t=r.msb_in_8t)
+            assert r.evaluation.to_dict() == _per_point_reference(
+                sim, memory, derive_seed(12, 0, r.msb_in_8t)
+            )
+            assert r.comparison_vs_baseline == sim.compare(memory)
+
+    def test_two_voltage_hybrid_uses_voltage_index_seeds(self, sim):
+        results = hybrid_configuration_study(
+            sim, vdds=(0.70, 0.65), msb_counts=(2, 3), seed=5
+        )
+        assert [(r.vdd, r.msb_in_8t) for r in results] == [
+            (0.70, 2), (0.70, 3), (0.65, 2), (0.65, 3)
+        ]
+        for r, vi in zip(results, (0, 0, 1, 1)):
+            memory = sim.config1_memory(r.vdd, msb_in_8t=r.msb_in_8t)
+            assert r.evaluation.to_dict() == _per_point_reference(
+                sim, memory, derive_seed(5, vi, r.msb_in_8t)
+            )

@@ -78,6 +78,29 @@ class TestGenerate:
         with pytest.raises(DatasetError):
             generate_digit_images(0)
 
+    @pytest.mark.parametrize("config", [
+        SyntheticDigitConfig(),
+        SyntheticDigitConfig(blur_sigma=0.0),
+        SyntheticDigitConfig(noise_sigma=0.0),
+        SyntheticDigitConfig(blur_sigma=0.0, noise_sigma=0.0),
+        SyntheticDigitConfig(blur_sigma=1.2, image_size=20, glyph_margin=3),
+    ], ids=["default", "no-blur", "no-noise", "plain", "wide-blur-20px"])
+    @pytest.mark.parametrize("n, seed", [(1, 0), (37, 5), (300, 11)])
+    def test_stack_equals_per_image_render(self, config, n, seed):
+        """The batched blur/noise/clip gives the bytes of rendering the
+        images one by one from the same generator (n=300 spans two blur
+        batches)."""
+        x, y = generate_digit_images(n, seed=seed, config=config)
+        rng = ensure_rng(seed)
+        labels = np.arange(n) % 10
+        rng.shuffle(labels)
+        reference = np.stack(
+            [render_digit(int(d), rng, config).ravel() for d in labels]
+        )
+        assert y.tobytes() == labels.astype(int).tobytes()
+        assert x.shape == reference.shape
+        assert x.tobytes() == reference.tobytes()
+
     def test_config_validation(self):
         with pytest.raises(DatasetError):
             SyntheticDigitConfig(image_size=4)

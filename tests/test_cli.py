@@ -228,7 +228,7 @@ class TestBuildSimOverlap:
     def _fake_simulator(self, monkeypatch):
         monkeypatch.setattr(
             repro.cli, "CircuitToSystemSimulator",
-            lambda model, tables, n_trials, jobs: (model, tables),
+            lambda model, tables, n_trials: (model, tables),
         )
 
     def test_tables_build_while_training(self, monkeypatch):
