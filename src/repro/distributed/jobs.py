@@ -522,8 +522,7 @@ def benchmark_model_spec(
     the trained weights; every worker building this spec gets a
     bit-identical model (training is seeded).  A worker process builds
     it once (see :func:`model_from_spec`), and with warm weights that
-    build loads the on-disk weight cache and generates only the test
-    split.
+    build loads the on-disk weights and test split.
     """
     spec = {
         "profile": profile,
@@ -609,6 +608,7 @@ def _run_fault_block(job: ShardJob) -> List[Dict[str, Any]]:
         trial_specs,
         model.dataset.x_test,
         model.dataset.y_test,
+        baseline=model.quantized_accuracy,
     )
     return [evaluation.to_dict() for evaluation in evaluations]
 

@@ -3,7 +3,9 @@
 ``evaluate_under_faults`` is the system-level measurement loop of the
 paper's simulator: for each trial, sample a faulty die (bit-flip masks),
 load the corrupted weights into the network, measure classification
-accuracy on the evaluation set, and restore the clean parameters.
+accuracy on the evaluation set, and restore the clean parameters.  A
+sampled die with no flipped bit holds the clean image's codes, so its
+accuracy is the baseline and its forward pass is skipped.
 """
 
 from __future__ import annotations
@@ -156,9 +158,9 @@ def evaluate_many_under_faults(
     serve every spec, instead of being repeated per request.
 
     ``baseline`` is the clean-image accuracy of ``image`` on the
-    evaluation set when the caller already has it (from an earlier call
-    on the same network, image and set); the clean pass is then
-    skipped.
+    evaluation set when the caller already has it (the model's
+    ``quantized_accuracy``, or an earlier call on the same network,
+    image and set); the clean pass is then skipped.
 
     This is the vectorized fault-injection pass behind
     :meth:`repro.core.framework.CircuitToSystemSimulator.evaluate_batch`
@@ -188,7 +190,10 @@ def evaluate_many_under_faults(
                 )
                 continue
             trials: Tuple[float, ...] = tuple(
-                accuracy(_predict_faulty(network, image, spec, trial, x_eval), y_eval)
+                _persistent_trial(
+                    network, image, spec.injector,
+                    derive_seed(spec.seed, trial), x_eval, y_eval, baseline,
+                )
                 for trial in range(spec.n_trials)
             )
             results.append(
@@ -203,18 +208,30 @@ def evaluate_many_under_faults(
         network.restore(snapshot)
 
 
-def _predict_faulty(
+def _persistent_trial(
     network: FeedforwardANN,
     image: QuantizedWeights,
-    spec: FaultTrialSpec,
-    trial: int,
+    injector: WeightFaultInjector,
+    seed: int,
     x_eval: np.ndarray,
-) -> np.ndarray:
-    """One persistent-mode trial: sample a die, load it, classify."""
-    assert spec.injector is not None
-    faulty = spec.injector.inject(image, seed=derive_seed(spec.seed, trial))
+    y_eval: np.ndarray,
+    baseline: float,
+) -> float:
+    """One persistent-mode trial: sample a die, load it, classify.
+
+    A die with no flipped bit has the clean codes, hence the clean
+    weights and predictions: its accuracy is ``baseline`` and it is
+    neither loaded nor classified.
+    """
+    faulty = injector.inject(image, seed=seed)
+    if all(
+        np.array_equal(a, b)
+        for a, b in zip((*faulty.weight_codes, *faulty.bias_codes),
+                        (*image.weight_codes, *image.bias_codes))
+    ):
+        return baseline
     faulty.apply_to(network)
-    return network.predict(x_eval)
+    return accuracy(network.predict(x_eval), y_eval)
 
 
 def evaluate_under_faults(
@@ -270,9 +287,10 @@ def evaluate_under_faults(
         trials: List[float] = []
         for trial in range(n_trials):
             if mode == "persistent":
-                faulty = injector.inject(image, seed=derive_seed(seed, trial))
-                faulty.apply_to(network)
-                trials.append(accuracy(network.predict(x_eval), y_eval))
+                trials.append(_persistent_trial(
+                    network, image, injector, derive_seed(seed, trial),
+                    x_eval, y_eval, baseline,
+                ))
             else:
                 correct = 0
                 for bi, lo in enumerate(range(0, len(y_eval), batch_size)):

@@ -31,6 +31,15 @@ class DigitDataset:
     x_test: np.ndarray
     y_test: np.ndarray
 
+    @classmethod
+    def test_only(cls, x_test: np.ndarray, y_test: np.ndarray) -> "DigitDataset":
+        """A dataset holding only a test split (train and val empty)."""
+        return cls(
+            x_train=x_test[:0], y_train=y_test[:0],
+            x_val=x_test[:0], y_val=y_test[:0],
+            x_test=x_test, y_test=y_test,
+        )
+
     def _nonempty_split(self) -> Tuple[np.ndarray, np.ndarray]:
         for x, y in ((self.x_train, self.y_train), (self.x_val, self.y_val),
                      (self.x_test, self.y_test)):
@@ -97,8 +106,4 @@ def load_test_split(
     x_test, y_test = generate_digit_images(
         n_test, seed=derive_seed(seed, _TEST_STREAM), config=config
     )
-    return DigitDataset(
-        x_train=x_test[:0], y_train=y_test[:0],
-        x_val=x_test[:0], y_val=y_test[:0],
-        x_test=x_test, y_test=y_test,
-    )
+    return DigitDataset.test_only(x_test, y_test)

@@ -140,8 +140,14 @@ _FIELD_CACHE: Dict[Tuple[int, SyntheticDigitConfig], np.ndarray] = {}
 #: Images blurred per ``gaussian_filter`` call.  Each image's noise is
 #: drawn between warps but added after the blur, so it waits in a buffer
 #: of this many images (2 MB at 28x28) rather than one the size of the
-#: whole split.
+#: whole split.  Changing it must not change an image's bytes; if it
+#: does (as would any change to the rendering arithmetic), bump
+#: ``RENDER_REV`` so that cached test splits are regenerated.
 _BLUR_BATCH = 256
+
+#: Revision of the rendered bytes, part of the key of the on-disk test
+#: split (:func:`repro.core.framework.train_benchmark_ann`).
+RENDER_REV = 1
 
 
 def _cached_field(digit: int, config: SyntheticDigitConfig) -> np.ndarray:

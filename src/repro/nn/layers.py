@@ -72,10 +72,15 @@ class DenseLayer:
             self._x, self._z, self._a = x, z, a
         return a
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Backward pass: accumulate parameter grads, return input grad.
+    def backward(
+        self, grad_out: np.ndarray, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
+        """Backward pass: set parameter grads, return the input grad.
 
-        ``grad_out`` is dLoss/da for this layer's activations.
+        ``grad_out`` is dLoss/da for this layer's activations.  With
+        ``input_grad=False`` (the input layer, whose input gradient no
+        one reads) the ``delta @ W`` product is skipped and ``None`` is
+        returned.
         """
         if self._x is None:
             raise ConfigurationError(
@@ -83,9 +88,10 @@ class DenseLayer:
             )
         delta = grad_out * self.activation.derivative(self._z, self._a)
         batch = self._x.shape[0]
-        self.grad_weights = delta.T @ self._x / batch
+        self.grad_weights = delta.T @ self._x
+        self.grad_weights /= batch
         self.grad_biases = delta.mean(axis=0)
-        return delta @ self.weights
+        return delta @ self.weights if input_grad else None
 
     def apply_gradients(self, lr: float) -> None:
         """Vanilla SGD step (momentum lives in the trainer)."""

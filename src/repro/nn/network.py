@@ -96,11 +96,13 @@ class FeedforwardANN:
             a = layer.forward(a, train=train)
         return a
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        """Backpropagate a loss gradient through all layers."""
-        for layer in reversed(self.layers):
+    def backward(self, grad: np.ndarray) -> None:
+        """Backpropagate a loss gradient, setting every layer's parameter
+        gradients.  The gradient with respect to the network input is not
+        computed."""
+        for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
-        return grad
+        self.layers[0].backward(grad, input_grad=False)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Class predictions (argmax over output scores)."""

@@ -23,7 +23,15 @@ from repro.rng import SeedLike, ensure_rng
 
 @dataclass
 class TrainingResult:
-    """Per-epoch history plus the final state of a training run."""
+    """Per-epoch history plus the final state of a training run.
+
+    ``train_accuracy`` is the running accuracy of each epoch: the
+    fraction of that epoch's training samples that the network
+    classified correctly in their minibatch's forward pass, taken before
+    the minibatch's update.  It costs no extra pass over the training
+    split.  ``val_accuracy`` is measured after each epoch, and only when
+    validation data is given.
+    """
 
     epochs_run: int = 0
     train_loss: List[float] = field(default_factory=list)
@@ -100,11 +108,25 @@ class SGDTrainer:
         x_val: np.ndarray = None,
         y_val: np.ndarray = None,
     ) -> TrainingResult:
-        """Train ``network`` in place and return the history."""
+        """Train ``network`` in place and return the history.
+
+        Give both ``x_val`` and ``y_val`` (of equal length) or neither;
+        a validation split costs one forward pass over it per epoch.
+        """
         x_train = np.asarray(x_train, dtype=float)
         y_train = np.asarray(y_train, dtype=int)
         if x_train.shape[0] != y_train.shape[0]:
             raise ConfigurationError("x_train/y_train length mismatch")
+        if x_train.shape[0] == 0:
+            raise ConfigurationError("the training split is empty")
+        if (x_val is None) != (y_val is None):
+            raise ConfigurationError(
+                "give both x_val and y_val, or neither"
+            )
+        if x_val is not None:
+            y_val = np.asarray(y_val)
+            if len(x_val) != len(y_val):
+                raise ConfigurationError("x_val/y_val length mismatch")
         if self.patience is not None and x_val is None:
             raise ConfigurationError("early stopping requires validation data")
 
@@ -124,16 +146,24 @@ class SGDTrainer:
         for epoch in range(self.epochs):
             order = rng.permutation(x_train.shape[0])
             epoch_losses = []
+            correct = 0
             for lo in range(0, len(order), self.batch_size):
                 idx = order[lo:lo + self.batch_size]
                 scores = network.forward(x_train[idx], train=True)
+                correct += int(np.count_nonzero(
+                    np.argmax(scores, axis=1) == y_train[idx]
+                ))
                 loss_value, grad = loss_fn.value_and_grad(scores, y_train[idx])
                 network.backward(grad)
                 for layer, (vw, vb) in zip(network.layers, velocity):
+                    # In place, the same IEEE operations as
+                    # ``vw -= lr * grad``; the gradients are consumed.
                     vw *= self.momentum
-                    vw -= lr * layer.grad_weights
+                    layer.grad_weights *= lr
+                    vw -= layer.grad_weights
                     vb *= self.momentum
-                    vb -= lr * layer.grad_biases
+                    layer.grad_biases *= lr
+                    vb -= layer.grad_biases
                     layer.weights += vw
                     layer.biases += vb
                     if self.weight_clip is not None:
@@ -146,11 +176,9 @@ class SGDTrainer:
             lr *= self.lr_decay
             result.epochs_run = epoch + 1
             result.train_loss.append(float(np.mean(epoch_losses)))
-            result.train_accuracy.append(
-                accuracy(network.predict(x_train), y_train)
-            )
+            result.train_accuracy.append(correct / len(y_train))
             if x_val is not None:
-                val_acc = accuracy(network.predict(x_val), np.asarray(y_val))
+                val_acc = accuracy(network.predict(x_val), y_val)
                 result.val_accuracy.append(val_acc)
                 if self.patience is not None:
                     if val_acc > best_val + 1e-6:

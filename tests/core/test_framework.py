@@ -1,6 +1,12 @@
 """Tests of the benchmark specs, model training/caching and the simulator."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import repro.core.framework as framework
 
 from repro.core import (
     CircuitToSystemSimulator,
@@ -11,7 +17,9 @@ from repro.core import (
     train_benchmark_ann,
 )
 from repro.errors import ConfigurationError
+from repro.fault.evaluate import evaluate_under_faults
 from repro.mem.accounting import BASELINE_VDD_6T
+from repro.nn.datasets import load_test_split
 from repro.nn.network import FeedforwardANN
 
 
@@ -149,7 +157,8 @@ class TestBaselineMemo:
         result = allocate_msbs(fresh, vdd=0.65, max_accuracy_drop=0.01,
                                start_msb=3, n_trials=2, seed=22)
         assert result.evaluations_run > 1
-        assert len(predict_calls) == 1 + 2 * result.evaluations_run
+        # The baseline is the model's quantized_accuracy: no clean pass.
+        assert len(predict_calls) == 2 * result.evaluations_run
         before = len(predict_calls)
         fresh.evaluate(fresh.base_memory(0.70), seed=3)
         assert len(predict_calls) - before == fresh.n_trials
@@ -161,3 +170,123 @@ class TestBaselineMemo:
         cold = CircuitToSystemSimulator(model, tables=tables, n_trials=2)
         assert (warm.evaluate(memory, seed=4).to_dict()
                 == cold.evaluate(memory, seed=4).to_dict())
+
+    def test_baseline_is_a_clean_pass(self, model, sim):
+        """The baseline the simulator reuses is what a clean pass on the
+        test split measures."""
+        clean = evaluate_under_faults(
+            model.network, model.image, None,
+            model.dataset.x_test, model.dataset.y_test,
+        )
+        memory = sim.config1_memory(0.65, 2)
+        assert sim.evaluate(memory, seed=4).baseline_accuracy == (
+            clean.baseline_accuracy)
+
+    def test_fault_free_memory_pays_no_pass(self, sim, predict_calls):
+        """At 0.95 V no cell fails: every sampled die is the clean image,
+        so each trial reads the baseline and no pass runs."""
+        result = sim.evaluate(sim.base_memory(0.95), seed=1)
+        assert predict_calls == []
+        assert result.trial_accuracies == (
+            (result.baseline_accuracy,) * sim.n_trials)
+
+
+class TestCacheFiles:
+    """The weight cache and the test-split cache: hits, misses, torn
+    files and ``use_cache=False``."""
+
+    KWARGS = dict(profile="fast", seed=6, n_train=200, n_val=50,
+                  n_test=80, epochs=1)
+
+    @staticmethod
+    def _files(directory, prefix):
+        return sorted(p for p in directory.iterdir()
+                      if p.name.startswith(prefix))
+
+    @pytest.fixture
+    def cold(self, tmp_path):
+        return train_benchmark_ann(**self.KWARGS, cache_dir=str(tmp_path))
+
+    def test_cold_run_writes_both_files_atomically(self, tmp_path, cold):
+        assert len(self._files(tmp_path, "ann_")) == 1
+        assert len(self._files(tmp_path, "digits_")) == 1
+        assert self._files(tmp_path, ".") == []  # no temp file left
+
+    def test_hit_loads_split_byte_equal_to_rendering(self, tmp_path, cold,
+                                                     monkeypatch):
+        def no_render(**kwargs):
+            raise AssertionError("rendered the test split on a cache hit")
+
+        monkeypatch.setattr(framework, "load_test_split", no_render)
+        warm = train_benchmark_ann(**self.KWARGS, cache_dir=str(tmp_path))
+        rendered = load_test_split(n_test=80, seed=6)
+        for name in ("x_test", "y_test"):
+            got, want = getattr(warm.dataset, name), getattr(rendered, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert warm.quantized_accuracy == cold.quantized_accuracy
+
+    def test_missing_split_is_rendered_and_written(self, tmp_path, cold):
+        [split] = self._files(tmp_path, "digits_")
+        split.unlink()
+        warm = train_benchmark_ann(**self.KWARGS, cache_dir=str(tmp_path))
+        assert split.exists()
+        assert warm.dataset.x_test.tobytes() == cold.dataset.x_test.tobytes()
+
+    @pytest.mark.parametrize("prefix", ["ann_", "digits_"])
+    def test_truncated_file_is_a_miss_and_is_rewritten(self, tmp_path, cold,
+                                                       prefix):
+        [path] = self._files(tmp_path, prefix)
+        size = path.stat().st_size
+        with open(path, "r+b") as fh:
+            fh.truncate(size // 2)
+        healed = train_benchmark_ann(**self.KWARGS, cache_dir=str(tmp_path))
+        assert path.stat().st_size == size
+        again = train_benchmark_ann(**self.KWARGS, cache_dir=str(tmp_path))
+        for model in (healed, again):
+            for a, b in zip(model.network.layers, cold.network.layers):
+                assert a.weights.tobytes() == b.weights.tobytes()
+                assert a.biases.tobytes() == b.biases.tobytes()
+            assert (model.dataset.x_test.tobytes()
+                    == cold.dataset.x_test.tobytes())
+            assert model.quantized_accuracy == cold.quantized_accuracy
+
+    def test_no_cache_reads_and_writes_nothing(self, tmp_path, cold,
+                                               monkeypatch):
+        reads = []
+        monkeypatch.setattr(framework, "_load_npz",
+                            lambda *args: reads.append(args))
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        train_benchmark_ann(**self.KWARGS, cache_dir=str(empty),
+                            use_cache=False)
+        train_benchmark_ann(**self.KWARGS, cache_dir=str(tmp_path),
+                            use_cache=False)
+        assert list(empty.iterdir()) == []
+        assert reads == []
+
+    def test_warm_build_sim_imports_no_scipy_ndimage(self, tmp_path):
+        """A warm ``_build_sim`` neither renders images nor imports the
+        renderer's scipy.ndimage; the cold run, which renders, does."""
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = {**os.environ, "PYTHONPATH": src,
+               "REPRO_CACHE_DIR": str(tmp_path)}
+        script = (
+            "import functools, sys\n"
+            "import repro.cli as cli\n"
+            "cli.train_benchmark_ann = functools.partial(\n"
+            "    cli.train_benchmark_ann, n_train=200, n_val=50, n_test=80,\n"
+            "    epochs=1)\n"
+            "cli._build_sim(cli.build_parser().parse_args(\n"
+            "    ['hybrid', '--samples', '2000', '--trials', '1']))\n"
+            "print('scipy.ndimage' in sys.modules)\n"
+        )
+        runs = [
+            subprocess.run([sys.executable, "-c", script], env=env,
+                           capture_output=True, text=True, check=True)
+            .stdout.strip()
+            for _ in ("cold", "warm")
+        ]
+        assert runs == ["True", "False"]

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.fault.evaluate import evaluate_under_faults
+from repro.fault.evaluate import (
+    FaultTrialSpec,
+    evaluate_many_under_faults,
+    evaluate_under_faults,
+)
 from repro.fault.injector import WeightFaultInjector
 from repro.fault.model import BitErrorRates
 from repro.nn import FeedforwardANN, NetworkSpec, quantize_network
+from repro.nn.metrics import accuracy
+from repro.rng import derive_seed
 
 
 def uniform_rates(p, n_bits=8, msb_in_8t=0):
@@ -135,3 +141,76 @@ class TestEvaluateUnderFaults:
         x, y = self._data(small_net)
         with pytest.raises(ConfigurationError):
             evaluate_under_faults(small_net, image, None, x, y, n_trials=0)
+
+
+class TestFaultFreeTrials:
+    """A sampled die with no flipped bit is not loaded or classified; its
+    accuracy is the baseline, as a full pass would measure."""
+
+    @pytest.fixture
+    def predict_calls(self, monkeypatch):
+        calls = []
+        original = FeedforwardANN.predict
+
+        def counting(network, x):
+            calls.append(len(x))
+            return original(network, x)
+
+        monkeypatch.setattr(FeedforwardANN, "predict", counting)
+        return calls
+
+    def _data(self, net, n=64):
+        rng = np.random.default_rng(1)
+        x = rng.random((n, net.spec.layer_sizes[0]))
+        y = rng.integers(0, net.spec.layer_sizes[-1], n)
+        return x, y
+
+    @staticmethod
+    def _reference(net, image, injector, x, y, n_trials, seed):
+        """Every trial loaded and classified, whatever its flips."""
+        image.apply_to(net)
+        baseline = accuracy(net.predict(x), y)
+        trials, flipped = [], []
+        for trial in range(n_trials):
+            trial_seed = derive_seed(seed, trial)
+            faulty = injector.inject(image, seed=trial_seed)
+            faulty.apply_to(net)
+            trials.append(accuracy(net.predict(x), y))
+            flipped.append(injector.sample_flip_count(image, trial_seed) > 0)
+        return baseline, tuple(trials), flipped
+
+    def test_zero_rate_trials_pay_no_pass(self, small_net, image, predict_calls):
+        x, y = self._data(small_net)
+        injector = WeightFaultInjector([uniform_rates(0.0)] * 2)
+        result = evaluate_under_faults(small_net, image, injector, x, y,
+                                       n_trials=4, seed=2)
+        assert len(predict_calls) == 1  # the baseline pass only
+        assert result.trial_accuracies == (result.baseline_accuracy,) * 4
+        spec = FaultTrialSpec(injector=injector, n_trials=4, seed=2)
+        [batched] = evaluate_many_under_faults(
+            small_net, image, [spec], x, y,
+            baseline=result.baseline_accuracy,
+        )
+        assert len(predict_calls) == 1
+        assert batched == result
+
+    def test_mixed_trials_equal_full_passes(self, small_net, image,
+                                            predict_calls):
+        """At ~0.4 expected flips per die some trials flip nothing and
+        some flip bits; both paths equal a loop that classifies every
+        die, and only the dies with flips pay a pass."""
+        x, y = self._data(small_net)
+        net = FeedforwardANN(small_net.spec)
+        injector = WeightFaultInjector([uniform_rates(2e-4)] * 2)
+        baseline, trials, flipped = self._reference(
+            net, image, injector, x, y, n_trials=12, seed=7)
+        assert 0 < sum(flipped) < len(flipped)
+        del predict_calls[:]
+        single = evaluate_under_faults(small_net, image, injector, x, y,
+                                       n_trials=12, seed=7)
+        assert len(predict_calls) == 1 + sum(flipped)
+        spec = FaultTrialSpec(injector=injector, n_trials=12, seed=7)
+        [batched] = evaluate_many_under_faults(small_net, image, [spec], x, y)
+        assert single.baseline_accuracy == batched.baseline_accuracy == baseline
+        assert single.trial_accuracies == batched.trial_accuracies == trials
+        assert single.to_dict() == batched.to_dict()
