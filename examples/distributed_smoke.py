@@ -15,7 +15,7 @@ This is the end-to-end acceptance script of the distributed subsystem
 With ``--metrics-port`` the dispatcher's registry is scraped over HTTP
 mid-run and the required ``repro_dispatch_*`` series are asserted
 non-zero; after the merge a second scrape must equal the ``stats``
-probe counter for counter, worker for worker (the CI ``obs-smoke``
+probe counter for counter, worker for worker (the CI ``fleet-smoke``
 job's check).  With ``--trace-out`` the
 run executes under a deterministic tracer and exports a Chrome
 trace-event file loadable in Perfetto.

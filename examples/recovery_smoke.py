@@ -1,7 +1,7 @@
 """Crash-recovery smoke: SIGKILL the *dispatcher* mid-run, resume on its journal.
 
 This is the end-to-end acceptance script of the durable-dispatch
-subsystem (CI runs it as the ``recovery-drill`` job):
+subsystem (CI runs it in the ``fleet-smoke`` job):
 
 1. compute the monolithic single-process oracle for one voltage point,
 2. spawn two genuine CLI workers with ``--reconnect`` pointed at a port

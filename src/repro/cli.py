@@ -34,17 +34,27 @@ from repro.units import format_si
 from repro.version import __version__
 
 
-def _positive_int(value: str) -> int:
-    """argparse type for sizes and counts: an integer of at least 1."""
-    try:
-        number = int(value)
-    except ValueError:
-        number = 0
-    if number < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {value!r}"
-        )
-    return number
+def _int_at_least(minimum: int, what: str):
+    """An argparse type accepting integers of at least ``minimum``."""
+
+    def parse(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            number = minimum - 1
+        if number < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected {what}, got {value!r}"
+            )
+        return number
+
+    return parse
+
+
+#: argparse type for sizes and counts: an integer of at least 1.
+_positive_int = _int_at_least(1, "a positive integer")
+#: argparse type for bounds where 0 switches a feature off.
+_non_negative_int = _int_at_least(0, "a non-negative integer")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -101,11 +111,13 @@ def _add_store_options(parser: argparse.ArgumentParser) -> None:
                              "shared third cache tier — reads fall through "
                              "to it, writes reach it via fail-open "
                              "write-behind")
-    parser.add_argument("--lru-entries", type=int, default=None, metavar="N",
+    parser.add_argument("--lru-entries", type=_non_negative_int, default=None,
+                        metavar="N",
                         help="in-process hot-tier bound in entries "
                              "(0 disables the memory tier; default 1024 "
                              "once tiering is active)")
-    parser.add_argument("--lru-bytes", type=int, default=None, metavar="B",
+    parser.add_argument("--lru-bytes", type=_positive_int, default=None,
+                        metavar="B",
                         help="in-process hot-tier bound in value bytes "
                              "(default 64 MiB)")
     parser.add_argument("--ttl", type=float, default=None, metavar="S",
@@ -331,66 +343,6 @@ def cmd_worker(args) -> int:
         reconnect_backoff=args.reconnect_backoff,
         reconnect_max_attempts=args.reconnect_max,
     )
-
-
-def cmd_autoscale(args) -> int:
-    import signal
-    import threading
-
-    from repro.distributed import AutoscaleController, AutoscalePolicy
-
-    host, port = _parse_endpoint(args.connect, "--connect")
-    policy = AutoscalePolicy(
-        min_workers=args.min_workers,
-        max_workers=args.max_workers,
-        backlog_per_worker=args.backlog_per_worker,
-        target_drain_seconds=args.target_drain,
-        drain_max_jobs=args.drain_max_jobs,
-        poll_interval=args.poll,
-    )
-    controller = AutoscaleController(
-        host, port, policy=policy, cache_dir=args.cache_dir,
-        store_url=args.store_url, lru_entries=args.lru_entries,
-        lru_bytes=args.lru_bytes, ttl=args.ttl,
-    )
-    metrics_server = None
-    if args.metrics_port is not None:
-        from repro.obs import MetricsServer
-
-        metrics_server = MetricsServer(
-            controller.metrics, port=args.metrics_port
-        ).start()
-        print(f"metrics on {metrics_server.url}")
-    print(f"autoscaling workers for {host}:{port} "
-          f"(min {policy.min_workers}, max {policy.max_workers}, "
-          f"drain after "
-          f"{policy.drain_max_jobs if policy.drain_max_jobs else 'never'} "
-          f"job(s)); Ctrl-C to stop")
-    # SIGTERM (a supervisor's shutdown) must drain the pool, not orphan
-    # it; routing SIGINT through the same stop event also keeps Ctrl-C
-    # working when the controller runs backgrounded with SIGINT ignored.
-    stop = threading.Event()
-    previous = []
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous.append((sig, signal.signal(
-                sig, lambda signum, frame: stop.set()
-            )))
-        except (ValueError, OSError):  # pragma: no cover - non-main thread
-            pass
-    try:
-        controller.run(stop=stop)
-    except KeyboardInterrupt:
-        controller.stop()
-    finally:
-        if metrics_server is not None:
-            metrics_server.stop()
-        for sig, handler in previous:
-            signal.signal(sig, handler)
-    print(f"autoscaler stopped: {controller.spawned_total} spawned, "
-          f"{controller.crash_restarts} crash(es), "
-          f"{controller.stats_errors} stats error(s)")
-    return 0
 
 
 def _run_dag(args, dispatcher) -> None:
@@ -690,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "worker and the dispatcher at the same store")
     p.add_argument("--name", default=None,
                    help="worker name in dispatcher stats (default host-pid)")
-    p.add_argument("--max-jobs", type=int, default=None, metavar="K",
+    p.add_argument("--max-jobs", type=_positive_int, default=None, metavar="K",
                    help="exit cleanly after K jobs (drain hook for rolling "
                         "restarts; default: serve until the dispatcher stops)")
     p.add_argument("--backend", default=None, metavar="NAME",
@@ -787,39 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_store_options(p)
     _add_metrics_option(p)
     p.set_defaults(func=cmd_dispatch)
-
-    p = sub.add_parser(
-        "autoscale",
-        help="autoscaling controller: poll a dispatcher's stats probe "
-             "and size a local worker pool to its backlog",
-    )
-    p.add_argument("--connect", required=True, metavar="HOST:PORT",
-                   help="dispatcher endpoint to poll (and for spawned "
-                        "workers to register with)")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="shared cache-store directory forwarded to every "
-                        "spawned worker (see worker --cache-dir)")
-    p.add_argument("--min", dest="min_workers", type=int, default=1,
-                   metavar="N", help="workers to keep even when idle "
-                                     "(default 1)")
-    p.add_argument("--max", dest="max_workers", type=int, default=4,
-                   metavar="N", help="worker ceiling (default 4)")
-    p.add_argument("--backlog-per-worker", type=int, default=4, metavar="J",
-                   help="queued+in-flight jobs one worker is expected to "
-                        "absorb before another is spawned (default 4)")
-    p.add_argument("--target-drain", type=float, default=30.0, metavar="S",
-                   help="grow the pool when observed compute latency says "
-                        "the backlog needs more than S seconds to drain "
-                        "(default 30)")
-    p.add_argument("--drain-max-jobs", type=int, default=None, metavar="K",
-                   help="spawn workers with --max-jobs K so the pool "
-                        "cycles through clean drains (the scale-down "
-                        "hook; default: workers serve indefinitely)")
-    p.add_argument("--poll", type=float, default=1.0, metavar="S",
-                   help="seconds between stats polls (default 1)")
-    _add_store_options(p)
-    _add_metrics_option(p)
-    p.set_defaults(func=cmd_autoscale)
 
     p = sub.add_parser(
         "cache",

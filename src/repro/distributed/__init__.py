@@ -41,25 +41,13 @@ The pieces:
 * :mod:`~repro.distributed.dag` — cross-kind dependencies: a
   :class:`~repro.distributed.dag.DagRun` of named job/reduce nodes over
   one dispatcher, and :func:`~repro.distributed.dag.paper_pipeline_dag`
-  (margin shards → rate tables → NN fault points as one DAG);
-* :mod:`~repro.distributed.autoscale` — the
-  :class:`~repro.distributed.autoscale.AutoscaleController` that polls
-  the ``stats`` probe and reconciles a local worker-subprocess pool
-  (spawn on backlog/latency, drain via ``--max-jobs``, crash restarts
-  with backoff).
+  (margin shards → rate tables → NN fault points as one DAG).
 
 Deployment topology, failure semantics and the cache-store contract
 are documented in ``docs/distributed.md``; the CLI front-ends are
-``repro-sram dispatch``, ``repro-sram worker`` and ``repro-sram
-autoscale``.
+``repro-sram dispatch`` and ``repro-sram worker``.
 """
 
-from repro.distributed.autoscale import (
-    AutoscaleController,
-    AutoscalePolicy,
-    ScaleEvent,
-    desired_workers,
-)
 from repro.distributed.dag import (
     DagNode,
     DagRun,
@@ -107,8 +95,6 @@ from repro.runtime.cache import CacheStore, ResultCache
 DirectoryStore = ResultCache
 
 __all__ = [
-    "AutoscaleController",
-    "AutoscalePolicy",
     "CacheStore",
     "DagNode",
     "DagRun",
@@ -122,14 +108,12 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ProtocolError",
     "RunJournal",
-    "ScaleEvent",
     "ShardDispatcher",
     "ShardJob",
     "Worker",
     "analyzer_from_spec",
     "benchmark_model_spec",
     "concat_blocks",
-    "desired_workers",
     "execute_job",
     "fault_block_jobs",
     "is_shard_jobs",

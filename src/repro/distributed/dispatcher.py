@@ -16,7 +16,7 @@ Each run enqueues under a *client* name with a *priority* (lower value
 first); dequeue is round-robin across clients — one job per client per
 turn — so a client submitting a thousand shards cannot starve one
 submitting three.  Queue depths (total, per job kind, per client) ride
-on the ``stats`` probe as autoscaling hooks.
+on the ``stats`` probe, which ``repro-sram top`` draws.
 
 Failure model — everything reduces to *recompute is free, results are
 exact*:
@@ -920,8 +920,8 @@ class ShardDispatcher:
         without burning an attempt.
 
         Unlike :meth:`_job_failed`, nothing went wrong — the worker hit
-        its ``--max-jobs`` drain (or an autoscaler retired it) while an
-        assignment was still in flight.  Counting that against the
+        its ``--max-jobs`` drain while an assignment was still in
+        flight.  Counting that against the
         retry budget would let a rolling drain of a healthy fleet fail
         a perfectly computable job.
         """
@@ -1170,10 +1170,10 @@ class ShardDispatcher:
     def queue_snapshot(self) -> Dict[str, Any]:
         """Live queue depths: total, in-flight, per job kind, per client.
 
-        This — exposed on the ``stats`` probe — is the autoscaling
-        hook: sustained ``depth`` with zero idle capacity means the
-        fleet is too small, nonzero speculation with an empty queue
-        means it is unbalanced.
+        This — exposed on the ``stats`` probe and drawn by ``top`` — is
+        the fleet-sizing signal: sustained ``depth`` with zero idle
+        capacity means the fleet is too small, nonzero speculation with
+        an empty queue means it is unbalanced.
         """
         per_kind: Dict[str, int] = {}
         per_client: Dict[str, int] = {}
@@ -1202,9 +1202,9 @@ class ShardDispatcher:
 
         Worker-cache answers are excluded (see :meth:`_complete`), so
         the numbers describe genuine compute time.  Exposed on the
-        ``stats`` probe next to :meth:`queue_snapshot` — together they
-        are the autoscaler's sizing signal: *queue depth × mean compute
-        latency* estimates the backlog in seconds.
+        ``stats`` probe next to :meth:`queue_snapshot` and drawn by
+        ``top`` — together they size the fleet: *queue depth × mean
+        compute latency* estimates the backlog in seconds.
         """
         if not self._durations:
             return {"samples": 0, "mean": None, "p50": None, "max": None}
@@ -1339,7 +1339,7 @@ class ShardDispatcher:
                     # Live scheduling state rides along with the
                     # lifetime counters: queue depths (total / per job
                     # kind / per client) and the current speculation
-                    # cutoff — the autoscaling signals.
+                    # cutoff — the fleet-sizing signals ``top`` draws.
                     stats_doc["queues"] = self.queue_snapshot()
                     stats_doc["latency"] = self.latency_snapshot()
                     stats_doc["speculation"] = {

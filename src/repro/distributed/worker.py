@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.tiering import TieredStore
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.obs.tracing import TraceContext, Tracer, get_tracer
 from repro.distributed.jobs import ShardJob, execute_job
 from repro.distributed.protocol import (
@@ -67,28 +67,19 @@ def worker_command(
     name: Optional[str] = None,
     cache_dir: Optional[str] = None,
     store_url: Optional[str] = None,
-    lru_entries: Optional[int] = None,
-    lru_bytes: Optional[int] = None,
-    ttl: Optional[float] = None,
-    max_jobs: Optional[int] = None,
     reconnect: bool = False,
 ) -> List[str]:
     """The argv that runs ``repro-sram worker`` with this interpreter.
 
-    Every fleet spawner (the autoscaler, the smoke scripts, the
-    distributed benchmarks) builds its worker processes from here, so
-    the flags stay in step with :func:`run_worker`.  ``None`` omits a
-    flag; ``ttl=0.0`` is a real setting and renders as ``--ttl 0.0``.
+    Every fleet spawner (the smoke scripts and the distributed
+    benchmarks) builds its worker processes from here, so the flags
+    stay in step with :func:`run_worker`.  ``None`` omits a flag.
     """
     cmd = [sys.executable, "-m", "repro.cli", "worker", "--connect", f"{host}:{port}"]
     for flag, value in (
         ("--name", name),
         ("--cache-dir", cache_dir),
         ("--store-url", store_url),
-        ("--lru-entries", lru_entries),
-        ("--lru-bytes", lru_bytes),
-        ("--ttl", ttl),
-        ("--max-jobs", max_jobs),
     ):
         if value is not None:
             cmd += [flag, str(value)]
@@ -112,8 +103,8 @@ class Worker:
         defaults to :func:`default_worker_name`.
     max_jobs:
         Exit cleanly after this many jobs (drain hook for rolling
-        restarts and tests); ``None`` serves until the dispatcher goes
-        away.
+        restarts and tests; at least 1); ``None`` serves until the
+        dispatcher goes away.
     ack_timeout:
         Seconds to wait for the dispatcher's drain acknowledgement
         (defaults to the shared protocol constant
@@ -145,6 +136,8 @@ class Worker:
         reconnect_backoff: float = DEFAULT_RECONNECT_BACKOFF,
         reconnect_max_attempts: int = DEFAULT_RECONNECT_ATTEMPTS,
     ):
+        if max_jobs is not None and max_jobs < 1:
+            raise ConfigurationError(f"max_jobs must be >= 1, got {max_jobs}")
         self.host = host
         self.port = int(port)
         self.store = store

@@ -1,12 +1,12 @@
 """Zero-dependency metrics registry: counters, gauges, histograms.
 
 Components count their work in plain attributes — the stats
-dataclasses (``DispatcherStats``, ``ServingStats``, ``TierStats``), the
-tiered store's write-behind counters, the autoscaler's lifetime
-counters — and the ``stats`` probes read those attributes directly.  A
-component that serves ``/metrics`` owns a :class:`MetricsRegistry` and
-registers a *collector* (:meth:`MetricsRegistry.add_collector`) that
-copies the same attributes into counters and gauges at scrape time
+dataclasses (``DispatcherStats``, ``ServingStats``, ``TierStats``) and
+the tiered store's write-behind counters — and the ``stats`` probes
+read those attributes directly.  A component that serves ``/metrics``
+owns a :class:`MetricsRegistry` and registers a *collector*
+(:meth:`MetricsRegistry.add_collector`) that copies the same
+attributes into counters and gauges at scrape time
 (:func:`publish_counters`), so the probe and the exposition read one
 set of numbers.
 

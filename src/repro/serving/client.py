@@ -5,7 +5,7 @@ Both wire protocols in this library — the batch-serving front-end
 (:mod:`repro.distributed.protocol`) — speak newline-delimited JSON over
 TCP and answer ``{"type": "stats"}`` probes.  Before this module, every
 caller that talked to them ad hoc (CLI ``--stats`` probes, the ``top``
-dashboard, autoscalers, smoke scripts) opened a fresh socket per
+dashboard, smoke scripts) opened a fresh socket per
 request and died on the first hiccup.  :class:`ResilientClient` is the
 shared client those paths now ride:
 
@@ -32,8 +32,8 @@ peer this client cannot parse might be a different protocol entirely,
 and hammering it with retries would only mask the misconfiguration.
 
 The client is synchronous and thread-safe (one request in flight at a
-time, serialized by a lock): its callers — CLI probes, dashboards,
-autoscale controllers — are blocking code.  ``sleep`` and ``rng`` are
+time, serialized by a lock): its callers — CLI probes, the ``top``
+dashboard, smoke scripts — are blocking code.  ``sleep`` and ``rng`` are
 injectable for deterministic tests.
 """
 

@@ -319,8 +319,8 @@ def request_stats(host: str, port: int, timeout: float = 10.0) -> Dict[str, Any]
     both CLIs.
 
     One-shot and fail-fast by design: a single attempt within
-    ``timeout``, errors raised immediately — probe callers (autoscale
-    controllers, shell scripts) time their own retries.  Long-lived
+    ``timeout``, errors raised immediately — probe callers (smoke
+    scripts, shell scripts) time their own retries.  Long-lived
     pollers should hold a
     :class:`~repro.serving.client.ResilientClient` instead, which is
     what this function wraps.

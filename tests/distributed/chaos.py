@@ -52,13 +52,12 @@ Scale events
 ------------
 Beyond misbehaviour, a schedule can carry :class:`ChaosScaleEvent`
 entries — *when the fleet has completed N jobs, spawn K fresh workers /
-drain K live ones* — replaying what an autoscaler does to a fleet
-mid-run.  Spawned workers are well-behaved (optionally with a
-``max_jobs`` drain budget, like autoscaled workers); drained workers go
-through the worker's own graceful path (``shutdown`` + dispatcher
-acknowledgment), so an in-flight assignment requeues without burning a
-retry.  The asserted property is unchanged: the merged bytes must equal
-the oracle no matter how the pool breathes.
+drain K live ones* — a fleet growing and shrinking mid-run.  Spawned
+workers are well-behaved (optionally with a ``max_jobs`` drain
+budget); drained workers go through the worker's own graceful path
+(``shutdown`` + dispatcher acknowledgment), so an in-flight assignment
+requeues without burning a retry.  The asserted property is unchanged:
+the merged bytes must equal the oracle no matter how the pool breathes.
 """
 
 import asyncio
@@ -484,12 +483,11 @@ def run_chaos_dag(
 ) -> ChaosRun:
     """Execute a :class:`~repro.distributed.dag.DagRun` on a chaos fleet.
 
-    The acceptance scenario of the autoscaling PR: the cross-kind
-    pipeline runs through one dispatcher while the schedule's scale
-    events grow and drain the pool mid-run (and any misbehaviour events
-    fire), and the node results — keyed by node name in
-    ``ChaosRun.result`` — must digest identically to the single-process
-    phase-by-phase oracle.
+    The scale-event scenario: the cross-kind pipeline runs through one
+    dispatcher while the schedule's scale events grow and drain the
+    pool mid-run (and any misbehaviour events fire), and the node
+    results — keyed by node name in ``ChaosRun.result`` — must digest
+    identically to the single-process phase-by-phase oracle.
     """
     dispatcher_kwargs.setdefault("heartbeat_interval", HEARTBEAT_INTERVAL)
     dispatcher_kwargs.setdefault("heartbeat_timeout", HEARTBEAT_TIMEOUT)

@@ -19,7 +19,8 @@ from repro.distributed.protocol import (
     recv_message,
     send_message,
 )
-from repro.distributed.worker import Worker
+from repro.distributed.worker import Worker, worker_command
+from repro.errors import ConfigurationError
 
 
 GOOD_WELCOME = {
@@ -364,3 +365,28 @@ class TestWorkerCliRoundTrip:
             ])
         assert rc == 0
         assert calls == []
+
+
+class TestWorkerCommand:
+    def test_default_command_carries_store_wiring(self):
+        from repro.cli import build_parser
+
+        cmd = worker_command(
+            "10.0.0.5", 8417, name="auto-9", cache_dir="/tmp/cache",
+            store_url="http://store:9000", reconnect=True,
+        )
+        assert cmd[1:4] == ["-m", "repro.cli", "worker"]
+        # The argv parses as the CLI's own worker command.
+        args = build_parser().parse_args(cmd[3:])
+        assert (args.connect, args.name, args.cache_dir, args.store_url,
+                args.reconnect) == ("10.0.0.5:8417", "auto-9", "/tmp/cache",
+                                    "http://store:9000", True)
+
+    def test_minimal_command_has_no_store_flags(self):
+        cmd = worker_command("127.0.0.1", 8417)
+        assert cmd[3:] == ["worker", "--connect", "127.0.0.1:8417"]
+
+
+def test_max_jobs_below_one_is_a_configuration_error():
+    with pytest.raises(ConfigurationError, match="max_jobs"):
+        Worker("127.0.0.1", 1, max_jobs=0)

@@ -4,9 +4,8 @@ The components count their work in plain attributes and publish them
 through scrape-time collectors.  Pinned here:
 
 * the union of the series the fleet components render — a dispatcher
-  that has merged one job, a batching evaluator, an autoscaler after
-  one poll, a tiered store bound with ``bind_store_metrics`` and the
-  object-store server — equals the catalogue tables of
+  that has merged one job, a batching evaluator, a tiered store bound
+  with ``bind_store_metrics`` and the object-store server — equals the catalogue tables of
   ``docs/observability.md`` exactly, as ``(name, kind, label keys)``;
 * a dispatcher's registry reports the very numbers of its ``stats``
   probe, scalar for scalar and worker for worker.
@@ -31,7 +30,6 @@ from tests.distributed.conftest import (
     WorkerThread,
     make_dispatcher,
 )
-from tests.distributed.test_autoscale import Harness
 
 CATALOGUE = Path(__file__).resolve().parents[2] / "docs" / "observability.md"
 ROW = re.compile(r"^\| `(\w+)` \| (\w+) \| (.+) \|$")
@@ -118,9 +116,6 @@ class TestCatalogue:
         evaluator = BatchingEvaluator(Simulator())
         asyncio.run(evaluator.close())
 
-        autoscale = Harness()
-        autoscale.controller.poll_once()
-
         store = TieredStore(
             local=ResultCache(str(tmp_path)), remote=ResultCache(str(tmp_path / "r"))
         )
@@ -134,7 +129,6 @@ class TestCatalogue:
         rendered = (
             rendered_series(dispatcher.metrics)
             | rendered_series(evaluator.metrics)
-            | rendered_series(autoscale.controller.metrics)
             | rendered_series(store_registry)
             | objectstore_series
         )

@@ -251,8 +251,8 @@ class TestStats:
 
     def test_request_stats_helper_is_a_fail_fast_probe(self):
         """``request_stats`` rides the client with ``max_attempts=1``:
-        probes must answer now or fail now (autoscalers poll on a
-        schedule and treat a miss as 'down', not 'wait')."""
+        probes must answer now or fail now (a caller polling the probe
+        on a schedule treats a miss as 'down', not 'wait')."""
         from repro.serving.server import request_stats
 
         with ScriptedServer([[{"ok": True, "stats": {"jobs": 1}}]]) as s:

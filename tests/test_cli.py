@@ -120,15 +120,29 @@ class TestParser:
 
     @pytest.mark.parametrize("flag", ["--samples", "--trials", "--shards",
                                       "--max-shard-samples",
-                                      "--block-samples"])
+                                      "--block-samples", "--max-jobs",
+                                      "--lru-bytes"])
     @pytest.mark.parametrize("value", ["0", "-3", "many"])
     def test_sizes_must_be_positive(self, flag, value, capsys):
+        command = (["worker", "--connect", "h:1"]
+                   if flag in ("--max-jobs", "--lru-bytes") else ["hybrid"])
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["hybrid", flag, value])
+            build_parser().parse_args(command + [flag, value])
         assert exc.value.code == 2
         assert f"argument {flag}: expected a positive integer" in (
             capsys.readouterr().err
         )
+
+    def test_lru_entries_must_not_be_negative(self, capsys):
+        worker = ["worker", "--connect", "h:1", "--lru-entries"]
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(worker + ["-5"])
+        assert exc.value.code == 2
+        assert "argument --lru-entries: expected a non-negative integer" in (
+            capsys.readouterr().err
+        )
+        # 0 stays legal: it disables the memory tier.
+        assert build_parser().parse_args(worker + ["0"]).lru_entries == 0
 
     @pytest.mark.parametrize("flag", ["--shards", "--max-shard-samples"])
     def test_bad_shard_size_fails_on_a_warm_cache(self, flag, tmp_cache,
