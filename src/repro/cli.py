@@ -22,10 +22,6 @@ from repro.core import (
     voltage_scaling_study,
 )
 from repro.devices.technology import get_technology
-from repro.distributed.worker import (
-    DEFAULT_RECONNECT_ATTEMPTS,
-    DEFAULT_RECONNECT_BACKOFF,
-)
 from repro.mem import CellTables
 from repro.runtime import DEFAULT_BLOCK_SAMPLES, CacheStore, ResultCache, shutdown_pool
 from repro.sram import characterize_cell
@@ -67,9 +63,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="ANN profile: fast (default) or paper")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes for the Monte-Carlo and "
-                             "sensitivity sweeps (0 = all cores; default: "
-                             "REPRO_JOBS env var, else serial); the accuracy "
-                             "studies always evaluate in-process")
+                             "sensitivity sweeps, and threads for the "
+                             "accuracy studies' fault trials (0 = all cores; "
+                             "default: REPRO_JOBS env var, else serial)")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the on-disk result cache (recompute and "
                              "do not store)")
@@ -172,7 +168,7 @@ def _build_sim(args) -> CircuitToSystemSimulator:
         model = train_benchmark_ann(profile=args.profile,
                                     use_cache=not args.no_cache)
     return CircuitToSystemSimulator(model, tables=tables.result(),
-                                    n_trials=args.trials)
+                                    n_trials=args.trials, jobs=args.jobs)
 
 
 def cmd_characterize(args) -> int:
@@ -654,16 +650,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="survive dispatcher restarts: when the connection "
                         "drops, re-dial with jittered exponential backoff "
                         "and re-register instead of exiting")
-    p.add_argument("--reconnect-backoff", type=float,
-                   default=DEFAULT_RECONNECT_BACKOFF, metavar="S",
+    # The defaults are repro.distributed.worker's DEFAULT_RECONNECT_*,
+    # written out so that parsing a command loads no distributed module.
+    p.add_argument("--reconnect-backoff", type=float, default=0.5, metavar="S",
                    help="base reconnect delay in seconds (doubles per "
-                        f"failed attempt, jittered; default "
-                        f"{DEFAULT_RECONNECT_BACKOFF})")
-    p.add_argument("--reconnect-max", type=int,
-                   default=DEFAULT_RECONNECT_ATTEMPTS, metavar="N",
+                        "failed attempt, jittered; default 0.5)")
+    p.add_argument("--reconnect-max", type=int, default=10, metavar="N",
                    help="consecutive failed re-dials before giving up "
                         "(resets after each successful registration; "
-                        f"default {DEFAULT_RECONNECT_ATTEMPTS})")
+                        "default 10)")
     _add_store_options(p)
     _add_metrics_option(p)
     p.set_defaults(func=cmd_worker)

@@ -62,7 +62,7 @@ from repro.nn.network import FeedforwardANN, NetworkSpec
 from repro.nn.quantize import QuantizedWeights, quantize_network
 from repro.nn.trainer import SGDTrainer
 from repro.rng import SeedLike
-from repro.runtime import default_cache_dir
+from repro.runtime import default_cache_dir, resolve_jobs
 
 
 def paper_ann_spec(seed: int = 0) -> NetworkSpec:
@@ -176,9 +176,10 @@ def train_benchmark_ann(
     12.5 MB uncompressed at 2,000 images).  A weight hit only evaluates:
     it loads the split, rendering it (the full dataset's bytes; every
     split has its own derived seed) only when the file is missing or
-    unreadable, and the model's train/val splits are empty.  A miss
-    generates all three splits and trains.  Either writes what it
-    computed, atomically; an unreadable file is a miss.
+    unreadable.  A miss generates all three splits and trains.  Either
+    way the model's dataset holds only the test split (its train/val
+    splits are empty), and the build writes what it computed,
+    atomically; an unreadable file is a miss.
     ``use_cache=False`` neither reads nor writes.
     """
     spec = resolve_profile(profile, seed=seed)
@@ -233,6 +234,9 @@ def train_benchmark_ann(
             seed=seed + 1, verbose=verbose,
         )
         trainer.train(network, dataset.x_train, dataset.y_train)
+        # Nothing reads the training and validation splits again; keep
+        # only the test split, as a weight hit does.
+        dataset = DigitDataset.test_only(dataset.x_test, dataset.y_test)
         if use_cache:
             arrays = {}
             for i, layer in enumerate(network.layers):
@@ -267,10 +271,12 @@ class CircuitToSystemSimulator:
 
     Determinism contract: every study built on this simulator is a pure
     function of the model, the characterization tables and the seeds.
-    The execution knobs used when the simulator builds its own tables
-    (``jobs`` worker fan-out, ``shards`` / ``max_shard_samples``
-    Monte-Carlo sharding, the shared result cache) change wall-clock and
-    memory, never a published number.  Accuracies are fractions in
+    The execution knobs change wall-clock and memory, never a published
+    number: ``jobs`` (resolved once, here, through
+    :func:`~repro.runtime.resolve_jobs`) is the worker count of the
+    tables build and the thread count of the fault trials, and
+    ``shards`` / ``max_shard_samples`` and the shared result cache apply
+    when the simulator builds its own tables.  Accuracies are fractions in
     [0, 1]; powers W; areas m^2; voltages V.
 
     The clean-image baseline of every evaluation is the model's
@@ -293,8 +299,9 @@ class CircuitToSystemSimulator:
         if n_trials <= 0:
             raise ConfigurationError(f"n_trials must be positive, got {n_trials}")
         self.model = model
+        self.jobs = resolve_jobs(jobs)
         self.tables = tables or CellTables.build(
-            jobs=jobs, shards=shards, max_shard_samples=max_shard_samples,
+            jobs=self.jobs, shards=shards, max_shard_samples=max_shard_samples,
             block_samples=block_samples,
         )
         self.n_trials = n_trials
@@ -424,8 +431,8 @@ class CircuitToSystemSimulator:
         (``n_trials=None`` takes the simulator default).  Element ``i``
         of the result equals ``self.evaluate(*items[i])`` bit-for-bit —
         each request's flip masks derive from its own seed — but the
-        batch pays the parameter snapshot once instead of ``len(items)``
-        times, and no clean baseline pass (the model's
+        batch runs the trials of every item on the simulator's ``jobs``
+        threads, and pays no clean baseline pass (the model's
         ``quantized_accuracy`` is that pass's result).  This is the path
         of the Fig. 7 / Fig. 8 studies and the flush path of the
         batch-serving front-end (:mod:`repro.serving`).
@@ -462,6 +469,7 @@ class CircuitToSystemSimulator:
             self.model.dataset.x_test,
             self.model.dataset.y_test,
             baseline=self.model.quantized_accuracy,
+            jobs=self.jobs,
         )
 
     def compare(

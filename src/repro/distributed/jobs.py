@@ -552,9 +552,10 @@ def model_from_spec(spec: Dict[str, Any]) -> Any:
     later calls with an equal spec reuse it.  The memo holds one model,
     keyed by the spec with ``profile=None`` resolved through
     ``REPRO_PROFILE``, and a build that raises leaves it empty.  Every
-    caller gets its own copy of the network, because evaluation writes
-    faulty weights into it; the quantized image and the dataset are
-    shared and must be treated as read-only.
+    caller gets its own copy of the network, so a caller that writes
+    parameters into it (``QuantizedWeights.apply_to``) leaves the others
+    alone; fault evaluation itself never writes to it.  The quantized
+    image and the dataset are shared and must be treated as read-only.
     """
     global _model_memo
     _validate_model_spec(spec)

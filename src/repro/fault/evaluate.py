@@ -1,15 +1,16 @@
 """Accuracy measurement under injected synaptic faults.
 
 ``evaluate_under_faults`` is the system-level measurement loop of the
-paper's simulator: for each trial, sample a faulty die (bit-flip masks),
-load the corrupted weights into the network, measure classification
-accuracy on the evaluation set, and restore the clean parameters.  A
+paper's simulator: for each trial, sample a faulty die (bit-flip masks)
+and measure classification accuracy on the evaluation set with the
+die's weights.  The caller's network is only read, never written.  A
 sampled die with no flipped bit holds the clean image's codes, so its
 accuracy is the baseline and its forward pass is skipped.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -22,6 +23,7 @@ from repro.nn.metrics import accuracy
 from repro.nn.network import FeedforwardANN
 from repro.nn.quantize import QuantizedWeights
 from repro.rng import SeedLike, derive_seed
+from repro.runtime.executor import resolve_jobs
 
 
 @dataclass(frozen=True)
@@ -144,6 +146,7 @@ def evaluate_many_under_faults(
     x_eval: np.ndarray,
     y_eval: np.ndarray,
     baseline: Optional[float] = None,
+    jobs: Optional[int] = 1,
 ) -> List[FaultEvaluation]:
     """Batched persistent-mode evaluation sharing the clean pass.
 
@@ -153,14 +156,21 @@ def evaluate_many_under_faults(
     bit-for-bit — every trial's flip masks derive from ``(spec seed,
     trial index)`` alone, exactly as on the sequential path.  What the
     batch *shares* is the per-call overhead that dominates short
-    requests: one parameter snapshot/restore cycle, one application of
-    the clean image and one clean forward pass over the evaluation set
-    serve every spec, instead of being repeated per request.
+    requests: one clean forward pass over the evaluation set serves
+    every spec, instead of being repeated per request.
 
     ``baseline`` is the clean-image accuracy of ``image`` on the
     evaluation set when the caller already has it (the model's
     ``quantized_accuracy``, or an earlier call on the same network,
     image and set); the clean pass is then skipped.
+
+    The trials of every spec form one task list, run on
+    ``resolve_jobs(jobs)`` threads (numpy's matmul and ufuncs release
+    the GIL) and collected in task order, so the result is the same for
+    any thread count.  No trial writes to ``network``: each classifies
+    through ``network.predict`` with its die's parameters.  An exception
+    in a trial propagates once the running trials finish; trials not yet
+    started are cancelled.
 
     This is the vectorized fault-injection pass behind
     :meth:`repro.core.framework.CircuitToSystemSimulator.evaluate_batch`
@@ -172,40 +182,51 @@ def evaluate_many_under_faults(
                 f"n_trials must be positive, got {spec.n_trials}"
             )
 
-    results: List[FaultEvaluation] = []
-    snapshot = network.snapshot()
-    try:
-        if baseline is None:
-            image.apply_to(network)
-            baseline = accuracy(network.predict(x_eval), y_eval)
+    if baseline is None:
+        baseline = accuracy(
+            network.predict(x_eval, params=image.dequantized()), y_eval
+        )
+    tasks = [
+        (spec.injector, derive_seed(spec.seed, trial))
+        for spec in specs if spec.injector is not None
+        for trial in range(spec.n_trials)
+    ]
 
-        for spec in specs:
-            if spec.injector is None:
-                results.append(
-                    FaultEvaluation(
-                        baseline_accuracy=baseline,
-                        trial_accuracies=(baseline,),
-                        expected_flips=0.0,
-                    )
-                )
-                continue
-            trials: Tuple[float, ...] = tuple(
-                _persistent_trial(
-                    network, image, spec.injector,
-                    derive_seed(spec.seed, trial), x_eval, y_eval, baseline,
-                )
-                for trial in range(spec.n_trials)
-            )
+    def run(task: Tuple[WeightFaultInjector, int]) -> float:
+        return _persistent_trial(
+            network, image, *task, x_eval, y_eval, baseline
+        )
+
+    threads = min(resolve_jobs(jobs), len(tasks))
+    if threads <= 1:
+        accuracies = [run(task) for task in tasks]
+    else:
+        pool = ThreadPoolExecutor(max_workers=threads)
+        try:
+            accuracies = list(pool.map(run, tasks))
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+    results: List[FaultEvaluation] = []
+    done = iter(accuracies)
+    for spec in specs:
+        if spec.injector is None:
             results.append(
                 FaultEvaluation(
                     baseline_accuracy=baseline,
-                    trial_accuracies=trials,
-                    expected_flips=spec.injector.expected_flips(image),
+                    trial_accuracies=(baseline,),
+                    expected_flips=0.0,
                 )
             )
-        return results
-    finally:
-        network.restore(snapshot)
+            continue
+        results.append(
+            FaultEvaluation(
+                baseline_accuracy=baseline,
+                trial_accuracies=tuple(next(done) for _ in range(spec.n_trials)),
+                expected_flips=spec.injector.expected_flips(image),
+            )
+        )
+    return results
 
 
 def _persistent_trial(
@@ -217,11 +238,11 @@ def _persistent_trial(
     y_eval: np.ndarray,
     baseline: float,
 ) -> float:
-    """One persistent-mode trial: sample a die, load it, classify.
+    """One persistent-mode trial: sample a die and classify with it.
 
     A die with no flipped bit has the clean codes, hence the clean
     weights and predictions: its accuracy is ``baseline`` and it is
-    neither loaded nor classified.
+    not classified.
     """
     faulty = injector.inject(image, seed=seed)
     if all(
@@ -230,8 +251,9 @@ def _persistent_trial(
                         (*image.weight_codes, *image.bias_codes))
     ):
         return baseline
-    faulty.apply_to(network)
-    return accuracy(network.predict(x_eval), y_eval)
+    return accuracy(
+        network.predict(x_eval, params=faulty.dequantized()), y_eval
+    )
 
 
 def evaluate_under_faults(
@@ -248,10 +270,10 @@ def evaluate_under_faults(
     """Measure accuracy with and without injected faults.
 
     The clean quantized image defines the baseline (the paper's "8-bit
-    nominal"); each trial injects an independent fault sample.  The
-    network's original parameters are restored before returning, so the
-    caller's network is never left corrupted.  ``injector=None`` runs
-    only the baseline (returned as a single zero-drop trial).
+    nominal"); each trial injects an independent fault sample and
+    classifies with it through ``network.predict``, which never writes
+    the sample into ``network``.  ``injector=None`` runs only the
+    baseline (returned as a single zero-drop trial).
 
     Fault persistence (``mode``):
 
@@ -272,42 +294,38 @@ def evaluate_under_faults(
     if batch_size <= 0:
         raise ConfigurationError(f"batch_size must be positive, got {batch_size}")
 
-    snapshot = network.snapshot()
-    try:
-        image.apply_to(network)
-        baseline = accuracy(network.predict(x_eval), y_eval)
-
-        if injector is None:
-            return FaultEvaluation(
-                baseline_accuracy=baseline,
-                trial_accuracies=(baseline,),
-                expected_flips=0.0,
-            )
-
-        trials: List[float] = []
-        for trial in range(n_trials):
-            if mode == "persistent":
-                trials.append(_persistent_trial(
-                    network, image, injector, derive_seed(seed, trial),
-                    x_eval, y_eval, baseline,
-                ))
-            else:
-                correct = 0
-                for bi, lo in enumerate(range(0, len(y_eval), batch_size)):
-                    faulty = injector.inject(
-                        image, seed=derive_seed(seed, trial, bi)
-                    )
-                    faulty.apply_to(network)
-                    batch_x = x_eval[lo:lo + batch_size]
-                    batch_y = y_eval[lo:lo + batch_size]
-                    correct += int(
-                        np.sum(network.predict(batch_x) == batch_y)
-                    )
-                trials.append(correct / len(y_eval))
+    baseline = accuracy(
+        network.predict(x_eval, params=image.dequantized()), y_eval
+    )
+    if injector is None:
         return FaultEvaluation(
             baseline_accuracy=baseline,
-            trial_accuracies=tuple(trials),
-            expected_flips=injector.expected_flips(image),
+            trial_accuracies=(baseline,),
+            expected_flips=0.0,
         )
-    finally:
-        network.restore(snapshot)
+
+    trials: List[float] = []
+    for trial in range(n_trials):
+        if mode == "persistent":
+            trials.append(_persistent_trial(
+                network, image, injector, derive_seed(seed, trial),
+                x_eval, y_eval, baseline,
+            ))
+        else:
+            correct = 0
+            for bi, lo in enumerate(range(0, len(y_eval), batch_size)):
+                faulty = injector.inject(
+                    image, seed=derive_seed(seed, trial, bi)
+                )
+                batch_x = x_eval[lo:lo + batch_size]
+                batch_y = y_eval[lo:lo + batch_size]
+                predicted = network.predict(
+                    batch_x, params=faulty.dequantized()
+                )
+                correct += int(np.sum(predicted == batch_y))
+            trials.append(correct / len(y_eval))
+    return FaultEvaluation(
+        baseline_accuracy=baseline,
+        trial_accuracies=tuple(trials),
+        expected_flips=injector.expected_flips(image),
+    )

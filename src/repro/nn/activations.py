@@ -7,7 +7,10 @@ hinge on one nonlinearity, and the ablation benchmarks check that.
 
 Each activation implements ``forward`` and ``derivative``; derivatives
 are expressed in terms of the *output* where that is cheaper (sigmoid,
-tanh), which is what the backward pass provides.
+tanh), which is what the backward pass provides.  ``forward(z,
+in_place=True)`` may overwrite ``z`` with the result (the inference
+pass, which keeps no pre-activations); it runs the same IEEE operations
+in the same order, so both forms return the same bytes.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ class Activation(abc.ABC):
     name: str = "abstract"
 
     @abc.abstractmethod
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        """Apply the nonlinearity to pre-activations ``z``."""
+    def forward(self, z: np.ndarray, in_place: bool = False) -> np.ndarray:
+        """Apply the nonlinearity to pre-activations ``z`` (overwriting
+        ``z`` when ``in_place``)."""
 
     @abc.abstractmethod
     def derivative(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -42,9 +46,14 @@ class Sigmoid(Activation):
 
     name = "sigmoid"
 
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        # Clip to keep exp() in range; sigmoid saturates anyway.
-        return 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
+    def forward(self, z: np.ndarray, in_place: bool = False) -> np.ndarray:
+        # Clip to keep exp() in range; sigmoid saturates anyway.  Every
+        # later step reuses the clipped buffer: 1 / (1 + exp(-clip(z))).
+        a = np.clip(z, -60.0, 60.0, out=z if in_place else np.empty(np.shape(z)))
+        np.negative(a, out=a)
+        np.exp(a, out=a)
+        a += 1.0
+        return np.divide(1.0, a, out=a)
 
     def derivative(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
         return a * (1.0 - a)
@@ -55,8 +64,8 @@ class Tanh(Activation):
 
     name = "tanh"
 
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        return np.tanh(z)
+    def forward(self, z: np.ndarray, in_place: bool = False) -> np.ndarray:
+        return np.tanh(z, out=z if in_place else None)
 
     def derivative(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
         return 1.0 - a * a
@@ -66,8 +75,8 @@ class ReLU(Activation):
 
     name = "relu"
 
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        return np.maximum(z, 0.0)
+    def forward(self, z: np.ndarray, in_place: bool = False) -> np.ndarray:
+        return np.maximum(z, 0.0, out=z if in_place else None)
 
     def derivative(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
         return (z > 0.0).astype(z.dtype)
@@ -79,7 +88,7 @@ class Identity(Activation):
 
     name = "identity"
 
-    def forward(self, z: np.ndarray) -> np.ndarray:
+    def forward(self, z: np.ndarray, in_place: bool = False) -> np.ndarray:
         return z
 
     def derivative(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:

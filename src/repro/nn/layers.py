@@ -20,9 +20,10 @@ class DenseLayer:
     weights of output neuron ``i``.  Biases are the per-neuron offsets
     (the paper's synapse count 1,406,810 includes them; see docs/reproducing.md).
 
-    The layer is deliberately mutable: the fault injector replaces
-    ``weights`` wholesale with perturbed dequantized values, and the
-    trainer updates parameters in place.
+    The layer is deliberately mutable: the trainer updates parameters in
+    place, and quantization replaces them wholesale with dequantized
+    values.  Fault evaluation never writes a faulty die into the layer;
+    it passes the die's parameters to :meth:`forward`.
     """
 
     def __init__(
@@ -60,16 +61,29 @@ class DenseLayer:
         """Weights + biases, the paper's synapse accounting."""
         return self.n_in * self.n_out + self.n_out
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def forward(
+        self,
+        x: np.ndarray,
+        train: bool = False,
+        weights: Optional[np.ndarray] = None,
+        biases: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Forward pass on a batch ``(n_samples, n_in)``.
 
         With ``train=True`` the inputs and activations are cached for the
-        subsequent backward pass; inference skips the caching.
+        subsequent backward pass.  Inference skips the caching and adds
+        the bias and applies the activation in place on the matmul
+        output.  ``weights``/``biases`` evaluate the layer with other
+        parameters of the same shapes (a sampled faulty die) without
+        writing them into the layer.
         """
-        z = x @ self.weights.T + self.biases
+        w = self.weights if weights is None else weights
+        z = x @ w.T
+        z += self.biases if biases is None else biases
+        if not train:
+            return self.activation.forward(z, in_place=True)
         a = self.activation.forward(z)
-        if train:
-            self._x, self._z, self._a = x, z, a
+        self._x, self._z, self._a = x, z, a
         return a
 
     def backward(
@@ -99,20 +113,6 @@ class DenseLayer:
             raise ConfigurationError(f"{self.name}: no gradients to apply")
         self.weights -= lr * self.grad_weights
         self.biases -= lr * self.grad_biases
-
-    def clone_parameters(self) -> tuple:
-        """Snapshot ``(weights, biases)`` copies (fault-injection restore)."""
-        return self.weights.copy(), self.biases.copy()
-
-    def restore_parameters(self, params: tuple) -> None:
-        """Restore a snapshot taken by :meth:`clone_parameters`."""
-        weights, biases = params
-        if weights.shape != self.weights.shape:
-            raise ConfigurationError(
-                f"{self.name}: parameter shape mismatch on restore"
-            )
-        self.weights = weights.copy()
-        self.biases = biases.copy()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

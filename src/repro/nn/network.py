@@ -8,13 +8,17 @@ benchmark network (Table I) lives in :mod:`repro.core.framework`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.nn.layers import DenseLayer
 from repro.rng import derive_seed
+
+#: Per-layer ``(weights, biases)`` arrays evaluated in place of a
+#: network's own parameters.
+Params = Tuple[Sequence[np.ndarray], Sequence[np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -82,8 +86,17 @@ class FeedforwardANN:
     # ------------------------------------------------------------------
     # Inference / training plumbing
     # ------------------------------------------------------------------
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        """Batch forward pass through all layers."""
+    def forward(
+        self, x: np.ndarray, train: bool = False, params: Optional[Params] = None
+    ) -> np.ndarray:
+        """Batch forward pass through all layers.
+
+        ``params`` is a ``(weights, biases)`` pair of per-layer lists, as
+        :meth:`~repro.nn.quantize.QuantizedWeights.dequantized` returns,
+        evaluated in place of the layers' own parameters; the network is
+        not written to, so threads may classify different parameter sets
+        through one network at the same time.
+        """
         a = np.asarray(x, dtype=float)
         if a.ndim == 1:
             a = a[np.newaxis, :]
@@ -92,8 +105,22 @@ class FeedforwardANN:
                 f"input width {a.shape[1]} != network input "
                 f"{self.spec.layer_sizes[0]}"
             )
-        for layer in self.layers:
-            a = layer.forward(a, train=train)
+        if params is None:
+            for layer in self.layers:
+                a = layer.forward(a, train=train)
+            return a
+        if train:
+            raise ConfigurationError("explicit params are for inference only")
+        weights, biases = params
+        if not len(weights) == len(biases) == len(self.layers):
+            raise ConfigurationError(
+                f"expected parameters for {len(self.layers)} layers, got "
+                f"{len(weights)} weight and {len(biases)} bias arrays"
+            )
+        for layer, w, b in zip(self.layers, weights, biases):
+            if w.shape != layer.weights.shape or b.shape != layer.biases.shape:
+                raise ConfigurationError(f"{layer.name}: parameter shape mismatch")
+            a = layer.forward(a, weights=w, biases=b)
         return a
 
     def backward(self, grad: np.ndarray) -> None:
@@ -104,9 +131,10 @@ class FeedforwardANN:
             grad = layer.backward(grad)
         self.layers[0].backward(grad, input_grad=False)
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Class predictions (argmax over output scores)."""
-        return np.argmax(self.forward(x), axis=1)
+    def predict(self, x: np.ndarray, params: Optional[Params] = None) -> np.ndarray:
+        """Class predictions (argmax over output scores); ``params`` as
+        in :meth:`forward`."""
+        return np.argmax(self.forward(x, params=params), axis=1)
 
     # ------------------------------------------------------------------
     # Parameter access (quantization / fault injection)
@@ -131,17 +159,6 @@ class FeedforwardANN:
                     f"{layer.name}: shape mismatch {m.shape} != {layer.weights.shape}"
                 )
             layer.weights = np.array(m, dtype=float)
-
-    def snapshot(self) -> list:
-        """Copy of all parameters, for restore after fault injection."""
-        return [layer.clone_parameters() for layer in self.layers]
-
-    def restore(self, snapshot: list) -> None:
-        """Restore a :meth:`snapshot`."""
-        if len(snapshot) != len(self.layers):
-            raise ConfigurationError("snapshot layer count mismatch")
-        for layer, params in zip(self.layers, snapshot):
-            layer.restore_parameters(params)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         sizes = "-".join(map(str, self.spec.layer_sizes))

@@ -36,6 +36,8 @@ from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
+from repro.errors import ConfigurationError
+
 T = TypeVar("T")
 R = TypeVar("R")
 
@@ -48,7 +50,9 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 
     ``None`` falls back to the ``REPRO_JOBS`` environment variable and
     then to 1 (serial — the safe default for tests and small sweeps);
-    ``0`` or any negative value means "all available cores".
+    ``0`` or any negative value means "all available cores".  A
+    ``REPRO_JOBS`` that is not an integer raises
+    :class:`~repro.errors.ConfigurationError`.
     """
     if jobs is None:
         env = os.environ.get(JOBS_ENV_VAR, "").strip()
@@ -57,7 +61,7 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
         try:
             jobs = int(env)
         except ValueError:
-            raise ValueError(
+            raise ConfigurationError(
                 f"{JOBS_ENV_VAR} must be an integer, got {env!r}"
             ) from None
     if jobs <= 0:

@@ -20,8 +20,8 @@ request:
    ``batch_window`` seconds (or until ``max_batch`` of them are
    pending) and flushed through one
    :meth:`~repro.core.framework.CircuitToSystemSimulator.evaluate_batch`
-   pass that shares the parameter snapshot, the clean-image load and
-   the baseline forward pass across the whole batch.
+   pass that shares the clean baseline across the whole batch and runs
+   the batch's fault trials on the simulator's ``jobs`` threads.
 
 The bit-identity contract and its verification are described in
 ``docs/serving.md``; the property suite in ``tests/serving`` exercises
@@ -156,9 +156,9 @@ class BatchingEvaluator:
         self._pending: _Batch = _Batch()
         self._window_task: Optional["asyncio.Task[None]"] = None
         self._flush_tasks: Set["asyncio.Task[None]"] = set()
-        # One worker thread, deliberately: fault evaluation mutates the
-        # simulator's network in place (apply faulty image, restore), so
-        # concurrent batches must serialize on it.  Batches queue FIFO.
+        # One worker thread, deliberately: batches run one at a time,
+        # FIFO, and each batch already spreads its fault trials over
+        # the simulator's ``jobs`` threads.
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve"
         )
@@ -330,8 +330,8 @@ class BatchingEvaluator:
         Per-request failures (e.g. a voltage outside the characterized
         range) become per-request exceptions; the rest of the batch
         still evaluates.  Always runs on the evaluator's single worker
-        thread: evaluation mutates the simulator's network in place, so
-        batches execute one at a time even when several are in flight.
+        thread, so batches execute one at a time even when several are
+        in flight.
         Successful responses are also written to the store here — disk
         I/O belongs on this thread, not the event loop, and a store
         that cannot be written (full disk, permissions) degrades the

@@ -86,8 +86,9 @@ class TestTrainedModel:
                       n_test=120, epochs=1, cache_dir=str(tmp_path))
         cold = train_benchmark_ann(**kwargs)
         warm = train_benchmark_ann(**kwargs)
-        assert len(cold.dataset.y_train) == 200
-        assert len(cold.dataset.y_val) == 50
+        # Both builds keep only the test split once training is done.
+        assert len(cold.dataset.y_train) == len(cold.dataset.y_val) == 0
+        assert len(cold.dataset.x_train) == len(cold.dataset.x_val) == 0
         for name in ("x_test", "y_test"):
             assert (getattr(warm.dataset, name).tobytes()
                     == getattr(cold.dataset, name).tobytes())
@@ -129,6 +130,13 @@ class TestSimulator:
         report = sim.compare(sim.config1_memory(0.65, 3))
         assert report.baseline_vdd == BASELINE_VDD_6T
 
+    def test_bad_repro_jobs_is_a_configuration_error(self, model, tables,
+                                                     monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "abc")
+        with pytest.raises(ConfigurationError, match="REPRO_JOBS"):
+            CircuitToSystemSimulator(model, tables=tables)
+        assert CircuitToSystemSimulator(model, tables=tables, jobs=2).jobs == 2
+
     def test_zero_trials_rejected(self, sim):
         """An explicit ``n_trials=0`` is an error, not the default."""
         with pytest.raises(ConfigurationError):
@@ -145,9 +153,9 @@ class TestBaselineMemo:
         calls = []
         original = FeedforwardANN.predict
 
-        def counting(network, x):
+        def counting(network, x, *args, **kwargs):
             calls.append(len(x))
-            return original(network, x)
+            return original(network, x, *args, **kwargs)
 
         monkeypatch.setattr(FeedforwardANN, "predict", counting)
         return calls

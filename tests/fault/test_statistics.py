@@ -9,8 +9,8 @@ it drives:
   rate cannot pass this by luck at 4 sigma.
 * **Null safety** — a configuration whose failure probabilities are all
   zero provably leaves the weights untouched: byte-equal code arrays,
-  trial accuracies equal to the baseline, and the live network restored
-  bit-for-bit.
+  trial accuracies equal to the baseline, and the live network's
+  parameter bytes unchanged.
 
 Plus the bit-identity bridge: the batched
 :func:`~repro.fault.evaluate.evaluate_many_under_faults` pass must
@@ -19,6 +19,7 @@ loop exactly — the contract the serving layer is built on.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from repro.fault.injector import WeightFaultInjector
 from repro.fault.model import BitErrorRates
 from repro.nn.network import FeedforwardANN, NetworkSpec
 from repro.nn.quantize import quantize_network
+from repro.rng import derive_seed
 
 N_BITS = 8
 
@@ -45,6 +47,12 @@ def make_rates(p_read, p_write=0.0, msb_in_8t=0, vdd=0.7):
         vdd=vdd, n_bits=N_BITS, msb_in_8t=msb_in_8t,
         p_read=p_read, p_write=p_write,
     )
+
+
+def parameter_bytes(network):
+    """The bytes of every weight and bias array, input side first."""
+    return [array.tobytes() for layer in network.layers
+            for array in (layer.weights, layer.biases)]
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +142,7 @@ class TestZeroProbabilityNull:
     ):
         network, image, x_eval, y_eval = small_model
         injector = WeightFaultInjector([make_rates(0.0)] * image.n_layers)
-        before = network.snapshot()
+        before = parameter_bytes(network)
 
         result = evaluate_under_faults(
             network, image, injector, x_eval, y_eval, n_trials=4, seed=5
@@ -142,11 +150,7 @@ class TestZeroProbabilityNull:
         assert result.expected_flips == 0.0
         assert set(result.trial_accuracies) == {result.baseline_accuracy}
         assert result.accuracy_drop == 0.0
-
-        after = network.snapshot()
-        for (w0, b0), (w1, b1) in zip(before, after):
-            np.testing.assert_array_equal(w0, w1)
-            np.testing.assert_array_equal(b0, b1)
+        assert parameter_bytes(network) == before
 
 
 class TestBatchedBitIdentity:
@@ -180,16 +184,13 @@ class TestBatchedBitIdentity:
     def test_batch_restores_the_network(self, small_model):
         network, image, x_eval, y_eval = small_model
         injector = WeightFaultInjector([make_rates(0.3)] * image.n_layers)
-        before = network.snapshot()
+        before = parameter_bytes(network)
         evaluate_many_under_faults(
             network, image,
             [FaultTrialSpec(injector=injector, n_trials=2, seed=1)],
             x_eval, y_eval,
         )
-        after = network.snapshot()
-        for (w0, b0), (w1, b1) in zip(before, after):
-            np.testing.assert_array_equal(w0, w1)
-            np.testing.assert_array_equal(b0, b1)
+        assert parameter_bytes(network) == before
 
     def test_batch_rejects_nonpositive_trials(self, small_model):
         network, image, x_eval, y_eval = small_model
@@ -201,3 +202,86 @@ class TestBatchedBitIdentity:
                 [FaultTrialSpec(injector=None, n_trials=0)],
                 x_eval, y_eval,
             )
+
+
+class TestThreadedTrials:
+    """``evaluate_many_under_faults(..., jobs=N)`` runs the trials on N
+    threads and returns the serial bytes."""
+
+    @staticmethod
+    def _specs(image):
+        layers = image.n_layers
+        return [
+            FaultTrialSpec(injector=None, n_trials=1, seed=None),
+            # Zero rates: every die is the clean image (no forward pass).
+            FaultTrialSpec(injector=WeightFaultInjector(
+                [make_rates(0.0)] * layers), n_trials=2, seed=3),
+            FaultTrialSpec(injector=WeightFaultInjector(
+                [make_rates(0.02)] * layers), n_trials=3, seed=42),
+            FaultTrialSpec(injector=None, n_trials=2, seed=9),
+            FaultTrialSpec(injector=WeightFaultInjector(
+                [make_rates([0.08] * 5 + [0.0] * 3, msb_in_8t=3)] * layers),
+                n_trials=1, seed=7),
+        ]
+
+    @pytest.mark.parametrize("jobs", [2, 3, 8])
+    def test_any_thread_count_gives_the_serial_result(self, small_model, jobs):
+        network, image, x_eval, y_eval = small_model
+        specs = self._specs(image)  # 6 trials: 8 threads is more than that
+        serial = evaluate_many_under_faults(
+            network, image, specs, x_eval, y_eval, jobs=1
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = evaluate_many_under_faults(
+                network, image, specs, x_eval, y_eval, jobs=jobs
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.to_dict() for r in threaded] == [r.to_dict() for r in serial]
+        for spec, got in zip(specs, threaded):
+            reference = evaluate_under_faults(
+                network, image, spec.injector, x_eval, y_eval,
+                n_trials=spec.n_trials, seed=spec.seed,
+            )
+            assert got.to_dict() == reference.to_dict()
+
+    def test_single_trial_on_many_threads(self, small_model):
+        network, image, x_eval, y_eval = small_model
+        spec = [self._specs(image)[-1]]
+        assert evaluate_many_under_faults(
+            network, image, spec, x_eval, y_eval, jobs=3
+        ) == evaluate_many_under_faults(network, image, spec, x_eval, y_eval)
+
+    @pytest.mark.parametrize("mode", ["persistent", "transient"])
+    def test_evaluation_never_writes_the_network(self, small_model, mode):
+        network, image, x_eval, y_eval = small_model
+        before = parameter_bytes(network)
+        injector = WeightFaultInjector([make_rates(0.3)] * image.n_layers)
+        evaluate_under_faults(network, image, injector, x_eval, y_eval,
+                              n_trials=2, seed=4, mode=mode, batch_size=16)
+        assert parameter_bytes(network) == before
+        evaluate_many_under_faults(
+            network, image, self._specs(image), x_eval, y_eval, jobs=2
+        )
+        assert parameter_bytes(network) == before
+
+    def test_a_failing_trial_propagates(self, small_model):
+        network, image, x_eval, y_eval = small_model
+
+        class Failing(WeightFaultInjector):
+            def inject(self, image, seed=None):
+                if seed == derive_seed(11, 2):
+                    raise RuntimeError("trial 2 failed")
+                return super().inject(image, seed=seed)
+
+        specs = [FaultTrialSpec(
+            injector=Failing([make_rates(0.02)] * image.n_layers),
+            n_trials=5, seed=11,
+        )]
+        for jobs in (1, 2):
+            with pytest.raises(RuntimeError, match="trial 2 failed"):
+                evaluate_many_under_faults(
+                    network, image, specs, x_eval, y_eval, jobs=jobs
+                )

@@ -25,17 +25,16 @@ class TestDenseLayer:
     def test_synapse_count_includes_biases(self):
         assert DenseLayer(10, 4).n_synapses == 44
 
-    def test_clone_restore_roundtrip(self):
-        layer = DenseLayer(6, 4, seed=1)
-        snap = layer.clone_parameters()
-        layer.weights += 1.0
-        layer.restore_parameters(snap)
-        np.testing.assert_array_equal(layer.weights, snap[0])
-
-    def test_restore_shape_checked(self):
-        layer = DenseLayer(6, 4, seed=1)
-        with pytest.raises(ConfigurationError):
-            layer.restore_parameters((np.zeros((2, 2)), np.zeros(2)))
+    @pytest.mark.parametrize("activation",
+                             ["sigmoid", "tanh", "relu", "identity"])
+    def test_inference_forward_matches_training_forward(self, activation):
+        """The in-place inference pass computes the training pass's bytes,
+        including at the sigmoid's clip bounds."""
+        layer = DenseLayer(6, 5, activation=activation, seed=2)
+        layer.biases = np.linspace(-0.5, 0.5, 5)
+        x = np.random.default_rng(3).normal(scale=30.0, size=(9, 6))
+        trained = layer.forward(x, train=True)
+        assert layer.forward(x).tobytes() == trained.tobytes()
 
 
 class TestNetworkSpec:
@@ -72,14 +71,34 @@ class TestFeedforward:
         for la, lb in zip(a.layers, b.layers):
             np.testing.assert_array_equal(la.weights, lb.weights)
 
-    def test_snapshot_restore(self):
+    def test_explicit_params_match_loaded_params(self):
+        """``forward(x, params=...)`` returns what loading the parameters
+        would, and writes nothing into the network."""
         net = FeedforwardANN(NetworkSpec(layer_sizes=(8, 6, 3), seed=0))
-        snap = net.snapshot()
-        x = np.linspace(0, 1, 8)
-        before = net.forward(x).copy()
-        net.layers[0].weights += 0.5
-        net.restore(snap)
-        np.testing.assert_allclose(net.forward(x), before)
+        other = FeedforwardANN(NetworkSpec(layer_sizes=(8, 6, 3), seed=1))
+        params = ([layer.weights for layer in other.layers],
+                  [layer.biases + 0.25 for layer in other.layers])
+        before = [layer.weights.tobytes() for layer in net.layers]
+        x = np.random.default_rng(0).random((4, 8))
+        got = net.forward(x, params=params)
+        assert [layer.weights.tobytes() for layer in net.layers] == before
+        for layer, b in zip(other.layers, params[1]):
+            layer.biases = b
+        assert got.tobytes() == other.forward(x).tobytes()
+        np.testing.assert_array_equal(net.predict(x, params=params),
+                                      other.predict(x))
+
+    def test_explicit_params_checked(self):
+        net = FeedforwardANN(NetworkSpec(layer_sizes=(8, 6, 3), seed=0))
+        weights = [layer.weights for layer in net.layers]
+        biases = [layer.biases for layer in net.layers]
+        x = np.zeros((2, 8))
+        with pytest.raises(ConfigurationError):
+            net.forward(x, params=(weights[:1], biases[:1]))
+        with pytest.raises(ConfigurationError):
+            net.forward(x, params=(weights[::-1], biases))
+        with pytest.raises(ConfigurationError):
+            net.forward(x, train=True, params=(weights, biases))
 
     def test_set_weight_matrices_shape_checked(self):
         net = FeedforwardANN(NetworkSpec(layer_sizes=(8, 6, 3), seed=0))

@@ -112,9 +112,9 @@ class TestWorkDone:
         calls = []
         original = FeedforwardANN.predict
 
-        def counting(network, x):
+        def counting(network, x, *args, **kwargs):
             calls.append(len(x))
-            return original(network, x)
+            return original(network, x, *args, **kwargs)
 
         monkeypatch.setattr(FeedforwardANN, "predict", counting)
         return calls

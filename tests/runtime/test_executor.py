@@ -10,6 +10,7 @@ from functools import partial
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.runtime import SweepExecutor, resolve_jobs, shutdown_pool
 from repro.runtime.executor import _partition
 
@@ -55,7 +56,7 @@ class TestResolveJobs:
 
     def test_bad_env_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "many")
-        with pytest.raises(ValueError, match="REPRO_JOBS"):
+        with pytest.raises(ConfigurationError, match="REPRO_JOBS"):
             resolve_jobs(None)
 
 

@@ -1,5 +1,8 @@
 """Tests of the command-line interface (fast paths only)."""
 
+import os
+import subprocess
+import sys
 import threading
 import time
 from functools import partial
@@ -98,6 +101,35 @@ class TestParser:
         assert args.name == "rack3-a" and args.max_jobs == 100
         with pytest.raises(SystemExit):  # --connect is required
             parser.parse_args(["worker"])
+
+    def test_worker_reconnect_defaults_are_the_workers(self):
+        from repro.distributed.worker import (
+            DEFAULT_RECONNECT_ATTEMPTS,
+            DEFAULT_RECONNECT_BACKOFF,
+        )
+
+        args = build_parser().parse_args(["worker", "--connect", "h:1"])
+        assert args.reconnect_backoff == DEFAULT_RECONNECT_BACKOFF
+        assert args.reconnect_max == DEFAULT_RECONNECT_ATTEMPTS
+
+    def test_cli_start_loads_no_distributed_module(self):
+        """Importing the CLI and parsing any command, the worker's
+        included, leave the distributed package unloaded."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        script = (
+            "import sys\n"
+            "import repro.cli as cli\n"
+            "cli.build_parser().parse_args(['worker', '--connect', 'h:1'])\n"
+            "cli.build_parser().parse_args(['hybrid', '--vdd', '0.7'])\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith('repro.distributed')))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.strip() == "[]"
 
     def test_dispatch_flags(self):
         parser = build_parser()
@@ -242,7 +274,7 @@ class TestBuildSimOverlap:
     def _fake_simulator(self, monkeypatch):
         monkeypatch.setattr(
             repro.cli, "CircuitToSystemSimulator",
-            lambda model, tables, n_trials: (model, tables),
+            lambda model, tables, n_trials, jobs: (model, tables),
         )
 
     def test_tables_build_while_training(self, monkeypatch):
@@ -298,17 +330,25 @@ class TestHybridCommand:
     def test_cold_output_is_independent_of_jobs(self, tmp_path, monkeypatch,
                                                  capsys):
         """Cold tables, training and study print the same bytes at any
-        --jobs.  A small training set keeps the two cold runs quick."""
+        --jobs, and so do the warm ``scaling`` and ``allocate`` that
+        follow on the filled cache (their fault trials run on --jobs
+        threads).  A small training set keeps the two cold runs quick."""
         monkeypatch.setattr(
             repro.cli, "train_benchmark_ann",
             partial(train_benchmark_ann, n_train=600, n_val=100,
                     n_test=300, epochs=2),
         )
+        commands = (
+            ["hybrid", "--vdd", "0.7", "--trials", "1"],
+            ["scaling", "--trials", "2"],
+            ["allocate", "--vdd", "0.7", "--max-drop", "5", "--trials", "2"],
+        )
         outputs = []
         for jobs in ("1", "2"):
             monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / jobs))
-            assert main(["hybrid", "--vdd", "0.7", "--samples", "2000",
-                         "--trials", "1", "--jobs", jobs]) == 0
+            for command in commands:
+                assert main([*command, "--samples", "2000",
+                             "--jobs", jobs]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert "(4,4)" in outputs[0]
