@@ -33,8 +33,8 @@ import time
 
 from repro.devices import ptm22
 from repro.distributed import ObjectStore, ShardDispatcher, worker_command
+from repro.distributed.client import request_stats
 from repro.runtime import make_tiered_store
-from repro.serving.server import request_stats
 from repro.sram import make_cell
 from repro.sram.montecarlo import MonteCarloAnalyzer
 

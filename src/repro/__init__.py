@@ -19,9 +19,11 @@ The package is organised as a circuit-to-system pipeline:
   backends behind the failure-margin hot path (``reference`` and the
   stacked-bisection ``fused`` default; see ``docs/performance.md``).
 * :mod:`repro.runtime` — parallel sweep executor, content-addressed
-  result cache, sharded Monte Carlo, single-flight request coalescing.
-* :mod:`repro.serving` — async batch-serving front-end over the
-  simulator (JSON-lines protocol; see ``docs/serving.md``).
+  result cache, sharded Monte Carlo, tiered cache.
+* :mod:`repro.distributed` — dispatcher/worker fleet over one
+  JSON-lines protocol (see ``docs/distributed.md``).
+* :mod:`repro.obs` — metrics, tracing, flight recorder and the ``top``
+  dashboard.
 
 See ``docs/architecture.md`` for the layer-by-layer system walkthrough
 and ``docs/reproducing.md`` for the paper-versus-reproduced map of every

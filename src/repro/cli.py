@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from typing import Optional
 
 from repro.core import (
     CircuitToSystemSimulator,
@@ -23,7 +22,7 @@ from repro.core import (
 )
 from repro.devices.technology import get_technology
 from repro.mem import CellTables
-from repro.runtime import DEFAULT_BLOCK_SAMPLES, CacheStore, ResultCache, shutdown_pool
+from repro.runtime import DEFAULT_BLOCK_SAMPLES, CacheStore, ResultCache
 from repro.sram import characterize_cell
 from repro.sram.area import format_area
 from repro.units import format_si
@@ -94,7 +93,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_store_options(parser: argparse.ArgumentParser) -> None:
-    """Tiered-cache flags shared by serve / worker / dispatch.
+    """Tiered-cache flags shared by worker / dispatch.
 
     Any of them upgrades the command's cache to the standard tiered
     composition (memory LRU → directory → remote object store; see
@@ -255,57 +254,6 @@ def cmd_allocate(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
-    from repro.serving import BatchingEvaluator, run_stdio
-    from repro.serving.server import format_stats, request_stats, run_tcp_forever
-
-    if args.stats:
-        # Probe mode: ask a *running* server for its counters — no
-        # simulator build, no evaluation.
-        print(format_stats(request_stats(args.host, args.port)))
-        return 0
-    sim = _build_sim(args)
-    shutdown_pool()  # a long-running server keeps no idle sweep workers
-    cache: Optional[CacheStore]
-    if args.no_cache:
-        # None, not a disabled cache: submit() skips the per-request
-        # store round trip entirely when there is no cache.
-        cache = None
-    elif _tiering_requested(args):
-        cache = _build_store(args)
-    else:
-        cache = ResultCache()
-    evaluator = BatchingEvaluator(
-        sim,
-        cache=cache,
-        batch_window=args.batch_window,
-        max_batch=args.max_batch,
-    )
-    metrics_server = None
-    if args.metrics_port is not None:
-        from repro.obs import MetricsServer, bind_store_metrics
-
-        if cache is not None:
-            bind_store_metrics(evaluator.metrics, cache, component="serve")
-        metrics_server = MetricsServer(
-            evaluator.metrics, port=args.metrics_port
-        ).start()
-        print(f"metrics on {metrics_server.url}", file=sys.stderr)
-    try:
-        if args.stdin:
-            code = run_stdio(evaluator)
-            print(evaluator.stats.summary(), file=sys.stderr)
-            return code
-        return run_tcp_forever(evaluator, args.host, args.port,
-                               max_inflight=args.max_inflight)
-    finally:
-        if metrics_server is not None:
-            metrics_server.stop()
-        close = getattr(cache, "close", None)
-        if close is not None:
-            close()  # drain write-behind before the process exits
-
-
 def _parse_endpoint(value: str, flag: str) -> tuple:
     """``HOST:PORT`` → ``(host, port)`` with a CLI-grade error."""
     from repro.errors import ConfigurationError
@@ -381,7 +329,7 @@ def _run_dag(args, dispatcher) -> None:
 
 def cmd_dispatch(args) -> int:
     from repro.distributed import ShardDispatcher
-    from repro.serving.server import format_stats, request_stats
+    from repro.distributed.client import format_stats, request_stats
     from repro.sram import DEFAULT_VDD_GRID, make_cell
     from repro.sram.importance_sampling import ImportanceSampler
     from repro.sram.montecarlo import MonteCarloAnalyzer
@@ -511,7 +459,7 @@ def cmd_cache(args) -> int:
         # (object/byte totals, get/put traffic) instead of walking the
         # local directory.
         from repro.distributed.objectstore import ObjectStore
-        from repro.serving.server import format_stats
+        from repro.distributed.client import format_stats
 
         print(f"object store : {args.store_url}")
         print(format_stats(ObjectStore(args.store_url).remote_stats()))
@@ -593,37 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start-msb", type=int, default=3)
     _add_common(p)
     p.set_defaults(func=cmd_allocate)
-
-    p = sub.add_parser(
-        "serve",
-        help="batch-serving front-end: JSON-lines evaluation requests "
-             "over TCP (or one stdin/stdout exchange with --stdin)",
-    )
-    p.add_argument("--host", default="127.0.0.1",
-                   help="TCP bind address (default 127.0.0.1)")
-    p.add_argument("--port", type=int, default=8416,
-                   help="TCP port (0 = ephemeral; default 8416)")
-    p.add_argument("--batch-window", type=float, default=0.01, metavar="S",
-                   help="seconds to hold the first pending request while "
-                        "more arrive (default 0.01; 0 still batches "
-                        "same-turn bursts)")
-    p.add_argument("--max-batch", type=int, default=32, metavar="N",
-                   help="pending-request count that forces an immediate "
-                        "flush (default 32)")
-    p.add_argument("--stdin", action="store_true",
-                   help="read JSON-lines requests from stdin, answer on "
-                        "stdout, exit (socket-free mode)")
-    p.add_argument("--max-inflight", type=int, default=64, metavar="N",
-                   help="per-connection in-flight request ceiling; excess "
-                        "requests get structured 'overloaded' errors "
-                        "(default 64)")
-    p.add_argument("--stats", action="store_true",
-                   help="probe a RUNNING server at --host/--port for its "
-                        "serving counters and exit (starts nothing)")
-    _add_common(p)
-    _add_store_options(p)
-    _add_metrics_option(p)
-    p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
         "worker",
@@ -742,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["stats", "compact", "clear"])
     p.add_argument("--namespace", default=None,
                    help="restrict 'compact'/'clear' to one namespace "
-                        "(e.g. mc, mcshard, cell, cellpoint, is, ann, serve)")
+                        "(e.g. mc, mcshard, cell, cellpoint, is, ann)")
     p.add_argument("--max-age", type=float, default=None, metavar="S",
                    help="with 'compact': delete entries at least S seconds "
                         "old (the TTL-expiry rule: age >= S)")
@@ -766,17 +683,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "top",
-        help="live fleet dashboard: poll a dispatcher or serve stats "
-             "probe and redraw a terminal summary",
+        help="live fleet dashboard: poll a dispatcher's stats probe "
+             "and redraw a terminal summary",
     )
     p.add_argument("--host", default="127.0.0.1",
                    help="stats-probe host (default 127.0.0.1)")
     p.add_argument("--port", type=int, required=True,
-                   help="stats-probe port (a running dispatch or serve "
-                        "endpoint)")
+                   help="stats-probe port (a running dispatch endpoint)")
     p.add_argument("--interval", type=float, default=1.0, metavar="S",
                    help="seconds between redraws (default 1)")
-    p.add_argument("--iterations", type=int, default=0, metavar="N",
+    p.add_argument("--iterations", type=_non_negative_int, default=0, metavar="N",
                    help="stop after N redraws (default 0 = until Ctrl-C)")
     p.add_argument("--no-clear", action="store_true",
                    help="append frames instead of clearing the screen "

@@ -342,7 +342,7 @@ class CircuitToSystemSimulator:
         msb_in_8t: Optional[int] = None,
         msb_per_layer: Optional[Sequence[int]] = None,
     ) -> SynapticMemoryArchitecture:
-        """Build a memory by configuration name — the serving entry point.
+        """Build a memory by configuration name.
 
         ``config`` is one of ``"base"`` (all-6T), ``"config1"`` (uniform
         hybrid; requires ``msb_in_8t``) or ``"config2"`` (per-layer
@@ -373,41 +373,6 @@ class CircuitToSystemSimulator:
             f"unknown memory config {config!r}; known: base, config1, config2"
         )
 
-    def fingerprint(self) -> str:
-        """Digest of everything that determines :meth:`evaluate` results.
-
-        Covers the quantized memory image (the exact code arrays the
-        injector perturbs), the evaluation split, the failure-model
-        flags and both characterization tables — so two simulators with
-        equal fingerprints return bit-identical evaluations for equal
-        ``(memory, n_trials, seed)`` requests.  The serving layer folds
-        this digest into every response-cache key, making a cached
-        response indistinguishable from a recompute.
-        """
-        h = hashlib.sha256()
-        image = self.model.image
-        h.update(
-            json.dumps(
-                {
-                    "n_bits": image.fmt.n_bits,
-                    "frac_bits": image.fmt.frac_bits,
-                    "include_write_failures": self.include_write_failures,
-                    "include_read_disturb": self.include_read_disturb,
-                    "tables": [
-                        self.tables.table_6t.to_payload(),
-                        self.tables.table_8t.to_payload(),
-                    ],
-                },
-                sort_keys=True,
-            ).encode()
-        )
-        for codes in (*image.weight_codes, *image.bias_codes):
-            h.update(np.ascontiguousarray(codes).tobytes())
-        dataset = self.model.dataset
-        h.update(np.ascontiguousarray(dataset.x_test).tobytes())
-        h.update(np.ascontiguousarray(dataset.y_test).tobytes())
-        return h.hexdigest()[:32]
-
     # ------------------------------------------------------------------
     # Accuracy under a memory configuration
     # ------------------------------------------------------------------
@@ -420,11 +385,7 @@ class CircuitToSystemSimulator:
         """Classification accuracy with this memory's fault statistics."""
         return self.evaluate_batch([(memory, n_trials, seed)])[0]
 
-    def evaluate_batch(
-        self,
-        items: Sequence[tuple],
-        injectors: Optional[Sequence] = None,
-    ) -> list:
+    def evaluate_batch(self, items: Sequence[tuple]) -> list:
         """Evaluate many memories through one shared fault-injection pass.
 
         ``items`` holds ``(memory, n_trials, seed)`` triples
@@ -434,34 +395,19 @@ class CircuitToSystemSimulator:
         batch runs the trials of every item on the simulator's ``jobs``
         threads, and pays no clean baseline pass (the model's
         ``quantized_accuracy`` is that pass's result).  This is the path
-        of the Fig. 7 / Fig. 8 studies and the flush path of the
-        batch-serving front-end (:mod:`repro.serving`).
-
-        ``injectors`` optionally supplies one prebuilt
-        :class:`~repro.fault.injector.WeightFaultInjector` per item (a
-        caller that already built them for validation avoids building
-        them twice); each must come from ``items[i]``'s memory with
-        this simulator's failure-model flags.
+        of the Fig. 7 / Fig. 8 studies.
         """
-        if injectors is not None and len(injectors) != len(items):
-            raise ConfigurationError(
-                f"got {len(injectors)} injectors for {len(items)} items"
-            )
-        specs = []
-        for i, (memory, n_trials, seed) in enumerate(items):
-            injector = injectors[i] if injectors is not None else (
-                memory.fault_injector(
+        specs = [
+            FaultTrialSpec(
+                injector=memory.fault_injector(
                     include_write_failures=self.include_write_failures,
                     include_read_disturb=self.include_read_disturb,
-                )
+                ),
+                n_trials=self.n_trials if n_trials is None else n_trials,
+                seed=seed,
             )
-            specs.append(
-                FaultTrialSpec(
-                    injector=injector,
-                    n_trials=self.n_trials if n_trials is None else n_trials,
-                    seed=seed,
-                )
-            )
+            for memory, n_trials, seed in items
+        ]
         return evaluate_many_under_faults(
             self.model.network,
             self.model.image,

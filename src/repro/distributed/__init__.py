@@ -32,6 +32,9 @@ The pieces:
   (NN accuracy under faults);
 * :mod:`~repro.distributed.protocol` — the message vocabulary
   (register / ready / assign / result / heartbeat / stats);
+* :mod:`~repro.distributed.client` — the reconnecting JSON-lines
+  client and the ``stats`` probe helpers (``dispatch --stats``,
+  ``top``);
 * :mod:`~repro.distributed.dispatcher` /
   :mod:`~repro.distributed.worker` — the two processes, with
   heartbeat-based liveness, retry/reassignment of shards from dead

@@ -1,13 +1,10 @@
-"""Resilient JSON-lines client: one hardened path for every probe.
+"""Resilient JSON-lines client and the ``stats`` probe helpers.
 
-Both wire protocols in this library — the batch-serving front-end
-(:mod:`repro.serving.server`) and the distributed dispatcher
-(:mod:`repro.distributed.protocol`) — speak newline-delimited JSON over
-TCP and answer ``{"type": "stats"}`` probes.  Before this module, every
-caller that talked to them ad hoc (CLI ``--stats`` probes, the ``top``
-dashboard, smoke scripts) opened a fresh socket per
-request and died on the first hiccup.  :class:`ResilientClient` is the
-shared client those paths now ride:
+The distributed dispatcher (:mod:`repro.distributed.protocol`) speaks
+newline-delimited JSON over TCP and answers ``{"type": "stats"}``
+probes.  :class:`ResilientClient` is the one hardened client its
+callers ride — the CLI ``--stats`` probes, the ``top`` dashboard and
+the smoke scripts:
 
 * **persistent connection** — one socket reused across requests,
   re-dialed lazily after a loss;
@@ -17,14 +14,9 @@ shared client those paths now ride:
 * **per-request deadlines** — every :meth:`request` observes one total
   deadline across connects, retries and waits (``timeout=`` per call,
   defaulting to the client-wide setting);
-* **backpressure honoured** — a structured ``overloaded`` refusal (the
-  serving front-end's per-connection in-flight cap) is not an error:
-  the client sleeps the server-suggested ``retry_after`` (or its own
-  ``overloaded_delay``) and resends, without consuming a retry
-  attempt;
-* **stats polling** — :meth:`stats` validates the probe response shape
-  and :meth:`watch_stats` yields snapshots on an interval, which is
-  what the ``top`` dashboard loops on.
+* **stats probes** — :meth:`stats` validates the probe response shape;
+  :func:`request_stats` is the one-shot fail-fast form and
+  :func:`format_stats` renders a probe for a terminal.
 
 Failures that retrying cannot fix — a malformed response line, a
 non-JSON-object payload — raise :class:`ClientError` immediately: a
@@ -44,11 +36,11 @@ import random
 import socket
 import threading
 import time
-from typing import Any, Callable, Dict, Iterator, Optional, TextIO
+from typing import Any, Callable, Dict, List, Optional, TextIO
 
 from repro.errors import ReproError
 
-__all__ = ["ClientError", "ResilientClient"]
+__all__ = ["ClientError", "ResilientClient", "format_stats", "request_stats"]
 
 
 class ClientError(ReproError):
@@ -57,25 +49,22 @@ class ClientError(ReproError):
 
 
 class ResilientClient:
-    """Persistent, reconnecting client for the JSON-lines protocols.
+    """Persistent, reconnecting client for the JSON-lines protocol.
 
     Parameters
     ----------
     host / port:
-        The server to talk to (serving front-end or dispatcher).
+        The server to talk to (a dispatcher).
     timeout:
         Default per-request deadline in seconds — the *total* budget
-        for one :meth:`request`, covering dials, retries, backoff
-        pauses and overload waits.
+        for one :meth:`request`, covering dials, retries and backoff
+        pauses.
     max_attempts:
         Transport attempts per request (1 = fail on the first loss,
         the fail-fast mode one-shot probes use).
     backoff / backoff_cap:
         Reconnect delay: ``backoff`` seconds doubling per consecutive
         failure, capped at ``backoff_cap``, ±50% jitter.
-    overloaded_delay:
-        Fallback pause before resending after an ``overloaded``
-        refusal that carried no usable ``retry_after`` hint.
     sleep / rng:
         Injection points for tests (defaults: :func:`time.sleep`,
         :func:`random.random`).
@@ -90,7 +79,6 @@ class ResilientClient:
         max_attempts: int = 3,
         backoff: float = 0.2,
         backoff_cap: float = 2.0,
-        overloaded_delay: float = 0.2,
         sleep: Callable[[float], None] = time.sleep,
         rng: Callable[[], float] = random.random,
     ):
@@ -104,17 +92,14 @@ class ResilientClient:
         self.max_attempts = int(max_attempts)
         self.backoff = float(backoff)
         self.backoff_cap = float(backoff_cap)
-        self.overloaded_delay = float(overloaded_delay)
         self._sleep = sleep
         self._rng = rng
         #: Successful dials over the client's lifetime.
         self.connects = 0
         #: Successful dials that *replaced* a lost connection.
         self.reconnects = 0
-        #: Transport-failure retries (not overload waits).
+        #: Transport-failure retries.
         self.retries = 0
-        #: ``overloaded`` refusals honoured with a pause + resend.
-        self.overloaded_waits = 0
         self._lock = threading.Lock()
         self._sock: Optional[socket.socket] = None
         self._stream: Optional[TextIO] = None
@@ -179,14 +164,12 @@ class ResilientClient:
         """Send one request line, return the response object.
 
         One total deadline (``timeout`` or the client default) covers
-        everything — dialling, transport retries, backoff pauses and
-        ``overloaded`` waits.  Transport losses retry up to
-        ``max_attempts`` times; an ``overloaded`` refusal waits and
-        resends without consuming an attempt (the server explicitly
-        asked for that).  Raises :class:`ClientError` when the deadline
-        or the attempt budget is exhausted, or on a response no retry
-        can fix.  Non-``ok`` responses other than ``overloaded`` are
-        *returned*, not raised — their meaning belongs to the caller.
+        everything — dialling, transport retries and backoff pauses.
+        Transport losses retry up to ``max_attempts`` times.  Raises
+        :class:`ClientError` when the deadline or the attempt budget is
+        exhausted, or on a response no retry can fix.  Non-``ok``
+        responses are *returned*, not raised — their meaning belongs to
+        the caller.
         """
         budget = self.timeout if timeout is None else float(timeout)
         if budget <= 0:
@@ -254,23 +237,6 @@ class ResilientClient:
                         f"response line must hold a JSON object, got "
                         f"{type(response).__name__}"
                     )
-                if not response.get("ok") and response.get("code") == "overloaded":
-                    # Backpressure, not failure: the server refused to
-                    # queue this request.  Wait the suggested interval
-                    # (bounded by the deadline) and resend.
-                    self.overloaded_waits += 1
-                    hint = response.get("retry_after")
-                    delay = (
-                        float(hint)
-                        if isinstance(hint, (int, float))
-                        and not isinstance(hint, bool)
-                        and hint >= 0
-                        else self.overloaded_delay
-                    )
-                    self._pause(min(
-                        delay, max(0.0, deadline - time.monotonic())
-                    ))
-                    continue
                 return response
 
     # ------------------------------------------------------------------
@@ -279,8 +245,7 @@ class ResilientClient:
     def stats(self, timeout: Optional[float] = None) -> Dict[str, Any]:
         """One validated ``{"type": "stats"}`` probe → the stats object.
 
-        Works against both the serving front-end and the dispatcher;
-        refusals and shape violations raise :class:`ClientError`.
+        Refusals and shape violations raise :class:`ClientError`.
         """
         response = self.request({"type": "stats"}, timeout=timeout)
         if not response.get("ok"):
@@ -292,26 +257,63 @@ class ResilientClient:
             raise ClientError("stats response lacks a 'stats' object")
         return stats
 
-    def watch_stats(
-        self, interval: float = 1.0, iterations: int = 0
-    ) -> Iterator[Dict[str, Any]]:
-        """Yield stats snapshots every ``interval`` seconds.
-
-        ``iterations=0`` polls forever (the dashboard loop); a positive
-        count stops after that many snapshots.  The pause between
-        snapshots uses the injectable ``sleep``, so scripted tests can
-        drain a finite watch instantly.
-        """
-        if interval <= 0:
-            raise ClientError(f"interval must be positive, got {interval}")
-        count = 0
-        while True:
-            yield self.stats()
-            count += 1
-            if iterations and count >= iterations:
-                return
-            self._sleep(interval)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "connected" if self._sock is not None else "idle"
         return f"ResilientClient({self.host}:{self.port}, {state})"
+
+
+def request_stats(host: str, port: int, timeout: float = 10.0) -> Dict[str, Any]:
+    """Probe a running dispatcher for its stats counters.
+
+    The dispatcher answers ``{"type": "stats"}`` with
+    ``{"ok": true, "stats": {...}}``; this returns the ``stats`` object.
+    It is the ``dispatch --stats`` probe.
+
+    One-shot and fail-fast by design: a single attempt within
+    ``timeout``, errors raised immediately — probe callers (smoke
+    scripts, shell scripts) time their own retries.  Long-lived
+    pollers should hold a :class:`ResilientClient` instead, which is
+    what this function wraps.
+    """
+    with ResilientClient(host, port, timeout=timeout, max_attempts=1) as client:
+        return client.stats()
+
+
+def _format_value(value: Any) -> str:
+    """Display form of one probe scalar.
+
+    Floats render at 6 significant digits — accumulated latency sums
+    like ``0.30000000000000004`` are measurement noise past that — but
+    only for *display*: the JSON payload :func:`request_stats` returns
+    keeps the exact values.
+    """
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return str(value)
+
+
+def format_stats(stats: Dict[str, Any], indent: int = 0) -> str:
+    """Aligned ``key : value`` rendering of one stats probe response.
+
+    Nested objects — the per-tier ``store`` block a tiered cache adds,
+    or the dispatcher's per-kind queue depths — render as indented
+    sections, so one probe shows scheduling counters and cache-tier
+    counters in a single readable report.  Keys sort by their string
+    form at every level, so the rendering is deterministic even when a
+    probe mixes key types.  Floats display at 6 significant digits
+    (see :func:`_format_value`); the wire payload stays exact.
+    """
+    scalars = {k: v for k, v in stats.items() if not isinstance(v, dict)}
+    nested = {k: v for k, v in stats.items() if isinstance(v, dict)}
+    pad = " " * indent
+    lines: List[str] = []
+    if scalars:
+        width = max(len(str(key)) for key in scalars)
+        lines.extend(
+            f"{pad}{str(key):<{width}s} : {_format_value(scalars[key])}"
+            for key in sorted(scalars, key=str)
+        )
+    for key in sorted(nested, key=str):
+        lines.append(f"{pad}{key}:")
+        lines.append(format_stats(nested[key], indent=indent + 2))
+    return "\n".join(lines)

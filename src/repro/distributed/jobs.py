@@ -48,10 +48,9 @@ dispatcher or worker code.
 
 from __future__ import annotations
 
-import copy
 import threading
 import uuid
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.devices.technology import MosfetParams, Technology
@@ -552,10 +551,10 @@ def model_from_spec(spec: Dict[str, Any]) -> Any:
     later calls with an equal spec reuse it.  The memo holds one model,
     keyed by the spec with ``profile=None`` resolved through
     ``REPRO_PROFILE``, and a build that raises leaves it empty.  Every
-    caller gets its own copy of the network, so a caller that writes
-    parameters into it (``QuantizedWeights.apply_to``) leaves the others
-    alone; fault evaluation itself never writes to it.  The quantized
-    image and the dataset are shared and must be treated as read-only.
+    caller gets the same model object: the job kinds that call this
+    classify through ``evaluate_*_under_faults``, which never writes to
+    the network, so the network, the quantized image and the dataset
+    are shared and must be treated as read-only.
     """
     global _model_memo
     _validate_model_spec(spec)
@@ -568,8 +567,7 @@ def model_from_spec(spec: Dict[str, Any]) -> Any:
             _model_memo = None
             model = train_benchmark_ann(profile=spec["profile"], **args)
             _model_memo = (key, model)
-        pristine = _model_memo[1]
-    return replace(pristine, network=copy.deepcopy(pristine.network))
+        return _model_memo[1]
 
 
 # ----------------------------------------------------------------------

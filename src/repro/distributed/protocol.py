@@ -1,7 +1,7 @@
 """JSON-lines wire protocol of the distributed shard dispatcher.
 
-Same framing as the serving front-end (:mod:`repro.serving.server`):
-one JSON object per line, over a plain TCP stream.  Every message
+One JSON object per line, over a plain TCP stream (the client side
+of probes is :mod:`repro.distributed.client`).  Every message
 carries a ``type`` field; everything else is type-specific.
 
 Worker → dispatcher

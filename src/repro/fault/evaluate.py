@@ -174,7 +174,7 @@ def evaluate_many_under_faults(
 
     This is the vectorized fault-injection pass behind
     :meth:`repro.core.framework.CircuitToSystemSimulator.evaluate_batch`
-    and the batch-serving front-end (:mod:`repro.serving`).
+    and the distributed ``fault_block`` job.
     """
     for spec in specs:
         if spec.n_trials <= 0:

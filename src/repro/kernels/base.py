@@ -1,8 +1,8 @@
 """Margin-kernel backend interface, registry and selection.
 
 Every failure-margin estimate in the stack — Monte-Carlo tallies,
-importance sampling, characterization tables, the serving batcher and
-distributed shard workers — funnels through
+importance sampling, characterization tables and distributed shard
+workers — funnels through
 :func:`repro.sram.failures.compute_failure_margins`.  This module puts a
 *backend* seam behind that function: a :class:`MarginKernel` evaluates
 the per-sample failure margins of one ``(cell, vdd, ΔVT-block)`` and

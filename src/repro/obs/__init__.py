@@ -2,7 +2,7 @@
 
 Import from here for the common surface; ``repro.obs.top`` (the
 dashboard) is imported lazily by the CLI to keep this package free of
-serving-layer imports.
+:mod:`repro.distributed` imports.
 """
 
 from dataclasses import asdict

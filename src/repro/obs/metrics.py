@@ -1,7 +1,7 @@
 """Zero-dependency metrics registry: counters, gauges, histograms.
 
 Components count their work in plain attributes — the stats
-dataclasses (``DispatcherStats``, ``ServingStats``, ``TierStats``) and
+dataclasses (``DispatcherStats``, ``TierStats``) and
 the tiered store's write-behind counters — and the ``stats`` probes
 read those attributes directly.  A component that serves ``/metrics``
 owns a :class:`MetricsRegistry` and registers a *collector*

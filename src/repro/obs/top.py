@@ -1,6 +1,6 @@
 """`repro-sram top`: a live fleet dashboard over the stats probes.
 
-``run_top`` polls a dispatcher or serve ``stats`` probe and renders a
+``run_top`` polls a dispatcher's ``stats`` probe and renders a
 per-kind queue-depth / worker / tier-hit-rate dashboard in place.  The
 renderer is a pure function of the probe document so tests can assert
 its output without a live fleet.
@@ -11,6 +11,8 @@ from __future__ import annotations
 import sys
 import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, TextIO
+
+from repro.errors import ConfigurationError
 
 __all__ = ["render_dashboard", "run_top"]
 
@@ -130,32 +132,13 @@ def _dispatch_lines(stats: Mapping[str, Any]) -> List[str]:
     return lines
 
 
-def _serve_lines(stats: Mapping[str, Any]) -> List[str]:
-    requests = stats.get("requests", 0)
-    hits = stats.get("cache_hits", 0)
-    coalesced = stats.get("coalesced", 0)
-    rate = f"{100.0 * hits / requests:.1f}%" if requests else "-"
-    return [
-        f"requests  {_fmt(requests)}   cache-hits {_fmt(hits)} ({rate})"
-        f"   coalesced {_fmt(coalesced)}",
-        f"batches   {_fmt(stats.get('batches', 0))}"
-        f"   evaluations {_fmt(stats.get('evaluations', 0))}"
-        f"   errors {_fmt(stats.get('errors', 0))}",
-    ]
-
-
 def render_dashboard(stats: Mapping[str, Any], title: str = "repro-sram top") -> str:
     """Render one probe document as a dashboard frame."""
-    kind = "dispatcher" if "queues" in stats else "serve"
-    header = f"{title} — {kind} probe"
+    header = f"{title} — dispatcher probe"
     version = stats.get("stats_version")
     if version is not None:
         header += f" (stats v{version})"
-    lines = [header, "=" * len(header)]
-    if kind == "dispatcher":
-        lines.extend(_dispatch_lines(stats))
-    else:
-        lines.extend(_serve_lines(stats))
+    lines = [header, "=" * len(header), *_dispatch_lines(stats)]
     store = stats.get("store")
     if isinstance(store, Mapping):
         lines.extend(_store_lines(store))
@@ -176,15 +159,19 @@ def run_top(
 
     ``iterations=0`` polls forever (Ctrl-C exits cleanly); tests pass a
     finite count and a stub ``fetch``.  Returns a process exit code.
+    A negative ``interval`` raises
+    :class:`~repro.errors.ConfigurationError` before the first poll.
 
     Without a ``fetch`` stub the poll loop holds one
-    :class:`~repro.serving.client.ResilientClient` for its whole
-    lifetime — a persistent connection that rides out server restarts
-    with backoff instead of dialling a fresh socket per frame.
+    :class:`~repro.distributed.client.ResilientClient` for its whole
+    lifetime — a persistent connection that rides out dispatcher
+    restarts with backoff instead of dialling a fresh socket per frame.
     """
+    if interval < 0:
+        raise ConfigurationError(f"interval must not be negative, got {interval}")
     client = None
     if fetch is None:
-        from repro.serving.client import ResilientClient
+        from repro.distributed.client import ResilientClient
 
         client = ResilientClient(host, port)
 

@@ -22,10 +22,6 @@ provides the two pieces of infrastructure those sweeps share:
   executor, with per-shard cache entries and an exact (grouping
   independent) tally merge, so paper-scale populations stream with
   bounded memory and re-sharding never changes a bit of the result.
-* :class:`~repro.runtime.singleflight.SingleFlight` — keyed in-flight
-  futures for async request coalescing: the cache deduplicates
-  *completed* work, SingleFlight deduplicates work still in flight
-  (the batch-serving front-end in :mod:`repro.serving` uses both).
 * :class:`~repro.runtime.tiering.TieredStore` /
   :class:`~repro.runtime.tiering.MemoryLRUStore` — the tiered cache
   (memory LRU → directory → remote object store) with read-through
@@ -57,7 +53,6 @@ from repro.runtime.sharding import (
     ShardedMonteCarlo,
     ShardPlan,
 )
-from repro.runtime.singleflight import SingleFlight
 from repro.runtime.tiering import (
     MemoryLRUStore,
     TieredStore,
@@ -75,7 +70,6 @@ __all__ = [
     "Shard",
     "ShardPlan",
     "ShardedMonteCarlo",
-    "SingleFlight",
     "SweepExecutor",
     "TierStats",
     "TieredStore",

@@ -18,7 +18,7 @@ foreign files are treated as misses rather than errors.
 :class:`ResultCache` is the directory tier of the :class:`CacheStore`
 interface every store backend speaks (:mod:`repro.runtime.tiering`,
 :mod:`repro.distributed.objectstore`), so one directory serves
-single-host sweeps, worker fleets and serving front-ends alike.
+single-host sweeps and worker fleets alike.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ class CacheStore(ABC):
 
     Every concrete store maintains a :class:`TierStats` (``self.tier``)
     and reports it through :meth:`stats_payload` — the object the
-    ``stats`` probes of serve and dispatch embed.
+    ``stats`` probe of the dispatcher embeds.
     """
 
     def __init__(self) -> None:

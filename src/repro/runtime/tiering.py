@@ -3,7 +3,7 @@
 The library's dedupe story grew bottom-up: :class:`~repro.runtime.cache.ResultCache`
 dedupes one host — or one fleet sharing its directory.  This module
 adds the planet-scale tier — a *shared remote store with local hot
-tiers* — so fleets of workers and serving front-ends on different
+tiers* — so fleets of workers and dispatchers on different
 machines dedupe each other's warm configurations too::
 
     get:  memory LRU ──miss──▶ local directory ──miss──▶ object store

@@ -2,9 +2,9 @@
 
 The peer here is a *scripted* threaded TCP server: each accepted
 connection consumes the next session script, so tests can produce the
-exact failure shapes — mid-request EOF, malformed lines, ``overloaded``
-refusals with and without hints — deterministically, with injected
-``sleep``/``rng`` so nothing actually waits.
+exact failure shapes — mid-request EOF, malformed lines, refusals —
+deterministically, with injected ``sleep``/``rng`` so nothing actually
+waits.
 """
 
 import json
@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from repro.serving.client import ClientError, ResilientClient
+from repro.distributed.client import ClientError, ResilientClient, request_stats
 
 
 class ScriptedServer:
@@ -173,33 +173,6 @@ class TestDeadline:
             ResilientClient("h", 1, max_attempts=0)
 
 
-class TestBackpressure:
-    def test_overloaded_waits_the_hinted_interval_and_resends(self):
-        sleeps = []
-        sessions = [[
-            {"ok": False, "code": "overloaded", "retry_after": 0.05},
-            {"ok": True, "done": True},
-        ]]
-        with ScriptedServer(sessions) as s:
-            client = make_client(s, sleep=sleeps.append)
-            assert client.request({"type": "work"})["done"] is True
-            assert client.overloaded_waits == 1
-            assert client.retries == 0  # backpressure is not a failure
-            assert sleeps == [0.05]
-        assert len(s.requests) == 2  # the request was resent verbatim
-
-    @pytest.mark.parametrize("hint", [None, "soon", -1, True])
-    def test_unusable_hints_fall_back_to_the_default_delay(self, hint):
-        sleeps = []
-        refusal = {"ok": False, "code": "overloaded"}
-        if hint is not None:
-            refusal["retry_after"] = hint
-        with ScriptedServer([[refusal, {"ok": True}]]) as s:
-            client = make_client(s, overloaded_delay=0.123, sleep=sleeps.append)
-            assert client.request({})["ok"] is True
-            assert sleeps == [0.123]
-
-
 class TestProtocolViolations:
     def test_malformed_line_raises_without_retry(self):
         with ScriptedServer([["not json at all\n"]]) as s:
@@ -235,26 +208,10 @@ class TestStats:
                 with pytest.raises(ClientError, match="'stats' object"):
                     client.stats()
 
-    def test_watch_stats_yields_on_the_injected_interval(self):
-        sleeps = []
-        responses = [{"ok": True, "stats": {"n": i}} for i in range(3)]
-        with ScriptedServer([responses]) as s:
-            client = make_client(s, sleep=sleeps.append)
-            snapshots = list(client.watch_stats(interval=0.5, iterations=3))
-            assert [snap["n"] for snap in snapshots] == [0, 1, 2]
-            assert sleeps == [0.5, 0.5]  # no pause after the last one
-
-    def test_watch_interval_validated(self):
-        client = ResilientClient("h", 1)
-        with pytest.raises(ClientError, match="interval"):
-            next(client.watch_stats(interval=0.0))
-
     def test_request_stats_helper_is_a_fail_fast_probe(self):
         """``request_stats`` rides the client with ``max_attempts=1``:
         probes must answer now or fail now (a caller polling the probe
         on a schedule treats a miss as 'down', not 'wait')."""
-        from repro.serving.server import request_stats
-
         with ScriptedServer([[{"ok": True, "stats": {"jobs": 1}}]]) as s:
             assert request_stats(s.host, s.port) == {"jobs": 1}
         with pytest.raises(ClientError):

@@ -14,8 +14,8 @@ import time
 import pytest
 
 from repro.distributed import DispatchError
+from repro.distributed.client import format_stats, request_stats
 from repro.runtime import ResultCache
-from repro.serving.server import request_stats
 from repro.sram.montecarlo import MarginTally
 
 from tests.distributed.conftest import (
@@ -375,8 +375,6 @@ class TestScheduling:
     def test_stats_probe_reports_queues_and_speculation(
         self, dist_analyzer, store_dir
     ):
-        from repro.serving.server import format_stats
-
         with make_dispatcher(store_dir, speculation_threshold=9.0) as dispatcher:
             host, port = dispatcher.start()
             worker = WorkerThread(host, port, store_dir)

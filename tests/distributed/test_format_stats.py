@@ -7,7 +7,7 @@ is pinned as a snapshot so an accidental formatting change (ordering,
 indentation, precision) is a visible diff, not a silent drift.
 """
 
-from repro.serving.server import _format_value, format_stats
+from repro.distributed.client import _format_value, format_stats
 
 PROBE = {
     "stats_version": 1,

@@ -479,27 +479,31 @@ def counted_builds(monkeypatch):
 
 
 class TestModelMemo:
-    def test_calls_return_independent_networks(self, empty_memo):
+    def test_calls_share_one_unwritten_network(self, empty_memo):
+        """Every call returns the memoized network, and running both job
+        kinds that read it leaves its parameter bytes unchanged."""
         a = model_from_spec(MODEL)
-        b = model_from_spec(MODEL)
-        assert a.network is not b.network
-        before = [layer.weights.copy() for layer in b.network.layers]
+        assert model_from_spec(MODEL).network is a.network
+
+        def parameter_bytes():
+            return [(layer.weights.tobytes(), layer.biases.tobytes())
+                    for layer in a.network.layers]
+
+        before = parameter_bytes()
         injector = WeightFaultInjector([_rates(0.2, 0.1)] * a.image.n_layers)
-        injector.inject(a.image, seed=1).apply_to(a.network)
-        assert any(
-            not np.array_equal(x.weights, y.weights)
-            for x, y in zip(a.network.layers, b.network.layers)
-        )
-        for layer, weights in zip(b.network.layers, before):
-            assert layer.weights.tobytes() == weights.tobytes()
-        # A third caller still gets the pristine network.
-        c = model_from_spec(MODEL)
-        for layer, weights in zip(c.network.layers, before):
-            assert layer.weights.tobytes() == weights.tobytes()
+        (fb_job,) = fault_block_jobs(MODEL, [
+            FaultTrialSpec(injector=injector, n_trials=2, seed=1),
+        ], blocks=1)
+        (nn_job,) = nn_fault_eval_jobs(MODEL, [
+            {"vdd": VDD, "injector": injector, "n_trials": 2, "seed": 1},
+        ])
+        for job in (fb_job, nn_job):
+            execute_job(job, store=None)
+        assert parameter_bytes() == before
 
     def test_concurrent_jobs_match_serial_run(self, empty_memo):
         """In-process workers run jobs of one spec on concurrent threads
-        (each faulting its own network); the answers stay the serial
+        (sharing the memoized network); the answers stay the serial
         bytes, including when the threads race for the first build."""
         from concurrent.futures import ThreadPoolExecutor
 

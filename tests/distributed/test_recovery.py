@@ -12,9 +12,9 @@ import threading
 import pytest
 
 from repro.distributed import DispatchError, RunJournal
+from repro.distributed.client import request_stats
 from repro.distributed.jobs import execute_job, margin_tally_jobs
 from repro.runtime import ResultCache
-from repro.serving.server import request_stats
 
 from tests.distributed.conftest import WorkerThread, canon, make_dispatcher
 

@@ -15,7 +15,8 @@ it drives:
 Plus the bit-identity bridge: the batched
 :func:`~repro.fault.evaluate.evaluate_many_under_faults` pass must
 reproduce the sequential :func:`~repro.fault.evaluate.evaluate_under_faults`
-loop exactly — the contract the serving layer is built on.
+loop exactly — the contract ``CircuitToSystemSimulator.evaluate_batch``
+and the distributed ``fault_block`` job are built on.
 """
 
 import math

@@ -4,14 +4,14 @@ The components count their work in plain attributes and publish them
 through scrape-time collectors.  Pinned here:
 
 * the union of the series the fleet components render — a dispatcher
-  that has merged one job, a batching evaluator, a tiered store bound
-  with ``bind_store_metrics`` and the object-store server — equals the catalogue tables of
-  ``docs/observability.md`` exactly, as ``(name, kind, label keys)``;
+  that has merged one job, a tiered store bound with
+  ``bind_store_metrics`` and the object-store server — equals the
+  catalogue tables of ``docs/observability.md`` exactly, as
+  ``(name, kind, label keys)``;
 * a dispatcher's registry reports the very numbers of its ``stats``
   probe, scalar for scalar and worker for worker.
 """
 
-import asyncio
 import re
 import threading
 import time
@@ -21,7 +21,6 @@ from repro.distributed.objectstore import FakeObjectStoreServer
 from repro.obs import bind_store_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime import ResultCache, TieredStore
-from repro.serving import BatchingEvaluator
 from repro.sram.montecarlo import MonteCarloAnalyzer
 
 from tests.distributed.conftest import (
@@ -107,20 +106,11 @@ class TestCatalogue:
         # A fixed speculation threshold publishes the cutoff gauge.
         dispatcher = merge_one_job(cell6, speculation_threshold=30.0)
 
-        class Simulator:
-            n_trials = 1
-
-            def fingerprint(self):
-                return "catalogue"
-
-        evaluator = BatchingEvaluator(Simulator())
-        asyncio.run(evaluator.close())
-
         store = TieredStore(
             local=ResultCache(str(tmp_path)), remote=ResultCache(str(tmp_path / "r"))
         )
         store_registry = MetricsRegistry()
-        bind_store_metrics(store_registry, store, component="serve")
+        bind_store_metrics(store_registry, store, component="dispatch")
         store.close()
 
         with FakeObjectStoreServer() as objectstore:
@@ -128,7 +118,6 @@ class TestCatalogue:
 
         rendered = (
             rendered_series(dispatcher.metrics)
-            | rendered_series(evaluator.metrics)
             | rendered_series(store_registry)
             | objectstore_series
         )

@@ -1,12 +1,15 @@
 """The `repro-sram top` renderer and poll loop, probe-free.
 
 ``render_dashboard`` is a pure function of a stats-probe document, so
-the suite feeds it canned dispatcher/serve probes; ``run_top`` gets a
-stub ``fetch`` instead of a live socket.
+the suite feeds it canned dispatcher probes; ``run_top`` gets a stub
+``fetch`` instead of a live socket.
 """
 
 import io
 
+import pytest
+
+from repro.errors import ConfigurationError
 from repro.obs.top import CLEAR, render_dashboard, run_top
 
 DISPATCH_STATS = {
@@ -44,14 +47,14 @@ DISPATCH_STATS = {
     },
 }
 
-SERVE_STATS = {
+#: A dispatcher over a single-tier store: ``store`` is one tier's stats.
+SINGLE_STORE_STATS = {
     "stats_version": 1,
-    "requests": 100,
-    "cache_hits": 40,
-    "coalesced": 10,
-    "batches": 12,
-    "evaluations": 60,
-    "errors": 0,
+    "jobs": 4,
+    "completed": 4,
+    "computed": 1,
+    "store_hits": 3,
+    "queues": {"depth": 0, "inflight": 0},
     "store": {"store": "memory:lru", "hits": 40, "misses": 60, "errors": 0},
 }
 
@@ -73,19 +76,19 @@ class TestRenderDashboard:
         assert "write-behind:" in frame and "dropped=1" in frame
         assert frame.endswith("\n")
 
-    def test_serve_frame(self):
-        frame = render_dashboard(SERVE_STATS, title="t")
-        assert "serve probe" in frame
-        assert "requests  100" in frame
-        assert "cache-hits 40 (40.0%)" in frame
-        assert "coalesced 10" in frame
+    def test_single_store_frame(self):
+        frame = render_dashboard(SINGLE_STORE_STATS, title="t")
+        assert frame.startswith("t — dispatcher probe (stats v1)\n")
+        assert "done 4/4" in frame
+        assert "store-hits 3" in frame and "computed 1" in frame
         assert "memory:lru: hit-rate 40.0%" in frame
 
     def test_empty_tiers_and_zero_requests_render_dashes(self):
         frame = render_dashboard({
-            "requests": 0, "store": {"tiers": {"memory": {}}},
+            "jobs": 0, "store": {"tiers": {"memory": {}}},
         })
-        assert "(-)" in frame or "- " in frame  # no division by zero
+        assert "done 0/0" in frame
+        assert "  memory  -  " in frame  # no division by zero
 
 
 class TestRunTop:
@@ -108,7 +111,7 @@ class TestRunTop:
     def test_clear_mode_prefixes_each_frame(self):
         out = io.StringIO()
         run_top("h", 1, iterations=1, clear=True, out=out,
-                fetch=lambda h, p: dict(SERVE_STATS), sleep=lambda _s: None)
+                fetch=lambda h, p: dict(DISPATCH_STATS), sleep=lambda _s: None)
         assert out.getvalue().startswith(CLEAR)
 
     def test_unreachable_probe_exits_nonzero(self):
@@ -121,8 +124,8 @@ class TestRunTop:
         assert code == 1
         assert "unavailable" in out.getvalue()
 
-    def test_default_fetch_is_the_serving_stats_probe(self):
-        # No stub: the real request_stats import path runs, against a
+    def test_default_fetch_is_the_client_stats_probe(self):
+        # No stub: the real ResilientClient import path runs, against a
         # port nothing listens on, and run_top reports the probe down.
         import socket
 
@@ -141,5 +144,13 @@ class TestRunTop:
             raise KeyboardInterrupt
 
         code = run_top("h", 1, iterations=0, clear=False, out=out,
-                       fetch=lambda h, p: dict(SERVE_STATS), sleep=sleep)
+                       fetch=lambda h, p: dict(DISPATCH_STATS), sleep=sleep)
         assert code == 0
+
+    def test_negative_interval_rejected_before_polling(self):
+        calls = []
+        with pytest.raises(ConfigurationError, match="interval"):
+            run_top("h", 1, interval=-1.0, iterations=2, out=io.StringIO(),
+                    fetch=lambda h, p: calls.append(h) or dict(DISPATCH_STATS),
+                    sleep=lambda _s: None)
+        assert calls == []

@@ -67,27 +67,6 @@ class TestParser:
         with pytest.raises(ConfigurationError, match="unknown technology"):
             main(["characterize", "--tech", "ptm3000", "--samples", "2000"])
 
-    def test_serve_flags(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            ["serve", "--host", "0.0.0.0", "--port", "9000",
-             "--batch-window", "0.05", "--max-batch", "8", "--stdin"]
-        )
-        assert args.command == "serve"
-        assert args.host == "0.0.0.0" and args.port == 9000
-        assert args.batch_window == 0.05 and args.max_batch == 8
-        assert args.stdin is True
-        defaults = parser.parse_args(["serve"])
-        assert defaults.stdin is False
-        assert defaults.batch_window == 0.01 and defaults.max_batch == 32
-        # serve shares the sweep-runtime knobs (it builds the same
-        # simulator under the hood).
-        assert defaults.jobs is None and defaults.no_cache is False
-        # Serving hardening: backpressure bound and the stats probe.
-        assert defaults.max_inflight == 64 and defaults.stats is False
-        probe = parser.parse_args(["serve", "--stats", "--max-inflight", "8"])
-        assert probe.stats is True and probe.max_inflight == 8
-
     def test_worker_flags(self):
         parser = build_parser()
         args = parser.parse_args(
@@ -175,6 +154,25 @@ class TestParser:
         )
         # 0 stays legal: it disables the memory tier.
         assert build_parser().parse_args(worker + ["0"]).lru_entries == 0
+
+    def test_top_iterations_must_not_be_negative(self, capsys):
+        top = ["top", "--port", "1", "--iterations"]
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(top + ["-1"])
+        assert exc.value.code == 2
+        assert "argument --iterations: expected a non-negative integer" in (
+            capsys.readouterr().err
+        )
+        # 0 stays legal: it polls until Ctrl-C.
+        assert build_parser().parse_args(top + ["0"]).iterations == 0
+
+    def test_top_negative_interval_fails_before_polling(self, capsys):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="interval"):
+            main(["top", "--port", "1", "--interval", "-1",
+                  "--iterations", "2", "--no-clear"])
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("flag", ["--shards", "--max-shard-samples"])
     def test_bad_shard_size_fails_on_a_warm_cache(self, flag, tmp_cache,
