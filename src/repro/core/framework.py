@@ -32,7 +32,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DatasetError
 from repro.fault.evaluate import (
     FaultEvaluation,
     FaultTrialSpec,
@@ -62,7 +62,7 @@ from repro.nn.network import FeedforwardANN, NetworkSpec
 from repro.nn.quantize import QuantizedWeights, quantize_network
 from repro.nn.trainer import SGDTrainer
 from repro.rng import SeedLike
-from repro.runtime import default_cache_dir, resolve_jobs
+from repro.runtime import ResultCache, default_cache_dir, resolve_jobs
 
 
 def paper_ann_spec(seed: int = 0) -> NetworkSpec:
@@ -128,7 +128,8 @@ def _cache_path(prefix: str, key: Dict, cache_dir: Optional[str]) -> str:
 
 def _load_npz(path: str, names: Sequence[str]) -> Optional[Dict[str, np.ndarray]]:
     """The named arrays of an ``.npz`` file, or ``None`` when the file is
-    missing, torn or lacks one of them (a cache miss)."""
+    missing, torn or lacks one of them (a cache miss).  A flipped byte in
+    a member fails its zip CRC-32 check (``BadZipFile``)."""
     try:
         with np.load(path) as payload:
             return {name: payload[name] for name in names}
@@ -137,24 +138,31 @@ def _load_npz(path: str, names: Sequence[str]) -> Optional[Dict[str, np.ndarray]
         return None
 
 
-def _save_npz(path: str, arrays: Dict[str, np.ndarray], compress: bool) -> None:
-    """Write ``arrays`` to ``path`` atomically: a ``.``-prefixed temp file
-    in the same directory, then :func:`os.replace`.  An interrupted or
-    concurrent writer never leaves a partial file under ``path``.  The
-    write is best-effort: an ``OSError`` (full disk, unwritable
-    directory) leaves no temp file and is not raised."""
+def _save_npz(path: str, arrays: Dict[str, np.ndarray]) -> None:
+    """Write ``arrays`` to ``path``, uncompressed (a load is a read, not
+    an inflate), and atomically: a ``.``-prefixed temp file in the same
+    directory, then :func:`os.replace`.  An interrupted or concurrent
+    writer never leaves a partial file under ``path``.  The write is
+    best-effort: an ``OSError`` (full disk, unwritable directory) leaves
+    no temp file and is not raised."""
     with contextlib.suppress(OSError):
         directory = os.path.dirname(path)
         os.makedirs(directory, exist_ok=True)
         fd, tmp_path = tempfile.mkstemp(prefix=".", suffix=".npz", dir=directory)
         try:
             with os.fdopen(fd, "wb") as fh:
-                (np.savez_compressed if compress else np.savez)(fh, **arrays)
+                np.savez(fh, **arrays)
             os.replace(tmp_path, path)
         except BaseException:
             with contextlib.suppress(OSError):
                 os.unlink(tmp_path)
             raise
+
+
+#: Revision of the cached clean accuracies (the ``acc`` namespace).
+#: Bump it when what they measure changes (the quantization rule, the
+#: forward pass or the metric), so older entries become misses.
+ACCURACY_REV = 1
 
 
 def train_benchmark_ann(
@@ -172,47 +180,53 @@ def train_benchmark_ann(
     """Train (or load from cache) the benchmark digit-recognition ANN.
 
     The cache directory holds the trained float parameters
-    (``ann_*.npz``) and the rendered test split (``digits_*.npz``,
-    12.5 MB uncompressed at 2,000 images).  A weight hit only evaluates:
-    it loads the split, rendering it (the full dataset's bytes; every
-    split has its own derived seed) only when the file is missing or
-    unreadable.  A miss generates all three splits and trains.  Either
-    way the model's dataset holds only the test split (its train/val
-    splits are empty), and the build writes what it computed,
-    atomically; an unreadable file is a miss.
+    (``ann_*.npz``), the rendered test split (``digits_*.npz``, 12.5 MB
+    at 2,000 images; both uncompressed) and, as a
+    :class:`~repro.runtime.ResultCache` entry in the ``acc`` namespace
+    keyed by both files' keys and ``n_bits``, the model's two clean
+    accuracies.  A weight hit only evaluates: it loads the split,
+    rendering it (the full dataset's bytes; every split has its own
+    derived seed) only when the file is missing or unreadable, and
+    reads the accuracies when both files hit, running a clean forward
+    pass only when that entry is missing or unreadable.  A miss renders
+    the train and test splits (never the validation split: nothing
+    reads it, and ``n_val`` stays in the weight key) and trains.
+    Either way the model's dataset holds only the test split (its
+    train/val splits are empty), and the build writes what it
+    computed, atomically; an unreadable file is a miss.
     ``use_cache=False`` neither reads nor writes.
     """
+    if min(n_train, n_val, n_test) <= 0:
+        raise DatasetError("all split sizes must be positive")
     spec = resolve_profile(profile, seed=seed)
     network = FeedforwardANN(spec)
 
-    weights_path = _cache_path(
-        "ann",
-        {
-            "sizes": spec.layer_sizes,
-            "hidden": spec.hidden_activation,
-            "output": spec.output_activation,
-            "seed": seed,
-            "n_train": n_train,
-            "n_val": n_val,
-            "epochs": epochs,
-            "rev": 2,  # rev 2: weight_clip=0.99 -> Q0.7 synaptic words
-        },
-        cache_dir,
-    )
-    split_path = _cache_path(
-        "digits",
-        {
-            "seed": seed,
-            "n_test": n_test,
-            "config": asdict(SyntheticDigitConfig()),
-            "render_rev": RENDER_REV,
-        },
-        cache_dir,
-    )
+    weights_key = {
+        "sizes": spec.layer_sizes,
+        "hidden": spec.hidden_activation,
+        "output": spec.output_activation,
+        "seed": seed,
+        "n_train": n_train,
+        "n_val": n_val,
+        "epochs": epochs,
+        "rev": 2,  # rev 2: weight_clip=0.99 -> Q0.7 synaptic words
+    }
+    split_key = {
+        "seed": seed,
+        "n_test": n_test,
+        "config": asdict(SyntheticDigitConfig()),
+        "render_rev": RENDER_REV,
+    }
+    weights_path = _cache_path("ann", weights_key, cache_dir)
+    split_path = _cache_path("digits", split_key, cache_dir)
+    accuracy_key = {"weights": weights_key, "split": split_key,
+                    "n_bits": n_bits, "rev": ACCURACY_REV}
+    store = ResultCache(cache_dir, enabled=use_cache)
     param_names = [f"{kind}{i}" for i in range(len(network.layers))
                    for kind in ("w", "b")]
     params = _load_npz(weights_path, param_names) if use_cache else None
     split = None if params is None else _load_npz(split_path, ("x_test", "y_test"))
+    accuracies = None if split is None else store.get("acc", accuracy_key)
 
     if params is not None:
         for i, layer in enumerate(network.layers):
@@ -221,43 +235,47 @@ def train_benchmark_ann(
         dataset = (load_test_split(n_test=n_test, seed=seed) if split is None
                    else DigitDataset.test_only(**split))
     else:
+        # No early stopping, so no validation pass: the val split is not
+        # rendered (n_val only keys the weights).
         dataset = load_synthetic_digits(
-            n_train=n_train, n_val=n_val, n_test=n_test, seed=seed
+            n_train=n_train, n_val=0, n_test=n_test, seed=seed
         )
         # weight_clip just under 1.0 keeps every parameter representable
         # in the paper's sub-unity 8-bit format (sign + 7 fraction bits).
-        # No early stopping, so no validation pass: the val split only
-        # keeps its place in the dataset (and n_val in the cache key).
         trainer = SGDTrainer(
             epochs=epochs, batch_size=100, learning_rate=0.2,
             momentum=0.9, lr_decay=0.97, weight_clip=0.99,
             seed=seed + 1, verbose=verbose,
         )
         trainer.train(network, dataset.x_train, dataset.y_train)
-        # Nothing reads the training and validation splits again; keep
-        # only the test split, as a weight hit does.
+        # Nothing reads the training split again; keep only the test
+        # split, as a weight hit does.
         dataset = DigitDataset.test_only(dataset.x_test, dataset.y_test)
         if use_cache:
             arrays = {}
             for i, layer in enumerate(network.layers):
                 arrays[f"w{i}"] = layer.weights
                 arrays[f"b{i}"] = layer.biases
-            _save_npz(weights_path, arrays, compress=True)
+            _save_npz(weights_path, arrays)
     if use_cache and split is None:
-        _save_npz(split_path, {"x_test": dataset.x_test, "y_test": dataset.y_test},
-                  compress=False)
+        _save_npz(split_path, {"x_test": dataset.x_test, "y_test": dataset.y_test})
 
-    float_acc = accuracy(network.predict(dataset.x_test), dataset.y_test)
     image = quantize_network(network, n_bits=n_bits)
+    if accuracies is None:
+        x, y = dataset.x_test, dataset.y_test
+        accuracies = {
+            "float_accuracy": accuracy(network.predict(x), y),
+            "quantized_accuracy": accuracy(
+                network.predict(x, params=image.dequantized()), y),
+        }
+        store.put("acc", accuracy_key, accuracies)
     image.apply_to(network)
-    quant_acc = accuracy(network.predict(dataset.x_test), dataset.y_test)
 
     return TrainedModel(
         network=network,
         image=image,
         dataset=dataset,
-        float_accuracy=float_acc,
-        quantized_accuracy=quant_acc,
+        **accuracies,
     )
 
 

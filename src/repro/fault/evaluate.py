@@ -10,9 +10,10 @@ accuracy is the baseline and its forward pass is skipped.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from repro.errors import ConfigurationError
 from repro.fault.injector import WeightFaultInjector
 from repro.fault.model import BitErrorRates
 from repro.nn.metrics import accuracy
-from repro.nn.network import FeedforwardANN
+from repro.nn.network import FeedforwardANN, Params
 from repro.nn.quantize import QuantizedWeights
 from repro.rng import SeedLike, derive_seed
 from repro.runtime.executor import resolve_jobs
@@ -164,13 +165,15 @@ def evaluate_many_under_faults(
     ``quantized_accuracy``, or an earlier call on the same network,
     image and set); the clean pass is then skipped.
 
-    The trials of every spec form one task list, run on
-    ``resolve_jobs(jobs)`` threads (numpy's matmul and ufuncs release
-    the GIL) and collected in task order, so the result is the same for
-    any thread count.  No trial writes to ``network``: each classifies
-    through ``network.predict`` with its die's parameters.  An exception
-    in a trial propagates once the running trials finish; trials not yet
-    started are cancelled.
+    The trials of every spec form one task list.  Each trial is two
+    stages: *sample* (inject the die's flips and dequantize it) and
+    *classify* (``network.predict`` with the die's parameters; no trial
+    writes to ``network``).  On ``resolve_jobs(jobs)`` threads (numpy's
+    matmul and ufuncs release the GIL) an idle thread samples the next
+    die while the others classify, and the accuracies are collected in
+    task order, so the result is the same for any thread count.  An
+    exception in a trial propagates once the running work finishes;
+    work not yet started is cancelled.
 
     This is the vectorized fault-injection pass behind
     :meth:`repro.core.framework.CircuitToSystemSimulator.evaluate_batch`
@@ -192,20 +195,14 @@ def evaluate_many_under_faults(
         for trial in range(spec.n_trials)
     ]
 
-    def run(task: Tuple[WeightFaultInjector, int]) -> float:
-        return _persistent_trial(
-            network, image, *task, x_eval, y_eval, baseline
-        )
+    def classify(params: Optional[Params]) -> float:
+        return _classify(network, params, x_eval, y_eval, baseline)
 
     threads = min(resolve_jobs(jobs), len(tasks))
     if threads <= 1:
-        accuracies = [run(task) for task in tasks]
+        accuracies = [classify(_sample(image, *task)) for task in tasks]
     else:
-        pool = ThreadPoolExecutor(max_workers=threads)
-        try:
-            accuracies = list(pool.map(run, tasks))
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
+        accuracies = _pipelined(image, tasks, classify, threads)
 
     results: List[FaultEvaluation] = []
     done = iter(accuracies)
@@ -229,31 +226,72 @@ def evaluate_many_under_faults(
     return results
 
 
-def _persistent_trial(
-    network: FeedforwardANN,
-    image: QuantizedWeights,
-    injector: WeightFaultInjector,
-    seed: int,
-    x_eval: np.ndarray,
-    y_eval: np.ndarray,
-    baseline: float,
-) -> float:
-    """One persistent-mode trial: sample a die and classify with it.
-
-    A die with no flipped bit has the clean codes, hence the clean
-    weights and predictions: its accuracy is ``baseline`` and it is
-    not classified.
-    """
+def _sample(
+    image: QuantizedWeights, injector: WeightFaultInjector, seed: int
+) -> Optional[Params]:
+    """Sample one die of a persistent-mode trial: its dequantized
+    parameters, or ``None`` when it flips no bit (it then holds the clean
+    codes, hence the clean predictions, and needs no forward pass)."""
     faulty = injector.inject(image, seed=seed)
     if all(
         np.array_equal(a, b)
         for a, b in zip((*faulty.weight_codes, *faulty.bias_codes),
                         (*image.weight_codes, *image.bias_codes))
     ):
+        return None
+    return faulty.dequantized()
+
+
+def _classify(
+    network: FeedforwardANN,
+    params: Optional[Params],
+    x_eval: np.ndarray,
+    y_eval: np.ndarray,
+    baseline: float,
+) -> float:
+    """Accuracy of one sampled die (``baseline`` for a fault-free one)."""
+    if params is None:
         return baseline
-    return accuracy(
-        network.predict(x_eval, params=faulty.dequantized()), y_eval
-    )
+    return accuracy(network.predict(x_eval, params=params), y_eval)
+
+
+def _pipelined(
+    image: QuantizedWeights,
+    tasks: Sequence[Tuple[WeightFaultInjector, int]],
+    classify: Callable[[Optional[Params]], float],
+    threads: int,
+) -> List[float]:
+    """Sample and classify every task's die on ``threads`` threads
+    (``threads <= len(tasks)``).
+
+    The pool's queue is FIFO and the work goes in as S0..S(k-1), then
+    C_i followed by S(i+k) (S = sample, C = classify, k = ``threads``),
+    so a thread that finishes classifying samples the next die while
+    the others classify.  C_i waits only on S_i, which the queue handed
+    to a thread before C_i: no deadlock.  Each die is dropped once it is
+    classified, so at most ``2 * threads`` sampled dies are alive.  The
+    results come back in task order; the first failure in that order
+    propagates once the running work finishes, and work not yet started
+    is cancelled.
+    """
+    samples: Dict[int, Future] = {}
+
+    def classify_die(i: int) -> float:
+        return classify(samples.pop(i).result())
+
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        for i in range(threads):
+            samples[i] = pool.submit(_sample, image, *tasks[i])
+        classified: List[Future] = []
+        for i in range(len(tasks)):
+            classified.append(pool.submit(classify_die, i))
+            if i + threads < len(tasks):
+                samples[i + threads] = pool.submit(
+                    _sample, image, *tasks[i + threads])
+        return [future.result() for future in classified]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def evaluate_under_faults(
@@ -307,10 +345,8 @@ def evaluate_under_faults(
     trials: List[float] = []
     for trial in range(n_trials):
         if mode == "persistent":
-            trials.append(_persistent_trial(
-                network, image, injector, derive_seed(seed, trial),
-                x_eval, y_eval, baseline,
-            ))
+            die = _sample(image, injector, derive_seed(seed, trial))
+            trials.append(_classify(network, die, x_eval, y_eval, baseline))
         else:
             correct = 0
             for bi, lo in enumerate(range(0, len(y_eval), batch_size)):

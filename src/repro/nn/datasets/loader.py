@@ -73,13 +73,20 @@ def load_synthetic_digits(
 
     The three splits use independent derived seeds so that changing the
     training-set size does not silently change the test set.
+    ``n_val=0`` renders no validation split (it is empty); the train and
+    test bytes are the same for any ``n_val``.
     """
-    if min(n_train, n_val, n_test) <= 0:
-        raise DatasetError("all split sizes must be positive")
+    if min(n_train, n_test) <= 0 or n_val < 0:
+        raise DatasetError(
+            "train and test sizes must be positive, the val size non-negative"
+        )
     x_train, y_train = generate_digit_images(n_train, seed=derive_seed(seed, 1),
                                              config=config)
-    x_val, y_val = generate_digit_images(n_val, seed=derive_seed(seed, 2),
-                                         config=config)
+    if n_val:
+        x_val, y_val = generate_digit_images(n_val, seed=derive_seed(seed, 2),
+                                             config=config)
+    else:
+        x_val, y_val = x_train[:0], y_train[:0]
     x_test, y_test = generate_digit_images(
         n_test, seed=derive_seed(seed, _TEST_STREAM), config=config
     )

@@ -16,6 +16,7 @@ magnitude so that training-free clipping loss stays negligible.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -87,24 +88,58 @@ def choose_qformat(max_abs: float, n_bits: int = 8) -> QFormat:
     )
 
 
+def _require_finite(values: np.ndarray, what: str) -> None:
+    bad = int(values.size - np.count_nonzero(np.isfinite(values)))
+    if bad:
+        raise ConfigurationError(
+            f"{what}: {bad} non-finite value(s) (NaN or inf) cannot be quantized"
+        )
+
+
 def quantize_array(values: np.ndarray, fmt: QFormat) -> np.ndarray:
-    """Float array -> unsigned two's-complement codes (np.uint16)."""
+    """Float array -> unsigned two's-complement codes (np.uint16).
+
+    NaN and inf have no code: they raise :class:`ConfigurationError`
+    rather than cast to an arbitrary (NaN) or saturated (inf) word.
+    """
     values = np.asarray(values, dtype=float)
+    _require_finite(values, "values")
     lo = -(2 ** (fmt.n_bits - 1))
     hi = 2 ** (fmt.n_bits - 1) - 1
     q = np.clip(np.rint(values * fmt.scale), lo, hi).astype(np.int32)
     return (q & fmt.code_mask).astype(np.uint16)
 
 
-def dequantize_array(codes: np.ndarray, fmt: QFormat) -> np.ndarray:
-    """Unsigned codes -> float values (sign-extended)."""
-    codes = np.asarray(codes)
-    if codes.size and int(codes.max(initial=0)) > fmt.code_mask:
-        raise ConfigurationError("codes exceed the format's bit width")
+def _sign_extend(codes: np.ndarray, fmt: QFormat) -> np.ndarray:
     signed = codes.astype(np.int32)
     sign_bit = 1 << (fmt.n_bits - 1)
     signed = np.where(signed >= sign_bit, signed - (1 << fmt.n_bits), signed)
     return signed.astype(float) / fmt.scale
+
+
+@functools.lru_cache(maxsize=16)
+def _dequantize_table(fmt: QFormat) -> np.ndarray:
+    """The value of every code of ``fmt``, indexed by code (read-only,
+    since every caller shares it)."""
+    table = _sign_extend(np.arange(fmt.code_mask + 1), fmt)
+    table.setflags(write=False)
+    return table
+
+
+def dequantize_array(codes: np.ndarray, fmt: QFormat) -> np.ndarray:
+    """Unsigned codes -> float values (sign-extended).
+
+    Unsigned integer codes (what :class:`QuantizedWeights` holds) are
+    looked up in a per-format table of all ``2**n_bits`` values: the
+    same elementwise function, hence the same bytes, in one pass.  Any
+    other dtype is sign-extended arithmetically.
+    """
+    codes = np.asarray(codes)
+    if codes.size and int(codes.max(initial=0)) > fmt.code_mask:
+        raise ConfigurationError("codes exceed the format's bit width")
+    if codes.dtype.kind == "u":
+        return _dequantize_table(fmt)[codes]
+    return _sign_extend(codes, fmt)
 
 
 class QuantizedWeights:
@@ -184,11 +219,15 @@ def quantize_network(
 
     A single format is chosen for the whole network (from the global
     maximum magnitude) unless an explicit ``fmt`` is given — matching the
-    single synaptic word format of the paper's memory.
+    single synaptic word format of the paper's memory.  A NaN or inf
+    parameter raises :class:`ConfigurationError` naming its layer.
     """
     all_params = [layer.weights for layer in network.layers] + [
         layer.biases for layer in network.layers
     ]
+    for layer in network.layers:
+        _require_finite(layer.weights, f"{layer.name} weights")
+        _require_finite(layer.biases, f"{layer.name} biases")
     if fmt is None:
         max_abs = max(float(np.max(np.abs(p))) for p in all_params)
         fmt = choose_qformat(max_abs, n_bits=n_bits)

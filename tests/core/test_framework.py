@@ -1,10 +1,12 @@
 """Tests of the benchmark specs, model training/caching and the simulator."""
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import repro.core.framework as framework
@@ -17,7 +19,7 @@ from repro.core import (
     resolve_profile,
     train_benchmark_ann,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DatasetError
 from repro.fault.evaluate import evaluate_under_faults
 from repro.mem.accounting import BASELINE_VDD_6T
 from repro.nn.datasets import load_test_split
@@ -74,8 +76,6 @@ class TestTrainedModel:
         first = train_benchmark_ann(**kwargs)
         again = train_benchmark_ann(**kwargs)
         assert first.quantized_accuracy == again.quantized_accuracy
-        import numpy as np
-
         for a, b in zip(first.network.weight_matrices(),
                         again.network.weight_matrices()):
             np.testing.assert_allclose(a, b, atol=1e-12)
@@ -239,10 +239,82 @@ class TestCacheFiles:
     def cold(self, tmp_path):
         return train_benchmark_ann(**self.KWARGS, cache_dir=str(tmp_path))
 
+    @pytest.fixture
+    def predict_calls(self, monkeypatch):
+        calls = []
+        original = FeedforwardANN.predict
+
+        def counting(network, x, *args, **kwargs):
+            calls.append(len(x))
+            return original(network, x, *args, **kwargs)
+
+        monkeypatch.setattr(FeedforwardANN, "predict", counting)
+        return calls
+
     def test_cold_run_writes_both_files_atomically(self, tmp_path, cold):
         assert len(self._files(tmp_path, "ann_")) == 1
         assert len(self._files(tmp_path, "digits_")) == 1
         assert self._files(tmp_path, ".") == []  # no temp file left
+
+    def test_cold_run_writes_the_accuracy_entry(self, tmp_path, cold):
+        [entry] = self._files(tmp_path, "acc-")
+        assert json.loads(entry.read_text())["value"] == {
+            "float_accuracy": cold.float_accuracy,
+            "quantized_accuracy": cold.quantized_accuracy,
+        }
+
+    def test_accuracy_hit_runs_no_forward_pass(self, tmp_path, cold,
+                                               predict_calls):
+        warm = train_benchmark_ann(**self.KWARGS, cache_dir=str(tmp_path))
+        assert predict_calls == []
+        fresh = train_benchmark_ann(**self.KWARGS, use_cache=False)
+        assert len(predict_calls) == 2
+        for model in (warm, cold):
+            assert model.float_accuracy == fresh.float_accuracy
+            assert model.quantized_accuracy == fresh.quantized_accuracy
+        assert type(warm.quantized_accuracy) is float
+        assert self._files(tmp_path, ".") == []
+
+    @pytest.mark.parametrize("damage", ["missing", "torn", "not_an_object",
+                                        "wrong_field"])
+    def test_damaged_accuracy_entry_is_recomputed_and_rewritten(
+            self, tmp_path, cold, predict_calls, damage):
+        [entry] = self._files(tmp_path, "acc-")
+        good = json.loads(entry.read_bytes())["value"]
+        if damage == "missing":
+            entry.unlink()
+        else:
+            text = entry.read_bytes()
+            entry.write_bytes({"torn": text[:len(text) // 2],
+                               "not_an_object": b"[0.5, 0.5]",
+                               "wrong_field": b'{"float_accuracy": 0.5}',
+                               }[damage])
+        warm = train_benchmark_ann(**self.KWARGS, cache_dir=str(tmp_path))
+        assert len(predict_calls) == 2
+        assert json.loads(entry.read_bytes())["value"] == good
+        assert warm.quantized_accuracy == cold.quantized_accuracy
+        assert warm.float_accuracy == cold.float_accuracy
+
+    @pytest.mark.parametrize("split", ["n_train", "n_val", "n_test"])
+    def test_nonpositive_split_size_is_rejected(self, tmp_path, cold, split):
+        """Also on a warm cache, where the val split is never rendered."""
+        before = sorted(p.name for p in tmp_path.iterdir())
+        with pytest.raises(DatasetError, match="split sizes"):
+            train_benchmark_ann(**dict(self.KWARGS, **{split: 0}),
+                                cache_dir=str(tmp_path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_n_bits_and_split_select_their_own_entry(self, tmp_path, cold):
+        variants = [dict(self.KWARGS, n_bits=6),
+                    dict(self.KWARGS, n_test=60)]
+        for i, kwargs in enumerate(variants, start=2):
+            cached = train_benchmark_ann(**kwargs, cache_dir=str(tmp_path))
+            assert len(self._files(tmp_path, "acc-")) == i
+            fresh = train_benchmark_ann(**kwargs, use_cache=False)
+            assert cached.float_accuracy == fresh.float_accuracy
+            assert cached.quantized_accuracy == fresh.quantized_accuracy
+        assert len(self._files(tmp_path, "ann_")) == 1
+        assert len(self._files(tmp_path, "digits_")) == 2
 
     def test_hit_loads_split_byte_equal_to_rendering(self, tmp_path, cold,
                                                      monkeypatch):
@@ -266,6 +338,38 @@ class TestCacheFiles:
         assert warm.dataset.x_test.tobytes() == cold.dataset.x_test.tobytes()
 
     @pytest.mark.parametrize("prefix", ["ann_", "digits_"])
+    def test_flipped_byte_is_a_miss_and_is_rewritten(self, tmp_path, cold,
+                                                     prefix):
+        """Both files are stored uncompressed; a flipped byte inside a
+        member fails the zip CRC-32 check and the file is rebuilt."""
+        [path] = self._files(tmp_path, prefix)
+        good = path.read_bytes()
+        damaged = bytearray(good)
+        damaged[len(good) // 2] ^= 0x01
+        path.write_bytes(bytes(damaged))
+        healed = train_benchmark_ann(**self.KWARGS, cache_dir=str(tmp_path))
+        assert path.read_bytes() == good
+        for a, b in zip(healed.network.layers, cold.network.layers):
+            assert a.weights.tobytes() == b.weights.tobytes()
+        assert healed.dataset.x_test.tobytes() == cold.dataset.x_test.tobytes()
+
+    def test_compressed_weight_file_still_loads(self, tmp_path, cold,
+                                                monkeypatch):
+        [path] = self._files(tmp_path, "ann_")
+        with np.load(path) as payload:
+            arrays = dict(payload)
+        np.savez_compressed(path, **arrays)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("retrained on a readable weight file")
+
+        monkeypatch.setattr(framework.SGDTrainer, "train", no_training)
+        warm = train_benchmark_ann(**self.KWARGS, cache_dir=str(tmp_path))
+        for a, b in zip(warm.network.layers, cold.network.layers):
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert a.biases.tobytes() == b.biases.tobytes()
+
+    @pytest.mark.parametrize("prefix", ["ann_", "digits_"])
     def test_truncated_file_is_a_miss_and_is_rewritten(self, tmp_path, cold,
                                                        prefix):
         [path] = self._files(tmp_path, prefix)
@@ -287,6 +391,8 @@ class TestCacheFiles:
                                                monkeypatch):
         reads = []
         monkeypatch.setattr(framework, "_load_npz",
+                            lambda *args: reads.append(args))
+        monkeypatch.setattr(framework.ResultCache, "get",
                             lambda *args: reads.append(args))
         empty = tmp_path / "empty"
         empty.mkdir()

@@ -21,6 +21,7 @@ and the distributed ``fault_block`` job are built on.
 
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -206,8 +207,8 @@ class TestBatchedBitIdentity:
 
 
 class TestThreadedTrials:
-    """``evaluate_many_under_faults(..., jobs=N)`` runs the trials on N
-    threads and returns the serial bytes."""
+    """``evaluate_many_under_faults(..., jobs=N)`` samples and classifies
+    the dies on N threads and returns the serial bytes."""
 
     @staticmethod
     def _specs(image):
@@ -225,7 +226,7 @@ class TestThreadedTrials:
                 n_trials=1, seed=7),
         ]
 
-    @pytest.mark.parametrize("jobs", [2, 3, 8])
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 8])
     def test_any_thread_count_gives_the_serial_result(self, small_model, jobs):
         network, image, x_eval, y_eval = small_model
         specs = self._specs(image)  # 6 trials: 8 threads is more than that
@@ -269,6 +270,7 @@ class TestThreadedTrials:
         assert parameter_bytes(network) == before
 
     def test_a_failing_trial_propagates(self, small_model):
+        """A die whose sampling fails: the error reaches the caller."""
         network, image, x_eval, y_eval = small_model
 
         class Failing(WeightFaultInjector):
@@ -281,8 +283,76 @@ class TestThreadedTrials:
             injector=Failing([make_rates(0.02)] * image.n_layers),
             n_trials=5, seed=11,
         )]
-        for jobs in (1, 2):
+        for jobs in (1, 2, 3, 8):
             with pytest.raises(RuntimeError, match="trial 2 failed"):
                 evaluate_many_under_faults(
                     network, image, specs, x_eval, y_eval, jobs=jobs
                 )
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 8])
+    def test_a_failing_classify_propagates(self, small_model, jobs,
+                                           monkeypatch):
+        network, image, x_eval, y_eval = small_model
+        calls = []
+
+        def failing(network, x, params=None):
+            calls.append(len(x))
+            if len(calls) == 3:
+                raise RuntimeError("classify failed")
+            return np.zeros(len(x), dtype=int)
+
+        monkeypatch.setattr(FeedforwardANN, "predict", failing)
+        specs = [FaultTrialSpec(
+            injector=WeightFaultInjector([make_rates(0.02)] * image.n_layers),
+            n_trials=6, seed=5,
+        )]
+        with pytest.raises(RuntimeError, match="classify failed"):
+            evaluate_many_under_faults(
+                network, image, specs, x_eval, y_eval, baseline=0.5, jobs=jobs
+            )
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 8])
+    def test_classified_dies_are_freed(self, small_model, jobs):
+        """At most ``2 * jobs`` sampled dies are alive at once: each one
+        is dropped as soon as it is classified."""
+        network, image, x_eval, y_eval = small_model
+        alive = []
+        peak = []
+
+        def dropped():
+            alive.pop()
+
+        class Counting(WeightFaultInjector):
+            def inject(self, image, seed=None):
+                die = super().inject(image, seed=seed)
+                dequantized = die.dequantized
+
+                def tracked():
+                    params = dequantized()
+                    alive.append(None)
+                    peak.append(len(alive))
+                    weakref.finalize(params[0][0], dropped)
+                    return params
+
+                die.dequantized = tracked
+                return die
+
+        specs = [FaultTrialSpec(
+            injector=Counting([make_rates(0.05)] * image.n_layers),
+            n_trials=24, seed=8,  # more than 2 * 8 dies
+        )]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            [result] = evaluate_many_under_faults(
+                network, image, specs, x_eval, y_eval, jobs=jobs
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(peak) == 24  # every die flipped bits, so was sampled
+        assert max(peak) <= 2 * jobs
+        assert alive == []
+        [serial] = evaluate_many_under_faults(
+            network, image, specs, x_eval, y_eval
+        )
+        assert result == serial

@@ -125,6 +125,19 @@ class TestLoader:
     def test_rejects_bad_sizes(self):
         with pytest.raises(DatasetError):
             load_synthetic_digits(n_train=0, n_val=1, n_test=1)
+        with pytest.raises(DatasetError):
+            load_synthetic_digits(n_train=1, n_val=1, n_test=0)
+        with pytest.raises(DatasetError):
+            load_synthetic_digits(n_train=1, n_val=-1, n_test=1)
+
+    def test_no_val_split_keeps_train_and_test_bytes(self):
+        full = load_synthetic_digits(n_train=30, n_val=20, n_test=25, seed=6)
+        bare = load_synthetic_digits(n_train=30, n_val=0, n_test=25, seed=6)
+        assert len(bare.y_val) == 0 and bare.x_val.shape == (0, 784)
+        for name in ("x_train", "y_train", "x_test", "y_test"):
+            got, want = getattr(bare, name), getattr(full, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     def test_test_split_alone_matches_full_load(self):
         full = load_synthetic_digits(n_train=60, n_val=20, n_test=40, seed=4)

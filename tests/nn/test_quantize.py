@@ -94,6 +94,65 @@ class TestRoundtrip:
         assert dequantize_array(np.array([0x7F]), fmt)[0] == pytest.approx(2.0 - 1 / 64)
 
 
+class TestTableDequantization:
+    """Unsigned codes are dequantized by table lookup; the table holds
+    the arithmetic sign extension's bytes for every code."""
+
+    @pytest.mark.parametrize("n_bits", range(2, 17))
+    def test_table_equals_arithmetic_on_every_code(self, n_bits):
+        codes = np.arange(1 << n_bits)
+        for frac in {0, n_bits // 2, n_bits - 1}:
+            fmt = QFormat(n_bits=n_bits, frac_bits=frac)
+            arithmetic = dequantize_array(codes.astype(np.int64), fmt)
+            for dtype in (np.uint16, np.uint32, np.uint64):
+                table = dequantize_array(codes.astype(dtype), fmt)
+                assert table.dtype == arithmetic.dtype == np.float64
+                assert table.tobytes() == arithmetic.tobytes()
+
+    def test_shape_and_empty_arrays(self):
+        fmt = QFormat(8, 7)
+        codes = np.arange(24, dtype=np.uint16).reshape(2, 3, 4)
+        assert dequantize_array(codes, fmt).shape == (2, 3, 4)
+        empty = dequantize_array(np.zeros((0, 5), dtype=np.uint16), fmt)
+        assert empty.shape == (0, 5) and empty.dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+    def test_range_error_unchanged(self, dtype):
+        with pytest.raises(ConfigurationError, match="exceed"):
+            dequantize_array(np.array([3, 16], dtype=dtype), QFormat(4, 2))
+
+    def test_negative_signed_input_keeps_arithmetic(self):
+        fmt = QFormat(8, 6)
+        assert dequantize_array(np.array([-1, 5]), fmt).tolist() == [
+            -1 / 64, 5 / 64]
+
+
+class TestNonFiniteWeights:
+    """NaN and inf have no fixed-point code: quantizing one is an error,
+    not a silent code 0 (NaN) or saturated word (inf)."""
+
+    @pytest.fixture()
+    def net(self):
+        return FeedforwardANN(NetworkSpec(layer_sizes=(12, 8, 6, 5), seed=3))
+
+    def test_nan_in_a_later_layer_names_it(self, net):
+        # Not first in the max over layers, which Python's max skips.
+        net.layers[1].weights[0, :2] = np.nan
+        with pytest.raises(ConfigurationError,
+                           match=rf"{net.layers[1].name} weights: 2 non-finite"):
+            quantize_network(net)
+
+    def test_inf_bias_is_rejected_with_an_explicit_format(self, net):
+        net.layers[2].biases[0] = -np.inf
+        with pytest.raises(ConfigurationError,
+                           match=rf"{net.layers[2].name} biases: 1 non-finite"):
+            quantize_network(net, fmt=QFormat(8, 6))
+
+    def test_quantize_array_rejects_nan(self):
+        with pytest.raises(ConfigurationError, match="1 non-finite"):
+            quantize_array(np.array([0.5, np.nan]), QFormat(8, 6))
+
+
 class TestQuantizeNetwork:
     @pytest.fixture()
     def net(self):
