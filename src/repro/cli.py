@@ -8,12 +8,15 @@ under ``benchmarks/``; the CLI favours fast defaults.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.core import (
     CircuitToSystemSimulator,
     allocate_msbs,
+    benchmark_weights_path,
     format_table,
     hybrid_configuration_study,
     layer_sensitivity_profile,
@@ -22,7 +25,13 @@ from repro.core import (
 )
 from repro.devices.technology import get_technology
 from repro.mem import CellTables
-from repro.runtime import DEFAULT_BLOCK_SAMPLES, CacheStore, ResultCache
+from repro.runtime import (
+    DEFAULT_BLOCK_SAMPLES,
+    CacheStore,
+    ResultCache,
+    in_pool,
+    resolve_jobs,
+)
 from repro.sram import characterize_cell
 from repro.sram.area import format_area
 from repro.units import format_si
@@ -151,23 +160,42 @@ def _build_sim(args) -> CircuitToSystemSimulator:
     """Train the ANN and build the 6T/8T failure tables concurrently.
 
     The two inputs are independent until fault injection, so the tables
-    build runs on a background thread while this one trains.  Leaving
-    the ``with`` block waits for that thread, so a training error
-    propagates only once no tables work is left running.
+    build runs on a background thread while this one trains.  When the
+    build will train (the weight file is missing, or ``--no-cache``) and
+    ``--jobs`` is at least 2, the tables' Monte Carlo runs on ``jobs -
+    1`` pool processes and never in this interpreter, which keeps a core
+    for the trainer.  Otherwise the tables get all ``jobs`` (serially
+    in-process at 1).  Leaving the ``with`` block waits for that
+    thread, so a training error propagates only once no tables work is
+    left running.
     """
+    jobs = resolve_jobs(args.jobs)
+    trains = args.no_cache or not os.path.exists(
+        benchmark_weights_path(profile=args.profile))
+    beside_trainer = trains and jobs >= 2
     with ThreadPoolExecutor(max_workers=1) as background:
         tables = background.submit(
-            CellTables.build,
-            technology=get_technology(args.tech), n_samples=args.samples,
-            use_cache=not args.no_cache, jobs=args.jobs,
-            shards=args.shards, max_shard_samples=args.max_shard_samples,
-            block_samples=args.block_samples,
-            backend=getattr(args, "backend", None),
+            _build_tables, args,
+            jobs=jobs - 1 if beside_trainer else jobs,
+            in_children=beside_trainer,
         )
         model = train_benchmark_ann(profile=args.profile,
                                     use_cache=not args.no_cache)
     return CircuitToSystemSimulator(model, tables=tables.result(),
                                     n_trials=args.trials, jobs=args.jobs)
+
+
+def _build_tables(args, jobs: int, in_children: bool) -> CellTables:
+    """``CellTables.build`` for the command's flags on ``jobs`` workers,
+    inside :func:`~repro.runtime.in_pool` when ``in_children``."""
+    with in_pool() if in_children else contextlib.nullcontext():
+        return CellTables.build(
+            technology=get_technology(args.tech), n_samples=args.samples,
+            use_cache=not args.no_cache, jobs=jobs,
+            shards=args.shards, max_shard_samples=args.max_shard_samples,
+            block_samples=args.block_samples,
+            backend=getattr(args, "backend", None),
+        )
 
 
 def cmd_characterize(args) -> int:

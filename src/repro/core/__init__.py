@@ -17,6 +17,7 @@ that evaluates it.
 from repro.core.framework import (
     CircuitToSystemSimulator,
     TrainedModel,
+    benchmark_weights_path,
     fast_ann_spec,
     paper_ann_spec,
     resolve_profile,
@@ -45,6 +46,7 @@ from repro.core.report import format_table
 __all__ = [
     "CircuitToSystemSimulator",
     "TrainedModel",
+    "benchmark_weights_path",
     "fast_ann_spec",
     "paper_ann_spec",
     "resolve_profile",

@@ -159,6 +159,40 @@ def _save_npz(path: str, arrays: Dict[str, np.ndarray]) -> None:
             raise
 
 
+def _weights_key(spec: NetworkSpec, seed: int, n_train: int, n_val: int,
+                 epochs: int) -> Dict:
+    return {
+        "sizes": spec.layer_sizes,
+        "hidden": spec.hidden_activation,
+        "output": spec.output_activation,
+        "seed": seed,
+        "n_train": n_train,
+        "n_val": n_val,
+        "epochs": epochs,
+        "rev": 2,  # rev 2: weight_clip=0.99 -> Q0.7 synaptic words
+    }
+
+
+def benchmark_weights_path(
+    profile: Optional[str] = None,
+    seed: int = 0,
+    n_train: int = 6000,
+    n_val: int = 500,
+    epochs: int = 15,
+    cache_dir: Optional[str] = None,
+) -> str:
+    """The weight file (``ann_*.npz``) that :func:`train_benchmark_ann`
+    with the same arguments reads and writes.
+
+    Computing it touches no file, so it is a cheap probe of whether a
+    build will train: it trains when this file is missing (or
+    unreadable) or when it runs with ``use_cache=False``.
+    """
+    spec = resolve_profile(profile, seed=seed)
+    return _cache_path("ann", _weights_key(spec, seed, n_train, n_val, epochs),
+                       cache_dir)
+
+
 #: Revision of the cached clean accuracies (the ``acc`` namespace).
 #: Bump it when what they measure changes (the quantization rule, the
 #: forward pass or the metric), so older entries become misses.
@@ -201,16 +235,7 @@ def train_benchmark_ann(
     spec = resolve_profile(profile, seed=seed)
     network = FeedforwardANN(spec)
 
-    weights_key = {
-        "sizes": spec.layer_sizes,
-        "hidden": spec.hidden_activation,
-        "output": spec.output_activation,
-        "seed": seed,
-        "n_train": n_train,
-        "n_val": n_val,
-        "epochs": epochs,
-        "rev": 2,  # rev 2: weight_clip=0.99 -> Q0.7 synaptic words
-    }
+    weights_key = _weights_key(spec, seed, n_train, n_val, epochs)
     split_key = {
         "seed": seed,
         "n_test": n_test,

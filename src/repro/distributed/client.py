@@ -186,6 +186,7 @@ class ResilientClient:
                         f"deadline of {budget:g}s exhausted talking to "
                         f"{self.host}:{self.port}"
                     )
+                lost: Optional[str] = None
                 try:
                     self._connect(remaining)
                     assert self._sock is not None and self._stream is not None
@@ -193,30 +194,19 @@ class ResilientClient:
                     self._sock.sendall(data)
                     raw = self._stream.readline()
                 except OSError as exc:
+                    lost = f"cannot reach a server at {self.host}:{self.port}: {exc}"
+                else:
+                    if not raw.strip():
+                        # EOF: the peer closed the stream under the
+                        # request (server restart) — same transport
+                        # meaning as a reset, so it retries the same way.
+                        lost = (f"no response from {self.host}:{self.port} "
+                                f"(connection closed)")
+                if lost is not None:
                     self._drop()
                     failures += 1
                     if failures >= self.max_attempts:
-                        raise ClientError(
-                            f"cannot reach a server at "
-                            f"{self.host}:{self.port}: {exc}"
-                        ) from None
-                    self.retries += 1
-                    self._pause(min(
-                        self._backoff_delay(failures),
-                        max(0.0, deadline - time.monotonic()),
-                    ))
-                    continue
-                if not raw.strip():
-                    # EOF: the peer closed the stream under the request
-                    # (server restart) — same transport meaning as a
-                    # reset, so it retries the same way.
-                    self._drop()
-                    failures += 1
-                    if failures >= self.max_attempts:
-                        raise ClientError(
-                            f"no response from {self.host}:{self.port} "
-                            f"(connection closed)"
-                        )
+                        raise ClientError(lost)
                     self.retries += 1
                     self._pause(min(
                         self._backoff_delay(failures),

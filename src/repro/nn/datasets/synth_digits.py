@@ -6,13 +6,16 @@ segments in a unit box).  A sample is produced by
 1. rendering the glyph's *distance field* (precomputed once per class),
 2. inking it with a per-sample stroke thickness and edge softness,
 3. warping with a random affine map (rotation, anisotropic scale, shear,
-   translation) via ``scipy.ndimage.affine_transform``,
+   translation) by bilinear interpolation,
 4. adding slight blur and pixel noise.
 
-:func:`render_digit` runs those steps for one image.
-:func:`generate_digit_images` draws the same random numbers in the same
-order and warps image by image, but blurs and adds noise to a batch of
-images at once; both give the same bytes.
+:func:`generate_digit_images` runs those steps with numpy on batches of
+images, drawing each image's random numbers in turn; :func:`render_digit`
+is the one-image batch, so both give the same bytes.  The warp and blur
+repeat the arithmetic of ``scipy.ndimage.affine_transform`` (order 1,
+zero fill) and ``scipy.ndimage.gaussian_filter`` (reflected edges)
+operation for operation, so the images are the bytes those filters
+produced, without importing scipy.
 
 The glyphs occupy the central region of the canvas with an empty border,
 mirroring MNIST's centred digits — the property the paper's Sec. VI-C
@@ -22,6 +25,7 @@ uses to argue that input-layer synapses are comparatively resilient
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -79,6 +83,12 @@ def _build_glyphs() -> Dict[int, List[Segment]]:
 GLYPHS = _build_glyphs()
 
 
+#: Config fields that bound a random draw or a filter width, so must be
+#: non-negative.
+_SPREADS = ("stroke_width_jitter", "max_rotation_deg", "scale_jitter",
+            "max_shear", "max_translate_px", "noise_sigma", "blur_sigma")
+
+
 @dataclass(frozen=True)
 class SyntheticDigitConfig:
     """Generation knobs (defaults give an MNIST-like difficulty)."""
@@ -102,6 +112,22 @@ class SyntheticDigitConfig:
             raise DatasetError(f"image_size too small: {self.image_size}")
         if not 0 <= 2 * self.glyph_margin < self.image_size:
             raise DatasetError("glyph_margin leaves no room for the glyph")
+        for name in ("stroke_width", "edge_softness", *_SPREADS):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DatasetError(f"{name} must be finite, got {value!r}")
+        for name in _SPREADS:
+            value = getattr(self, name)
+            if value < 0:
+                raise DatasetError(f"{name} must be non-negative, got {value!r}")
+        if self.edge_softness <= 0:
+            raise DatasetError(
+                f"edge_softness must be positive, got {self.edge_softness!r}")
+        if self.scale_jitter >= 1:
+            # A scale of 1 - scale_jitter must stay positive: the warp
+            # divides by it.
+            raise DatasetError(
+                f"scale_jitter must be below 1, got {self.scale_jitter!r}")
 
 
 def glyph_distance_field(
@@ -137,13 +163,14 @@ def glyph_distance_field(
 
 _FIELD_CACHE: Dict[Tuple[int, SyntheticDigitConfig], np.ndarray] = {}
 
-#: Images blurred per ``gaussian_filter`` call.  Each image's noise is
-#: drawn between warps but added after the blur, so it waits in a buffer
-#: of this many images (2 MB at 28x28) rather than one the size of the
-#: whole split.  Changing it must not change an image's bytes; if it
-#: does (as would any change to the rendering arithmetic), bump
-#: ``RENDER_REV`` so that cached test splits are regenerated.
-_BLUR_BATCH = 256
+#: Images rendered per batch.  Each image's random numbers are drawn in
+#: the order of :func:`render_digit` (stroke width, six affine
+#: uniforms, then the pixel noise), so the batch size never changes an
+#: image's bytes; it only bounds the buffers (0.4 MB per array at
+#: 28x28, small enough that the warp's temporaries stay in cache).
+#: A change to the rendering arithmetic must bump ``RENDER_REV`` so
+#: that cached test splits are regenerated.
+_BATCH = 64
 
 #: Revision of the rendered bytes, part of the key of the on-disk test
 #: split (:func:`repro.core.framework.train_benchmark_ann`).
@@ -157,41 +184,142 @@ def _cached_field(digit: int, config: SyntheticDigitConfig) -> np.ndarray:
     return _FIELD_CACHE[key]
 
 
-def _random_affine(rng: np.random.Generator, config: SyntheticDigitConfig):
-    """Sample an affine map (matrix, offset) about the canvas centre."""
-    theta = np.radians(rng.uniform(-config.max_rotation_deg,
-                                   config.max_rotation_deg))
-    sx = 1.0 + rng.uniform(-config.scale_jitter, config.scale_jitter)
-    sy = 1.0 + rng.uniform(-config.scale_jitter, config.scale_jitter)
-    shear = rng.uniform(-config.max_shear, config.max_shear)
+def _uniform(u: np.ndarray, bound: float) -> np.ndarray:
+    """``rng.uniform(-bound, bound)`` from a ``rng.random()`` draw ``u``:
+    numpy computes ``low + (high - low) * random()``."""
+    return -bound + (bound - -bound) * u
+
+
+def _affine_params(u: np.ndarray, config: SyntheticDigitConfig
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-image affine maps ``(matrix (n, 2, 2), offset (n, 2))`` about
+    the canvas centre from the uniforms ``u[:, 1:7]`` (rotation, x/y
+    scale, shear, x/y shift): output pixel ``p`` samples the ink at
+    ``matrix @ p + offset``."""
+    theta = np.radians(_uniform(u[:, 1], config.max_rotation_deg))
+    sx = 1.0 + _uniform(u[:, 2], config.scale_jitter)
+    sy = 1.0 + _uniform(u[:, 3], config.scale_jitter)
+    shear = _uniform(u[:, 4], config.max_shear)
+    shift = _uniform(u[:, 5:7], config.max_translate_px)
     c, s = np.cos(theta), np.sin(theta)
-    rot = np.array([[c, -s], [s, c]])
-    sh = np.array([[1.0, shear], [0.0, 1.0]])
-    scale = np.diag([1.0 / sx, 1.0 / sy])
-    matrix = rot @ sh @ scale
+    zero, one = np.zeros_like(theta), np.ones_like(theta)
+    rot = np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2)
+    sh = np.stack([one, shear, zero, one], axis=1).reshape(-1, 2, 2)
+    scale = np.stack([1.0 / sx, zero, zero, 1.0 / sy], axis=1).reshape(-1, 2, 2)
+    matrix = np.matmul(np.matmul(rot, sh), scale)
     centre = (config.image_size - 1) / 2.0
-    shift = rng.uniform(-config.max_translate_px, config.max_translate_px, size=2)
-    offset = np.array([centre, centre]) - matrix @ (np.array([centre, centre]) + shift)
-    return matrix, offset
+    moved = np.matmul(matrix, (centre + shift)[:, :, np.newaxis])[:, :, 0]
+    return matrix, centre - moved
 
 
-def _warped_ink(
-    digit: int, rng: np.random.Generator, config: SyntheticDigitConfig
-) -> np.ndarray:
-    """Steps 1-3 of one sample: draws the stroke width, then the 6
-    affine uniforms, from ``rng``."""
-    from scipy import ndimage
+def _warp(ink: np.ndarray, matrix: np.ndarray, offset: np.ndarray
+          ) -> np.ndarray:
+    """Bilinear affine warp of each image with zero fill outside.
 
-    field = _cached_field(digit, config)
-    width = config.stroke_width + rng.uniform(
-        -config.stroke_width_jitter, config.stroke_width_jitter
-    )
-    ink = np.clip((width + config.edge_softness - field) / config.edge_softness,
-                  0.0, 1.0)
-    matrix, offset = _random_affine(rng, config)
-    return ndimage.affine_transform(
-        ink, matrix, offset=offset, order=1, mode="constant", cval=0.0
-    )
+    The arithmetic of ``scipy.ndimage.affine_transform(..., order=1,
+    mode="constant", cval=0.0)``, operation for operation, so the bytes
+    agree: a coordinate is ``(offset + i*M[k, 0]) + j*M[k, 1]``; one
+    outside ``[0, size - 1]`` on either axis gives 0; the weights are
+    ``w0 = 1 - (c - floor(c))`` and ``w1 = 1 - w0``; the corners
+    accumulate as ``t += (v * w_row) * w_col`` in the order (0, 0),
+    (0, 1), (1, 0), (1, 1).  The upper neighbour of the last row or
+    column carries weight 0, so it is read from a zero pad (scipy reads
+    the clamped edge pixel; ``0 * v`` is 0 either way).
+    """
+    n, size, _ = ink.shape
+    last = size - 1
+    stride = size + 1
+    padded = np.zeros((n, stride, stride))
+    padded[:, :size, :size] = ink
+    grid = np.arange(size, dtype=np.float64)
+    inside = np.ones((n, size, size), dtype=bool)
+    index = (np.arange(n) * stride * stride)[:, None, None]
+    weights = []
+    for k, step in ((0, stride), (1, 1)):
+        coord = ((offset[:, k, None, None] + grid[:, None] * matrix[:, k, 0, None, None])
+                 + grid[None, :] * matrix[:, k, 1, None, None])
+        inside &= coord >= 0.0
+        inside &= coord <= last
+        floor = np.floor(coord)
+        w0 = np.subtract(1.0, np.subtract(coord, floor, out=coord), out=coord)
+        weights.append((w0, 1.0 - w0))
+        # Outside pixels are zeroed below; any in-range index will do.
+        index = index + np.clip(floor.astype(np.intp), 0, last) * step
+    flat = padded.ravel()
+    out = np.zeros((n, size, size))
+    for a in range(2):
+        for b in range(2):
+            corner = flat.take(index + (a * stride + b))
+            corner *= weights[0][a]
+            corner *= weights[1][b]
+            out += corner
+    out *= inside
+    return out
+
+
+def _gaussian_weights(sigma: float) -> np.ndarray:
+    """``scipy.ndimage.gaussian_filter1d``'s correlation weights (order
+    0, truncated at 4 sigma), computed the same way."""
+    radius = int(4.0 * float(sigma) + 0.5)
+    x = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    return (phi / phi.sum())[::-1]
+
+
+def _blur(images: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian blur of each image, edges reflected (``d c b a | a b c
+    d | d c b a``), with ``scipy.ndimage.gaussian_filter``'s symmetric
+    correlation: axis 1, then axis 2, each output sample starting at
+    ``x * w[r]`` and adding ``(x[-d] + x[+d]) * w[r - d]`` from the
+    outermost pair ``d = r`` inward."""
+    weights = _gaussian_weights(sigma)
+    r = len(weights) // 2
+    size = images.shape[1]
+    for axis in (1, 2):
+        pad = [(0, 0)] * 3
+        pad[axis] = (r, r)
+        padded = np.pad(images, pad, mode="symmetric")
+
+        def shifted(d: int) -> np.ndarray:
+            """``x[+d]`` along ``axis`` for every output sample."""
+            index = [slice(None)] * 3
+            index[axis] = slice(r + d, r + d + size)
+            return padded[tuple(index)]
+
+        images = shifted(0) * weights[r]
+        for d in range(r, 0, -1):
+            images += (shifted(-d) + shifted(d)) * weights[r - d]
+    return images
+
+
+def _render(labels: np.ndarray, rng: np.random.Generator,
+            config: SyntheticDigitConfig) -> np.ndarray:
+    """Render one batch: (n, size, size) images of ``labels``.
+
+    Per image, in order, draws the stroke width and the six affine
+    uniforms (as seven ``random()`` values) and then, if
+    ``noise_sigma > 0``, the pixel noise; the inking, warp, blur, noise
+    and clip then run on the whole batch.
+    """
+    n, size = len(labels), config.image_size
+    u = np.empty((n, 7))
+    noise = np.empty((n, size, size)) if config.noise_sigma > 0 else None
+    for i in range(n):
+        rng.random(out=u[i])
+        if noise is not None:
+            rng.standard_normal(out=noise[i])
+    fields = np.stack([_cached_field(d, config) for d in range(10)])
+    width = config.stroke_width + _uniform(u[:, 0], config.stroke_width_jitter)
+    ink = np.clip(((width + config.edge_softness)[:, None, None] - fields[labels])
+                  / config.edge_softness, 0.0, 1.0)
+    images = _warp(ink, *_affine_params(u, config))
+    if config.blur_sigma > 0:
+        images = _blur(images, config.blur_sigma)
+    if noise is not None:
+        # rng.normal(0, sigma) is sigma * standard_normal(), bit for bit.
+        noise *= config.noise_sigma
+        images += noise
+    return np.clip(images, 0.0, 1.0, out=images)
 
 
 def render_digit(
@@ -200,14 +328,9 @@ def render_digit(
     config: SyntheticDigitConfig = SyntheticDigitConfig(),
 ) -> np.ndarray:
     """One augmented sample of ``digit`` as a (size, size) float image."""
-    from scipy import ndimage
-
-    warped = _warped_ink(digit, rng, config)
-    if config.blur_sigma > 0:
-        warped = ndimage.gaussian_filter(warped, config.blur_sigma)
-    if config.noise_sigma > 0:
-        warped = warped + rng.normal(0.0, config.noise_sigma, warped.shape)
-    return np.clip(warped, 0.0, 1.0)
+    if digit not in GLYPHS:
+        raise DatasetError(f"no glyph for digit {digit!r}")
+    return _render(np.array([digit]), rng, config)[0]
 
 
 def generate_digit_images(
@@ -223,29 +346,14 @@ def generate_digit_images(
     ``i`` equals the ``i``-th :func:`render_digit` call on the same
     generator, bit for bit.
     """
-    from scipy import ndimage
-
     if n_samples <= 0:
         raise DatasetError(f"n_samples must be positive, got {n_samples}")
     rng = ensure_rng(seed)
     labels = np.arange(n_samples) % 10
     rng.shuffle(labels)
     size = config.image_size
-    images = np.empty((n_samples, size, size), dtype=np.float64)
-    noise = np.empty((min(n_samples, _BLUR_BATCH), size, size))
-    for lo in range(0, n_samples, _BLUR_BATCH):
-        batch = images[lo:lo + _BLUR_BATCH]
-        for i, digit in enumerate(labels[lo:lo + _BLUR_BATCH]):
-            batch[i] = _warped_ink(int(digit), rng, config)
-            if config.noise_sigma > 0:
-                noise[i] = rng.normal(0.0, config.noise_sigma, (size, size))
-        if config.blur_sigma > 0:
-            # In place, along the image axes only: per image, this is the
-            # 2-D filter render_digit applies.
-            ndimage.gaussian_filter(
-                batch, (0, config.blur_sigma, config.blur_sigma), output=batch
-            )
-        if config.noise_sigma > 0:
-            batch += noise[:len(batch)]
-    np.clip(images, 0.0, 1.0, out=images)
-    return images.reshape(n_samples, size * size), labels.astype(int)
+    images = np.empty((n_samples, size * size), dtype=np.float64)
+    for lo in range(0, n_samples, _BATCH):
+        batch = labels[lo:lo + _BATCH]
+        images[lo:lo + len(batch)] = _render(batch, rng, config).reshape(len(batch), -1)
+    return images, labels.astype(int)

@@ -46,7 +46,12 @@ from repro.runtime.cache import (
     content_key,
     default_cache_dir,
 )
-from repro.runtime.executor import SweepExecutor, resolve_jobs, shutdown_pool
+from repro.runtime.executor import (
+    SweepExecutor,
+    in_pool,
+    resolve_jobs,
+    shutdown_pool,
+)
 from repro.runtime.sharding import (
     DEFAULT_BLOCK_SAMPLES,
     Shard,
@@ -76,6 +81,7 @@ __all__ = [
     "content_key",
     "default_cache_dir",
     "make_tiered_store",
+    "in_pool",
     "resolve_jobs",
     "shutdown_pool",
 ]

@@ -14,27 +14,46 @@ forked copy of the parent's (possibly already-consumed) RNG state or
 open file handles to the result cache.
 
 Pool lifetime.  A spawned child costs an interpreter start plus the
-``repro``/numpy/scipy imports, so a process keeps at most one pool and
-reuses it across maps.  The pool is created by the first parallel map
-and keyed on its worker count and the ``REPRO_*`` environment: children
-copy the environment once, at start-up, so a map under a different key
-(say a new ``REPRO_CACHE_DIR``) shuts the old pool down and starts a
-fresh one.  A map that finds the pool broken (a child died) discards it,
-so the next map starts a new one.  The pool is shut down at interpreter
-exit, or earlier by :func:`shutdown_pool` — a long-running process that
-is done with sweeps calls it to keep no idle children.
+imports of the function it runs: numpy and the ``repro`` modules on its
+path (a Monte-Carlo child also imports ``scipy.special`` for the
+Gaussian tail), about 0.8 CPU-seconds.  So a process keeps at most one
+pool and reuses it across maps.  The pool is created by the first
+parallel map and keyed on its worker count and the ``REPRO_*``
+environment: children copy the environment once, at start-up, so a map
+under a different key (say a new ``REPRO_CACHE_DIR``) shuts the old
+pool down and starts a fresh one.  A map that finds the pool broken (a
+child died) discards it, so the next map starts a new one.  The pool is
+shut down at interpreter exit, or earlier by :func:`shutdown_pool` — a
+long-running process that is done with sweeps calls it to keep no idle
+children.
+
+Work beside the caller.  Inside :func:`in_pool`, the maps a thread makes
+never run in the calling process: ``jobs=1`` means one child rather
+than the serial path.  A caller that keeps its own thread busy (the CLI
+trains the network while the cell tables build) gives the maps
+``jobs - 1`` children this way and keeps a core to itself.
 """
 
 from __future__ import annotations
 
 import atexit
+import contextlib
 import multiprocessing
 import os
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from repro.errors import ConfigurationError
 
@@ -147,6 +166,22 @@ def shutdown_pool() -> None:
 
 atexit.register(shutdown_pool)
 
+# Per-thread flag set by in_pool().
+_scope = threading.local()
+
+
+@contextlib.contextmanager
+def in_pool() -> Iterator[None]:
+    """Within the block, executors made on this thread run every map on
+    pool processes (``jobs`` of them, one at ``jobs=1``), never serially
+    in this process.  Results are the same bytes either way."""
+    outer = getattr(_scope, "in_pool", False)
+    _scope.in_pool = True
+    try:
+        yield
+    finally:
+        _scope.in_pool = outer
+
 
 class SweepExecutor:
     """Fan independent sweep points across the shared ``spawn`` pool.
@@ -157,11 +192,19 @@ class SweepExecutor:
         Worker count; see :func:`resolve_jobs` for ``None``/``0``
         semantics.  ``jobs=1`` runs serially in-process (no pool, no
         pickling) and is the reference behaviour every parallel run must
-        reproduce bit-for-bit.
+        reproduce bit-for-bit.  Under :func:`in_pool`, even ``jobs=1``
+        runs in a child.
     """
 
     def __init__(self, jobs: Optional[int] = None):
         self.jobs = resolve_jobs(jobs)
+        self.in_process = not getattr(_scope, "in_pool", False)
+
+    def _serial(self, n_points: int) -> bool:
+        """Whether a map over ``n_points`` runs in this process."""
+        return n_points == 0 or (
+            self.in_process and (self.jobs == 1 or n_points == 1)
+        )
 
     # ------------------------------------------------------------------
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
@@ -173,7 +216,7 @@ class SweepExecutor:
         independent of worker count and completion order.
         """
         points = list(items)
-        if self.jobs == 1 or len(points) <= 1:
+        if self._serial(len(points)):
             return [fn(item) for item in points]
         return self._fan_out(partial(_run_chunk, fn), points)
 
@@ -190,7 +233,7 @@ class SweepExecutor:
         points = list(items)
         if not points:
             return []
-        if self.jobs == 1 or len(points) == 1:
+        if self._serial(len(points)):
             return fn(points)
         return self._fan_out(fn, points)
 

@@ -403,28 +403,41 @@ class TestCacheFiles:
         assert list(empty.iterdir()) == []
         assert reads == []
 
-    def test_warm_build_sim_imports_no_scipy_ndimage(self, tmp_path):
-        """A warm ``_build_sim`` neither renders images nor imports the
-        renderer's scipy.ndimage; the cold run, which renders, does."""
+    @staticmethod
+    def _run_build_sim(cache_dir, flags, probe):
+        """Run a small ``_build_sim`` in a fresh interpreter and print
+        ``probe`` (a Python expression) after it."""
         import repro
 
         src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env = {**os.environ, "PYTHONPATH": src,
-               "REPRO_CACHE_DIR": str(tmp_path)}
+        env = {**os.environ, "PYTHONPATH": src, "REPRO_CACHE_DIR": str(cache_dir)}
         script = (
             "import functools, sys\n"
             "import repro.cli as cli\n"
+            "from repro.runtime import executor\n"
             "cli.train_benchmark_ann = functools.partial(\n"
             "    cli.train_benchmark_ann, n_train=200, n_val=50, n_test=80,\n"
             "    epochs=1)\n"
             "cli._build_sim(cli.build_parser().parse_args(\n"
-            "    ['hybrid', '--samples', '2000', '--trials', '1']))\n"
-            "print('scipy.ndimage' in sys.modules)\n"
+            f"    ['hybrid', '--samples', '2000', '--trials', '1', *{flags!r}]))\n"
+            f"print({probe})\n"
         )
-        runs = [
-            subprocess.run([sys.executable, "-c", script], env=env,
-                           capture_output=True, text=True, check=True)
-            .stdout.strip()
-            for _ in ("cold", "warm")
-        ]
-        assert runs == ["True", "False"]
+        return subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True,
+                              check=True).stdout.strip()
+
+    def test_build_sim_imports_no_scipy_ndimage(self, tmp_path):
+        """Neither a cold ``_build_sim``, which renders, nor a warm one,
+        which does not, imports scipy.ndimage: the renderer is numpy."""
+        runs = [self._run_build_sim(tmp_path, [],
+                                    "'scipy.ndimage' in sys.modules")
+                for _ in ("cold", "warm")]
+        assert runs == ["False", "False"]
+
+    def test_cold_build_sim_leaves_scipy_to_the_tables_child(self, tmp_path):
+        """At ``--jobs 2`` a cold ``_build_sim`` trains in this process
+        and builds the tables in one pool child, so this process imports
+        no scipy module at all."""
+        probe = ("sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+                 "len(executor._pool._processes)")
+        assert self._run_build_sim(tmp_path, ["--jobs", "2"], probe) == "[] 1"

@@ -1,9 +1,11 @@
 """Tests of the synthetic digit generator and loader."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from repro.errors import DatasetError
 from repro.nn.datasets import (
@@ -13,8 +15,55 @@ from repro.nn.datasets import (
     load_synthetic_digits,
     load_test_split,
 )
-from repro.nn.datasets.synth_digits import GLYPHS, render_digit
+from repro.nn.datasets import synth_digits
+from repro.nn.datasets.synth_digits import GLYPHS, RENDER_REV, render_digit
 from repro.rng import ensure_rng
+
+#: The configs the renderer is checked on: the default, each filter
+#: off, both off, and a wider blur on a smaller canvas.
+CONFIGS = [
+    SyntheticDigitConfig(),
+    SyntheticDigitConfig(blur_sigma=0.0),
+    SyntheticDigitConfig(noise_sigma=0.0),
+    SyntheticDigitConfig(blur_sigma=0.0, noise_sigma=0.0),
+    SyntheticDigitConfig(blur_sigma=1.2, image_size=20, glyph_margin=3),
+]
+CONFIG_IDS = ["default", "no-blur", "no-noise", "plain", "wide-blur-20px"]
+
+#: Image counts (and seeds): one image, part of a batch, several batches,
+#: and each side of a batch boundary.
+BATCH = synth_digits._BATCH
+COUNTS = [(1, 0), (37, 5), (300, 11), (BATCH - 1, 2), (BATCH, 7),
+          (BATCH + 1, 9)]
+
+
+def _scipy_render(digit, rng, config):
+    """Reference renderer: one image through ``scipy.ndimage``, drawing
+    the stroke width, the affine uniforms and the noise with the
+    generator's own ``uniform``/``normal`` calls."""
+    field = glyph_distance_field(digit, config)
+    width = config.stroke_width + rng.uniform(
+        -config.stroke_width_jitter, config.stroke_width_jitter)
+    ink = np.clip((width + config.edge_softness - field) / config.edge_softness,
+                  0.0, 1.0)
+    theta = np.radians(rng.uniform(-config.max_rotation_deg,
+                                   config.max_rotation_deg))
+    sx = 1.0 + rng.uniform(-config.scale_jitter, config.scale_jitter)
+    sy = 1.0 + rng.uniform(-config.scale_jitter, config.scale_jitter)
+    shear = rng.uniform(-config.max_shear, config.max_shear)
+    c, s = np.cos(theta), np.sin(theta)
+    matrix = (np.array([[c, -s], [s, c]]) @ np.array([[1.0, shear], [0.0, 1.0]])
+              @ np.diag([1.0 / sx, 1.0 / sy]))
+    centre = np.full(2, (config.image_size - 1) / 2.0)
+    shift = rng.uniform(-config.max_translate_px, config.max_translate_px, size=2)
+    offset = centre - matrix @ (centre + shift)
+    warped = ndimage.affine_transform(ink, matrix, offset=offset, order=1,
+                                      mode="constant", cval=0.0)
+    if config.blur_sigma > 0:
+        warped = ndimage.gaussian_filter(warped, config.blur_sigma)
+    if config.noise_sigma > 0:
+        warped = warped + rng.normal(0.0, config.noise_sigma, warped.shape)
+    return np.clip(warped, 0.0, 1.0)
 
 
 class TestGlyphs:
@@ -78,34 +127,103 @@ class TestGenerate:
         with pytest.raises(DatasetError):
             generate_digit_images(0)
 
-    @pytest.mark.parametrize("config", [
-        SyntheticDigitConfig(),
-        SyntheticDigitConfig(blur_sigma=0.0),
-        SyntheticDigitConfig(noise_sigma=0.0),
-        SyntheticDigitConfig(blur_sigma=0.0, noise_sigma=0.0),
-        SyntheticDigitConfig(blur_sigma=1.2, image_size=20, glyph_margin=3),
-    ], ids=["default", "no-blur", "no-noise", "plain", "wide-blur-20px"])
-    @pytest.mark.parametrize("n, seed", [(1, 0), (37, 5), (300, 11)])
+    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+    @pytest.mark.parametrize("n, seed", COUNTS)
     def test_stack_equals_per_image_render(self, config, n, seed):
-        """The batched blur/noise/clip gives the bytes of rendering the
-        images one by one from the same generator (n=300 spans two blur
-        batches)."""
+        """The batched numpy renderer gives the bytes of the scipy
+        reference run image by image on the same generator, and so does
+        ``render_digit``."""
         x, y = generate_digit_images(n, seed=seed, config=config)
         rng = ensure_rng(seed)
         labels = np.arange(n) % 10
         rng.shuffle(labels)
+        state = rng.bit_generator.state
         reference = np.stack(
+            [_scipy_render(int(d), rng, config).ravel() for d in labels]
+        )
+        rng.bit_generator.state = state
+        singles = np.stack(
             [render_digit(int(d), rng, config).ravel() for d in labels]
         )
         assert y.tobytes() == labels.astype(int).tobytes()
-        assert x.shape == reference.shape
+        assert x.shape == reference.shape == singles.shape
         assert x.tobytes() == reference.tobytes()
+        assert singles.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("matrix", [
+        [[1.0, 0.0], [0.0, 1.0]],
+        [[0.0, -1.0], [1.0, 0.0]],
+        [[0.0, 1.0], [-1.0, 0.0]],
+        [[-1.0, 0.0], [0.0, -1.0]],
+    ], ids=["identity", "rot90", "rot-90", "rot180"])
+    def test_warp_on_exact_boundaries(self, matrix):
+        """Integer and half-integer offsets from -30 to 30 put sample
+        coordinates exactly on pixel centres and on the canvas edges."""
+        size = 28
+        ink = ensure_rng(3).random((size, size)) + 0.5
+        steps = np.arange(-30.0, 30.5, 0.5)
+        matrix = np.array(matrix)
+        for row_offset in steps[::5]:
+            offsets = np.stack([np.full(len(steps), row_offset), steps], axis=1)
+            got = synth_digits._warp(
+                np.broadcast_to(ink, (len(steps), size, size)),
+                np.broadcast_to(matrix, (len(steps), 2, 2)), offsets)
+            want = np.stack([
+                ndimage.affine_transform(ink, matrix, offset=offset, order=1,
+                                         mode="constant", cval=0.0)
+                for offset in offsets
+            ])
+            assert got.tobytes() == want.tobytes(), row_offset
+
+    @pytest.mark.parametrize("size", [20, 28])
+    def test_blur_matches_gaussian_filter_up_to_radius_32(self, size):
+        """Radii 1..32 (sigma r/4 and off-grid sigmas), including
+        kernels wider than the canvas, where the reflected edge repeats."""
+        images = ensure_rng(4).random((3, size, size))
+        sigmas = [r / 4 for r in range(1, 33)] + [0.5, 0.37, 1.2, 3.3, 7.9]
+        for sigma in sigmas:
+            want = np.stack([ndimage.gaussian_filter(image, sigma)
+                             for image in images])
+            got = synth_digits._blur(images, sigma)
+            assert got.tobytes() == want.tobytes(), sigma
+
+    def test_seed_zero_benchmark_split_is_pinned(self):
+        """The benchmark split (6,000 train, no val, 2,000 test) keeps
+        its bytes: cached test splits are keyed by ``RENDER_REV``."""
+        data = load_synthetic_digits(n_train=6000, n_val=0, n_test=2000, seed=0)
+        digests = {
+            name: hashlib.sha256(getattr(data, name).tobytes()).hexdigest()[:16]
+            for name in ("x_train", "y_train", "x_test", "y_test")
+        }
+        assert RENDER_REV == 1
+        assert digests == {
+            "x_train": "02a4628ff7cd1d3a", "y_train": "80f1f29c9d0961a0",
+            "x_test": "0b2fbdf532a7c419", "y_test": "cbe29914959ea09d",
+        }
 
     def test_config_validation(self):
         with pytest.raises(DatasetError):
             SyntheticDigitConfig(image_size=4)
         with pytest.raises(DatasetError):
             SyntheticDigitConfig(glyph_margin=20)
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_rotation_deg", float("nan")),
+        ("max_shear", float("inf")),
+        ("stroke_width", float("nan")),
+        ("noise_sigma", -0.1),
+        ("blur_sigma", -0.5),
+        ("max_translate_px", -1.0),
+        ("scale_jitter", 1.0),
+        ("scale_jitter", 1.5),
+        ("edge_softness", 0.0),
+    ])
+    def test_config_rejects_values_the_renderer_mishandles(self, field, value):
+        """NaN used to overflow inside ``rng.uniform``, a negative sigma
+        was silently read as 0, and ``scale_jitter >= 1`` allowed a scale
+        of 0 (an infinite warp)."""
+        with pytest.raises(DatasetError, match=field):
+            SyntheticDigitConfig(**{field: value})
 
 
 class TestLoader:

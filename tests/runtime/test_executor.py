@@ -11,7 +11,7 @@ from functools import partial
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runtime import SweepExecutor, resolve_jobs, shutdown_pool
+from repro.runtime import SweepExecutor, in_pool, resolve_jobs, shutdown_pool
 from repro.runtime.executor import _partition
 
 
@@ -173,6 +173,29 @@ class TestSharedPool:
         assert results == {f: [f * x for x in range(25)] for f in factors}
         # Two racing creations would leave an orphaned pool running.
         assert len(_live_children()) <= 2
+
+    def test_in_pool_runs_even_one_job_in_a_child(self):
+        """Inside ``in_pool`` a ``jobs=1`` map, a one-point map and a
+        chunked map all run in one child, with the serial results; the
+        flag is per thread and ends with the block."""
+        with in_pool():
+            pids = SweepExecutor(jobs=1).map(_child_pid, range(5))
+            single = SweepExecutor(jobs=1).map(_child_pid, [0])
+            chunked = SweepExecutor(jobs=1).map_chunked(_chunk_pids, range(3))
+            squares = SweepExecutor(jobs=1).map(partial(pow, exp=2), range(6))
+            other_thread = []
+            worker = threading.Thread(
+                target=lambda: other_thread.extend(
+                    SweepExecutor(jobs=1).map(_child_pid, range(2))))
+            worker.start()
+            worker.join()
+            assert SweepExecutor(jobs=1).map(_child_pid, []) == []
+        children = set(pids) | set(single) | set(chunked)
+        assert len(children) == 1 and os.getpid() not in children
+        assert children == _live_children()
+        assert squares == [x * x for x in range(6)]
+        assert other_thread == [os.getpid()] * 2
+        assert SweepExecutor(jobs=1).map(_child_pid, range(2)) == [os.getpid()] * 2
 
     def test_shutdown_leaves_no_children(self):
         SweepExecutor(jobs=2).map(_child_pid, range(4))

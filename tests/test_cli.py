@@ -11,8 +11,9 @@ import pytest
 
 import repro.cli
 from repro.cli import _build_sim, build_parser, main
-from repro.core import train_benchmark_ann
+from repro.core import benchmark_weights_path, train_benchmark_ann
 from repro.errors import ConfigurationError
+from repro.runtime import SweepExecutor
 
 
 class TestParser:
@@ -322,6 +323,37 @@ class TestBuildSimOverlap:
         args = build_parser().parse_args(self.ARGS)
         with pytest.raises(ConfigurationError, match="bad shard plan"):
             _build_sim(args)
+
+
+    @pytest.mark.parametrize("flags, weights_on_disk, expected", [
+        (["--jobs", "2"], False, (1, False)),
+        (["--jobs", "3"], False, (2, False)),
+        (["--jobs", "2"], True, (2, True)),
+        (["--jobs", "1"], False, (1, True)),
+        (["--jobs", "2", "--no-cache"], True, (1, False)),
+    ], ids=["training-jobs2", "training-jobs3", "weights-present",
+            "serial", "no-cache-trains"])
+    def test_tables_workers(self, tmp_path, monkeypatch, flags,
+                            weights_on_disk, expected):
+        """``(jobs, in_process)`` of the tables build's executors: while
+        the ANN trains they get ``jobs - 1`` pool children and never the
+        trainer's process; with the weights on disk they keep all
+        ``jobs``; ``--jobs 1`` stays serial in-process."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        if weights_on_disk:
+            open(benchmark_weights_path(), "wb").close()
+        seen = []
+
+        def build(**kwargs):
+            seen.append((kwargs["jobs"], SweepExecutor(kwargs["jobs"]).in_process))
+            return "tables"
+
+        monkeypatch.setattr(repro.cli, "train_benchmark_ann",
+                            lambda **kwargs: "model")
+        monkeypatch.setattr(repro.cli.CellTables, "build", build)
+        _build_sim(build_parser().parse_args(self.ARGS + flags))
+        assert seen == [expected]
+        assert SweepExecutor(1).in_process
 
 
 class TestHybridCommand:
