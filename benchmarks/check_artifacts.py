@@ -43,12 +43,17 @@ CHROME_EVENT_KEYS = {"name", "ph", "ts", "dur", "pid", "tid", "cat", "args"}
 ROW_KEYS = {
     "margin_kernels": {
         "cell", "block_samples", "reference_samples_per_sec",
-        "fused_samples_per_sec", "speedup",
+        "fused_samples_per_sec", "speedup", "check_accept_ratio",
     },
     "tiered_cache": {
         "scenario", "shards", "n_samples", "seconds", "samples_per_sec",
     },
 }
+# Floor on the share of lanes the fused kernel's two-point check accepts
+# (a counter, not a timing): below it the root estimator has degraded
+# and the exact fallback is doing the work.
+MIN_CHECK_ACCEPT_RATIO = 0.99
+
 DISPATCH_MIXED_KEYS = {
     "fleet_workers", "concurrent_wall_seconds", "kinds",
     "speculation", "dispatcher_stats",
@@ -167,6 +172,21 @@ def _check_dispatch_mixed(data: Any, errors: List[str]) -> None:
                               f"non-negative integer, got {value!r}")
 
 
+def _check_accept_ratio(data: Any, errors: List[str]) -> None:
+    if not isinstance(data, list):
+        return  # reported by _check_rows
+    for i, row in enumerate(data):
+        ratio = row.get("check_accept_ratio") if isinstance(row, dict) else None
+        if ratio is None:
+            continue  # reported by _check_rows
+        if (not isinstance(ratio, numbers.Real) or isinstance(ratio, bool)
+                or not ratio >= MIN_CHECK_ACCEPT_RATIO):
+            errors.append(
+                f"margin_kernels: row {i} check_accept_ratio must be a "
+                f"number >= {MIN_CHECK_ACCEPT_RATIO}, got {ratio!r}"
+            )
+
+
 def check_artifacts(results_dir: str = RESULTS_DIR) -> List[str]:
     """Return a list of violations (empty means every contract holds)."""
     errors: List[str] = []
@@ -178,6 +198,8 @@ def check_artifacts(results_dir: str = RESULTS_DIR) -> List[str]:
     for name, keys in ROW_KEYS.items():
         if name in docs and docs[name] is not None:
             _check_rows(name, docs[name], keys, errors)
+    if docs.get("margin_kernels") is not None:
+        _check_accept_ratio(docs["margin_kernels"], errors)
     if docs.get("dispatch_mixed") is not None:
         _check_dispatch_mixed(docs["dispatch_mixed"], errors)
     return errors

@@ -48,6 +48,7 @@ dispatcher or worker code.
 
 from __future__ import annotations
 
+import math
 import threading
 import uuid
 from dataclasses import dataclass
@@ -250,7 +251,8 @@ def _require_fields(kind: str, spec: Mapping[str, Any], fields: Sequence[str]) -
 
 
 def _positive_number(kind: str, name: str, value: Any) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or not (math.isfinite(value) and value > 0)):
         raise ConfigurationError(
             f"{kind} spec {name} must be a positive number, got {value!r}"
         )
@@ -316,10 +318,8 @@ def analyzer_from_spec(spec: Dict[str, Any]) -> MonteCarloAnalyzer:
 def _run_margin_tally(job: ShardJob) -> Dict[str, Any]:
     """Worker compute function: tally one shard, return its JSON form."""
     analyzer = analyzer_from_spec(job.spec)
-    vdd = job.spec.get("vdd")
-    if not isinstance(vdd, (int, float)) or isinstance(vdd, bool) or vdd <= 0:
-        raise ConfigurationError(f"spec vdd must be a positive number, got {vdd!r}")
-    return tally_shard(analyzer, float(vdd), job.to_shard()).to_dict()
+    vdd = _positive_number("margin_tally", "vdd", job.spec.get("vdd"))
+    return tally_shard(analyzer, vdd, job.to_shard()).to_dict()
 
 
 register_job_kind("margin_tally", _run_margin_tally)

@@ -29,6 +29,34 @@ temporaries.  This backend removes that overhead while producing
   (their results are the rail overrides, and their bracket-width
   trajectories collapse to two scalar recurrences shared by all such
   lanes).
+* **Replay from a root estimate** — the bisection's output depends only
+  on the sign of ``f`` at each midpoint.  Each chunk takes
+  ``_EXACT_STEPS`` exact steps, runs ``_ILLINOIS_STEPS`` Illinois
+  regula-falsi evaluations to a root estimate ``r̂``, replays the
+  remaining steps with the decision ``mid < r̂`` (same midpoint
+  arithmetic, same bracket select, no model evaluation), and evaluates
+  ``f`` exactly at the final ``lo`` and ``hi``.  A lane is accepted only
+  if ``f(lo) < 0 <= f(hi)``; every sample owning a rejected lane (NaN
+  lanes included) is re-solved by the exact bisection.  Why an accepted
+  lane is exact: ``lo`` only ever moves up to a midpoint, so a midpoint
+  the replay sent to ``lo`` is the final ``lo`` itself or lies at least
+  one final bracket width ``w = vdd * 2**-k_stop`` (0.5-1 nV) below it;
+  likewise above the final ``hi``.  If the *computed* ``f`` is
+  sign-monotone at resolution ``w``, the two end signs therefore fix
+  the sign at every replayed midpoint, the exact solver would have made
+  the same decisions, and the trajectories agree bit for bit.
+  Monotonicity at ``w``: every stacked term rises with the node voltage
+  (pull-down biases follow ``v``, pull-up and access biases follow
+  ``vdd - v``, and each drain current grows in ``vgs`` and ``vds``),
+  and the CLM factor alone gives each current a relative ``vds``
+  slope of at least ``lambda / (1 + lambda * vdd)`` (0.0196 /V for the
+  shipped ``lambda = 0.02``), so ``|f'| >= 0.0196 * sum|I_t|`` per volt.
+  The evaluation error is at most ~1e-13 ``sum|I_t|`` (a few tens of
+  ulps through exp/log1p/pow/expm1, the softplus branch seams at
+  ``|u| = 30`` and the term sum), so sign errors stay within ~10 pV of
+  the root: 50x narrower than ``w``.  Measured on x2-widened blocks at
+  0.35, 0.7 and 1.1 V, the computed sign never interleaves over more
+  than 1 fV.
 
 Iteration count.  The reference solver stops when ``max(hi - lo)`` over
 the batch drops below ``_V_TOL``; every lane starts from the same
@@ -57,6 +85,7 @@ reference backend unchanged.
 
 from __future__ import annotations
 
+import threading
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -95,8 +124,35 @@ _CHUNK = 8192
 #: ~3000x wider for a 1 V supply.
 _WIDTH_SAFETY = 1e-12
 
+#: Exact bisection steps before the root estimate, and Illinois steps
+#: that produce it (see :func:`_replay`).  A chunk then costs
+#: ``_EXACT_STEPS + _ILLINOIS_STEPS + 2`` model evaluations instead of
+#: ``k_stop`` (30 across the 0.60-0.95 V characterization grid).
+_EXACT_STEPS = 4
+_ILLINOIS_STEPS = 6
+
 #: All-ones / all-zeros masks for the bitwise bracket select.
 _U64 = np.uint64
+
+
+def _sign_mask(x: np.ndarray, out: np.ndarray) -> None:
+    """All-ones where ``x``'s sign bit is set, zero elsewhere (u64 ``out``)."""
+    np.right_shift(x.view(np.int64), 63, out=out.view(np.int64))
+
+
+def _select(
+    mask: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray,
+    tmp: np.ndarray,
+) -> None:
+    """``out = x`` where ``mask`` is all-ones, ``y`` where it is zero.
+
+    All operands are u64 views; ``out`` may alias ``x`` or ``y``.  The
+    xor form ``y ^ ((x ^ y) & mask)`` is exact for every payload and
+    several times faster than a masked numpy store.
+    """
+    np.bitwise_xor(x, y, out=tmp)
+    np.bitwise_and(tmp, mask, out=tmp)
+    np.bitwise_xor(y, tmp, out=out)
 
 
 def _fixed_stop_iteration(vdd: float) -> Optional[int]:
@@ -248,15 +304,25 @@ class _ChunkKernel:
         self.LO = np.zeros((e_count, cs))
         self.HI = np.full((e_count, cs), vdd)
         self.GO = np.empty((e_count, cs), dtype=bool)
+        # Replay state (see _replay): f at both bracket ends, the
+        # Illinois bracket and its last-moved-end mask, the root
+        # estimate and the acceptance mask.
+        self.FLO = np.empty((e_count, cs))
+        self.FHI = np.empty((e_count, cs))
+        self.IA = np.empty((e_count, cs))
+        self.IB = np.empty((e_count, cs))
+        self.RH = np.empty((e_count, cs))
+        self.PREV = np.empty((e_count, cs), dtype=_U64)
+        self.OK = np.empty((e_count, cs), dtype=bool)
         # The bitwise-select scratch overlays the term buffers: by
         # bracket-update time the freshly accumulated F is the only
         # live product of eval_f, so A..D's storage is free (n_terms >=
         # n_eqs always holds for the compiled topologies).
         assert t_count >= e_count
         self.GOU = self.C.view(_U64)[:e_count]
-        self.NGOU = self.D.view(_U64)[:e_count]
         self.S1 = self.A.view(_U64)[:e_count]
         self.S2 = self.B.view(_U64)[:e_count]
+        self.S3 = self.D.view(_U64)[:e_count]
         self.LOU = self.LO.view(_U64)
         self.HIU = self.HI.view(_U64)
         self.MIDU = self.MID.view(_U64)
@@ -359,24 +425,36 @@ class _ChunkKernel:
         """One bisection step from the freshly evaluated ``F``.
 
         ``lo = where(f < 0, mid, lo)``; ``hi = where(f < 0, hi, mid)`` —
-        realised as a bitwise select on the u64 views (exact for every
-        payload, including infinities and NaNs): masked numpy stores are
-        several times slower than three vectorized bitwise ops.
+        realised as a bitwise :func:`_select` on the u64 views (exact
+        for every payload, including infinities and NaNs).  Leaves the
+        all-ones-where-``f < 0`` mask in ``GOU``.
         """
         sl = np.s_[:, :m]
-        go, gou, ngou = self.GO[sl], self.GOU[sl], self.NGOU[sl]
-        s1, s2 = self.S1[sl], self.S2[sl]
+        go, gou, tmp = self.GO[sl], self.GOU[sl], self.S1[sl]
         lou, hiu, midu = self.LOU[sl], self.HIU[sl], self.MIDU[sl]
         np.less(self.F[sl], 0.0, out=go)
         np.copyto(gou, go, casting="unsafe")             # 0 / 1
         np.negative(gou, out=gou)                        # 0 / all-ones
-        np.invert(gou, out=ngou)
-        np.bitwise_and(midu, gou, out=s1)
-        np.bitwise_and(lou, ngou, out=s2)
-        np.bitwise_or(s1, s2, out=lou)                   # lo
-        np.bitwise_and(hiu, gou, out=s1)
-        np.bitwise_and(midu, ngou, out=s2)
-        np.bitwise_or(s1, s2, out=hiu)                   # hi
+        _select(gou, midu, lou, lou, tmp)                # lo
+        _select(gou, hiu, midu, hiu, tmp)                # hi
+
+    def replay_step(self, r_hat: np.ndarray, m: int) -> None:
+        """One bisection step decided by ``mid < r_hat``, not by the model.
+
+        The midpoint arithmetic is :meth:`midpoint`'s; the decision mask
+        is the sign bit of ``mid - r_hat`` (an arithmetic shift of its
+        i64 view).  Any decision rule is sound here — :func:`_replay`'s
+        two-point check proves or rejects the trajectory — so signed
+        zeros and NaN estimates need no special care.
+        """
+        sl = np.s_[:, :m]
+        mid = self.midpoint(m)
+        f, mask, tmp = self.F[sl], self.S1[sl], self.S2[sl]
+        np.subtract(mid, r_hat, out=f)
+        _sign_mask(f, mask)
+        midu = self.MIDU[sl]
+        _select(mask, midu, self.LOU[sl], self.LOU[sl], tmp)
+        _select(mask, self.HIU[sl], midu, self.HIU[sl], tmp)
 
     def midpoint(self, m: int) -> np.ndarray:
         """``0.5 * (lo + hi)`` into the MID buffer (reference order)."""
@@ -386,29 +464,159 @@ class _ChunkKernel:
         return mid
 
 
+def _bisect(
+    kern: _ChunkKernel, vt: np.ndarray, m: int, k_stop: int
+) -> np.ndarray:
+    """``k_stop`` exact bisection steps from ``[0, vdd]``; the final midpoint."""
+    kern.reset_brackets(m)
+    for _ in range(k_stop):
+        mid = kern.midpoint(m)
+        kern.eval_f(mid, vt, m)
+        kern.update_brackets(m)
+    return kern.midpoint(m)
+
+
+def _false_position(
+    a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
+    out: np.ndarray, tmp: np.ndarray,
+) -> None:
+    """``b - fb * (b - a) / (fb - fa)``, clipped into ``[a, b]`` so the
+    model is only ever evaluated at in-range biases."""
+    np.subtract(b, a, out=out)
+    np.multiply(out, fb, out=out)
+    np.subtract(fb, fa, out=tmp)
+    np.divide(out, tmp, out=out)
+    np.subtract(b, out, out=out)
+    np.maximum(out, a, out=out)
+    np.minimum(out, b, out=out)
+
+
+def _root_estimate(kern: _ChunkKernel, vt: np.ndarray, m: int) -> np.ndarray:
+    """Illinois regula falsi from the current bracket; the estimate ``r̂``.
+
+    Copies the bracket ``LO``/``HI`` (the replay continues from it) and
+    takes over the ``f`` values at its ends (``FLO``/``FHI``), then runs
+    ``_ILLINOIS_STEPS`` model evaluations (Dowell & Jarratt, BIT 1971:
+    when the same end moves twice running, the retained end's ``f`` is
+    halved).  The estimate is the false-position point of the
+    final bracket, so the last evaluation still counts.  Lanes without
+    a sign change produce garbage (even NaN): harmless, because the
+    estimate only steers the replay and the two-point check proves or
+    rejects every replayed decision.
+    """
+    sl = np.s_[:, :m]
+    a, b, fa, fb = kern.IA[sl], kern.IB[sl], kern.FLO[sl], kern.FHI[sl]
+    c, half = kern.RH[sl], kern.MID[sl]
+    au, bu, fau, fbu = (x.view(_U64) for x in (a, b, fa, fb))
+    cu, halfu = c.view(_U64), half.view(_U64)
+    moved_a, prev, halve = kern.GOU[sl], kern.PREV[sl], kern.S3[sl]
+    tmp = kern.S1[sl]
+    np.copyto(a, kern.LO[sl])
+    np.copyto(b, kern.HI[sl])
+    for step in range(_ILLINOIS_STEPS):
+        _false_position(a, b, fa, fb, c, half)
+        fc = kern.eval_f(c, vt, m)
+        fcu = fc.view(_U64)
+        _sign_mask(fc, moved_a)                          # f(c) < 0
+        if step:
+            # Same end twice running: halve the other end's f.
+            np.bitwise_and(moved_a, prev, out=halve)
+            np.multiply(fb, 0.5, out=half)
+            _select(halve, halfu, fbu, fbu, tmp)
+            np.bitwise_or(moved_a, prev, out=halve)
+            np.invert(halve, out=halve)
+            np.multiply(fa, 0.5, out=half)
+            _select(halve, halfu, fau, fau, tmp)
+        _select(moved_a, cu, au, au, tmp)
+        _select(moved_a, fcu, fau, fau, tmp)
+        _select(moved_a, bu, cu, bu, tmp)
+        _select(moved_a, fbu, fcu, fbu, tmp)
+        np.copyto(prev, moved_a)
+    _false_position(a, b, fa, fb, c, half)
+    return c
+
+
+def _replay(
+    kern: _ChunkKernel,
+    vt: np.ndarray,
+    m: int,
+    k_stop: int,
+    f_lo: np.ndarray,
+    f_hi: np.ndarray,
+) -> np.ndarray:
+    """The bisection of one chunk, replayed from a root estimate.
+
+    ``_EXACT_STEPS`` exact steps (tracking ``f`` at both bracket ends,
+    seeded with the rail values ``f_lo = f(0)``, ``f_hi = f(vdd)``),
+    then the remaining ``k_stop - _EXACT_STEPS`` steps decided by
+    ``mid < r̂`` (:meth:`_ChunkKernel.replay_step`), and finally one
+    exact evaluation at each end of the final bracket.  Leaves the
+    final bracket in ``LO``/``HI`` and returns the per-lane acceptance
+    mask ``f(lo) < 0 <= f(hi)`` (see the module docstring for why it
+    proves every replayed decision).
+    """
+    sl = np.s_[:, :m]
+    kern.reset_brackets(m)
+    flo, fhi, go = kern.FLO[sl], kern.FHI[sl], kern.GO[sl]
+    np.copyto(flo, f_lo)
+    np.copyto(fhi, f_hi)
+    flou, fhiu, fu = flo.view(_U64), fhi.view(_U64), kern.F[sl].view(_U64)
+    for _ in range(_EXACT_STEPS):
+        mid = kern.midpoint(m)
+        kern.eval_f(mid, vt, m)
+        kern.update_brackets(m)
+        # f follows the midpoint to whichever end it replaced.
+        _select(kern.GOU[sl], fu, flou, flou, kern.S1[sl])
+        _select(kern.GOU[sl], fhiu, fu, fhiu, kern.S1[sl])
+    r_hat = _root_estimate(kern, vt, m)
+    for _ in range(k_stop - _EXACT_STEPS):
+        kern.replay_step(r_hat, m)
+    ok = kern.OK[sl]
+    np.less(kern.eval_f(kern.LO[sl], vt, m), 0.0, out=ok)
+    np.greater_equal(kern.eval_f(kern.HI[sl], vt, m), 0.0, out=go)
+    np.logical_and(ok, go, out=ok)
+    return ok
+
+
 def _solve_fixed(
     kern: _ChunkKernel,
     vt_base: np.ndarray,
     n: int,
     k_stop: int,
     out: np.ndarray,
-) -> None:
+    f_lo: np.ndarray,
+    f_hi: np.ndarray,
+) -> Tuple[int, int]:
     """Chunked stacked bisection with a precomputed stop iteration.
 
     Chunks are independent (no width synchronization needed), so each
     runs all its iterations while its bracket state and scratch stay
-    cache-hot.
+    cache-hot.  Each chunk is :func:`_replay`-ed from a root estimate;
+    the samples owning a rejected lane are then re-solved by the exact
+    :func:`_bisect` on a compacted sub-block (lanes are independent, so
+    the sub-block's bits are those of the full one).  Returns the
+    number of lanes the two-point check saw and accepted.
     """
     cs = kern.cs
+    # The replay saves model evaluations only past this many steps.
+    fast = k_stop > _EXACT_STEPS + _ILLINOIS_STEPS + 2
+    checked = accepted = 0
     for start in range(0, n, cs):
         m = min(cs, n - start)
-        vt = vt_base[:, start:start + m]
-        kern.reset_brackets(m)
-        for _ in range(k_stop):
-            mid = kern.midpoint(m)
-            kern.eval_f(mid, vt, m)
-            kern.update_brackets(m)
-        out[:, start:start + m] = kern.midpoint(m)
+        span = np.s_[:, start:start + m]
+        vt = vt_base[span]
+        if not fast:
+            out[span] = _bisect(kern, vt, m, k_stop)
+            continue
+        ok = _replay(kern, vt, m, k_stop, f_lo[span], f_hi[span])
+        out[span] = kern.midpoint(m)
+        checked += ok.size
+        accepted += int(np.count_nonzero(ok))
+        redo = np.nonzero(~ok.all(axis=0))[0]
+        if redo.size:
+            vt_redo = np.ascontiguousarray(vt[:, redo])
+            out[:, start + redo] = _bisect(kern, vt_redo, redo.size, k_stop)
+    return checked, accepted
 
 
 def _solve_dynamic(
@@ -470,6 +678,13 @@ class FusedKernel(MarginKernel):
 
     name = "fused"
 
+    def __init__(self) -> None:
+        #: Lanes the two-point check has seen and accepted (diagnostics
+        #: for the margin-kernel benchmark; never read by the solver).
+        self.lanes_checked = 0
+        self.lanes_accepted = 0
+        self._count_lock = threading.Lock()
+
     def margins(
         self,
         cell: BitcellBase,
@@ -499,6 +714,8 @@ class FusedKernel(MarginKernel):
         pinned_lo = np.empty((e_count, n), dtype=bool)
         pinned_hi = np.empty((e_count, n), dtype=bool)
         forced_up = np.empty((e_count, n), dtype=bool)
+        f_zero = np.empty((e_count, n))
+        f_vdd = np.empty((e_count, n))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for start in range(0, n, kern.cs):
                 m = min(kern.cs, n - start)
@@ -507,9 +724,11 @@ class FusedKernel(MarginKernel):
                 rail = kern.MID[:, :m]
                 rail.fill(0.0)
                 f = kern.eval_f(rail, vt, m)
+                np.copyto(f_zero[span], f)
                 np.greater_equal(f, 0.0, out=pinned_lo[span])
                 rail.fill(vdd_f)
                 f = kern.eval_f(rail, vt, m)
+                np.copyto(f_vdd[span], f)
                 np.less_equal(f, 0.0, out=pinned_hi[span])
                 np.less(f, 0.0, out=forced_up[span])
 
@@ -522,6 +741,7 @@ class FusedKernel(MarginKernel):
             if compacted:
                 idx = np.nonzero(~row_det)[0]
                 vt_act = np.ascontiguousarray(vt_base[:, idx])
+                f_zero, f_vdd = f_zero[:, idx], f_vdd[:, idx]
                 n_act = idx.size
                 has_up = np.logical_and(forced_up, row_det).any(axis=1)
                 has_down = np.logical_and(pinned_lo, row_det).any(axis=1)
@@ -536,7 +756,12 @@ class FusedKernel(MarginKernel):
             if k_stop is not None:
                 # Det-lane width recurrences stop at the same provable
                 # iteration, so they need no bookkeeping here.
-                _solve_fixed(kern, vt_act, n_act, k_stop, v_act)
+                checked, accepted = _solve_fixed(
+                    kern, vt_act, n_act, k_stop, v_act, f_zero, f_vdd
+                )
+                with self._count_lock:
+                    self.lanes_checked += checked
+                    self.lanes_accepted += accepted
             else:
                 _solve_dynamic(
                     table, vdd_f, vt_act, n_act, has_up, has_down, v_act

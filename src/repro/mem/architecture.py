@@ -8,6 +8,7 @@ from typing import Sequence
 from repro.errors import ConfigurationError
 from repro.fault.injector import WeightFaultInjector
 from repro.mem.bank import HybridBank
+from repro.sram.failures import check_vdd
 
 
 @dataclass(frozen=True)
@@ -27,11 +28,9 @@ class SynapticMemoryArchitecture:
     def __init__(self, name: str, banks: Sequence[HybridBank], vdd: float):
         if not banks:
             raise ConfigurationError("an architecture needs at least one bank")
-        if vdd <= 0:
-            raise ConfigurationError(f"vdd must be positive, got {vdd}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "banks", tuple(banks))
-        object.__setattr__(self, "vdd", float(vdd))
+        object.__setattr__(self, "vdd", check_vdd(vdd))
 
     # ------------------------------------------------------------------
     @property

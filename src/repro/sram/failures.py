@@ -28,11 +28,13 @@ Margins (positive = pass):
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.sram.bitcell import BitcellBase
 from repro.sram.read_path import BitlineModel, nominal_read_cycle
 
@@ -97,6 +99,24 @@ class FailureMargins:
         return mask
 
 
+def check_vdd(vdd: Any) -> float:
+    """``vdd`` as a float; :class:`ConfigurationError` unless finite and > 0.
+
+    The one supply-voltage check of the API boundary (margins, Monte
+    Carlo, memory architectures), so NaN, infinite and non-positive
+    supplies fail here instead of deep inside a solver.
+    """
+    try:
+        value = float(vdd)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(
+            f"vdd must be a finite positive voltage, got {vdd!r}"
+        )
+    return value
+
+
 def compute_failure_margins(
     cell: BitcellBase,
     vdd: float,
@@ -126,13 +146,24 @@ def compute_failure_margins(
         :class:`~repro.kernels.MarginKernel` instance, or ``None`` for
         the session default — see :mod:`repro.kernels`).  Registered
         backends are bit-identical, so this is purely an execution knob.
+
+    Raises :class:`ConfigurationError` for a supply that is not finite
+    and positive, and for a ΔVT vector or matrix whose last axis does
+    not have one entry per cell device.
     """
     # Lazy import: repro.kernels builds on this module's FailureMargins.
     from repro.kernels.base import resolve_backend
 
+    vdd_f = check_vdd(vdd)
+    n_devices = len(cell.devices)
+    if np.ndim(dvt) and np.shape(dvt)[-1] != n_devices:
+        raise ConfigurationError(
+            f"dvt has {np.shape(dvt)[-1]} columns; the {cell.kind} cell "
+            f"has {n_devices} devices"
+        )
     bl = bitline or BitlineModel(cell.technology)
     t_read = nominal_read_cycle(cell, bitline=bl) if read_cycle is None else read_cycle
-    return resolve_backend(backend).margins(cell, float(vdd), dvt, bl, t_read)
+    return resolve_backend(backend).margins(cell, vdd_f, dvt, bl, t_read)
 
 
 def margin_statistics(margins: FailureMargins) -> Dict[str, Dict[str, float]]:

@@ -55,6 +55,7 @@ from repro.sram.bitcell import BitcellBase
 from repro.sram.failures import (
     FailureMargins,
     FailureType,
+    check_vdd,
     compute_failure_margins,
 )
 from repro.sram.read_path import BitlineModel, nominal_read_cycle
@@ -522,13 +523,12 @@ class MonteCarloAnalyzer:
         (the single-shard execution of :meth:`analyze_sharded`'s plan),
         holding one ``block_samples`` batch in memory at a time.
         """
-        if vdd <= 0:
-            raise ConfigurationError(f"vdd must be positive, got {vdd}")
+        vdd = check_vdd(vdd)
         analyzer = self if seed is None else replace(self, seed=resolve_seed(seed))
         plan = analyzer.shard_plan()
         (shard,) = plan.shards()
-        tally = tally_shard(analyzer, float(vdd), shard)
-        return _rates_from_tally(float(vdd), tally)
+        tally = tally_shard(analyzer, vdd, shard)
+        return _rates_from_tally(vdd, tally)
 
     # ------------------------------------------------------------------
     # Sweep support (parallel execution + result caching)
@@ -610,30 +610,29 @@ class MonteCarloAnalyzer:
         every ``(shards, max_shard_samples, jobs, cache, dispatcher)``
         combination.
         """
-        if vdd <= 0:
-            raise ConfigurationError(f"vdd must be positive, got {vdd}")
+        vdd = check_vdd(vdd)
         resolved = self.resolved()
         plan = resolved.shard_plan(shards=shards, max_shard_samples=max_shard_samples)
         if dispatcher is not None:
             from repro.distributed.jobs import margin_tally_jobs
 
             tally: MarginTally = dispatcher.dispatch(
-                margin_tally_jobs(resolved, float(vdd), plan),
+                margin_tally_jobs(resolved, vdd, plan),
                 decode=MarginTally.from_dict,
                 merge=MarginTally.merge,
             )
-            return _rates_from_tally(float(vdd), tally)
+            return _rates_from_tally(vdd, tally)
         engine: ShardedMonteCarlo[MarginTally] = ShardedMonteCarlo(
             plan, executor=SweepExecutor(jobs), cache=cache
         )
         tally = engine.run(
-            compute=partial(tally_shard, resolved, float(vdd)),
+            compute=partial(tally_shard, resolved, vdd),
             payload=resolved.cache_payload(vdd),
             encode=MarginTally.to_dict,
             decode=MarginTally.from_dict,
             merge=MarginTally.merge,
         )
-        return _rates_from_tally(float(vdd), tally)
+        return _rates_from_tally(vdd, tally)
 
     def analyze_many(
         self, vdds: Sequence[float], seed: SeedLike = None

@@ -314,6 +314,8 @@ class TestMalformedSpecs:
         ({"seed": -1}, "seed"),
         ({"max_shift_sigma": 0}, "max_shift_sigma"),
         ({"failure_type": "meltdown"}, "failure_type"),
+        ({"vdd": float("nan")}, "vdd"),
+        ({"max_shift_sigma": float("inf")}, "max_shift_sigma"),
     ])
     def test_is_shard_bad_values(self, updates, match):
         jobs = is_shard_jobs(_sampler(), [VDD], n_samples=200, seed=1)

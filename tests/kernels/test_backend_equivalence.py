@@ -216,3 +216,82 @@ def test_canonical_backends_add_no_payload_fields():
     assert payload_fields("reference") == {}
     assert payload_fields("fused") == {}
     assert ReferenceKernel.rev == 0 and FusedKernel.rev == 0
+
+
+# ----------------------------------------------------------------------
+# Replay from a root estimate, checked at the final bracket
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kind", ["6t", "8t"])
+@pytest.mark.parametrize("wrong", [np.nan, np.inf, 0.0])
+def test_wrong_root_estimate_falls_back_exactly(kind, wrong, monkeypatch):
+    """An estimate that misleads every lane must fail the two-point
+    check everywhere and leave the exact fallback to produce the bits."""
+    import repro.kernels.fused as fused
+
+    def misleading(kern, vt, m):
+        r_hat = kern.RH[:, :m]
+        r_hat.fill(wrong)
+        return r_hat
+
+    monkeypatch.setattr(fused, "_root_estimate", misleading)
+    kernel = FusedKernel()
+    dvt = CELLS[kind].variation_model().sample(_CHUNK + 173, seed=31)
+    assert_margins_identical(kind, 0.70, dvt)
+    compute_failure_margins(CELLS[kind], 0.70, dvt, backend=kernel)
+    assert kernel.lanes_checked > 0
+    assert kernel.lanes_accepted == 0
+
+
+@pytest.mark.parametrize("kind", ["6t", "8t"])
+def test_two_point_check_accepts_default_variation(kind):
+    """The fast path must actually carry the default-variation block: a
+    root estimator that silently always fell back would stay
+    bit-identical but lose the speed."""
+    kernel = FusedKernel()
+    dvt = CELLS[kind].variation_model().sample(8192, seed=20160227)
+    compute_failure_margins(CELLS[kind], 0.70, dvt, backend=kernel)
+    assert kernel.lanes_checked == 8192 * (4 if kind == "6t" else 3)
+    assert kernel.lanes_accepted >= 0.99 * kernel.lanes_checked
+
+
+@pytest.mark.parametrize("kind", ["6t", "8t"])
+@pytest.mark.parametrize("scale", [2.0, 3.5])
+@pytest.mark.parametrize("vdd", [0.35, 0.60, 0.85, 1.10])
+def test_widened_variation_bit_identical(kind, scale, vdd):
+    """Widened ΔVT pushes lanes into the rejected and pinned tails,
+    where the fallback and the rail overrides do the work."""
+    dvt = CELLS[kind].variation_model().sample(4096, seed=41) * scale
+    assert_margins_identical(kind, vdd, dvt)
+
+
+# ----------------------------------------------------------------------
+# Input validation at the API boundary
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("backend", ["reference", "fused"])
+@pytest.mark.parametrize("vdd", [np.nan, 0.0, np.inf, -np.inf, -0.5, "0.7V"])
+def test_bad_supply_rejected_by_every_backend(backend, vdd):
+    dvt = CELLS["6t"].variation_model().sample(16, seed=1)
+    with pytest.raises(ConfigurationError, match="vdd"):
+        compute_failure_margins(CELLS["6t"], vdd, dvt, backend=backend)
+
+
+@pytest.mark.parametrize("backend", ["reference", "fused"])
+@pytest.mark.parametrize("kind,columns", [("6t", 5), ("6t", 8), ("8t", 6)])
+def test_dvt_column_count_must_match_the_cell(backend, kind, columns):
+    dvt = np.zeros((4, columns))
+    with pytest.raises(ConfigurationError, match="columns"):
+        compute_failure_margins(CELLS[kind], 0.7, dvt, backend=backend)
+    with pytest.raises(ConfigurationError, match="columns"):
+        compute_failure_margins(CELLS[kind], 0.7, dvt[0], backend=backend)
+
+
+def test_short_bisection_skips_the_replay():
+    """A supply a few microvolts wide stops before the replay would
+    save an evaluation; the exact bisection runs alone."""
+    vdd = 1e-6
+    assert _fixed_stop_iteration(vdd) < 12
+    kernel = FusedKernel()
+    dvt = CELLS["6t"].variation_model().sample(64, seed=3)
+    compute_failure_margins(CELLS["6t"], vdd, dvt, backend=kernel)
+    assert kernel.lanes_checked == 0
+    assert_margins_identical("6t", vdd, dvt)

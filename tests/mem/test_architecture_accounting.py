@@ -55,6 +55,11 @@ class TestFactories:
         with pytest.raises(ConfigurationError):
             SynapticMemoryArchitecture(name="x", banks=[], vdd=0.65)
 
+    @pytest.mark.parametrize("vdd", [float("nan"), float("inf"), 0.0])
+    def test_non_finite_vdd_rejected(self, base75, vdd):
+        with pytest.raises(ConfigurationError, match="vdd"):
+            SynapticMemoryArchitecture(name="x", banks=base75.banks, vdd=vdd)
+
 
 class TestAggregates:
     def test_area_grows_with_protection(self, tables, base75):

@@ -61,6 +61,13 @@ class TestAnalyzer:
         with pytest.raises(ConfigurationError):
             mc6.analyze(0.0)
 
+    @pytest.mark.parametrize("vdd", [np.nan, np.inf, -0.5])
+    def test_rejects_non_finite_vdd(self, mc6, vdd):
+        with pytest.raises(ConfigurationError, match="vdd"):
+            mc6.analyze(vdd)
+        with pytest.raises(ConfigurationError, match="vdd"):
+            mc6.analyze_sharded(vdd)
+
     def test_deterministic_given_seed(self, cell6):
         a = MonteCarloAnalyzer(cell=cell6, n_samples=2000, seed=7).analyze(0.7)
         b = MonteCarloAnalyzer(cell=cell6, n_samples=2000, seed=7).analyze(0.7)
