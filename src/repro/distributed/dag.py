@@ -18,9 +18,12 @@ spec doubles as its content address, so a DAG run resumes from (and
 feeds) the same store entries as the equivalent phase-by-phase run.
 
 :func:`paper_pipeline_dag` instantiates the shape for the paper: one
-``margin_tally`` node per (cell kind, voltage), a rate-table reduction
-mirroring :meth:`~repro.mem.tables.CellTables.build` (shared 6T read
-budget), and an ``nn_fault_eval`` node whose injectors come from
+``margin_tally`` node per (cell kind, voltage), each finalized to its
+table point (rates plus power models), a ``tables`` reduction that
+assembles the points with the table pieces of
+:mod:`repro.sram.characterize` (the same ones
+:meth:`~repro.mem.tables.CellTables.build` runs, shared 6T read budget
+included), and an ``nn_fault_eval`` node whose injectors come from
 :func:`~repro.fault.model.word_bit_error_rates` over the reduced
 tables.
 """
@@ -35,17 +38,20 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.devices.technology import Technology, ptm22
 from repro.errors import ConfigurationError
 from repro.obs.tracing import get_tracer
-from repro.rng import DEFAULT_SEED, resolve_seed
-from repro.runtime import DEFAULT_BLOCK_SAMPLES
-from repro.sram.area import bitcell_area
+from repro.rng import DEFAULT_SEED
 from repro.sram.bitcell import make_cell
-from repro.sram.characterize import CellCharacterization, _point_from_rates
+from repro.sram.characterize import (
+    CharacterizationPoint,
+    cell_analyzer,
+    hybrid_read_cycle,
+    point_from_rates,
+    table_from_points,
+)
 from repro.sram.montecarlo import (
     MarginTally,
     MonteCarloAnalyzer,
     _rates_from_tally,
 )
-from repro.sram.read_path import BitlineModel, nominal_read_cycle
 from repro.fault.injector import WeightFaultInjector
 from repro.fault.model import word_bit_error_rates
 from repro.mem.tables import CellTables
@@ -285,11 +291,12 @@ def paper_pipeline_dag(
     """The full paper pipeline as one :class:`DagRun`.
 
     Nodes: ``margin-{6t,8t}-v<mV>`` (one ``margin_tally`` shard fan-out
-    per cell kind and voltage, finalized to
-    :class:`~repro.sram.montecarlo.FailureRates`), ``tables`` (reduce:
-    the 6T/8T :class:`~repro.mem.tables.CellTables` under the shared 6T
-    read budget, exactly :meth:`~repro.mem.tables.CellTables.build`'s
-    construction so the margin shards share cache addresses with it),
+    per cell kind and voltage, finalized to its
+    :class:`~repro.sram.characterize.CharacterizationPoint`), ``tables``
+    (reduce: the 6T/8T :class:`~repro.mem.tables.CellTables` under the
+    shared 6T read budget, built from the analyzers and table pieces
+    :meth:`~repro.mem.tables.CellTables.build` uses, so the margin
+    shards share cache addresses with it),
     and ``nn-fault`` (one ``nn_fault_eval`` point per voltage, hybrid
     word layout ``msb_in_8t``/``n_bits``, plus a clean baseline when
     ``include_baseline``).
@@ -312,34 +319,25 @@ def paper_pipeline_dag(
     tag = run_id or uuid.uuid4().hex[:8]
 
     tech = technology or ptm22()
-    # CellTables.build's construction, verbatim: both cells run against
-    # the *6T* read budget (the hybrid array clocks on the 6T cycle),
-    # which is what makes the margin-shard cache addresses here equal
-    # to the ones a local CellTables.build(...) writes.
-    cell6 = make_cell("6t", tech)
-    budget = nominal_read_cycle(
-        cell6, bitline=BitlineModel(tech, rows=rows).for_cell(cell6)
-    )
-    cells = {"6t": cell6, "8t": make_cell("8t", tech)}
-    analyzers: Dict[str, MonteCarloAnalyzer] = {}
-    for kind, cell in cells.items():
-        analyzers[kind] = MonteCarloAnalyzer(
-            cell=cell,
-            n_samples=n_samples,
-            bitline=BitlineModel(tech, rows=rows).for_cell(cell),
-            seed=resolve_seed(seed),
-            read_cycle=budget,
-            block_samples=(block_samples if block_samples is not None
-                           else DEFAULT_BLOCK_SAMPLES),
+    # Both cells run against the 6T read budget, as in CellTables.build,
+    # so the margin shards here have the store addresses a local build
+    # writes.
+    budget = hybrid_read_cycle(tech, rows)
+    analyzers = {
+        kind: cell_analyzer(
+            make_cell(kind, tech), tech, rows=rows, n_samples=n_samples,
+            seed=seed, read_cycle=budget, block_samples=block_samples,
             backend=backend,
-        ).resolved()
+        )
+        for kind in ("6t", "8t")
+    }
 
     nodes: List[DagNode] = []
-    margin_names: Dict[Tuple[str, float], str] = {}
+    margin_names: Dict[str, List[str]] = {kind: [] for kind in analyzers}
     for kind, analyzer in analyzers.items():
         for i, vdd in enumerate(vdd_list):
             name = f"margin-{kind}-{_margin_node_tag(vdd)}"
-            margin_names[(kind, vdd)] = name
+            margin_names[kind].append(name)
 
             def _margin_jobs(
                 upstream: Mapping[str, Any],
@@ -352,41 +350,36 @@ def paper_pipeline_dag(
                 )
                 return margin_tally_jobs(analyzer, vdd, plan, run_id=node_tag)
 
-            def _margin_rates(
+            def _margin_point(
                 tally: MarginTally, upstream: Mapping[str, Any],
+                analyzer: MonteCarloAnalyzer = analyzer,
                 vdd: float = vdd,
-            ) -> Any:
-                return _rates_from_tally(vdd, tally)
+            ) -> CharacterizationPoint:
+                # Rates and power here, on this node's thread, so the
+                # tables reduce has only assembly left to do.
+                rates = _rates_from_tally(vdd, tally)
+                return point_from_rates(analyzer, rows, vdd, rates)
 
             nodes.append(job_node(
                 name, _margin_jobs,
                 decode=MarginTally.from_dict,
                 merge=MarginTally.merge,
-                finalize=_margin_rates,
+                finalize=_margin_point,
             ))
 
     def _build_tables(upstream: Mapping[str, Any]) -> CellTables:
-        tables: Dict[str, CellCharacterization] = {}
-        for kind, analyzer in analyzers.items():
-            points = tuple(
-                _point_from_rates(
-                    analyzer, rows, vdd, upstream[margin_names[(kind, vdd)]]
-                )
-                for vdd in vdd_list
+        tables = {
+            kind: table_from_points(
+                analyzer, tech, rows,
+                [upstream[name] for name in margin_names[kind]],
             )
-            tables[kind] = CellCharacterization(
-                cell_kind=cells[kind].kind,
-                technology=tech.name,
-                rows=rows,
-                n_samples=n_samples,
-                seed=analyzer.seed,
-                area=bitcell_area(cells[kind]),
-                points=points,
-            )
+            for kind, analyzer in analyzers.items()
+        }
         return CellTables(table_6t=tables["6t"], table_8t=tables["8t"])
 
     nodes.append(reduce_node(
-        "tables", _build_tables, deps=sorted(margin_names.values())
+        "tables", _build_tables,
+        deps=sorted(n for names in margin_names.values() for n in names),
     ))
 
     def _nn_fault_jobs(upstream: Mapping[str, Any]) -> List[ShardJob]:

@@ -133,6 +133,7 @@ _ILLINOIS_STEPS = 6
 
 #: All-ones / all-zeros masks for the bitwise bracket select.
 _U64 = np.uint64
+_ZERO_U64 = _U64(0)
 
 
 def _sign_mask(x: np.ndarray, out: np.ndarray) -> None:
@@ -434,7 +435,10 @@ class _ChunkKernel:
         lou, hiu, midu = self.LOU[sl], self.HIU[sl], self.MIDU[sl]
         np.less(self.F[sl], 0.0, out=go)
         np.copyto(gou, go, casting="unsafe")             # 0 / 1
-        np.negative(gou, out=gou)                        # 0 / all-ones
+        # 0 - x, not np.negative: numpy 2.4's SIMD negate of a u64
+        # column with a 64-byte stride (8-sample blocks, one lane
+        # re-solved) writes only the first element.
+        np.subtract(_ZERO_U64, gou, out=gou)             # 0 / all-ones
         _select(gou, midu, lou, lou, tmp)                # lo
         _select(gou, hiu, midu, hiu, tmp)                # hi
 

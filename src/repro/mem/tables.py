@@ -13,13 +13,12 @@ from typing import Optional, Sequence
 
 from repro.devices.technology import Technology, ptm22
 from repro.rng import DEFAULT_SEED
-from repro.sram.bitcell import make_cell
 from repro.sram.characterize import (
     DEFAULT_VDD_GRID,
     CellCharacterization,
     characterize_cell,
+    hybrid_read_cycle,
 )
-from repro.sram.read_path import BitlineModel, nominal_read_cycle
 
 
 @dataclass(frozen=True)
@@ -59,13 +58,10 @@ class CellTables:
         like the other execution knobs it cannot change a number.
         """
         tech = technology or ptm22()
-        cell6 = make_cell("6t", tech)
-        budget = nominal_read_cycle(
-            cell6, bitline=BitlineModel(tech, rows=rows).for_cell(cell6)
-        )
         common = dict(
             technology=tech, vdd_grid=vdd_grid, rows=rows,
-            n_samples=n_samples, seed=seed, read_cycle=budget,
+            n_samples=n_samples, seed=seed,
+            read_cycle=hybrid_read_cycle(tech, rows),
             use_cache=use_cache, cache_dir=cache_dir, jobs=jobs,
             shards=shards, max_shard_samples=max_shard_samples,
             block_samples=block_samples, backend=backend,

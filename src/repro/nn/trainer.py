@@ -8,6 +8,7 @@ produces the same network.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -90,12 +91,17 @@ class SGDTrainer:
     def __post_init__(self) -> None:
         if self.epochs <= 0 or self.batch_size <= 0:
             raise ConfigurationError("epochs and batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
+        positive = {"learning_rate": self.learning_rate,
+                    "lr_decay": self.lr_decay}
+        if self.weight_clip is not None:
+            positive["weight_clip"] = self.weight_clip
+        for name, value in positive.items():
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(
+                    f"{name} must be finite and positive, got {value!r}"
+                )
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigurationError("momentum must lie in [0, 1)")
-        if self.weight_clip is not None and self.weight_clip <= 0:
-            raise ConfigurationError("weight_clip must be positive or None")
 
     def _loss(self) -> Loss:
         return self.loss if isinstance(self.loss, Loss) else get_loss(self.loss)

@@ -278,16 +278,16 @@ class ShardPlan:
 
 
 def _compute_and_store(
-    compute: Callable[[Shard], T],
     encode: Callable[[T], Any],
-    cache: CacheStore,
+    cache: Optional[CacheStore],
     namespace: str,
-    item: Tuple[Shard, Dict[str, Any]],
+    item: Tuple[Callable[[Shard], T], Shard, Dict[str, Any]],
 ) -> T:
     """Worker entry point: compute one shard and persist it immediately."""
-    shard, payload = item
+    compute, shard, payload = item
     tally = compute(shard)
-    cache.put(namespace, payload, encode(tally))
+    if cache is not None:
+        cache.put(namespace, payload, encode(tally))
     return tally
 
 
@@ -329,6 +329,8 @@ class ShardedMonteCarlo(Generic[T]):
         self.executor = executor
         self.cache = cache
         self.namespace = namespace
+        #: Shards the latest run computed (the rest were cache hits).
+        self.computed = 0
 
     def shard_payload(self, payload: Dict[str, Any], shard: Shard) -> Dict[str, Any]:
         """Cache address of one shard: the population key plus the shard
@@ -355,41 +357,47 @@ class ShardedMonteCarlo(Generic[T]):
         shard; under those conditions the result is bit-identical for
         every shard count, worker count and cache state.
         """
-        shards = self.plan.shards()
-        tallies: Dict[int, T] = {}
-        missing: List[Shard] = []
-        for shard in shards:
-            hit = None
-            if self.cache is not None:
-                hit = self.cache.get(self.namespace, self.shard_payload(payload, shard))
-            if hit is not None:
-                tallies[shard.index] = decode(hit)
-            else:
-                missing.append(shard)
+        (merged,) = self.run_many([(compute, payload)], encode, decode, merge)
+        return merged
 
+    def run_many(
+        self,
+        populations: Sequence[Tuple[Callable[[Shard], T], Dict[str, Any]]],
+        encode: Callable[[T], Any],
+        decode: Callable[[Any], T],
+        merge: Callable[[Sequence[T]], T],
+    ) -> List[T]:
+        """:meth:`run` for several ``(compute, payload)`` populations of
+        this plan, their missing shards all in one executor map; the
+        merged tallies in population order."""
+        shards = self.plan.shards()
+        tallies: List[Dict[int, T]] = [{} for _ in populations]
+        missing: List[Tuple[int, Tuple[Callable[[Shard], T], Shard, Dict]]] = []
+        for p, (compute, payload) in enumerate(populations):
+            for shard in shards:
+                address = self.shard_payload(payload, shard)
+                hit = None
+                if self.cache is not None:
+                    hit = self.cache.get(self.namespace, address)
+                if hit is not None:
+                    tallies[p][shard.index] = decode(hit)
+                else:
+                    missing.append((p, (compute, shard, address)))
+
+        self.computed = len(missing)
         if missing:
+            # Each worker stores its own tally the moment it completes
+            # (the cache's atomic writes make concurrent puts safe), so
+            # an interrupted run loses only the shards that were still
+            # in flight — the resume guarantee of docs/runtime.md.
             executor = self.executor or SweepExecutor(1)
-            if self.cache is None:
-                computed = executor.map(compute, missing)
-            else:
-                # Each worker stores its own tally the moment it
-                # completes (the cache's atomic writes make concurrent
-                # puts safe), so an interrupted run loses only the
-                # shards that were still in flight — the resume
-                # guarantee of docs/runtime.md.
-                items = [
-                    (shard, self.shard_payload(payload, shard)) for shard in missing
-                ]
-                computed = executor.map(
-                    partial(
-                        _compute_and_store, compute, encode,
-                        self.cache, self.namespace,
-                    ),
-                    items,
-                )
-            for shard, tally in zip(missing, computed):
-                tallies[shard.index] = tally
+            computed = executor.map(
+                partial(_compute_and_store, encode, self.cache, self.namespace),
+                [item for _, item in missing],
+            )
+            for (p, (_, shard, _)), tally in zip(missing, computed):
+                tallies[p][shard.index] = tally
 
         # Merge in shard order; exactness of the merge (integer tallies +
         # fsum over block sums) makes the order a presentation detail.
-        return merge([tallies[i] for i in range(len(shards))])
+        return [merge([t[i] for i in range(len(shards))]) for t in tallies]

@@ -9,14 +9,16 @@ content-addressed :class:`~repro.runtime.ResultCache` (keyed by every
 parameter that affects the numbers), so system-level experiments start
 instantly after the first run.
 
-Caching happens at up to three granularities: the whole table
-(namespace ``cell``), each voltage point (namespace ``cellpoint``),
-and — on the sharded path — each Monte-Carlo shard (namespace
-``mcshard``).  Per-point entries survive changes to the *grid* —
-characterizing a superset grid reuses every already-computed point —
-and the independent points fan out across a
-:class:`~repro.runtime.SweepExecutor` worker pool when ``jobs`` asks
-for parallelism (or, with ``shards``, each point's shards do).
+Caching happens at three granularities: the whole table (namespace
+``cell``), each voltage point (``cellpoint``) and each Monte-Carlo
+shard (``mcshard``; one per point unless sharding is asked for).
+Per-point entries survive changes to the *grid*.  The points that miss
+run through the one Monte-Carlo sweep,
+:meth:`~repro.sram.montecarlo.MonteCarloAnalyzer.analyze_sweep`, with
+the power models run once per point.  The fleet DAG of
+:mod:`repro.distributed.dag` builds the same tables from the public
+pieces: :func:`hybrid_read_cycle`, :func:`cell_analyzer`,
+:func:`point_from_rates` and :func:`table_from_points`.
 
 The cached table interpolates between grid points: probabilities in
 log-space (they span decades), energies/powers in linear space.
@@ -37,12 +39,11 @@ from repro.runtime import (
     DEFAULT_BLOCK_SAMPLES,
     CacheStore,
     ResultCache,
-    SweepExecutor,
     default_cache_dir,
 )
 from repro.sram.area import bitcell_area
 from repro.sram.bitcell import BitcellBase, make_cell
-from repro.sram.montecarlo import MonteCarloAnalyzer
+from repro.sram.montecarlo import FailureRates, MonteCarloAnalyzer
 from repro.sram.power import cell_power
 from repro.sram.read_path import BitlineModel, nominal_read_cycle
 from repro.devices.technology import Technology, ptm22
@@ -51,8 +52,12 @@ __all__ = [
     "DEFAULT_VDD_GRID",
     "CellCharacterization",
     "CharacterizationPoint",
+    "cell_analyzer",
     "characterize_cell",
     "default_cache_dir",
+    "hybrid_read_cycle",
+    "point_from_rates",
+    "table_from_points",
 ]
 
 #: The paper's voltage range (0.65-0.95 V) plus one margin point below.
@@ -145,17 +150,45 @@ class CellCharacterization:
         return cls.from_payload(json.loads(text))
 
 
-def _characterize_point(
-    analyzer: MonteCarloAnalyzer, rows: int, vdd: float
-) -> CharacterizationPoint:
-    """Worker entry point: Monte-Carlo + power models at one voltage."""
-    return _point_from_rates(analyzer, rows, vdd, analyzer.analyze(vdd))
+def hybrid_read_cycle(technology: Technology, rows: int = 256) -> float:
+    """The 6T nominal read cycle on a ``rows``-row bitline: the budget
+    both cells of the hybrid array run against (paper Sec. IV)."""
+    cell6 = make_cell("6t", technology)
+    return nominal_read_cycle(
+        cell6, bitline=BitlineModel(technology, rows=rows).for_cell(cell6)
+    )
 
 
-def _point_from_rates(
-    analyzer: MonteCarloAnalyzer, rows: int, vdd: float, rates
+def cell_analyzer(
+    cell: BitcellBase,
+    technology: Technology,
+    rows: int = 256,
+    n_samples: int = 20000,
+    seed: int = DEFAULT_SEED,
+    read_cycle: Optional[float] = None,
+    block_samples: Optional[int] = None,
+    backend: Optional[str] = None,
+) -> MonteCarloAnalyzer:
+    """The resolved analyzer behind a table (and so behind its
+    ``cellpoint``/``mcshard`` addresses); ``read_cycle`` defaults to the
+    cell's own nominal budget on a ``rows``-row bitline."""
+    bitline = BitlineModel(technology, rows=rows).for_cell(cell)
+    budget = read_cycle if read_cycle is not None else nominal_read_cycle(
+        cell, bitline=bitline
+    )
+    return MonteCarloAnalyzer(
+        cell=cell, n_samples=n_samples, bitline=bitline,
+        seed=resolve_seed(seed), read_cycle=budget,
+        block_samples=(block_samples if block_samples is not None
+                       else DEFAULT_BLOCK_SAMPLES),
+        backend=backend,
+    ).resolved()
+
+
+def point_from_rates(
+    analyzer: MonteCarloAnalyzer, rows: int, vdd: float, rates: FailureRates
 ) -> CharacterizationPoint:
-    """Combine already-computed failure rates with the power models."""
+    """One table point: the failure rates plus the power models at ``vdd``."""
     power = cell_power(analyzer.cell, vdd, rows=rows, cols=rows)
     return CharacterizationPoint(
         vdd=float(vdd),
@@ -169,6 +202,24 @@ def _point_from_rates(
         write_power=power.write_power,
         leakage_power=power.leakage_power,
         cycle_time=power.cycle_time,
+    )
+
+
+def table_from_points(
+    analyzer: MonteCarloAnalyzer,
+    technology: Technology,
+    rows: int,
+    points: Sequence[CharacterizationPoint],
+) -> CellCharacterization:
+    """The characterization table of ``analyzer``'s cell over ``points``."""
+    return CellCharacterization(
+        cell_kind=analyzer.cell.kind,
+        technology=technology.name,
+        rows=rows,
+        n_samples=analyzer.n_samples,
+        seed=analyzer.seed,
+        area=bitcell_area(analyzer.cell),
+        points=tuple(points),
     )
 
 
@@ -207,13 +258,13 @@ def characterize_cell(
     default-sized cell of ``cell_kind`` is used.  ``read_cycle`` lets the
     hybrid architecture impose the 6T timing budget on the 8T cell.
     ``jobs`` fans uncached work across a worker pool and ``cache``
-    overrides the default shared result store.  When ``shards`` /
-    ``max_shard_samples`` request sub-array sharding, each voltage
-    point's Monte-Carlo population streams through the sharded path
-    (bounded per-shard memory, per-shard cache entries) instead of
-    fanning whole points; the table is bit-identical for every
-    (jobs, cache, shards) combination.  ``block_samples`` sets the
-    sharding granularity — unlike the execution knobs it is part of the
+    overrides the default shared result store.  The points missing from
+    the store run through :meth:`~repro.sram.montecarlo.MonteCarloAnalyzer.analyze_sweep`
+    together: ``shards`` / ``max_shard_samples`` split each point's
+    Monte-Carlo population (bounded per-shard memory, per-shard cache
+    entries), and the table is bit-identical for every (jobs, cache,
+    shards) combination.  ``block_samples`` sets the sharding
+    granularity — unlike the execution knobs it is part of the
     population's statistical definition (it selects which child seed
     each sample draws from), so tables with different block sizes are
     different, equally valid populations and are cached separately.
@@ -229,18 +280,10 @@ def characterize_cell(
     store = cache if cache is not None else ResultCache(
         cache_dir=cache_dir, enabled=use_cache
     )
-
-    bitline = BitlineModel(tech, rows=rows).for_cell(the_cell)
-    budget = read_cycle if read_cycle is not None else nominal_read_cycle(
-        the_cell, bitline=bitline
+    analyzer = cell_analyzer(
+        the_cell, tech, rows=rows, n_samples=n_samples, seed=seed,
+        read_cycle=read_cycle, block_samples=block_samples, backend=backend,
     )
-    analyzer = MonteCarloAnalyzer(
-        cell=the_cell, n_samples=n_samples, bitline=bitline,
-        seed=resolve_seed(seed), read_cycle=budget,
-        block_samples=(block_samples if block_samples is not None
-                       else DEFAULT_BLOCK_SAMPLES),
-        backend=backend,
-    ).resolved()
 
     from repro.kernels import payload_fields
 
@@ -253,7 +296,7 @@ def characterize_cell(
         "seed": analyzer.seed,
         "block_samples": analyzer.block_samples,
         "vdds": [float(v) for v in vdd_grid],
-        "read_cycle": budget,
+        "read_cycle": analyzer.read_cycle,
         "rev": 5,  # rev 5: block-decomposed sample streams (sharding)
     }
     # Empty for canonical (bit-identical) margin backends — see
@@ -263,9 +306,9 @@ def characterize_cell(
     if hit is not None:
         return CellCharacterization.from_payload(hit)
 
-    # Serve individually-cached points, then fan the misses across the
-    # worker pool; per-point entries make grid changes cheap (a superset
-    # grid recomputes only the new voltages).
+    # Serve individually-cached points and sweep the misses together;
+    # per-point entries make grid changes cheap (a superset grid
+    # recomputes only the new voltages).
     points: Dict[int, CharacterizationPoint] = {}
     missing: List[Tuple[int, float]] = []
     for i, vdd in enumerate(vdd_grid):
@@ -275,46 +318,17 @@ def characterize_cell(
         else:
             missing.append((i, float(vdd)))
 
-    if missing:
-        # Honour a sharding request only when the resolved plan actually
-        # splits the population; a single-shard plan (population fits one
-        # block) would serialize the points for nothing — and the results
-        # are bit-identical either way, so the faster path is safe.
-        sharding_requested = shards is not None or max_shard_samples is not None
-        use_sharded = sharding_requested and analyzer.shard_plan(
-            shards=shards, max_shard_samples=max_shard_samples
-        ).n_shards > 1
-        if use_sharded:
-            # Sharded path: points run in order, each point's shards
-            # fanned across the pool and cached individually — per-shard
-            # memory stays bounded even for paper-scale populations.
-            computed = [
-                _point_from_rates(
-                    analyzer, rows, v,
-                    analyzer.analyze_sharded(
-                        v, shards=shards, max_shard_samples=max_shard_samples,
-                        jobs=jobs, cache=store,
-                    ),
-                )
-                for _, v in missing
-            ]
-        else:
-            computed = SweepExecutor(jobs).map(
-                partial(_characterize_point, analyzer, rows),
-                [v for _, v in missing],
-            )
-        for (i, vdd), point in zip(missing, computed):
-            points[i] = point
-            store.put("cellpoint", _point_payload(analyzer, rows, vdd), asdict(point))
+    computed = analyzer.analyze_sweep(
+        [v for _, v in missing], jobs=jobs, cache=store,
+        shards=shards, max_shard_samples=max_shard_samples,
+        finish=partial(point_from_rates, analyzer, rows),
+    )
+    for (i, vdd), point in zip(missing, computed):
+        points[i] = point
+        store.put("cellpoint", _point_payload(analyzer, rows, vdd), asdict(point))
 
-    table = CellCharacterization(
-        cell_kind=the_cell.kind,
-        technology=tech.name,
-        rows=rows,
-        n_samples=n_samples,
-        seed=analyzer.seed,
-        area=bitcell_area(the_cell),
-        points=tuple(points[i] for i in range(len(points))),
+    table = table_from_points(
+        analyzer, tech, rows, [points[i] for i in range(len(points))]
     )
     store.put("cell", table_payload, table.to_payload())
     return table

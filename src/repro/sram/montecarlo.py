@@ -27,6 +27,10 @@ single-shard execution of the same plan that
 which is what makes sharded runs bit-identical to monolithic ones for
 any shard count, and lets paper-scale populations run with per-shard
 bounded memory.
+
+Every sweep — :meth:`~MonteCarloAnalyzer.analyze_sharded`,
+:func:`failure_rates_vs_vdd`, :func:`repro.sram.characterize.characterize_cell`
+— takes one path, :meth:`MonteCarloAnalyzer.analyze_sweep`.
 """
 
 from __future__ import annotations
@@ -34,9 +38,12 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence,
+    Tuple,
+)
 
-if TYPE_CHECKING:  # runtime import lives in analyze_sharded (avoids a cycle)
+if TYPE_CHECKING:  # runtime import lives in analyze_sweep (avoids a cycle)
     from repro.distributed.dispatcher import ShardDispatcher
 
 import numpy as np
@@ -113,6 +120,12 @@ class MechanismTally:
         return min(finite_mins) if finite_mins else float("nan")
 
 
+#: The per-block fields of a :class:`MechanismTally` and the type of one
+#: block's entry (what the JSON decoder restores).
+_MECH_FIELDS = {"fails": int, "finite": int, "inf_fails": int,
+                "totals": float, "totals_sq": float, "mins": float}
+
+
 @dataclass(frozen=True)
 class MarginTally:
     """Block-resolved failure evidence of (part of) one MC population.
@@ -163,18 +176,10 @@ class MarginTally:
         if any(a >= b for a, b in zip(block_index, block_index[1:])):
             raise ValueError(f"tallies overlap or are unordered: {block_index}")
         mechanisms = {
-            name: MechanismTally(
-                fails=tuple(x for t in ordered for x in t.mechanisms[name].fails),
-                finite=tuple(x for t in ordered for x in t.mechanisms[name].finite),
-                inf_fails=tuple(
-                    x for t in ordered for x in t.mechanisms[name].inf_fails
-                ),
-                totals=tuple(x for t in ordered for x in t.mechanisms[name].totals),
-                totals_sq=tuple(
-                    x for t in ordered for x in t.mechanisms[name].totals_sq
-                ),
-                mins=tuple(x for t in ordered for x in t.mechanisms[name].mins),
-            )
+            name: MechanismTally(**{
+                f: tuple(x for t in ordered for x in getattr(t.mechanisms[name], f))
+                for f in _MECH_FIELDS
+            })
             for name in mech_names
         }
         return cls(
@@ -194,14 +199,7 @@ class MarginTally:
             "block_n": list(self.block_n),
             "union_fails": list(self.union_fails),
             "mechanisms": {
-                name: {
-                    "fails": list(m.fails),
-                    "finite": list(m.finite),
-                    "inf_fails": list(m.inf_fails),
-                    "totals": list(m.totals),
-                    "totals_sq": list(m.totals_sq),
-                    "mins": list(m.mins),
-                }
+                name: {f: list(getattr(m, f)) for f in _MECH_FIELDS}
                 for name, m in self.mechanisms.items()
             },
         }
@@ -215,14 +213,10 @@ class MarginTally:
             block_n=tuple(int(n) for n in payload["block_n"]),
             union_fails=tuple(int(u) for u in payload["union_fails"]),
             mechanisms={
-                name: MechanismTally(
-                    fails=tuple(int(x) for x in m["fails"]),
-                    finite=tuple(int(x) for x in m["finite"]),
-                    inf_fails=tuple(int(x) for x in m["inf_fails"]),
-                    totals=tuple(float(x) for x in m["totals"]),
-                    totals_sq=tuple(float(x) for x in m["totals_sq"]),
-                    mins=tuple(float(x) for x in m["mins"]),
-                )
+                name: MechanismTally(**{
+                    f: tuple(kind(x) for x in m[f])
+                    for f, kind in _MECH_FIELDS.items()
+                })
                 for name, m in payload["mechanisms"].items()
             },
         )
@@ -242,9 +236,9 @@ def _tally_margins(margins: FailureMargins) -> Tuple[int, Dict[str, Dict[str, fl
             "fails": int(np.sum(margins.fail_mask(ftype))),
             "finite": int(finite.size),
             "inf_fails": int(np.sum(~finite_mask & ~(margin > 0))),
-            "total": float(np.sum(finite)),
-            "total_sq": float(np.sum(finite * finite)),
-            "min": float(np.min(finite)) if finite.size else float("inf"),
+            "totals": float(np.sum(finite)),
+            "totals_sq": float(np.sum(finite * finite)),
+            "mins": float(np.min(finite)) if finite.size else float("inf"),
         }
     return union, mech
 
@@ -331,21 +325,8 @@ class FailureRates:
         return self.estimate[FailureType.READ_DISTURB.value]
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (used by the shared result cache)."""
+        """JSON-serializable form."""
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "FailureRates":
-        """Exact inverse of :meth:`to_dict` (floats round-trip bit-for-bit)."""
-        return cls(
-            vdd=float(payload["vdd"]),
-            n_samples=int(payload["n_samples"]),
-            empirical=dict(payload["empirical"]),
-            gaussian=dict(payload["gaussian"]),
-            estimate=dict(payload["estimate"]),
-            p_cell=float(payload["p_cell"]),
-            margin_stats={k: dict(v) for k, v in payload["margin_stats"].items()},
-        )
 
 
 def _rates_from_tally(vdd: float, tally: MarginTally) -> FailureRates:
@@ -492,19 +473,8 @@ class MonteCarloAnalyzer:
         debugging and distribution plots; it holds all ``n_samples``
         margins in memory, unlike the streaming estimators.
         """
-        plan = self.shard_plan()
-        point_seed = self._point_seed(vdd, seed=seed)
-        read_cycle = self._read_cycle()
-        model = self.cell.variation_model()
-        blocks: List[FailureMargins] = []
-        for j in range(plan.n_blocks):
-            dvt = model.sample(plan.block_size(j), seed=plan.block_seed(point_seed, j))
-            blocks.append(
-                compute_failure_margins(
-                    self.cell, vdd, dvt, bitline=self.bitline,
-                    read_cycle=read_cycle, backend=self.backend,
-                )
-            )
+        (shard,) = self.shard_plan().shards()
+        blocks = list(_block_margins(self, vdd, shard.blocks, seed=seed))
         disturb: Optional[np.ndarray] = None
         if blocks[0].read_disturb is not None:
             disturb = np.concatenate(
@@ -520,8 +490,9 @@ class MonteCarloAnalyzer:
         """Estimate failure rates of the cell at the given supply voltage.
 
         Runs the full population through the block-tally path in-process
-        (the single-shard execution of :meth:`analyze_sharded`'s plan),
-        holding one ``block_samples`` batch in memory at a time.
+        (the single-shard execution of :meth:`analyze_sweep`'s plan),
+        holding one ``block_samples`` batch in memory at a time.  It is
+        the reference every sweep reproduces bit-for-bit.
         """
         vdd = check_vdd(vdd)
         analyzer = self if seed is None else replace(self, seed=resolve_seed(seed))
@@ -591,60 +562,16 @@ class MonteCarloAnalyzer:
     ) -> FailureRates:
         """Estimate failure rates with the population split into shards.
 
-        The population's blocks are grouped into ``shards`` contiguous
-        shards (raised as needed so no shard exceeds
-        ``max_shard_samples``), streamed through a
-        :class:`~repro.runtime.SweepExecutor` worker pool, and reduced
-        by the exact :class:`MarginTally` merge.  Per-shard tallies are
-        cached under the ``mcshard`` namespace, so interrupted runs
-        resume from the shards they completed.
-
-        With ``dispatcher`` (a started
-        :class:`~repro.distributed.ShardDispatcher`), the shards are
-        farmed to remote workers over TCP instead of the local pool;
-        ``jobs``/``cache`` are then unused — the dispatcher and its
-        workers address the shared cache store directly, under the same
-        per-shard keys the local path writes.
-
-        Guarantee: the result equals :meth:`analyze` bit-for-bit for
-        every ``(shards, max_shard_samples, jobs, cache, dispatcher)``
-        combination.
+        :meth:`analyze_sweep` over the single voltage ``vdd``; see there
+        for ``shards``, ``max_shard_samples``, ``jobs``, ``cache`` and
+        ``dispatcher``.  Guarantee: the result equals :meth:`analyze`
+        bit-for-bit for every combination of them.
         """
-        vdd = check_vdd(vdd)
-        resolved = self.resolved()
-        plan = resolved.shard_plan(shards=shards, max_shard_samples=max_shard_samples)
-        if dispatcher is not None:
-            from repro.distributed.jobs import margin_tally_jobs
-
-            tally: MarginTally = dispatcher.dispatch(
-                margin_tally_jobs(resolved, vdd, plan),
-                decode=MarginTally.from_dict,
-                merge=MarginTally.merge,
-            )
-            return _rates_from_tally(vdd, tally)
-        engine: ShardedMonteCarlo[MarginTally] = ShardedMonteCarlo(
-            plan, executor=SweepExecutor(jobs), cache=cache
+        (rates,) = self.analyze_sweep(
+            [vdd], jobs=jobs, cache=cache, shards=shards,
+            max_shard_samples=max_shard_samples, dispatcher=dispatcher,
         )
-        tally = engine.run(
-            compute=partial(tally_shard, resolved, vdd),
-            payload=resolved.cache_payload(vdd),
-            encode=MarginTally.to_dict,
-            decode=MarginTally.from_dict,
-            merge=MarginTally.merge,
-        )
-        return _rates_from_tally(vdd, tally)
-
-    def analyze_many(
-        self, vdds: Sequence[float], seed: SeedLike = None
-    ) -> List[FailureRates]:
-        """Batch evaluation of a chunk of voltage points.
-
-        Amortizes analyzer setup (read-cycle resolution, seed
-        resolution) across the chunk; element ``i`` equals
-        ``self.analyze(vdds[i], seed=seed)`` bit-for-bit.
-        """
-        resolved = self if self.read_cycle is not None else self.resolved()
-        return [resolved.analyze(v, seed=seed) for v in vdds]
+        return rates
 
     def analyze_sweep(
         self,
@@ -653,59 +580,82 @@ class MonteCarloAnalyzer:
         cache: Optional[CacheStore] = None,
         shards: Optional[int] = None,
         max_shard_samples: Optional[int] = None,
-    ) -> List[FailureRates]:
-        """Evaluate many voltage points, optionally in parallel and cached.
+        dispatcher: Optional["ShardDispatcher"] = None,
+        finish: Optional[Callable[[float, FailureRates], Any]] = None,
+    ) -> List[Any]:
+        """Failure rates at every voltage of ``vdds`` — the one sweep path.
 
-        Cached points are served without recomputation (namespace
-        ``mc``); the remaining points either fan across a
-        :class:`~repro.runtime.SweepExecutor` in chunks, or — when
-        ``shards``/``max_shard_samples`` requests sub-array sharding —
-        run point by point with each point's shards fanned across the
-        pool and cached individually.  The returned list always matches
-        a serial, uncached ``[self.analyze(v) for v in vdds]``
-        bit-for-bit.
+        Each point's population is split by one :class:`ShardPlan`
+        (``shards``, raised so no shard exceeds ``max_shard_samples``;
+        one shard when neither is given).  The shards missing from
+        ``cache`` (namespace ``mcshard``), of all points at once, go out
+        in one :class:`~repro.runtime.SweepExecutor` map over ``jobs``
+        workers, and each point's tallies merge exactly.  With
+        ``dispatcher`` (a started
+        :class:`~repro.distributed.ShardDispatcher`) each point's shards
+        go to its fleet instead, which addresses the shared store under
+        the same keys; ``jobs``/``cache`` are then unused.
+
+        ``finish(vdd, rates)``, if given, replaces each point's
+        :class:`FailureRates` in the result.  Points finish on the
+        executor that computed their shards, which keeps the Gaussian
+        tail's scipy import and any per-point model off a caller that
+        farmed its Monte Carlo out.  The rates equal ``[self.analyze(v)
+        for v in vdds]`` bit-for-bit for every shard layout, worker
+        count, cache state and fleet.
         """
+        vdds = [check_vdd(v) for v in vdds]
         resolved = self.resolved()
-        results: Dict[int, FailureRates] = {}
-        missing: List[Tuple[int, float]] = []
-        for i, vdd in enumerate(vdds):
-            hit = None
-            if cache is not None:
-                hit = cache.get("mc", resolved.cache_payload(vdd))
-            if hit is not None:
-                results[i] = FailureRates.from_dict(hit)
-            else:
-                missing.append((i, float(vdd)))
+        plan = resolved.shard_plan(shards=shards, max_shard_samples=max_shard_samples)
+        step = partial(_finish_point, finish)
+        if dispatcher is not None:
+            from repro.distributed.jobs import margin_tally_jobs
 
-        if missing:
-            # A single-shard plan gains nothing from the sharded path
-            # (and would serialize the points); results are identical
-            # either way, so take the faster execution.
-            sharded = (
-                shards is not None or max_shard_samples is not None
-            ) and resolved.shard_plan(
-                shards=shards, max_shard_samples=max_shard_samples
-            ).n_shards > 1
-            if sharded:
-                # Parallelism lives inside each point (shard fan-out);
-                # points run in order so per-shard memory stays bounded.
-                computed = [
-                    resolved.analyze_sharded(
-                        v, shards=shards, max_shard_samples=max_shard_samples,
-                        jobs=jobs, cache=cache,
-                    )
-                    for _, v in missing
-                ]
-            else:
-                executor = SweepExecutor(jobs)
-                computed = executor.map_chunked(
-                    partial(_analyze_chunk, resolved), [v for _, v in missing]
-                )
-            for (i, vdd), rates in zip(missing, computed):
-                results[i] = rates
-                if cache is not None:
-                    cache.put("mc", resolved.cache_payload(vdd), rates.to_dict())
-        return [results[i] for i in range(len(results))]
+            return [
+                step((vdd, dispatcher.dispatch(
+                    margin_tally_jobs(resolved, vdd, plan),
+                    decode=MarginTally.from_dict,
+                    merge=MarginTally.merge,
+                )))
+                for vdd in vdds
+            ]
+        executor = SweepExecutor(jobs)
+        engine: ShardedMonteCarlo[MarginTally] = ShardedMonteCarlo(
+            plan, executor=executor, cache=cache
+        )
+        tallies = engine.run_many(
+            [
+                (partial(tally_shard, resolved, vdd), resolved.cache_payload(vdd))
+                for vdd in vdds
+            ],
+            encode=MarginTally.to_dict,
+            decode=MarginTally.from_dict,
+            merge=MarginTally.merge,
+        )
+        points = list(zip(vdds, tallies))
+        if engine.computed:
+            return executor.map(step, points)
+        return [step(point) for point in points]
+
+
+def _block_margins(
+    analyzer: MonteCarloAnalyzer,
+    vdd: float,
+    blocks: Sequence[Tuple[int, int]],
+    seed: SeedLike = None,
+) -> Iterator[FailureMargins]:
+    """Margins of each ``(block index, size)`` block at ``vdd``, drawn
+    from the block's own child seed, one block in memory at a time."""
+    point_seed = analyzer._point_seed(vdd, seed=seed)
+    read_cycle = analyzer._read_cycle()
+    model = analyzer.cell.variation_model()
+    for j, block_size in blocks:
+        dvt = model.sample(block_size, seed=ShardPlan.block_seed(point_seed, j))
+        yield compute_failure_margins(
+            analyzer.cell, vdd, dvt,
+            bitline=analyzer.bitline, read_cycle=read_cycle,
+            backend=analyzer.backend,
+        )
 
 
 def tally_shard(
@@ -719,20 +669,12 @@ def tally_shard(
     because it is also the remote compute function of the distributed
     dispatcher's ``margin_tally`` job kind (:mod:`repro.distributed.jobs`).
     """
-    point_seed = analyzer._point_seed(vdd)
-    read_cycle = analyzer._read_cycle()
-    model = analyzer.cell.variation_model()
     block_index: List[int] = []
     block_n: List[int] = []
     union_fails: List[int] = []
     mech_blocks: Dict[str, List[Dict[str, float]]] = {}
-    for j, block_size in shard.blocks:
-        dvt = model.sample(block_size, seed=ShardPlan.block_seed(point_seed, j))
-        margins = compute_failure_margins(
-            analyzer.cell, vdd, dvt,
-            bitline=analyzer.bitline, read_cycle=read_cycle,
-            backend=analyzer.backend,
-        )
+    margins_of = _block_margins(analyzer, vdd, shard.blocks)
+    for (j, block_size), margins in zip(shard.blocks, margins_of):
         union, mech = _tally_margins(margins)
         block_index.append(j)
         block_n.append(block_size)
@@ -745,24 +687,22 @@ def tally_shard(
         block_n=tuple(block_n),
         union_fails=tuple(union_fails),
         mechanisms={
-            name: MechanismTally(
-                fails=tuple(int(e["fails"]) for e in entries),
-                finite=tuple(int(e["finite"]) for e in entries),
-                inf_fails=tuple(int(e["inf_fails"]) for e in entries),
-                totals=tuple(float(e["total"]) for e in entries),
-                totals_sq=tuple(float(e["total_sq"]) for e in entries),
-                mins=tuple(float(e["min"]) for e in entries),
-            )
+            name: MechanismTally(**{
+                f: tuple(e[f] for e in entries) for f in _MECH_FIELDS
+            })
             for name, entries in mech_blocks.items()
         },
     )
 
 
-def _analyze_chunk(
-    analyzer: MonteCarloAnalyzer, vdds: List[float]
-) -> List[FailureRates]:
-    """Worker entry point: one chunk of voltage points on one analyzer."""
-    return analyzer.analyze_many(vdds)
+def _finish_point(
+    finish: Optional[Callable[[float, FailureRates], Any]],
+    point: Tuple[float, MarginTally],
+) -> Any:
+    """Sweep worker entry point: one point's rates from its merged tally."""
+    vdd, tally = point
+    rates = _rates_from_tally(vdd, tally)
+    return rates if finish is None else finish(vdd, rates)
 
 
 def failure_rates_vs_vdd(
@@ -784,10 +724,10 @@ def failure_rates_vs_vdd(
     the "8T failures are negligible in the voltage range of interest"
     observation (for the 8T cell).  ``jobs`` fans work across a worker
     pool (``None`` honours ``REPRO_JOBS``, default serial), ``cache``
-    serves previously-computed points from the shared result store, and
-    ``shards``/``max_shard_samples`` stream each point's Monte-Carlo
-    population through the sharded path; none of them changes a single
-    bit of the output.
+    serves previously-computed shard tallies from the shared result
+    store, and ``shards``/``max_shard_samples`` split each point's
+    Monte-Carlo population (:meth:`MonteCarloAnalyzer.analyze_sweep`);
+    none of them changes a single bit of the output.
     """
     analyzer = MonteCarloAnalyzer(
         cell=cell, n_samples=n_samples, bitline=bitline, seed=seed,

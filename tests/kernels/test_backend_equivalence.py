@@ -295,3 +295,39 @@ def test_short_bisection_skips_the_replay():
     compute_failure_margins(CELLS["6t"], vdd, dvt, backend=kernel)
     assert kernel.lanes_checked == 0
     assert_margins_identical("6t", vdd, dvt)
+
+
+# ----------------------------------------------------------------------
+# One lane re-solved on a narrow block
+# ----------------------------------------------------------------------
+def test_stored_eight_sample_block_bit_identical():
+    """Eight samples give scratch rows 64 bytes apart; when only sample
+    0 is re-solved, the bracket mask is built on that strided column."""
+    n_dev = len(CELLS["6t"].devices)
+    dvt = np.full((8, n_dev), 0.5)
+    dvt[0, 0] = 0.0
+    assert_margins_identical("6t", 0.5, dvt)
+
+
+@pytest.mark.parametrize("kind", ["6t", "8t"])
+@pytest.mark.parametrize("n", range(1, 17))
+def test_single_rejected_sample_bit_identical(kind, n, monkeypatch):
+    """A root estimate wrong for exactly one sample re-solves that
+    sample alone, at every narrow block width."""
+    import repro.kernels.fused as fused
+
+    honest = fused._root_estimate
+
+    def wrong_for_sample_0(kern, vt, m):
+        r_hat = honest(kern, vt, m)
+        r_hat[:, 0] = np.nan
+        return r_hat
+
+    monkeypatch.setattr(fused, "_root_estimate", wrong_for_sample_0)
+    kernel = FusedKernel()
+    dvt = CELLS[kind].variation_model().sample(n, seed=n)
+    assert_margins_identical(kind, 0.70, dvt)
+    compute_failure_margins(CELLS[kind], 0.70, dvt, backend=kernel)
+    n_eqs = 4 if kind == "6t" else 3
+    assert kernel.lanes_checked == n * n_eqs
+    assert kernel.lanes_checked - kernel.lanes_accepted == n_eqs

@@ -28,6 +28,17 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             SGDTrainer(momentum=1.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+        ("lr_decay", float("inf")),
+        ("lr_decay", -1.0),
+        ("weight_clip", float("nan")),
+    ])
+    def test_rejects_non_finite_or_non_positive(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            SGDTrainer(**{field: value})
+
     def test_rejects_mismatched_data(self):
         net = FeedforwardANN(NetworkSpec(layer_sizes=(4, 8, 2), seed=0))
         with pytest.raises(ConfigurationError):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.devices.variation import VariationModel
 from repro.runtime import ResultCache
-from repro.sram import characterize_cell, failure_rates_vs_vdd
+from repro.sram import characterize_cell, failure_rates_vs_vdd, montecarlo
 from repro.sram.montecarlo import MonteCarloAnalyzer
 
 VDDS = [0.65, 0.70, 0.80, 0.90]
@@ -26,10 +26,10 @@ class TestParallelBitIdentity:
         )
         assert parallel == serial_rates  # FailureRates compares exactly
 
-    def test_analyze_many_matches_analyze(self, cell6):
+    def test_sweep_matches_analyze(self, cell6):
         analyzer = MonteCarloAnalyzer(cell=cell6, n_samples=N_SAMPLES, seed=11)
-        batch = analyzer.analyze_many(VDDS)
-        assert batch == [analyzer.analyze(v) for v in VDDS]
+        sweep = analyzer.analyze_sweep(VDDS)
+        assert sweep == [analyzer.analyze(v) for v in VDDS]
 
     def test_sweep_order_does_not_change_point_results(self, cell6):
         forward = failure_rates_vs_vdd(cell6, VDDS, n_samples=N_SAMPLES, seed=11)
@@ -115,13 +115,13 @@ class TestCharacterizationCaching:
             n_samples=N_SAMPLES, cache_dir=cache_dir,
         )
         calls = []
-        original = MonteCarloAnalyzer.analyze
+        original = montecarlo.tally_shard
 
-        def counting(self, vdd, seed=None):
+        def counting(analyzer, vdd, shard):
             calls.append(float(vdd))
-            return original(self, vdd, seed=seed)
+            return original(analyzer, vdd, shard)
 
-        monkeypatch.setattr(MonteCarloAnalyzer, "analyze", counting)
+        monkeypatch.setattr(montecarlo, "tally_shard", counting)
         grown = characterize_cell(
             cell_kind="6t", technology=tech, vdd_grid=(0.70, 0.80, 0.90),
             n_samples=N_SAMPLES, cache_dir=cache_dir,
