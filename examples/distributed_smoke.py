@@ -117,7 +117,6 @@ def main(argv=None) -> int:
     dispatcher = ShardDispatcher(
         store=ResultCache(store_dir),
         heartbeat_interval=0.2,
-        heartbeat_timeout=1.0,
         tracer=tracer,
     )
     metrics_server = None

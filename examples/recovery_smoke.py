@@ -86,7 +86,6 @@ def run_driver(args) -> int:
         store=ResultCache(args.store_dir),
         journal=RunJournal(args.journal_dir),
         heartbeat_interval=0.2,
-        heartbeat_timeout=1.0,
     ) as dispatcher:
         dispatcher.start("127.0.0.1", args.port)
         print(f"driver {os.getpid()}: dispatching on port {args.port}")

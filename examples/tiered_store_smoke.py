@@ -71,7 +71,7 @@ def run_fleet(analyzer, vdd, store_url, kill=None):
         store_url=store_url,
     )
     dispatcher = ShardDispatcher(
-        store=store, heartbeat_interval=0.2, heartbeat_timeout=1.0,
+        store=store, heartbeat_interval=0.2,
     )
     host, port = dispatcher.start()
     worker = subprocess.Popen(worker_command(

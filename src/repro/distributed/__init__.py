@@ -58,11 +58,7 @@ from repro.distributed.dag import (
     paper_pipeline_dag,
     reduce_node,
 )
-from repro.distributed.dispatcher import (
-    DispatchError,
-    DispatcherStats,
-    ShardDispatcher,
-)
+from repro.distributed.dispatcher import ShardDispatcher
 from repro.distributed.journal import (
     JournalReplay,
     JournaledJob,
@@ -91,6 +87,7 @@ from repro.distributed.objectstore import (
     serve_object_store,
 )
 from repro.distributed.protocol import PROTOCOL_VERSION, ProtocolError
+from repro.distributed.scheduler import DispatchError, DispatcherStats
 from repro.distributed.worker import Worker, run_worker, worker_command
 from repro.runtime.cache import CacheStore, ResultCache
 

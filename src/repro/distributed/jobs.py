@@ -64,7 +64,7 @@ from repro.fault.evaluate import (
 from repro.fault.injector import WeightFaultInjector
 from repro.fault.model import BitErrorRates
 from repro.rng import SeedLike, derive_seed, resolve_seed
-from repro.runtime.cache import CacheStore
+from repro.runtime.cache import CACHE_VERSION, CacheStore, content_key
 from repro.runtime.sharding import Shard, ShardedMonteCarlo, ShardPlan
 from repro.sram.bitcell import make_cell
 from repro.sram.failures import FailureType
@@ -209,6 +209,17 @@ class ShardJob:
             namespace=str(payload["namespace"]),
             payload=dict(payload["payload"]),
         )
+
+
+def job_address(job: ShardJob) -> Tuple[str, str]:
+    """A job's store identity: ``(namespace, content key)``.
+
+    Two jobs with equal addresses compute the same bytes — the property
+    the whole subsystem leans on — so this is the key the dispatcher
+    matches resubmitted jobs against replayed ones (job *ids* are
+    per-run tags and differ across restarts).
+    """
+    return job.namespace, content_key(job.namespace, job.payload, CACHE_VERSION)
 
 
 def execute_job(job: ShardJob, store: Optional[CacheStore]) -> Tuple[Any, bool]:

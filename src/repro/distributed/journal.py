@@ -47,11 +47,10 @@ import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, TextIO, Tuple
+from typing import Any, Dict, List, Optional, TextIO
 
 from repro.errors import ConfigurationError
-from repro.runtime.cache import CACHE_VERSION, content_key
-from repro.distributed.jobs import ShardJob
+from repro.distributed.jobs import ShardJob, job_address
 
 __all__ = [
     "JOURNAL_FILENAME",
@@ -67,17 +66,6 @@ JOURNAL_VERSION = 1
 
 #: File name of the log inside the journal directory.
 JOURNAL_FILENAME = "journal.jsonl"
-
-
-def job_address(job: ShardJob) -> Tuple[str, str]:
-    """A job's store identity: ``(namespace, content key)``.
-
-    Two jobs with equal addresses compute the same bytes — the property
-    the whole subsystem leans on — so this is the key the dispatcher
-    matches resubmitted jobs against replayed ones (job *ids* are
-    per-run tags and differ across restarts).
-    """
-    return job.namespace, content_key(job.namespace, job.payload, CACHE_VERSION)
 
 
 @dataclass(frozen=True)

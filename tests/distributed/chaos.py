@@ -68,14 +68,14 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.distributed import ShardDispatcher
 from repro.distributed.jobs import ShardJob, execute_job
 from repro.distributed.protocol import PROTOCOL_VERSION, STREAM_LIMIT
 from repro.runtime import ResultCache
 
-from tests.distributed.conftest import HEARTBEAT_INTERVAL, HEARTBEAT_TIMEOUT
+from tests.distributed.conftest import HEARTBEAT_INTERVAL
 
 #: The vocabulary of scheduled misbehaviour (see module docstring).
 CHAOS_ACTIONS = ("kill", "stall", "corrupt", "disconnect")
@@ -384,29 +384,19 @@ def record_artifact(
     return path
 
 
-def run_chaos_fleet(
-    jobs: Sequence[ShardJob],
+def _drive_chaos_fleet(
     schedule: ChaosSchedule,
-    store_dir: Optional[str] = None,
-    decode=None,
-    merge=None,
-    timeout: float = 120.0,
-    **dispatcher_kwargs,
+    store_dir: Optional[str],
+    workload: Callable[[ShardDispatcher], Any],
+    dispatcher_kwargs: Dict[str, Any],
 ) -> ChaosRun:
-    """Dispatch ``jobs`` to a fleet realizing ``schedule``; return the run.
+    """Run ``workload(dispatcher)`` on a fleet realizing ``schedule``.
 
     The fleet is one :class:`ChaosWorker` per scheduled worker index
-    plus one anchor (no event), so every job completes as long as the
-    retry budget covers the scheduled failures — which it does by
-    default: each worker fires at most one event, so ``max_retries``
-    defaults to ``len(schedule.events) + 1``.
-
-    Speculation defaults to a fixed threshold of half the stall time,
-    so every ``stall`` event is speculation-eligible; pass
-    ``speculate=False`` (or any dispatcher knob) to override.
+    plus one anchor (no event); scale events fire as the fleet's
+    completed count grows.  The result is not digested here.
     """
     dispatcher_kwargs.setdefault("heartbeat_interval", HEARTBEAT_INTERVAL)
-    dispatcher_kwargs.setdefault("heartbeat_timeout", HEARTBEAT_TIMEOUT)
     dispatcher_kwargs.setdefault("max_retries", len(schedule.events) + 1)
     dispatcher_kwargs.setdefault(
         "speculation_threshold", max(schedule.stall_seconds / 2, 0.05)
@@ -456,22 +446,47 @@ def run_chaos_fleet(
         driver = threading.Thread(target=scale_driver, daemon=True)
         driver.start()
         start = time.perf_counter()
-        result = dispatcher.dispatch(
-            jobs, decode=decode, merge=merge, timeout=timeout
-        )
+        result = workload(dispatcher)
         elapsed = time.perf_counter() - start
         stop_driver.set()
         driver.join(timeout=10)
         stats = dispatcher.stats
     for worker in workers:
         worker.join()
-    digest = digest_of(result)
-    artifact = record_artifact(schedule, jobs, digest, stats)
     return ChaosRun(
-        result=result, stats=stats, schedule=schedule,
-        digest=digest, artifact_path=artifact, workers=workers,
-        elapsed_s=elapsed, scale_log=scale_log,
+        result=result, stats=stats, schedule=schedule, digest="",
+        workers=workers, elapsed_s=elapsed, scale_log=scale_log,
     )
+
+
+def run_chaos_fleet(
+    jobs: Sequence[ShardJob],
+    schedule: ChaosSchedule,
+    store_dir: Optional[str] = None,
+    decode=None,
+    merge=None,
+    timeout: float = 120.0,
+    **dispatcher_kwargs,
+) -> ChaosRun:
+    """Dispatch ``jobs`` to a fleet realizing ``schedule``; return the run.
+
+    The retry budget covers the scheduled failures by default: each
+    worker fires at most one event, so ``max_retries`` defaults to
+    ``len(schedule.events) + 1``.  Speculation defaults to a fixed
+    threshold of half the stall time, so every ``stall`` event is
+    speculation-eligible; pass ``speculate=False`` (or any dispatcher
+    knob) to override.
+    """
+    run = _drive_chaos_fleet(
+        schedule, store_dir,
+        lambda dispatcher: dispatcher.dispatch(
+            jobs, decode=decode, merge=merge, timeout=timeout
+        ),
+        dispatcher_kwargs,
+    )
+    run.digest = digest_of(run.result)
+    run.artifact_path = record_artifact(schedule, jobs, run.digest, run.stats)
+    return run
 
 
 def run_chaos_dag(
@@ -489,65 +504,10 @@ def run_chaos_dag(
     results — keyed by node name in ``ChaosRun.result`` — must digest
     identically to the single-process phase-by-phase oracle.
     """
-    dispatcher_kwargs.setdefault("heartbeat_interval", HEARTBEAT_INTERVAL)
-    dispatcher_kwargs.setdefault("heartbeat_timeout", HEARTBEAT_TIMEOUT)
-    dispatcher_kwargs.setdefault("max_retries", len(schedule.events) + 1)
-    dispatcher_kwargs.setdefault(
-        "speculation_threshold", max(schedule.stall_seconds / 2, 0.05)
+    run = _drive_chaos_fleet(
+        schedule, store_dir,
+        lambda dispatcher: dag.run(dispatcher, timeout=timeout),
+        dispatcher_kwargs,
     )
-    store = None if store_dir is None else ResultCache(store_dir)
-    workers: List[ChaosWorker] = []
-    scale_log: List[str] = []
-    stop_driver = threading.Event()
-    with ShardDispatcher(store=store, **dispatcher_kwargs) as dispatcher:
-        host, port = dispatcher.start()
-        for index in range(schedule.n_workers):
-            workers.append(ChaosWorker(
-                host, port, store_dir, name=f"chaos-{index}",
-                event=schedule.event_for(index),
-                stall_seconds=schedule.stall_seconds,
-            ))
-        workers.append(ChaosWorker(host, port, store_dir, name="anchor"))
-        dispatcher.await_workers(len(workers), timeout=30)
-
-        def scale_driver():
-            pending = sorted(
-                schedule.scale_events, key=lambda e: e.at_completed
-            )
-            spawned = 0
-            while pending and not stop_driver.is_set():
-                done = dispatcher.stats.completed
-                while pending and done >= pending[0].at_completed:
-                    event = pending.pop(0)
-                    if event.action == "spawn":
-                        for _ in range(event.workers):
-                            name = f"scale-{spawned}"
-                            spawned += 1
-                            workers.append(ChaosWorker(
-                                host, port, store_dir, name=name,
-                                max_jobs=event.max_jobs,
-                            ))
-                            scale_log.append(f"spawn {name}@{done}")
-                    else:
-                        live = [w for w in workers
-                                if w.name != "anchor" and w.running]
-                        for worker in live[-event.workers:]:
-                            worker.request_drain()
-                            scale_log.append(f"drain {worker.name}@{done}")
-                time.sleep(0.02)
-
-        driver = threading.Thread(target=scale_driver, daemon=True)
-        driver.start()
-        start = time.perf_counter()
-        result = dag.run(dispatcher, timeout=timeout)
-        elapsed = time.perf_counter() - start
-        stop_driver.set()
-        driver.join(timeout=10)
-        stats = dispatcher.stats
-    for worker in workers:
-        worker.join()
-    return ChaosRun(
-        result=result, stats=stats, schedule=schedule,
-        digest=digest_of(result), workers=workers,
-        elapsed_s=elapsed, scale_log=scale_log,
-    )
+    run.digest = digest_of(run.result)
+    return run

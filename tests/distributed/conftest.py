@@ -24,7 +24,6 @@ BLOCK_SAMPLES = 256
 
 #: Tight liveness so dead-worker tests resolve in well under a second.
 HEARTBEAT_INTERVAL = 0.1
-HEARTBEAT_TIMEOUT = 0.4
 
 
 @pytest.fixture()
@@ -41,7 +40,6 @@ def store_dir(tmp_path):
 
 def make_dispatcher(store_dir=None, **kwargs):
     kwargs.setdefault("heartbeat_interval", HEARTBEAT_INTERVAL)
-    kwargs.setdefault("heartbeat_timeout", HEARTBEAT_TIMEOUT)
     store = None if store_dir is None else ResultCache(store_dir)
     return ShardDispatcher(store=store, **kwargs)
 
@@ -80,8 +78,9 @@ class FakeWorker:
     ``behavior``:
 
     * ``"silent"`` — register, accept one assignment, then stop
-      responding (no heartbeats, connection held open): the
-      killed-mid-shard scenario as the dispatcher observes it.
+      responding (no heartbeats, connection held open until the
+      dispatcher drops it): the killed-mid-shard scenario as the
+      dispatcher observes it.
     * ``"disconnect"`` — accept one assignment, then drop the
       connection abruptly.
     * ``"error"`` — fail every assignment with a job error, forever.
@@ -90,6 +89,11 @@ class FakeWorker:
       it cannot even parse its assignment, then go quiet (never ready
       again): the dispatcher must requeue the held job off the error
       itself, not strand it.
+    * ``"junk"`` — answer the first assignment with a value no decoder
+      accepts, then go quiet.
+    * ``"drain"`` — announce a clean ``shutdown`` still holding the
+      first assignment (a ``--max-jobs`` drain racing it); ``acked``
+      records the dispatcher's acknowledgement.
     """
 
     def __init__(self, host, port, behavior, name="fake"):
@@ -97,6 +101,7 @@ class FakeWorker:
         self.behavior = behavior
         self.name = name
         self.assigned = []
+        self.acked = False
         self._done = threading.Event()
         self.thread = threading.Thread(target=self._run, daemon=True)
         self.thread.start()
@@ -129,26 +134,29 @@ class FakeWorker:
                 if message is None or message["type"] != "assign":
                     return
                 self.assigned.append(message["job"]["job_id"])
-                if self.behavior == "silent":
-                    # Outlive the heartbeat timeout without a word.
-                    await asyncio.sleep(HEARTBEAT_TIMEOUT * 4)
-                    return
                 if self.behavior == "disconnect":
                     return
-                if self.behavior == "error-mismatch":
-                    await send({
-                        "type": "error", "job_id": "?",
-                        "error": "scripted parse failure",
-                    })
-                    # Stay connected but never ready again, so the only
-                    # way the job can be rescheduled is the error path.
-                    await asyncio.sleep(HEARTBEAT_TIMEOUT * 4)
+                if self.behavior == "drain":
+                    await send({"type": "shutdown"})
+                    while (reply := await recv()) is not None:
+                        self.acked |= reply["type"] == "shutdown"
                     return
-                await send({
-                    "type": "error",
-                    "job_id": message["job"]["job_id"],
-                    "error": "scripted failure",
-                })
+                if self.behavior == "error":
+                    await send({"type": "error", "job_id": message["job"]["job_id"],
+                                "error": "scripted failure"})
+                    continue
+                if self.behavior == "error-mismatch":
+                    await send({"type": "error", "job_id": "?",
+                                "error": "scripted parse failure"})
+                elif self.behavior == "junk":
+                    await send({"type": "result", "job_id": message["job"]["job_id"],
+                                "value": {"junk": 1}, "cached": False})
+                # Never ready again (nor, when silent, a heartbeat): only
+                # the failure path can reschedule the job.  Hold the
+                # connection until the dispatcher drops it.
+                while await recv() is not None:
+                    pass
+                return
         finally:
             writer.close()
 

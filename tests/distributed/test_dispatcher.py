@@ -6,10 +6,7 @@ worker dying mid-shard, and never recomputes a shard that any worker
 already wrote to the shared store.
 """
 
-import asyncio
-import json
-import threading
-import time
+import concurrent.futures
 
 import pytest
 
@@ -19,7 +16,6 @@ from repro.runtime import ResultCache
 from repro.sram.montecarlo import MarginTally
 
 from tests.distributed.conftest import (
-    HEARTBEAT_INTERVAL,
     FakeWorker,
     WorkerThread,
     canon,
@@ -76,68 +72,47 @@ class TestBitIdentity:
         worker.join()
 
 
+def past_a_peer(analyzer, store_dir, behavior, **dispatcher_kwargs):
+    """Sweep 3 shards on a scripted ``behavior`` peer plus a real
+    survivor.  The peer registers first, so it is first in the idle
+    queue and deterministically receives the first shard.  Checks the
+    merge against the monolithic run; returns ``(stats, peer)``."""
+    reference = canon(analyzer.analyze(VDD))
+    with make_dispatcher(store_dir, **dispatcher_kwargs) as dispatcher:
+        host, port = dispatcher.start()
+        peer = FakeWorker(host, port, behavior, name=behavior)
+        dispatcher.await_workers(1, timeout=10)
+        survivor = WorkerThread(host, port, store_dir, name="survivor")
+        dispatcher.await_workers(2, timeout=10)
+        rates = analyzer.analyze_sharded(VDD, shards=3, dispatcher=dispatcher)
+        assert canon(rates) == reference
+    peer.join()
+    survivor.join()
+    return dispatcher.stats, peer
+
+
 class TestFailureRecovery:
     def test_worker_dead_mid_shard_is_reassigned(self, dist_analyzer, store_dir):
         """The killed-mid-run acceptance scenario: the first worker takes
         a shard and goes silent; the dispatcher times it out, reassigns,
         and the merged result is still bit-identical."""
-        reference = canon(dist_analyzer.analyze(VDD))
-        with make_dispatcher(store_dir) as dispatcher:
-            host, port = dispatcher.start()
-            fake = FakeWorker(host, port, "silent", name="victim")
-            dispatcher.await_workers(1, timeout=10)
-            # The victim registered first, so it is first in the idle
-            # queue and deterministically receives the first shard.
-            survivor = WorkerThread(host, port, store_dir, name="survivor")
-            dispatcher.await_workers(2, timeout=10)
-            rates = dist_analyzer.analyze_sharded(
-                VDD, shards=3, dispatcher=dispatcher
-            )
-            assert canon(rates) == reference
-            stats = dispatcher.stats
-            assert stats.per_worker.get("victim") == 1
-            assert stats.retries >= 1
-            assert stats.workers_lost >= 1
-            assert stats.completed == 3
-        fake.join()
-        survivor.join()
+        stats, _ = past_a_peer(dist_analyzer, store_dir, "silent")
+        assert stats.per_worker.get("silent") == 1
+        assert stats.retries >= 1 and stats.workers_lost >= 1
+        assert stats.completed == 3
 
     def test_abrupt_disconnect_mid_shard_is_reassigned(
         self, dist_analyzer, store_dir
     ):
-        reference = canon(dist_analyzer.analyze(VDD))
-        with make_dispatcher(store_dir) as dispatcher:
-            host, port = dispatcher.start()
-            fake = FakeWorker(host, port, "disconnect", name="dropper")
-            dispatcher.await_workers(1, timeout=10)
-            survivor = WorkerThread(host, port, store_dir, name="survivor")
-            dispatcher.await_workers(2, timeout=10)
-            rates = dist_analyzer.analyze_sharded(
-                VDD, shards=3, dispatcher=dispatcher
-            )
-            assert canon(rates) == reference
-            assert dispatcher.stats.retries >= 1
-        fake.join()
-        survivor.join()
+        assert past_a_peer(dist_analyzer, store_dir, "disconnect")[0].retries >= 1
 
     def test_error_with_unparseable_job_id_still_requeues(
         self, dist_analyzer, store_dir
     ):
         """A worker that cannot parse its assignment reports job_id '?';
         the dispatcher must requeue the job it held, not strand it."""
-        reference = canon(dist_analyzer.analyze(VDD))
-        with make_dispatcher(store_dir) as dispatcher:
-            host, port = dispatcher.start()
-            fake = FakeWorker(host, port, "error-mismatch", name="garbled")
-            dispatcher.await_workers(1, timeout=10)
-            survivor = WorkerThread(host, port, store_dir, name="survivor")
-            dispatcher.await_workers(2, timeout=10)
-            rates = dist_analyzer.analyze_sharded(
-                VDD, shards=3, dispatcher=dispatcher
-            )
-            assert canon(rates) == reference
-            assert dispatcher.stats.retries >= 1
-        survivor.join()
+        stats, _ = past_a_peer(dist_analyzer, store_dir, "error-mismatch")
+        assert stats.retries >= 1
 
     def test_retries_exhausted_fails_the_run(self, dist_analyzer, store_dir):
         with make_dispatcher(store_dir, max_retries=1) as dispatcher:
@@ -150,6 +125,37 @@ class TestFailureRecovery:
                 )
             assert dispatcher.stats.failures >= 1
         fake.join()
+
+    def test_undecodable_result_is_a_failed_attempt(self, dist_analyzer, store_dir):
+        """A result ``decode`` rejects spends one attempt of the peer
+        that sent it, and the job is recomputed elsewhere."""
+        stats, _ = past_a_peer(dist_analyzer, store_dir, "junk")
+        assert (stats.retries, stats.failures, stats.computed) == (1, 0, 3)
+
+    def test_undecodable_result_without_retries_fails_fast(self, dist_analyzer):
+        with make_dispatcher(max_retries=0) as dispatcher:
+            host, port = dispatcher.start()
+            fake = FakeWorker(host, port, "junk")
+            dispatcher.await_workers(1, timeout=10)
+            with pytest.raises(DispatchError, match="undecodable"):
+                dispatcher.dispatch(
+                    margin_jobs(dist_analyzer, shards=1),
+                    decode=MarginTally.from_dict, merge=MarginTally.merge,
+                    timeout=10,
+                )
+            assert (dispatcher.stats.failures, dispatcher.stats.computed) == (1, 0)
+        fake.join()
+
+    def test_shutdown_with_job_in_flight_requeues_without_retry(
+        self, dist_analyzer, store_dir
+    ):
+        """A worker announces a drain ``shutdown`` with its assignment in
+        flight: the dispatcher acknowledges it and requeues the job
+        without spending an attempt (``max_retries=0`` would fail)."""
+        stats, drainer = past_a_peer(dist_analyzer, store_dir, "drain", max_retries=0)
+        assert stats.per_worker.get("drain") == 1
+        assert (stats.drain_requeues, stats.retries) == (1, 0)
+        assert drainer.acked, "dispatcher never acknowledged the drain"
 
 
 class TestSharedStoreDedupe:
@@ -267,45 +273,6 @@ class TestScheduling:
             assert time.monotonic() < deadline, "jobs never queued"
             time.sleep(0.01)
 
-    def test_priority_orders_assignments_within_a_client(
-        self, dist_analyzer, store_dir
-    ):
-        """Jobs queued before any worker exists drain strictly by
-        (priority, submit order) once a lone worker appears."""
-        import threading
-
-        jobs = margin_jobs(dist_analyzer, shards=4)
-        order = []
-        lock = threading.Lock()
-        with make_dispatcher(store_dir, speculate=False) as dispatcher:
-            host, port = dispatcher.start()
-
-            def submit(job, priority):
-                dispatcher.dispatch([job], priority=priority, timeout=60)
-                with lock:
-                    order.append(job.job_id)
-
-            threads = [
-                threading.Thread(target=submit, args=(job, priority))
-                for job, priority in zip(jobs, [5, 0, 5, 0])
-            ]
-            for thread in threads:
-                thread.start()
-            # All four runs queued (no worker yet): observable depths.
-            self._await_depth(dispatcher, 4)
-            snapshot = dispatcher.queue_snapshot()
-            assert snapshot["depth"] == 4
-            assert snapshot["per_kind"] == {"margin_tally": 4}
-            assert snapshot["per_client"] == {"default": 4}
-            worker = WorkerThread(host, port, store_dir, name="solo")
-            for thread in threads:
-                thread.join(60)
-            assert dispatcher.stats.per_worker == {"solo": 4}
-            assert dispatcher.queue_snapshot()["depth"] == 0
-            # The two priority-0 jobs completed before the priority-5s.
-            assert set(order[:2]) == {jobs[1].job_id, jobs[3].job_id}
-        worker.join()
-
     def test_concurrent_clients_share_the_fleet(self, dist_analyzer, store_dir):
         """Two client threads dispatching concurrently both finish, and
         their runs are tracked under their own client names."""
@@ -372,6 +339,22 @@ class TestScheduling:
             dispatcher.dispatch(jobs, timeout=60)
         worker.join()
 
+    def test_timed_out_dispatch_releases_its_jobs(self, dist_analyzer):
+        """A dispatch that times out takes its queued jobs with it: the
+        queue empties, the same ids may be resubmitted, and a worker
+        joining later never computes the orphans."""
+        jobs = margin_jobs(dist_analyzer, shards=2)
+        with make_dispatcher() as dispatcher:
+            host, port = dispatcher.start()
+            with pytest.raises(concurrent.futures.TimeoutError):
+                dispatcher.dispatch(jobs, timeout=0.3)
+            assert dispatcher.queue_snapshot()["depth"] == 0
+            worker = WorkerThread(host, port)
+            dispatcher.await_workers(1, timeout=10)
+            assert len(dispatcher.dispatch(jobs, timeout=60)) == 2
+            assert dispatcher.stats.assignments == 2
+        worker.join()
+
     def test_stats_probe_reports_queues_and_speculation(
         self, dist_analyzer, store_dir
     ):
@@ -396,164 +379,9 @@ class TestScheduling:
 
         for kwargs in [
             dict(speculation_threshold=0.0),
-            dict(speculation_quantile=1.0),
-            dict(speculation_factor=0.5),
-            dict(speculation_min_samples=0),
+            dict(heartbeat_interval=float("nan")),
+            dict(speculation_threshold=float("nan")),
+            dict(speculation_threshold=float("inf")),
         ]:
             with pytest.raises(DispatchError):
                 ShardDispatcher(**kwargs)
-
-
-class _ScriptedPeer:
-    """Scaffolding for one-shot scripted workers: register, take one
-    assignment, then hand control to :meth:`_after_assign`."""
-
-    def __init__(self, host, port, name):
-        self.host, self.port, self.name = host, port, name
-        self.assigned = []
-        self.acked = False
-        self._done = threading.Event()
-        self.thread = threading.Thread(target=self._run, daemon=True)
-        self.thread.start()
-
-    def _run(self):
-        try:
-            asyncio.run(self._script())
-        finally:
-            self._done.set()
-
-    async def _script(self):
-        reader, writer = await asyncio.open_connection(self.host, self.port)
-
-        async def send(payload):
-            writer.write((json.dumps(payload) + "\n").encode())
-            await writer.drain()
-
-        async def recv():
-            raw = await reader.readline()
-            return json.loads(raw) if raw else None
-
-        try:
-            await send({"type": "register", "name": self.name,
-                        "pid": 0, "protocol": 1})
-            welcome = await recv()
-            assert welcome and welcome["type"] == "welcome", welcome
-            await send({"type": "ready"})
-            message = await recv()
-            assert message and message["type"] == "assign", message
-            self.assigned.append(message["job"]["job_id"])
-            await self._after_assign(send, recv)
-        finally:
-            writer.close()
-
-    async def _after_assign(self, send, recv):
-        raise NotImplementedError
-
-    def join(self, timeout=10):
-        assert self._done.wait(timeout), f"{self.name} script did not finish"
-
-
-class DrainAnnouncingWorker(_ScriptedPeer):
-    """Announces a clean ``shutdown`` with its assignment still in
-    flight — the worker-side race of a ``--max-jobs`` drain."""
-
-    async def _after_assign(self, send, recv):
-        await send({"type": "shutdown"})
-        while True:
-            ack = await asyncio.wait_for(recv(), timeout=10)
-            if ack is None:
-                return
-            if ack.get("type") == "shutdown":
-                self.acked = True
-                return
-
-
-class HeartbeatingStraggler(_ScriptedPeer):
-    """Holds its assignment forever while heartbeating — alive and
-    slow, the shape that triggers speculation rather than retirement."""
-
-    async def _after_assign(self, send, recv):
-        while True:
-            try:
-                message = await asyncio.wait_for(
-                    recv(), timeout=HEARTBEAT_INTERVAL / 2
-                )
-            except asyncio.TimeoutError:
-                await send({"type": "heartbeat"})
-                continue
-            if message is None or message.get("type") == "shutdown":
-                return
-
-
-class TestDrainRaces:
-    """Drain announcements racing live assignments (the satellite
-    sweep): neither interleaving may burn a retry or bend the bytes."""
-
-    def test_shutdown_with_job_in_flight_requeues_without_retry(
-        self, dist_analyzer, store_dir
-    ):
-        """A worker announces shutdown while an assignment is in
-        flight.  ``max_retries=0`` makes the proof sharp: if the
-        graceful requeue consumed the retry budget, the run would fail
-        outright instead of completing byte-identically."""
-        reference = canon(dist_analyzer.analyze(VDD))
-        with make_dispatcher(store_dir, max_retries=0) as dispatcher:
-            host, port = dispatcher.start()
-            drainer = DrainAnnouncingWorker(host, port, name="drainer")
-            dispatcher.await_workers(1, timeout=10)
-            survivor = WorkerThread(host, port, store_dir, name="survivor")
-            dispatcher.await_workers(2, timeout=10)
-            rates = dist_analyzer.analyze_sharded(
-                VDD, shards=3, dispatcher=dispatcher
-            )
-            assert canon(rates) == reference
-            stats = dispatcher.stats
-            assert stats.per_worker.get("drainer") == 1
-            assert stats.drain_requeues == 1
-            assert stats.retries == 0
-            assert stats.completed == 3
-        drainer.join()
-        assert drainer.acked, "dispatcher never acknowledged the drain"
-        survivor.join()
-
-    def test_backup_hits_max_jobs_on_the_speculated_job(
-        self, dist_analyzer, store_dir
-    ):
-        """The speculation backup reaches ``--max-jobs`` on the very
-        job it was speculated onto: its answer must land (a win), its
-        drain must retire it gracefully, and the straggler's silence
-        must not touch the (zero) retry budget."""
-        reference = canon(dist_analyzer.analyze(VDD))
-        with make_dispatcher(
-            store_dir, max_retries=0, speculation_threshold=0.3
-        ) as dispatcher:
-            host, port = dispatcher.start()
-            straggler = HeartbeatingStraggler(host, port, name="straggler")
-            dispatcher.await_workers(1, timeout=10)
-            result = {}
-            runner = threading.Thread(
-                target=lambda: result.update(rates=dist_analyzer.analyze_sharded(
-                    VDD, shards=1, dispatcher=dispatcher
-                )),
-                daemon=True,
-            )
-            runner.start()
-            # The straggler is the only worker, so the one shard lands
-            # on it deterministically; only then does the backup join.
-            deadline = time.time() + 10
-            while dispatcher.stats.assignments < 1:
-                assert time.time() < deadline, "shard never assigned"
-                time.sleep(0.01)
-            backup = WorkerThread(
-                host, port, store_dir, name="backup", max_jobs=1
-            )
-            runner.join(60)
-            assert not runner.is_alive(), "dispatch did not complete"
-            assert canon(result["rates"]) == reference
-            stats = dispatcher.stats
-            assert stats.speculations == 1
-            assert stats.speculative_wins == 1
-            assert stats.retries == 0
-            assert stats.completed == 1
-        assert backup.join() == 1  # drained cleanly after its one job
-        straggler.join()

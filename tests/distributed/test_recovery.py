@@ -201,17 +201,13 @@ class TestRestartOnJournal:
 
         from repro.distributed import ShardDispatcher
 
-        from tests.distributed.conftest import (
-            HEARTBEAT_INTERVAL,
-            HEARTBEAT_TIMEOUT,
-        )
+        from tests.distributed.conftest import HEARTBEAT_INTERVAL
 
         store = make_tiered_store(cache_dir=store_dir, lru_entries=0, ttl=0.0)
         with ShardDispatcher(
             store=store,
             journal=RunJournal(journal_dir),
             heartbeat_interval=HEARTBEAT_INTERVAL,
-            heartbeat_timeout=HEARTBEAT_TIMEOUT,
         ) as second:
             host, port = second.start()
             worker = WorkerThread(host, port, store_dir)

@@ -44,7 +44,6 @@ from tests.distributed.chaos import (
 from tests.distributed.conftest import (
     BLOCK_SAMPLES,
     HEARTBEAT_INTERVAL,
-    HEARTBEAT_TIMEOUT,
     N_SAMPLES,
 )
 
@@ -174,7 +173,6 @@ class TestChaosTracing:
         dispatcher = ShardDispatcher(
             store=ResultCache(store_dir),
             heartbeat_interval=HEARTBEAT_INTERVAL,
-            heartbeat_timeout=HEARTBEAT_TIMEOUT,
             tracer=tracer,
         )
         with dispatcher:
@@ -211,7 +209,6 @@ class TestChaosTracing:
         dispatcher = ShardDispatcher(
             store=ResultCache(store_dir),
             heartbeat_interval=HEARTBEAT_INTERVAL,
-            heartbeat_timeout=HEARTBEAT_TIMEOUT,
         )
         with dispatcher:
             host, port = dispatcher.start()
