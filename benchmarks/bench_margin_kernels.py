@@ -1,19 +1,20 @@
-"""Margin-kernel backends — samples/sec on the failure-margin hot path.
+"""Margin kernels — samples/sec on the failure-margin hot path.
 
 Extension benchmark (no paper figure): every estimate in the stack
 funnels through ``compute_failure_margins``, so this measures exactly
 what :mod:`repro.kernels` exists to speed up — the per-block margin
-evaluation — backend against backend, at the block sizes the Monte
-Carlo actually streams: the 4096-sample paper-scale sub-array block
+evaluation — the fused kernel against its reference oracle, at the
+block sizes the Monte Carlo actually streams: the 4096-sample paper-scale sub-array block
 (``examples/paper_scale_array.py``) and the 32768-sample default block
 (:data:`repro.runtime.DEFAULT_BLOCK_SAMPLES`), both capped by
 ``REPRO_BENCH_SAMPLES`` so CI's smoke run stays cheap.
 
 Asserted invariants:
 
-* every margin array of the ``fused`` backend is **bit-identical** to
-  ``reference`` (the backend contract; the hypothesis suite under
-  ``tests/kernels/`` stresses the same claim adversarially);
+* every margin array of :class:`~repro.kernels.FusedKernel` is
+  **bit-identical** to :func:`~repro.kernels.reference_margins` (the
+  kernel contract; the hypothesis suite under ``tests/kernels/``
+  stresses the same claim adversarially);
 * ``fused`` is at least as fast as ``reference`` on every measured
   configuration — the CI perf-smoke job fails on any regression;
 * at paper scale (full ``REPRO_BENCH_SAMPLES``), ``fused`` delivers
@@ -33,16 +34,15 @@ import numpy as np
 
 from benchmarks.conftest import BENCH_SAMPLES, once
 from repro.core import format_table
-from repro.kernels import FusedKernel
+from repro.kernels import FusedKernel, reference_margins
 from repro.runtime import DEFAULT_BLOCK_SAMPLES
 from repro.sram.bitcell import make_cell
-from repro.sram.failures import compute_failure_margins
 from repro.sram.read_path import BitlineModel, nominal_read_cycle
 
 #: Paper-scale streaming block (examples/paper_scale_array.py default).
 PAPER_BLOCK = 4096
 
-#: Timed repetitions per (cell, block, backend); best-of to shed noise.
+#: Timed repetitions per (cell, block, kernel); best-of to shed noise.
 REPS = 5
 
 #: The paper-scale >= 2x assertion only runs with full Monte-Carlo
@@ -61,30 +61,25 @@ def _margins_equal(a, b):
     for name in ("read_access", "write", "read_disturb"):
         x, y = getattr(a, name), getattr(b, name)
         if x is None or y is None:
-            assert x is None and y is None, f"{name}: backends disagree"
+            assert x is None and y is None, f"{name}: kernels disagree"
             continue
         assert np.array_equal(np.asarray(x), np.asarray(y), equal_nan=True), (
             f"{name}: fused is not bit-identical to reference"
         )
 
 
-def _rate(cell, vdd, dvt, bitline, read_cycle, backend):
-    """Best-of-REPS samples/sec for one backend (warm call excluded)."""
-    compute_failure_margins(
-        cell, vdd, dvt, bitline=bitline, read_cycle=read_cycle, backend=backend
-    )
+def _rate(margins, cell, vdd, dvt, bitline, read_cycle):
+    """Best-of-REPS samples/sec of one margin function (warm call excluded)."""
+    margins(cell, vdd, dvt, bitline, read_cycle)
     best = float("inf")
     for _ in range(REPS):
         start = time.perf_counter()
-        compute_failure_margins(
-            cell, vdd, dvt, bitline=bitline, read_cycle=read_cycle,
-            backend=backend,
-        )
+        margins(cell, vdd, dvt, bitline, read_cycle)
         best = min(best, time.perf_counter() - start)
     return dvt.shape[0] / best
 
 
-def test_margin_kernel_backends(benchmark, tech, emit):
+def test_margin_kernels(benchmark, tech, emit):
     vdd = 0.70  # failure-rich scaled supply: every mechanism is live
     bitline = BitlineModel(tech)
 
@@ -96,20 +91,14 @@ def test_margin_kernel_backends(benchmark, tech, emit):
             model = cell.variation_model()
             for block in _block_sizes():
                 dvt = model.sample(block, seed=20160227)
-                ref = compute_failure_margins(
-                    cell, vdd, dvt, bitline=bitline, read_cycle=read_cycle,
-                    backend="reference",
-                )
+                ref = reference_margins(cell, vdd, dvt, bitline, read_cycle)
                 counted = FusedKernel()
-                fused = compute_failure_margins(
-                    cell, vdd, dvt, bitline=bitline, read_cycle=read_cycle,
-                    backend=counted,
-                )
+                fused = counted.margins(cell, vdd, dvt, bitline, read_cycle)
                 _margins_equal(ref, fused)
-                ref_rate = _rate(cell, vdd, dvt, bitline, read_cycle,
-                                 "reference")
-                fused_rate = _rate(cell, vdd, dvt, bitline, read_cycle,
-                                   "fused")
+                ref_rate = _rate(reference_margins, cell, vdd, dvt, bitline,
+                                 read_cycle)
+                fused_rate = _rate(FusedKernel().margins, cell, vdd, dvt,
+                                   bitline, read_cycle)
                 rows.append({
                     "cell": kind,
                     "block_samples": block,

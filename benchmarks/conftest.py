@@ -5,7 +5,7 @@ publication quality (20k Monte-Carlo samples, 5 fault trials).  Both are
 disk-cached under ``.repro_cache/``, so the first benchmark run pays the
 training/Monte-Carlo cost and subsequent runs start immediately.
 
-Two environment knobs tune the harness without editing code:
+Environment knobs tune the harness without editing code:
 
 * ``REPRO_BENCH_SAMPLES`` — Monte-Carlo samples per voltage point
   (default 20000; CI's smoke job runs a reduced count).
@@ -19,10 +19,6 @@ Two environment knobs tune the harness without editing code:
 * ``REPRO_BENCH_BLOCK_SAMPLES`` — samples per seeded block (sharding
   granularity).  Unlike the knobs above this *defines* the sampled
   population; leave unset to keep the historical streams.
-* ``REPRO_BACKEND`` — margin-kernel backend (``reference`` | ``fused``,
-  default ``fused``; see :mod:`repro.kernels` and
-  ``benchmarks/bench_margin_kernels.py``).  Backends are bit-identical,
-  so like the execution knobs it cannot change a number.
 
 Every benchmark prints the regenerated paper table (so it lands in
 ``bench_output.txt``) and also writes it to ``benchmarks/results/`` —

@@ -28,6 +28,7 @@ Run it directly::
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -209,6 +210,7 @@ def main(argv=None) -> int:
         dispatcher.close()
         if metrics_server is not None:
             metrics_server.stop()
+        shutil.rmtree(store_dir, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -227,6 +227,7 @@ def main(argv=None) -> int:
                 except subprocess.TimeoutExpired:
                     proc.kill()
                     proc.wait(timeout=30)
+        shutil.rmtree(work_dir, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ Run it directly::
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -66,17 +67,15 @@ def run_fleet(analyzer, vdd, store_url, kill=None):
     ``store`` block).  ``kill``, when given, is invoked as soon as the
     dispatcher hands out its first shard assignment.
     """
-    store = make_tiered_store(
-        cache_dir=tempfile.mkdtemp(prefix="repro-tier-dispatch-"),
-        store_url=store_url,
-    )
+    dispatch_dir = tempfile.mkdtemp(prefix="repro-tier-dispatch-")
+    worker_dir = tempfile.mkdtemp(prefix="repro-tier-worker-")
+    store = make_tiered_store(cache_dir=dispatch_dir, store_url=store_url)
     dispatcher = ShardDispatcher(
         store=store, heartbeat_interval=0.2,
     )
     host, port = dispatcher.start()
     worker = subprocess.Popen(worker_command(
-        host, port, name="w0", store_url=store_url,
-        cache_dir=tempfile.mkdtemp(prefix="repro-tier-worker-"),
+        host, port, name="w0", store_url=store_url, cache_dir=worker_dir,
     ))
     try:
         dispatcher.await_workers(1, timeout=120)
@@ -107,6 +106,8 @@ def run_fleet(analyzer, vdd, store_url, kill=None):
         worker.wait(timeout=30)
         dispatcher.close()
         store.close()
+        for local_tier in (dispatch_dir, worker_dir):
+            shutil.rmtree(local_tier, ignore_errors=True)
 
 
 def main() -> int:

@@ -15,9 +15,9 @@ The package is organised as a circuit-to-system pipeline:
   failure statistics.
 * :mod:`repro.core` — the paper's contribution: significance-driven and
   sensitivity-driven hybrid memory design plus the end-to-end simulator.
-* :mod:`repro.kernels` — interchangeable, bit-identical margin-kernel
-  backends behind the failure-margin hot path (``reference`` and the
-  stacked-bisection ``fused`` default; see ``docs/performance.md``).
+* :mod:`repro.kernels` — the stacked-bisection fused margin kernel
+  behind the failure-margin hot path, and the per-mechanism reference
+  path it is tested bit-identical against (see ``docs/performance.md``).
 * :mod:`repro.runtime` — parallel sweep executor, content-addressed
   result cache, sharded Monte Carlo, tiered cache.
 * :mod:`repro.distributed` — dispatcher/worker fleet over one

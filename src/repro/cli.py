@@ -93,12 +93,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "32768, chosen so standard sample counts keep "
                              "their historical streams); populations no "
                              "larger than one block cannot be split")
-    parser.add_argument("--backend", default=None, metavar="NAME",
-                        help="margin-kernel backend for the Monte-Carlo "
-                             "margin evaluation (reference | fused; "
-                             "default: REPRO_BACKEND env var, else fused). "
-                             "Backends are bit-identical - this only "
-                             "changes speed, never a number")
 
 
 def _add_store_options(parser: argparse.ArgumentParser) -> None:
@@ -194,7 +188,6 @@ def _build_tables(args, jobs: int, in_children: bool) -> CellTables:
             use_cache=not args.no_cache, jobs=jobs,
             shards=args.shards, max_shard_samples=args.max_shard_samples,
             block_samples=args.block_samples,
-            backend=getattr(args, "backend", None),
         )
 
 
@@ -208,7 +201,6 @@ def cmd_characterize(args) -> int:
         shards=args.shards,
         max_shard_samples=args.max_shard_samples,
         block_samples=args.block_samples,
-        backend=args.backend,
     )
     rows = [
         [p.vdd, f"{p.p_read_access:.3e}", f"{p.p_write:.3e}",
@@ -334,7 +326,6 @@ def _run_dag(args, dispatcher) -> None:
         block_samples=args.block_samples,
         shards=args.shards,
         max_shard_samples=args.max_shard_samples,
-        backend=args.backend,
         n_trials=args.trials,
         eval_seed=args.seed,
     )
@@ -408,7 +399,7 @@ def cmd_dispatch(args) -> int:
             if args.dag:
                 _run_dag(args, dispatcher)
             elif args.workload == "is":
-                sampler = ImportanceSampler(cell, backend=args.backend)
+                sampler = ImportanceSampler(cell)
                 results = sampler.estimate_sweep(
                     vdds, n_samples=args.samples, seed=args.seed,
                     dispatcher=dispatcher,
@@ -430,7 +421,6 @@ def cmd_dispatch(args) -> int:
                     block_samples=(args.block_samples
                                    if args.block_samples is not None
                                    else DEFAULT_BLOCK_SAMPLES),
-                    backend=args.backend,
                 )
                 # Default the shard count to the fleet size: one shard per
                 # worker is the natural grain when none was requested.
@@ -586,11 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-jobs", type=_positive_int, default=None, metavar="K",
                    help="exit cleanly after K jobs (drain hook for rolling "
                         "restarts; default: serve until the dispatcher stops)")
-    p.add_argument("--backend", default=None, metavar="NAME",
-                   help="margin-kernel backend this worker evaluates shard "
-                        "jobs with (reference | fused; default: "
-                        "REPRO_BACKEND, else fused; bit-identical either "
-                        "way, so mixed fleets stay exact)")
     p.add_argument("--reconnect", action="store_true",
                    help="survive dispatcher restarts: when the connection "
                         "drops, re-dial with jittered exponential backoff "
@@ -663,10 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block-samples", type=_positive_int, default=None, metavar="B",
                    help="samples per seeded block (population-defining; "
                         "default 32768)")
-    p.add_argument("--backend", default=None, metavar="NAME",
-                   help="margin-kernel backend (reference | fused); "
-                        "canonical backends share cache entries, so this "
-                        "never invalidates the fleet's shared store")
     p.add_argument("--journal-dir", default=None, metavar="DIR",
                    help="durable run journal: append every accepted job and "
                         "completion to DIR/journal.jsonl, and on startup "
@@ -735,14 +716,6 @@ def main(argv=None) -> int:
 
     maybe_enable_tracing_from_env()
     args = build_parser().parse_args(argv)
-    backend = getattr(args, "backend", None)
-    if backend is not None:
-        # Process-wide default (validates the name up front); the
-        # builders additionally pin it on their analyzers so spawned
-        # sweep workers inherit the choice.
-        from repro.kernels import set_backend
-
-        set_backend(backend)
     return args.func(args)
 
 

@@ -280,7 +280,6 @@ def paper_pipeline_dag(
     block_samples: Optional[int] = None,
     shards: Optional[int] = None,
     max_shard_samples: Optional[int] = None,
-    backend: Optional[str] = None,
     n_bits: int = 8,
     msb_in_8t: int = 3,
     n_trials: int = 5,
@@ -327,7 +326,6 @@ def paper_pipeline_dag(
         kind: cell_analyzer(
             make_cell(kind, tech), tech, rows=rows, n_samples=n_samples,
             seed=seed, read_cycle=budget, block_samples=block_samples,
-            backend=backend,
         )
         for kind in ("6t", "8t")
     }

@@ -278,6 +278,21 @@ def _strict_int(kind: str, name: str, value: Any, minimum: int) -> int:
     return value
 
 
+def _reject_kernel_tag(kind: str, spec: Dict[str, Any]) -> None:
+    """Refuse a spec tagged with a margin-kernel identity.
+
+    Margins have one canonical kernel, so no spec this library writes
+    carries ``margin_kernel``; one that does asks for numerics this
+    version does not have and must not be computed as if it did.
+    """
+    if "margin_kernel" in spec:
+        raise ConfigurationError(
+            f"{kind} spec names a margin kernel "
+            f"({spec['margin_kernel']!r}); only the canonical margins "
+            f"are computed"
+        )
+
+
 # ----------------------------------------------------------------------
 # The "margin_tally" kind: Monte-Carlo failure-margin shards
 # ----------------------------------------------------------------------
@@ -290,6 +305,7 @@ def analyzer_from_spec(spec: Dict[str, Any]) -> MonteCarloAnalyzer:
     :class:`~repro.errors.ConfigurationError` on a spec this library
     version cannot reproduce.
     """
+    _reject_kernel_tag("margin_tally", spec)
     try:
         tech_fields = dict(spec["technology"])
         tech = Technology(
@@ -307,10 +323,6 @@ def analyzer_from_spec(spec: Dict[str, Any]) -> MonteCarloAnalyzer:
                 rows=int(spec["bitline"]["rows"]),
                 port_width=spec["bitline"]["port_width"],
             )
-        # Canonical margin backends never appear in the spec (they are
-        # bit-identical, so the worker's own default applies); a
-        # nonzero-rev backend travels with the population identity.
-        kernel = spec.get("margin_kernel") or {}
         return MonteCarloAnalyzer(
             cell=cell,
             n_samples=int(spec["n_samples"]),
@@ -318,7 +330,6 @@ def analyzer_from_spec(spec: Dict[str, Any]) -> MonteCarloAnalyzer:
             seed=int(spec["seed"]),
             read_cycle=float(spec["read_cycle"]),
             block_samples=int(spec["block_samples"]),
-            backend=kernel.get("backend"),
         )
     except (KeyError, TypeError) as exc:
         raise ConfigurationError(
@@ -405,6 +416,7 @@ def sampler_from_spec(spec: Dict[str, Any]) -> ImportanceSampler:
     for everything that defines the estimator (the per-point fields —
     ``vdd``, ``n_samples``, ``seed``, ... — ride along untouched).
     """
+    _reject_kernel_tag("is_shard", spec)
     try:
         tech_fields = dict(spec["technology"])
         tech = Technology(
@@ -420,12 +432,10 @@ def sampler_from_spec(spec: Dict[str, Any]) -> ImportanceSampler:
             rows=int(spec["bitline"]["rows"]),
             port_width=spec["bitline"]["port_width"],
         )
-        kernel = spec.get("margin_kernel") or {}
         return ImportanceSampler(
             cell,
             bitline=bitline,
             read_cycle=float(spec["read_cycle"]),
-            backend=kernel.get("backend"),
         )
     except (KeyError, TypeError) as exc:
         raise ConfigurationError(

@@ -404,8 +404,16 @@ class Scheduler:
         now: float,
     ) -> List[Command]:
         """Accept the first answer to an outstanding job.  An answer
-        ``decode`` rejects is a failed attempt of the worker holding it."""
+        ``decode`` rejects is a failed attempt of the worker holding it,
+        and so is an answer to a job other than the one it holds (the
+        stray answer is dropped: it was never this worker's to give)."""
         held, worker.current = worker.current, None
+        if held is not None and held.job.job_id != job_id:
+            self._release(held, worker, (
+                f"worker {worker.name!r} answered job {job_id!r} while "
+                f"holding {held.job.job_id!r}"
+            ), now)
+            return self._flush()
         state = self._outstanding.get(job_id)
         if state is not None:
             try:

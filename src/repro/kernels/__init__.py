@@ -1,38 +1,14 @@
-"""Margin-kernel backends: interchangeable, bit-identical evaluation
-strategies behind :func:`repro.sram.failures.compute_failure_margins`.
+"""The failure-margin kernel behind
+:func:`repro.sram.failures.compute_failure_margins`.
 
-See :mod:`repro.kernels.base` for the interface and selection rules,
-:mod:`repro.kernels.reference` for the semantic oracle, and
-:mod:`repro.kernels.fused` for the stacked-bisection fast path (the
-default).  Selection: an explicit ``backend=`` argument on the analysis
-APIs, :func:`set_backend`, the ``REPRO_BACKEND`` environment variable,
-or the ``--backend`` CLI flag.
+:mod:`repro.kernels.fused` holds :class:`FusedKernel`, the stacked
+bisection every margin in the stack goes through.
+:mod:`repro.kernels.reference` holds :func:`reference_margins`, the
+original per-mechanism path: the oracle the fused kernel is tested
+bit-identical against, and where it sends the inputs it does not stack.
 """
 
-from repro.kernels.base import (
-    DEFAULT_BACKEND,
-    ENV_VAR,
-    MarginKernel,
-    available_backends,
-    get_backend,
-    payload_fields,
-    register_backend,
-    resolve_backend,
-    set_backend,
-)
-from repro.kernels.reference import ReferenceKernel
+from repro.kernels.reference import reference_margins
 from repro.kernels.fused import FusedKernel
 
-__all__ = [
-    "DEFAULT_BACKEND",
-    "ENV_VAR",
-    "MarginKernel",
-    "ReferenceKernel",
-    "FusedKernel",
-    "available_backends",
-    "get_backend",
-    "payload_fields",
-    "register_backend",
-    "resolve_backend",
-    "set_backend",
-]
+__all__ = ["FusedKernel", "reference_margins"]

@@ -1,4 +1,4 @@
-"""The ``fused`` margin backend: one stacked bisection for every margin.
+"""The fused margin kernel: one stacked bisection for every margin.
 
 The reference path answers "what are this block's failure margins" with
 up to five *independent* 60-iteration vectorized bisections (read bump,
@@ -6,7 +6,7 @@ write node, both trip voltages, 8T read-stack node — and it solves the
 read bump twice, once for the read current and once for the disturb
 margin), each iteration re-deriving per-device constants from the
 ``Mosfet``/``Inverter`` object model and allocating dozens of fresh
-temporaries.  This backend removes that overhead while producing
+temporaries.  This kernel removes that overhead while producing
 **bit-identical** arrays:
 
 * **Coefficient table** — :func:`_compile` flattens the cell into one
@@ -67,9 +67,9 @@ lane's tested width is within ``3 u vdd`` of ``vdd * 2**-k``.  Whenever
 with a 1e-12 safety band, thousands of times the rigorous bound for any
 realistic supply), the stop iteration is a pure function of ``vdd`` and
 is precomputed — chunks then run fully independently with no width
-bookkeeping.  For a ``vdd`` inside the tiny ambiguous band the solver
-falls back to a synchronized loop that replays the reference width test
-verbatim.
+bookkeeping.  A ``vdd`` inside the tiny ambiguous band (no supply of the
+characterization grid; every one stops at iteration 30) goes to the
+reference path whole.
 
 Exactness discipline: every floating-point operation either follows the
 reference path's order and associativity, or is replaced by an
@@ -79,8 +79,9 @@ selection).  The property suite in ``tests/kernels/`` locks the
 contract elementwise.
 
 Inputs the stacked path does not cover (scalar or 1-D ΔVT probes, empty
-blocks, cell kinds without a compiled topology) delegate to the
-reference backend unchanged.
+blocks, cell kinds without a compiled topology, supplies without a
+provable stop iteration) delegate to
+:func:`~repro.kernels.reference.reference_margins` unchanged.
 """
 
 from __future__ import annotations
@@ -93,8 +94,7 @@ import numpy as np
 from repro.devices.inverter import _MAX_BISECTIONS, _V_TOL
 from repro.devices.mosfet import Mosfet
 from repro.devices.technology import THERMAL_VOLTAGE
-from repro.kernels.base import ArrayLike, MarginKernel, register_backend
-from repro.kernels.reference import REFERENCE
+from repro.kernels.reference import ArrayLike, reference_margins
 from repro.sram.bitcell import (
     PD_L,
     PD_R,
@@ -161,7 +161,8 @@ def _fixed_stop_iteration(vdd: float) -> Optional[int]:
 
     Returns ``None`` when ``vdd * 2**-k`` lands inside the safety band
     around ``_V_TOL`` for some ``k`` before clearing it — the caller
-    must then fall back to measuring widths like the reference does.
+    must then hand the block to the reference path, which measures the
+    widths.
     """
     for k in range(1, _MAX_BISECTIONS + 1):
         width = vdd * 2.0 ** -k  # exact: scaling by a power of two
@@ -623,64 +624,8 @@ def _solve_fixed(
     return checked, accepted
 
 
-def _solve_dynamic(
-    table: _CellTable,
-    vdd: float,
-    vt_base: np.ndarray,
-    n: int,
-    has_det_up: np.ndarray,
-    has_det_down: np.ndarray,
-    out: np.ndarray,
-) -> None:
-    """Synchronized stacked bisection replaying the reference width test.
-
-    Used when ``vdd`` lands in the tiny band where the stop iteration
-    cannot be predicted (and the width trajectories must be measured),
-    and whenever rail-pinned lanes were compacted away while their
-    deterministic width recurrences still join the convergence test
-    (``has_det_up`` / ``has_det_down`` flag the equations owning them).
-    """
-    e_count = table.n_eqs
-    kern = _ChunkKernel(table, vdd, max(n, 1))
-    width = np.empty(n)
-    done = np.zeros(e_count, dtype=bool)
-    lo_up = 0.0    # forced-up pinned lanes: lo after k halvings toward vdd
-    hi_down = vdd  # pinned-low lanes: hi after k halvings toward 0
-    for _ in range(_MAX_BISECTIONS):
-        if n:
-            mid = kern.midpoint(n)
-            kern.eval_f(mid, vt_base, n)
-            kern.update_brackets(n)
-        lo_up = 0.5 * (lo_up + vdd)
-        hi_down = 0.5 * hi_down
-        for e in range(e_count):
-            if done[e]:
-                continue
-            w = -np.inf
-            if n:
-                np.subtract(kern.HI[e, :n], kern.LO[e, :n], out=width)
-                w = float(width.max())
-            if has_det_up[e]:
-                w = max(w, vdd - lo_up)
-            if has_det_down[e]:
-                w = max(w, hi_down)
-            if w < _V_TOL:
-                if n:
-                    np.add(kern.LO[e, :n], kern.HI[e, :n], out=out[e])
-                    out[e] *= 0.5
-                done[e] = True
-        if done.all():
-            break
-    for e in range(e_count):
-        if not done[e] and n:
-            np.add(kern.LO[e, :n], kern.HI[e, :n], out=out[e])
-            out[e] *= 0.5
-
-
-class FusedKernel(MarginKernel):
+class FusedKernel:
     """Stacked-bisection margin evaluation over a compiled cell table."""
-
-    name = "fused"
 
     def __init__(self) -> None:
         #: Lanes the two-point check has seen and accepted (diagnostics
@@ -697,12 +642,20 @@ class FusedKernel(MarginKernel):
         bitline: BitlineModel,
         read_cycle: float,
     ) -> FailureMargins:
+        """Every applicable failure margin of one ``(cell, vdd, ΔVT)`` block.
+
+        ``bitline`` and ``read_cycle`` arrive concrete (defaults already
+        resolved by :func:`repro.sram.failures.compute_failure_margins`).
+        """
         dvt_arr = np.asarray(dvt, dtype=float)
         table = _compile(cell)
-        if table is None or dvt_arr.ndim != 2 or dvt_arr.shape[0] == 0:
-            # Scalar/1-D probes and unknown topologies: nothing to stack.
-            return REFERENCE.margins(cell, vdd, dvt, bitline, read_cycle)
         vdd_f = float(vdd)
+        k_stop = _fixed_stop_iteration(vdd_f)
+        if (table is None or k_stop is None or dvt_arr.ndim != 2
+                or dvt_arr.shape[0] == 0):
+            # Scalar/1-D probes, unknown topologies and supplies in the
+            # ambiguous stop band: nothing to stack.
+            return reference_margins(cell, vdd, dvt, bitline, read_cycle)
         n = dvt_arr.shape[0]
         e_count = table.n_eqs
 
@@ -747,29 +700,19 @@ class FusedKernel(MarginKernel):
                 vt_act = np.ascontiguousarray(vt_base[:, idx])
                 f_zero, f_vdd = f_zero[:, idx], f_vdd[:, idx]
                 n_act = idx.size
-                has_up = np.logical_and(forced_up, row_det).any(axis=1)
-                has_down = np.logical_and(pinned_lo, row_det).any(axis=1)
             else:
                 vt_act = vt_base
                 n_act = n
-                has_up = np.zeros(e_count, dtype=bool)
-                has_down = has_up
 
+            # Det-lane width recurrences stop at the same provable
+            # iteration, so they need no bookkeeping here.
             v_act = np.empty((e_count, max(n_act, 1)))[:, :n_act]
-            k_stop = _fixed_stop_iteration(vdd_f)
-            if k_stop is not None:
-                # Det-lane width recurrences stop at the same provable
-                # iteration, so they need no bookkeeping here.
-                checked, accepted = _solve_fixed(
-                    kern, vt_act, n_act, k_stop, v_act, f_zero, f_vdd
-                )
-                with self._count_lock:
-                    self.lanes_checked += checked
-                    self.lanes_accepted += accepted
-            else:
-                _solve_dynamic(
-                    table, vdd_f, vt_act, n_act, has_up, has_down, v_act
-                )
+            checked, accepted = _solve_fixed(
+                kern, vt_act, n_act, k_stop, v_act, f_zero, f_vdd
+            )
+            with self._count_lock:
+                self.lanes_checked += checked
+                self.lanes_accepted += accepted
             if compacted:
                 v = np.zeros((e_count, n))
                 v[:, idx] = v_act
@@ -808,4 +751,6 @@ class FusedKernel(MarginKernel):
         )
 
 
-FUSED = register_backend(FusedKernel())
+#: The process's production kernel, behind every
+#: :func:`repro.sram.failures.compute_failure_margins` call.
+FUSED = FusedKernel()

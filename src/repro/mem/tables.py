@@ -42,7 +42,6 @@ class CellTables:
         shards: Optional[int] = None,
         max_shard_samples: Optional[int] = None,
         block_samples: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> "CellTables":
         """Characterize both cells (cached) with the shared 6T budget.
 
@@ -53,9 +52,7 @@ class CellTables:
         are bit-identical for any worker or shard count.
         ``block_samples`` sets the sharding granularity and is part of
         the population definition (different block sizes are different,
-        equally valid populations).  ``backend`` pins the margin-kernel
-        backend for the Monte-Carlo work (see :mod:`repro.kernels`) —
-        like the other execution knobs it cannot change a number.
+        equally valid populations).
         """
         tech = technology or ptm22()
         common = dict(
@@ -64,7 +61,7 @@ class CellTables:
             read_cycle=hybrid_read_cycle(tech, rows),
             use_cache=use_cache, cache_dir=cache_dir, jobs=jobs,
             shards=shards, max_shard_samples=max_shard_samples,
-            block_samples=block_samples, backend=backend,
+            block_samples=block_samples,
         )
         return cls(
             table_6t=characterize_cell(cell_kind="6t", **common),

@@ -72,10 +72,6 @@ class SubArray:
     #: Worker processes for shard fan-out (``None`` honours
     #: ``REPRO_JOBS``, default serial).
     jobs: Optional[int] = None
-    #: Margin-kernel backend name (``None`` = session default; see
-    #: :mod:`repro.kernels`).  Execution knob: backends are
-    #: bit-identical, the numbers cannot change.
-    backend: Optional[str] = None
     #: Shared result cache for per-shard tallies (``None`` = uncached).
     cache: Optional[CacheStore] = field(
         default=None, compare=False, repr=False
@@ -151,7 +147,6 @@ class SubArray:
             read_cycle=self.read_cycle_budget(),
             block_samples=(self.block_samples if self.block_samples is not None
                            else DEFAULT_BLOCK_SAMPLES),
-            backend=self.backend,
         )
 
     def failure_rates(self, vdd: float) -> FailureRates:

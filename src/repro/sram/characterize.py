@@ -167,7 +167,6 @@ def cell_analyzer(
     seed: int = DEFAULT_SEED,
     read_cycle: Optional[float] = None,
     block_samples: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> MonteCarloAnalyzer:
     """The resolved analyzer behind a table (and so behind its
     ``cellpoint``/``mcshard`` addresses); ``read_cycle`` defaults to the
@@ -181,7 +180,6 @@ def cell_analyzer(
         seed=resolve_seed(seed), read_cycle=budget,
         block_samples=(block_samples if block_samples is not None
                        else DEFAULT_BLOCK_SAMPLES),
-        backend=backend,
     ).resolved()
 
 
@@ -249,7 +247,6 @@ def characterize_cell(
     shards: Optional[int] = None,
     max_shard_samples: Optional[int] = None,
     block_samples: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> CellCharacterization:
     """Characterize a cell over a voltage grid (cached, parallelizable).
 
@@ -268,9 +265,6 @@ def characterize_cell(
     population's statistical definition (it selects which child seed
     each sample draws from), so tables with different block sizes are
     different, equally valid populations and are cached separately.
-    ``backend`` pins the margin-kernel backend (see
-    :mod:`repro.kernels`) — another execution knob: backends are
-    bit-identical and the default (canonical) ones share cache entries.
     """
     tech = technology or ptm22()
     the_cell = cell if cell is not None else make_cell(cell_kind, tech)
@@ -282,11 +276,8 @@ def characterize_cell(
     )
     analyzer = cell_analyzer(
         the_cell, tech, rows=rows, n_samples=n_samples, seed=seed,
-        read_cycle=read_cycle, block_samples=block_samples, backend=backend,
+        read_cycle=read_cycle, block_samples=block_samples,
     )
-
-    from repro.kernels import payload_fields
-
     table_payload = {
         "technology": asdict(tech),
         "kind": the_cell.kind,
@@ -299,9 +290,6 @@ def characterize_cell(
         "read_cycle": analyzer.read_cycle,
         "rev": 5,  # rev 5: block-decomposed sample streams (sharding)
     }
-    # Empty for canonical (bit-identical) margin backends — see
-    # MonteCarloAnalyzer.cache_payload.
-    table_payload.update(payload_fields(backend))
     hit = store.get("cell", table_payload)
     if hit is not None:
         return CellCharacterization.from_payload(hit)

@@ -30,16 +30,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional, Union
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.sram.bitcell import BitcellBase
 from repro.sram.read_path import BitlineModel, nominal_read_cycle
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (runtime import is lazy)
-    from repro.kernels.base import MarginKernel
 
 
 class FailureType(enum.Enum):
@@ -123,7 +120,6 @@ def compute_failure_margins(
     dvt: np.ndarray,
     bitline: Optional[BitlineModel] = None,
     read_cycle: Optional[float] = None,
-    backend: Union[None, str, "MarginKernel"] = None,
 ) -> FailureMargins:
     """Evaluate all applicable failure margins for a ΔVT sample matrix.
 
@@ -141,18 +137,16 @@ def compute_failure_margins(
     read_cycle:
         Read time budget; defaults to the guard-banded nominal-voltage
         delay of this cell (see :func:`~repro.sram.read_path.nominal_read_cycle`).
-    backend:
-        Margin-kernel backend (a registered name, a
-        :class:`~repro.kernels.MarginKernel` instance, or ``None`` for
-        the session default — see :mod:`repro.kernels`).  Registered
-        backends are bit-identical, so this is purely an execution knob.
+
+    The margins come from the fused kernel (:mod:`repro.kernels`),
+    bit-identical to the per-mechanism reference path.
 
     Raises :class:`ConfigurationError` for a supply that is not finite
     and positive, and for a ΔVT vector or matrix whose last axis does
     not have one entry per cell device.
     """
     # Lazy import: repro.kernels builds on this module's FailureMargins.
-    from repro.kernels.base import resolve_backend
+    from repro.kernels.fused import FUSED
 
     vdd_f = check_vdd(vdd)
     n_devices = len(cell.devices)
@@ -163,7 +157,7 @@ def compute_failure_margins(
         )
     bl = bitline or BitlineModel(cell.technology)
     t_read = nominal_read_cycle(cell, bitline=bl) if read_cycle is None else read_cycle
-    return resolve_backend(backend).margins(cell, vdd_f, dvt, bl, t_read)
+    return FUSED.margins(cell, vdd_f, dvt, bl, t_read)
 
 
 def margin_statistics(margins: FailureMargins) -> Dict[str, Dict[str, float]]:

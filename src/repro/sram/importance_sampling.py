@@ -85,7 +85,6 @@ class ImportanceSampler:
         cell: BitcellBase,
         bitline: Optional[BitlineModel] = None,
         read_cycle: Optional[float] = None,
-        backend: Optional[str] = None,
     ):
         self.cell = cell
         self.bitline = bitline or BitlineModel(cell.technology).for_cell(cell)
@@ -93,17 +92,13 @@ class ImportanceSampler:
             read_cycle if read_cycle is not None
             else nominal_read_cycle(cell, bitline=self.bitline)
         )
-        #: Margin-kernel backend (``None`` = session default; see
-        #: :mod:`repro.kernels`).  Pure execution knob: backends are
-        #: bit-identical, estimates cannot change.
-        self.backend = backend
         self._sigmas = cell.variation_model().sigmas
 
     # ------------------------------------------------------------------
     def _margin(self, vdd: float, dvt: np.ndarray, ftype: FailureType) -> np.ndarray:
         margins = compute_failure_margins(
             self.cell, vdd, dvt, bitline=self.bitline,
-            read_cycle=self.read_cycle, backend=self.backend,
+            read_cycle=self.read_cycle,
         )
         m = margins.margin(ftype)
         if m is None:
@@ -223,9 +218,7 @@ class ImportanceSampler:
         (:func:`repro.distributed.jobs.is_shard_jobs`) — the spec *is*
         the address, so fleets and local sweeps dedupe each other.
         """
-        from repro.kernels import payload_fields
-
-        payload = {
+        return {
             "technology": asdict(self.cell.technology),
             "kind": self.cell.kind,
             "sizing": asdict(self.cell.sizing),
@@ -241,10 +234,6 @@ class ImportanceSampler:
             "vdd": float(vdd),
             "rev": 1,  # bump to invalidate cached IS results
         }
-        # Empty for canonical (bit-identical) backends — see
-        # MonteCarloAnalyzer.cache_payload.
-        payload.update(payload_fields(self.backend))
-        return payload
 
     def estimate_sweep(
         self,

@@ -412,14 +412,6 @@ class MonteCarloAnalyzer:
         statistical definition of the population (folded into cache
         keys): runs only reproduce each other bit-for-bit when it
         matches.
-    backend:
-        Margin-kernel backend name (see :mod:`repro.kernels`).  ``None``
-        resolves the session default (``set_backend`` /
-        ``REPRO_BACKEND``) at evaluation time; a concrete name pins the
-        backend and travels with the analyzer across process
-        boundaries (spawned sweep workers).  Registered backends are
-        bit-identical, so this is an execution knob — it never changes
-        a result and rev-0 backends share cache entries.
     """
 
     cell: BitcellBase
@@ -428,7 +420,6 @@ class MonteCarloAnalyzer:
     seed: SeedLike = None
     read_cycle: Optional[float] = None
     block_samples: int = DEFAULT_BLOCK_SAMPLES
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.n_samples < 100:
@@ -523,15 +514,13 @@ class MonteCarloAnalyzer:
         concrete read cycle); the payload feeds the content-addressed
         :class:`~repro.runtime.cache.ResultCache`.
         """
-        from repro.kernels import payload_fields
-
         bitline = None
         if self.bitline is not None:
             bitline = {
                 "rows": self.bitline.rows,
                 "port_width": self.bitline.port_width,
             }
-        payload = {
+        return {
             "technology": asdict(self.cell.technology),
             "kind": self.cell.kind,
             "sizing": asdict(self.cell.sizing),
@@ -543,13 +532,6 @@ class MonteCarloAnalyzer:
             "vdd": float(vdd),
             "rev": 2,  # rev 2: block-decomposed sample streams (sharding)
         }
-        # Canonical (rev-0) margin backends are bit-identical and share
-        # cache entries — they contribute nothing here, so the default
-        # path's historical keys do not churn and reference/fused runs
-        # dedupe each other.  A backend with different numerics records
-        # its identity and revision, getting its own entries.
-        payload.update(payload_fields(self.backend))
-        return payload
 
     def analyze_sharded(
         self,
@@ -654,7 +636,6 @@ def _block_margins(
         yield compute_failure_margins(
             analyzer.cell, vdd, dvt,
             bitline=analyzer.bitline, read_cycle=read_cycle,
-            backend=analyzer.backend,
         )
 
 
@@ -716,7 +697,6 @@ def failure_rates_vs_vdd(
     cache: Optional[CacheStore] = None,
     shards: Optional[int] = None,
     max_shard_samples: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> List[FailureRates]:
     """Sweep supply voltage and return a list of :class:`FailureRates`.
 
@@ -731,7 +711,7 @@ def failure_rates_vs_vdd(
     """
     analyzer = MonteCarloAnalyzer(
         cell=cell, n_samples=n_samples, bitline=bitline, seed=seed,
-        read_cycle=read_cycle, backend=backend,
+        read_cycle=read_cycle,
     )
     return analyzer.analyze_sweep(
         vdds, jobs=jobs, cache=cache,

@@ -38,6 +38,7 @@ from repro.fault.model import BitErrorRates
 from repro.runtime import ResultCache
 from repro.runtime.sharding import ShardedMonteCarlo
 from repro.sram import make_cell
+from repro.sram.failures import FailureType
 from repro.sram.importance_sampling import ImportanceSampler
 from repro.sram.montecarlo import MarginTally, MonteCarloAnalyzer, tally_shard
 
@@ -116,6 +117,14 @@ class TestAnalyzerFromSpec:
     def test_unreconstructible_spec_fails_loudly(self):
         with pytest.raises(ConfigurationError, match="not reconstructible"):
             analyzer_from_spec({"technology": {}, "kind": "6t"})
+
+    def test_spec_naming_a_margin_kernel_is_refused(self, dist_analyzer):
+        """Margins have one canonical kernel: a spec asking for another
+        one's numerics fails instead of being computed as canonical."""
+        spec = dict(dist_analyzer.resolved().cache_payload(VDD))
+        spec["margin_kernel"] = {"backend": "fp32", "rev": 1}
+        with pytest.raises(ConfigurationError, match="margin kernel"):
+            analyzer_from_spec(spec)
 
 
 class TestExecuteJob:
@@ -366,6 +375,13 @@ class TestMalformedSpecs:
     def test_sampler_spec_not_reconstructible_fails_loudly(self):
         with pytest.raises(ConfigurationError, match="not reconstructible"):
             sampler_from_spec({"technology": {}, "kind": "6t"})
+
+    def test_sampler_spec_naming_a_margin_kernel_is_refused(self):
+        spec = dict(_sampler().point_payload(0.7, FailureType.READ_ACCESS,
+                                             1000, 1, 4.0))
+        spec["margin_kernel"] = {"backend": "fp32", "rev": 1}
+        with pytest.raises(ConfigurationError, match="margin kernel"):
+            sampler_from_spec(spec)
 
     def test_store_addresses_disjoint_across_kinds(self):
         """The four kinds write to four namespaces: a fleet mixing

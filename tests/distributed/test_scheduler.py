@@ -1,8 +1,8 @@
 """The scheduling core on a fake clock: no sockets, threads or sleeps.
 
 Pinned sequences check one policy each; a hypothesis property replays
-random interleavings of joins, ready announcements, good, cached and
-undecodable results, errors, drains, deaths and ticks.
+random interleavings of joins, ready announcements, good, cached,
+undecodable and stray results, errors, drains, deaths and ticks.
 """
 
 from collections import Counter
@@ -81,6 +81,14 @@ class Fleet:
         job = self.holding.pop(worker)
         value = value or {"v": job["shard_index"]}
         return self.apply(self.core.result(worker, job["job_id"], value, cached, self.now))
+
+    def stray(self, worker, job_id):
+        """``worker`` answers ``job_id`` (its shard index as the value)
+        instead of the job it holds."""
+        self.core.heartbeat(worker, self.now)
+        self.holding.pop(worker)
+        value = {"v": int(job_id.rsplit("-", 1)[1])}
+        return self.apply(self.core.result(worker, job_id, value, False, self.now))
 
     def error(self, worker):
         self.core.heartbeat(worker, self.now)
@@ -191,6 +199,23 @@ def test_retries_exhausted_fails_the_run():
     assert fleet.core.queue_snapshot()["depth"] == 0  # the other job is purged
 
 
+def test_stray_answer_releases_the_held_job():
+    fleet = Fleet(speculate=False)
+    w = fleet.join("w")
+    run = fleet.submit(jobs_for(0.7, 2, "z"))
+    assert fleet.holding[w]["job_id"] == "mt-z-0"
+    fleet.stray(w, "mt-z-1")  # not merged: mt-z-1 is still queued
+    fleet.lost(w)
+    fleet.drain_queue(fleet.join("fresh"))
+    assert fleet.outcome(run) == RunFinished(run, [0, 1])
+    assert sorted(c.job.job_id for c in fleet.log if isinstance(c, Persist)) == [
+        "mt-z-0", "mt-z-1",
+    ]
+    stats = fleet.core.stats
+    assert (stats.retries, stats.completed, stats.computed) == (1, 2, 2)
+    assert fleet.flight().count("retry") == 1
+
+
 def test_merge_that_raises_fails_the_run():
     fleet = Fleet()
     worker = fleet.join("w")
@@ -253,7 +278,7 @@ def test_random_interleavings_keep_the_invariants(data, max_retries, threshold, 
         holders = [w for w in workers if w in fleet.holding]  # retired ones too
         action = data.draw(st.sampled_from(
             ["tick"] + ["join"] * (len(workers) < 4) + ["ready"] * bool(idle)
-            + ["good", "cached", "junk", "error"] * bool(holders)
+            + ["good", "cached", "junk", "stray", "error"] * bool(holders)
             + ["drain", "die", "heartbeat"] * bool(live) + ["submit"] * (len(runs) < 2)
         ))
         if action == "join":
@@ -264,6 +289,13 @@ def test_random_interleavings_keep_the_invariants(data, max_retries, threshold, 
             fleet.ready(worker)
         elif action == "error":
             fleet.error(data.draw(st.sampled_from(holders)))
+        elif action == "stray":  # answers another outstanding job's id
+            worker = data.draw(st.sampled_from(holders))
+            held = fleet.holding[worker]["job_id"]
+            others = [job_id for run in runs if fleet.outcome(run) is None
+                      for job_id in ids(run.jobs) if job_id != held]
+            if others:
+                fleet.stray(worker, data.draw(st.sampled_from(others)))
         elif action in ("good", "cached", "junk"):
             fleet.answer(data.draw(st.sampled_from(holders)), cached=action == "cached",
                          value={"junk": 1} if action == "junk" else None)

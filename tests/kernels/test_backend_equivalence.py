@@ -1,14 +1,15 @@
-"""The margin-kernel contract: every backend is bit-identical.
+"""The margin-kernel contract: fused is bit-identical to reference.
 
-The ``fused`` backend replays the reference bisection trajectories with
+The fused kernel replays the reference bisection trajectories with
 restructured arithmetic, so its guarantee is *exact* equality — not
 closeness — for every margin of every sample.  These tests lock that
 elementwise across cell kinds, supply voltages, ΔVT batch shapes, the
 disturb-free 8T ``None`` margin, rail-pinned degenerate brackets, and
-the dynamic-fallback band where the bisection stop iteration cannot be
-predicted from ``vdd``.  Backend selection (argument / ``set_backend``
-/ ``REPRO_BACKEND``) is covered at the bottom.
+the band where the bisection stop iteration cannot be predicted from
+``vdd`` (handed to the reference path whole).
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,35 +19,51 @@ from hypothesis.extra.numpy import arrays
 
 from repro.devices import ptm22
 from repro.errors import ConfigurationError
-from repro.kernels import (
-    DEFAULT_BACKEND,
-    FusedKernel,
-    ReferenceKernel,
-    available_backends,
-    get_backend,
-    payload_fields,
-    resolve_backend,
-    set_backend,
-)
+from repro.kernels import FusedKernel, reference_margins
 from repro.kernels.fused import _CHUNK, _fixed_stop_iteration
+from repro.sram import DEFAULT_VDD_GRID
 from repro.sram.bitcell import make_cell
 from repro.sram.failures import compute_failure_margins
 
 TECH = ptm22()
 CELLS = {"6t": make_cell("6t", TECH), "8t": make_cell("8t", TECH)}
 
-#: A supply voltage inside the tiny band where the fused backend cannot
-#: prove the reference solver's stop iteration and must fall back to
-#: the synchronized width-measuring loop: 2**29 * 1e-9 V exactly.
+#: A supply voltage inside the tiny band where the fused kernel cannot
+#: prove the reference solver's stop iteration and hands the block to
+#: the reference path: 2**29 * 1e-9 V exactly.
 BAND_VDD = (2.0 ** 29) * 1e-9
 
 MARGIN_NAMES = ("read_access", "write", "read_disturb")
 
 
+def margins_with(kernel, cell, vdd, dvt):
+    """``compute_failure_margins`` with ``kernel`` in place of the
+    production fused kernel (same validation, same resolved defaults)."""
+    import repro.kernels.fused as fused
+
+    production = fused.FUSED
+    fused.FUSED = kernel
+    try:
+        return compute_failure_margins(cell, vdd, dvt)
+    finally:
+        fused.FUSED = production
+
+
+def reference_path(cell, vdd, dvt):
+    """``compute_failure_margins`` through the reference oracle."""
+    oracle = SimpleNamespace(margins=reference_margins)
+    return margins_with(oracle, cell, vdd, dvt)
+
+
+#: The two margin paths by name: the reference oracle and the fused
+#: kernel every production margin goes through.
+PATHS = {"reference": reference_path, "fused": compute_failure_margins}
+
+
 def assert_margins_identical(kind, vdd, dvt):
     cell = CELLS[kind]
-    ref = compute_failure_margins(cell, vdd, dvt, backend="reference")
-    fused = compute_failure_margins(cell, vdd, dvt, backend="fused")
+    ref = reference_path(cell, vdd, dvt)
+    fused = compute_failure_margins(cell, vdd, dvt)
     for name in MARGIN_NAMES:
         a, b = getattr(ref, name), getattr(fused, name)
         if a is None:
@@ -84,7 +101,7 @@ def test_multi_chunk_blocks_bit_identical(kind):
 @pytest.mark.parametrize("shift", [0.9, -0.9])
 def test_pinned_rail_degenerate_brackets(kind, shift):
     """Extreme uniform ΔVT pins node equations at a supply rail; the
-    fused backend must reproduce the reference solver's rail overrides
+    fused kernel must reproduce the reference solver's rail overrides
     (and its converged-lane skipping must not disturb them)."""
     n_dev = len(CELLS[kind].devices)
     dvt = np.full((37, n_dev), shift)
@@ -93,14 +110,14 @@ def test_pinned_rail_degenerate_brackets(kind, shift):
 
 def test_mixed_pinned_and_active_rows():
     """Pinned rows are compacted out of the evaluation; the remaining
-    rows' trajectories (and the pinned lanes' width recurrences in the
-    fallback path) must still match the reference exactly."""
+    rows' trajectories must still match the reference exactly, as must
+    the same rows inside the band the reference path solves."""
     cell = CELLS["6t"]
     dvt = cell.variation_model().sample(600, seed=1)
     dvt[::7] = 0.95
     dvt[3::11] = -0.95
     assert_margins_identical("6t", 0.45, dvt)
-    # Same stress inside the dynamic-fallback band.
+    # Same stress inside the band without a provable stop iteration.
     assert_margins_identical("6t", BAND_VDD, dvt)
 
 
@@ -113,22 +130,62 @@ def test_dynamic_fallback_band():
         assert_margins_identical(kind, BAND_VDD, dvt)
 
 
+def test_dynamic_fallback_band_goes_to_the_reference(monkeypatch):
+    """A block in the band is handed to the reference path whole; a
+    block at a grid supply is stacked."""
+    import repro.kernels.fused as fused
+
+    seen = []
+
+    def recording(cell, vdd, *args):
+        seen.append(vdd)
+        return reference_margins(cell, vdd, *args)
+
+    monkeypatch.setattr(fused, "reference_margins", recording)
+    dvt = CELLS["6t"].variation_model().sample(64, seed=9)
+    compute_failure_margins(CELLS["6t"], 0.70, dvt)
+    compute_failure_margins(CELLS["6t"], BAND_VDD, dvt)
+    assert seen == [BAND_VDD]
+
+
+def test_characterization_grid_has_fixed_stop_iterations():
+    """Every supply of the default grid has a provable stop iteration,
+    so no workload takes the reference path whole."""
+    assert [_fixed_stop_iteration(v) for v in DEFAULT_VDD_GRID] == (
+        [30] * len(DEFAULT_VDD_GRID)
+    )
+
+
+def test_payloads_name_no_margin_kernel():
+    """No cache payload or wire spec names a margin kernel: both paths
+    address the same entries."""
+    from repro.sram.importance_sampling import ImportanceSampler
+    from repro.sram.failures import FailureType
+    from repro.sram.montecarlo import MonteCarloAnalyzer
+
+    analyzer = MonteCarloAnalyzer(cell=CELLS["6t"], seed=1).resolved()
+    sampler = ImportanceSampler(CELLS["6t"])
+    payloads = [
+        analyzer.cache_payload(0.7),
+        sampler.point_payload(0.7, FailureType.READ_ACCESS, 1000, 1, 4.0),
+    ]
+    for payload in payloads:
+        assert "margin_kernel" not in payload
+
+
 def test_eight_t_has_no_disturb_margin():
     dvt = CELLS["8t"].variation_model().sample(64, seed=2)
-    for backend in ("reference", "fused"):
-        margins = compute_failure_margins(
-            CELLS["8t"], 0.7, dvt, backend=backend
-        )
-        assert margins.read_disturb is None
+    for path in PATHS.values():
+        assert path(CELLS["8t"], 0.7, dvt).read_disturb is None
 
 
 @pytest.mark.parametrize("dvt", [0.0, np.zeros(6), np.linspace(-0.05, 0.05, 6)])
 def test_scalar_and_vector_probes_delegate(dvt):
     """Non-batch ΔVT shapes take the reference path inside the fused
-    backend — results (and scalar-ness) are identical by construction."""
+    kernel — results (and scalar-ness) are identical by construction."""
     cell = CELLS["6t"]
-    ref = compute_failure_margins(cell, 0.8, dvt, backend="reference")
-    fused = compute_failure_margins(cell, 0.8, dvt, backend="fused")
+    ref = reference_path(cell, 0.8, dvt)
+    fused = compute_failure_margins(cell, 0.8, dvt)
     for name in MARGIN_NAMES:
         a, b = getattr(ref, name), getattr(fused, name)
         assert np.array_equal(np.asarray(a), np.asarray(b), equal_nan=True)
@@ -159,66 +216,6 @@ def test_property_fused_equals_reference(kind, vdd, data):
 
 
 # ----------------------------------------------------------------------
-# Backend selection and registry
-# ----------------------------------------------------------------------
-@pytest.fixture
-def clean_selection(monkeypatch):
-    """Isolate the process-wide override and environment selection."""
-    import repro.kernels.base as base
-
-    monkeypatch.delenv(base.ENV_VAR, raising=False)
-    monkeypatch.setattr(base, "_OVERRIDE", None)
-    return base
-
-
-def test_registry_lists_both_backends():
-    names = available_backends()
-    assert "reference" in names and "fused" in names
-
-
-def test_default_backend_is_fused(clean_selection):
-    assert DEFAULT_BACKEND == "fused"
-    assert get_backend().name == "fused"
-
-
-def test_set_backend_overrides_and_clears(clean_selection):
-    assert set_backend("reference").name == "reference"
-    assert get_backend().name == "reference"
-    assert set_backend(None).name == DEFAULT_BACKEND
-
-
-def test_env_var_selects_backend(clean_selection, monkeypatch):
-    monkeypatch.setenv(clean_selection.ENV_VAR, "reference")
-    assert get_backend().name == "reference"
-    # An explicit override outranks the environment.
-    set_backend("fused")
-    assert get_backend().name == "fused"
-
-
-def test_resolve_precedence_and_instances(clean_selection):
-    kernel = ReferenceKernel()
-    assert resolve_backend(kernel) is kernel
-    assert resolve_backend("fused").name == "fused"
-    assert resolve_backend(None).name == DEFAULT_BACKEND
-
-
-def test_unknown_backend_rejected(clean_selection, monkeypatch):
-    with pytest.raises(ConfigurationError, match="unknown margin-kernel"):
-        resolve_backend("no-such-backend")
-    with pytest.raises(ConfigurationError):
-        set_backend("no-such-backend")
-    monkeypatch.setenv(clean_selection.ENV_VAR, "no-such-backend")
-    with pytest.raises(ConfigurationError):
-        get_backend()
-
-
-def test_canonical_backends_add_no_payload_fields():
-    assert payload_fields("reference") == {}
-    assert payload_fields("fused") == {}
-    assert ReferenceKernel.rev == 0 and FusedKernel.rev == 0
-
-
-# ----------------------------------------------------------------------
 # Replay from a root estimate, checked at the final bracket
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("kind", ["6t", "8t"])
@@ -237,7 +234,7 @@ def test_wrong_root_estimate_falls_back_exactly(kind, wrong, monkeypatch):
     kernel = FusedKernel()
     dvt = CELLS[kind].variation_model().sample(_CHUNK + 173, seed=31)
     assert_margins_identical(kind, 0.70, dvt)
-    compute_failure_margins(CELLS[kind], 0.70, dvt, backend=kernel)
+    margins_with(kernel, CELLS[kind], 0.70, dvt)
     assert kernel.lanes_checked > 0
     assert kernel.lanes_accepted == 0
 
@@ -249,7 +246,7 @@ def test_two_point_check_accepts_default_variation(kind):
     bit-identical but lose the speed."""
     kernel = FusedKernel()
     dvt = CELLS[kind].variation_model().sample(8192, seed=20160227)
-    compute_failure_margins(CELLS[kind], 0.70, dvt, backend=kernel)
+    margins_with(kernel, CELLS[kind], 0.70, dvt)
     assert kernel.lanes_checked == 8192 * (4 if kind == "6t" else 3)
     assert kernel.lanes_accepted >= 0.99 * kernel.lanes_checked
 
@@ -267,22 +264,22 @@ def test_widened_variation_bit_identical(kind, scale, vdd):
 # ----------------------------------------------------------------------
 # Input validation at the API boundary
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["reference", "fused"])
+@pytest.mark.parametrize("path", list(PATHS))
 @pytest.mark.parametrize("vdd", [np.nan, 0.0, np.inf, -np.inf, -0.5, "0.7V"])
-def test_bad_supply_rejected_by_every_backend(backend, vdd):
+def test_bad_supply_rejected_by_every_backend(path, vdd):
     dvt = CELLS["6t"].variation_model().sample(16, seed=1)
     with pytest.raises(ConfigurationError, match="vdd"):
-        compute_failure_margins(CELLS["6t"], vdd, dvt, backend=backend)
+        PATHS[path](CELLS["6t"], vdd, dvt)
 
 
-@pytest.mark.parametrize("backend", ["reference", "fused"])
+@pytest.mark.parametrize("path", list(PATHS))
 @pytest.mark.parametrize("kind,columns", [("6t", 5), ("6t", 8), ("8t", 6)])
-def test_dvt_column_count_must_match_the_cell(backend, kind, columns):
+def test_dvt_column_count_must_match_the_cell(path, kind, columns):
     dvt = np.zeros((4, columns))
     with pytest.raises(ConfigurationError, match="columns"):
-        compute_failure_margins(CELLS[kind], 0.7, dvt, backend=backend)
+        PATHS[path](CELLS[kind], 0.7, dvt)
     with pytest.raises(ConfigurationError, match="columns"):
-        compute_failure_margins(CELLS[kind], 0.7, dvt[0], backend=backend)
+        PATHS[path](CELLS[kind], 0.7, dvt[0])
 
 
 def test_short_bisection_skips_the_replay():
@@ -292,7 +289,7 @@ def test_short_bisection_skips_the_replay():
     assert _fixed_stop_iteration(vdd) < 12
     kernel = FusedKernel()
     dvt = CELLS["6t"].variation_model().sample(64, seed=3)
-    compute_failure_margins(CELLS["6t"], vdd, dvt, backend=kernel)
+    margins_with(kernel, CELLS["6t"], vdd, dvt)
     assert kernel.lanes_checked == 0
     assert_margins_identical("6t", vdd, dvt)
 
@@ -327,7 +324,7 @@ def test_single_rejected_sample_bit_identical(kind, n, monkeypatch):
     kernel = FusedKernel()
     dvt = CELLS[kind].variation_model().sample(n, seed=n)
     assert_margins_identical(kind, 0.70, dvt)
-    compute_failure_margins(CELLS[kind], 0.70, dvt, backend=kernel)
+    margins_with(kernel, CELLS[kind], 0.70, dvt)
     n_eqs = 4 if kind == "6t" else 3
     assert kernel.lanes_checked == n * n_eqs
     assert kernel.lanes_checked - kernel.lanes_accepted == n_eqs

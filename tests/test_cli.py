@@ -188,6 +188,15 @@ class TestParser:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["characterize"], ["hybrid"], ["worker", "--connect", "h:1"], ["dispatch"],
+    ])
+    def test_no_margin_kernel_flag(self, argv):
+        """Margins have one kernel; no command takes a flag to pick one."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--backend", "fused"])
+        assert exc.value.code == 2
+
     def test_endpoint_parsing(self):
         from repro.cli import _parse_endpoint
         from repro.errors import ConfigurationError
