@@ -378,44 +378,6 @@ class CircuitToSystemSimulator:
         """The paper's iso-stability baseline: all-6T at 0.75 V."""
         return self.base_memory(BASELINE_VDD_6T)
 
-    def memory_for(
-        self,
-        config: str,
-        vdd: float,
-        msb_in_8t: Optional[int] = None,
-        msb_per_layer: Optional[Sequence[int]] = None,
-    ) -> SynapticMemoryArchitecture:
-        """Build a memory by configuration name.
-
-        ``config`` is one of ``"base"`` (all-6T), ``"config1"`` (uniform
-        hybrid; requires ``msb_in_8t``) or ``"config2"`` (per-layer
-        hybrid; requires ``msb_per_layer``).  The name/argument pairing
-        is validated strictly so a malformed request fails here, with a
-        message, rather than deep inside the bank math.
-        """
-        if config == "base":
-            if msb_in_8t is not None or msb_per_layer is not None:
-                raise ConfigurationError(
-                    "config 'base' takes no MSB arguments"
-                )
-            return self.base_memory(vdd)
-        if config == "config1":
-            if msb_in_8t is None or msb_per_layer is not None:
-                raise ConfigurationError(
-                    "config 'config1' requires msb_in_8t (and only msb_in_8t)"
-                )
-            return self.config1_memory(vdd, msb_in_8t)
-        if config == "config2":
-            if msb_per_layer is None or msb_in_8t is not None:
-                raise ConfigurationError(
-                    "config 'config2' requires msb_per_layer (and only "
-                    "msb_per_layer)"
-                )
-            return self.config2_memory(vdd, msb_per_layer)
-        raise ConfigurationError(
-            f"unknown memory config {config!r}; known: base, config1, config2"
-        )
-
     # ------------------------------------------------------------------
     # Accuracy under a memory configuration
     # ------------------------------------------------------------------

@@ -25,11 +25,11 @@ The pieces:
   with :func:`~repro.runtime.tiering.make_tiered_store`;
   ``docs/caching.md`` has the map);
 * :mod:`~repro.distributed.jobs` — wire-format shard jobs plus the
-  worker-side execution registry.  Four kinds ship built in — the whole
-  circuit → memory system → NN pipeline of the paper: ``margin_tally``
-  (Monte-Carlo failure margins), ``is_shard`` (importance-sampled
-  points), ``fault_block`` (batched fault trials) and ``nn_fault_eval``
-  (NN accuracy under faults);
+  closed table of job kinds that run them (``JOB_KINDS``).  Four kinds
+  — the whole circuit → memory system → NN pipeline of the paper:
+  ``margin_tally`` (Monte-Carlo failure margins), ``is_shard``
+  (importance-sampled points), ``fault_block`` (batched fault trials)
+  and ``nn_fault_eval`` (NN accuracy under faults);
 * :mod:`~repro.distributed.protocol` — the message vocabulary
   (register / ready / assign / result / heartbeat / stats);
 * :mod:`~repro.distributed.client` — the reconnecting JSON-lines
@@ -66,6 +66,7 @@ from repro.distributed.journal import (
     job_address,
 )
 from repro.distributed.jobs import (
+    JOB_KINDS,
     ShardJob,
     analyzer_from_spec,
     benchmark_model_spec,
@@ -76,8 +77,6 @@ from repro.distributed.jobs import (
     margin_tally_jobs,
     model_from_spec,
     nn_fault_eval_jobs,
-    register_job_kind,
-    registered_job_kinds,
     sampler_from_spec,
 )
 from repro.distributed.objectstore import (
@@ -101,6 +100,7 @@ __all__ = [
     "DispatchError",
     "DispatcherStats",
     "FakeObjectStoreServer",
+    "JOB_KINDS",
     "JournalReplay",
     "JournaledJob",
     "ObjectStore",
@@ -124,8 +124,6 @@ __all__ = [
     "nn_fault_eval_jobs",
     "paper_pipeline_dag",
     "reduce_node",
-    "register_job_kind",
-    "registered_job_kinds",
     "run_worker",
     "sampler_from_spec",
     "serve_object_store",

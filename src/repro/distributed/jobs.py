@@ -1,4 +1,4 @@
-"""Serializable shard jobs and their worker-side execution registry.
+"""Serializable shard jobs and the closed table of kinds that run them.
 
 A :class:`ShardJob` is everything a remote worker needs to recompute
 one shard of work from scratch: a *kind* naming the compute function, a
@@ -18,9 +18,9 @@ re-execution** safe: two workers racing on one job produce identical
 bytes at one address, so whichever answer arrives first is *the*
 answer.
 
-Execution is a registry keyed by ``kind``.  Four kinds ship — the whole
-circuit → memory system → NN pipeline of the paper as distributable
-units:
+Execution is one closed table keyed by ``kind`` (:data:`JOB_KINDS`
+names them).  Four kinds — the whole circuit → memory system → NN
+pipeline of the paper as distributable units:
 
 ``margin_tally``
     One Monte-Carlo failure-margin shard
@@ -41,9 +41,14 @@ units:
     (:func:`~repro.fault.evaluate.evaluate_under_faults`) against the
     cached benchmark model.
 
-New kinds register a compute function (and optionally a construction-
-time spec validator) via :func:`register_job_kind` without touching
-dispatcher or worker code.
+The table pairs each kind's compute function with a declarative field
+table for its spec, written in the same field rules that type the
+8-field job envelope.  A malformed job — built locally, read off the
+wire or replayed from a journal — fails with
+:class:`~repro.errors.ConfigurationError` at construction, before any
+fleet time is spent on it.  ``margin_tally`` is the exception: its spec
+is checked when the worker rebuilds the analyzer
+(:func:`analyzer_from_spec`).
 """
 
 from __future__ import annotations
@@ -52,7 +57,9 @@ import math
 import threading
 import uuid
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.devices.technology import MosfetParams, Technology
 from repro.errors import ConfigurationError
@@ -90,41 +97,98 @@ FAULT_BLOCK_NAMESPACE = "faultblock"
 NN_FAULT_EVAL_NAMESPACE = "nnfault"
 
 
-@dataclass(frozen=True)
-class JobKind:
-    """One registered workload: its compute function and spec contract."""
+# ----------------------------------------------------------------------
+# Field rules: the typed contract of envelope and spec fields
+# ----------------------------------------------------------------------
+#: A field rule is ``(expected, ok)``: ``ok(value)`` is true when the
+#: value conforms, and ``expected`` completes the error message
+#: ``"<where> <field> must be <expected>, got <value>"``.  A rule over
+#: nested documents may instead raise its own, more specific error.
+_Rule = Tuple[str, Callable[[Any], bool]]
 
-    name: str
-    compute: Callable[["ShardJob"], Any]
-    validate_spec: Optional[Callable[[Dict[str, Any]], None]] = None
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-#: Registry of job kinds, keyed by kind name.
-_JOB_KINDS: Dict[str, JobKind] = {}
+def _int_at_least(minimum: int) -> _Rule:
+    return f"an int >= {minimum}", lambda v: _is_int(v) and v >= minimum
 
-_WIRE_FIELDS = (
-    "job_id", "kind", "spec", "shard_index", "shard",
-    "block_samples", "namespace", "payload",
+
+_POSITIVE: _Rule = ("a positive number", lambda v: (
+    isinstance(v, (int, float)) and not isinstance(v, bool)
+    and math.isfinite(v) and v > 0
+))
+_OPTIONAL_INT: _Rule = ("an int or None", lambda v: v is None or _is_int(v))
+_STRING: _Rule = ("a string", lambda v: isinstance(v, str))
+_NON_EMPTY_STRING: _Rule = (
+    "a non-empty string", lambda v: isinstance(v, str) and bool(v)
+)
+_OPTIONAL_STRING: _Rule = (
+    "a string or None", lambda v: v is None or isinstance(v, str)
+)
+_MAPPING: _Rule = ("a mapping", lambda v: isinstance(v, Mapping))
+_FAILURE_TYPES = frozenset(member.value for member in FailureType)
+_FAILURE_TYPE: _Rule = (
+    f"one of {', '.join(sorted(_FAILURE_TYPES))}",
+    lambda v: isinstance(v, str) and v in _FAILURE_TYPES,
 )
 
 
-def register_job_kind(
-    kind: str,
-    fn: Callable[["ShardJob"], Any],
-    validate_spec: Optional[Callable[[Dict[str, Any]], None]] = None,
-) -> None:
-    """Register (or replace) the compute function of one job kind.
+def _documents(parse: Callable[[Any], Any], what: str,
+               optional: bool = False) -> _Rule:
+    """A non-empty list (or ``None`` if ``optional``) of documents that
+    ``parse`` accepts; ``parse`` raises its own error on a bad one."""
+    def ok(value: Any) -> bool:
+        if value is None:
+            return optional
+        if not isinstance(value, (list, tuple)) or not value:
+            return False
+        for doc in value:
+            parse(doc)
+        return True
 
-    ``validate_spec`` (optional) runs at :class:`ShardJob` construction
-    — dispatcher side *and* on the worker's ``from_wire`` — so a
-    malformed spec fails loudly before any fleet time is spent on it.
+    return f"{'None or ' if optional else ''}a non-empty list of {what}", ok
+
+
+def _check_fields(where: str, doc: Any, fields: Mapping[str, _Rule]) -> bool:
+    """Check ``doc`` against a field table (extra fields pass).
+
+    Raises :class:`~repro.errors.ConfigurationError` naming the first
+    violation; returns ``True`` so a nested table is itself a rule.
     """
-    _JOB_KINDS[kind] = JobKind(name=kind, compute=fn, validate_spec=validate_spec)
+    if not isinstance(doc, Mapping):
+        raise ConfigurationError(f"{where} must be a mapping, got {type(doc)!r}")
+    missing = [name for name in fields if name not in doc]
+    if missing:
+        raise ConfigurationError(f"{where} missing fields: {', '.join(missing)}")
+    for name, (expected, ok) in fields.items():
+        if not ok(doc[name]):
+            raise ConfigurationError(
+                f"{where} {name} must be {expected}, got {doc[name]!r}"
+            )
+    return True
 
 
-def registered_job_kinds() -> Tuple[str, ...]:
-    """Sorted names of every registered job kind."""
-    return tuple(sorted(_JOB_KINDS))
+def _known_kind(value: Any) -> bool:
+    if isinstance(value, str) and value in _KINDS:
+        return True
+    raise ConfigurationError(
+        f"unknown job kind {value!r}; known: {', '.join(JOB_KINDS)}"
+    )
+
+
+#: The job envelope: the wire object's fields, in wire order.
+_ENVELOPE_FIELDS: Dict[str, _Rule] = {
+    "job_id": _NON_EMPTY_STRING,
+    "kind": ("a job kind", _known_kind),
+    "spec": _MAPPING,
+    "shard_index": _int_at_least(0),
+    "shard": _MAPPING,
+    "block_samples": _int_at_least(1),
+    "namespace": _STRING,
+    "payload": _MAPPING,
+}
 
 
 @dataclass(frozen=True)
@@ -147,29 +211,12 @@ class ShardJob:
     payload: Dict[str, Any]
 
     def __post_init__(self) -> None:
-        if not self.job_id:
-            raise ConfigurationError("job_id must be non-empty")
-        if self.kind not in _JOB_KINDS:
-            raise ConfigurationError(
-                f"unknown job kind {self.kind!r}; registered: "
-                f"{', '.join(registered_job_kinds()) or '(none)'}"
-            )
-        if self.shard_index < 0:
-            raise ConfigurationError(
-                f"shard_index must be >= 0, got {self.shard_index}"
-            )
-        if self.block_samples < 1:
-            raise ConfigurationError(
-                f"block_samples must be positive, got {self.block_samples}"
-            )
-        # Descriptor validation: fail at construction (dispatcher side),
-        # not on a remote worker mid-run.
-        Shard.from_descriptor(
-            self.shard, block_samples=self.block_samples, index=self.shard_index
-        )
-        validate = _JOB_KINDS[self.kind].validate_spec
-        if validate is not None:
-            validate(self.spec)
+        # Fail at construction (dispatcher side, or the worker's and the
+        # journal's from_wire), not on a remote worker mid-run.
+        _check_fields("ShardJob", vars(self), _ENVELOPE_FIELDS)
+        self.to_shard()
+        _check_fields(f"{self.kind} spec", self.spec,
+                      _KINDS[self.kind].spec_fields)
 
     def to_shard(self) -> Shard:
         """The :class:`~repro.runtime.sharding.Shard` this job computes."""
@@ -180,35 +227,17 @@ class ShardJob:
     # ------------------------------------------------------------------
     def to_wire(self) -> Dict[str, Any]:
         """JSON-able wire form (the ``job`` field of ``assign``)."""
-        return {
-            "job_id": self.job_id,
-            "kind": self.kind,
-            "spec": self.spec,
-            "shard_index": self.shard_index,
-            "shard": dict(self.shard),
-            "block_samples": self.block_samples,
-            "namespace": self.namespace,
-            "payload": self.payload,
-        }
+        return {name: getattr(self, name) for name in _ENVELOPE_FIELDS}
 
     @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "ShardJob":
+    def from_wire(cls, payload: Mapping[str, Any]) -> "ShardJob":
         """Parse one wire object (validates through ``__post_init__``)."""
-        missing = [f for f in _WIRE_FIELDS if f not in payload]
+        missing = [name for name in _ENVELOPE_FIELDS if name not in payload]
         if missing:
             raise ConfigurationError(
                 f"job object lacks fields: {', '.join(missing)}"
             )
-        return cls(
-            job_id=str(payload["job_id"]),
-            kind=str(payload["kind"]),
-            spec=dict(payload["spec"]),
-            shard_index=int(payload["shard_index"]),
-            shard=dict(payload["shard"]),
-            block_samples=int(payload["block_samples"]),
-            namespace=str(payload["namespace"]),
-            payload=dict(payload["payload"]),
-        )
+        return cls(**{name: payload[name] for name in _ENVELOPE_FIELDS})
 
 
 def job_address(job: ShardJob) -> Tuple[str, str]:
@@ -235,62 +264,65 @@ def execute_job(job: ShardJob, store: Optional[CacheStore]) -> Tuple[Any, bool]:
         hit = store.get(job.namespace, job.payload)
         if hit is not None:
             return hit, True
-    value = _JOB_KINDS[job.kind].compute(job)
+    value = _KINDS[job.kind].compute(job)
     if store is not None:
         store.put(job.namespace, job.payload, value)
     return value, False
 
 
-def _point_shard(index: int) -> Dict[str, int]:
-    """Trivial one-block descriptor for point-shaped job kinds.
-
-    ``is_shard``/``nn_fault_eval`` jobs are one indivisible point each;
-    with ``block_samples=1`` this descriptor keeps the 8-field wire
-    format (and protocol revision) unchanged across every kind.
-    """
-    return {"start_block": index, "n_blocks": 1, "n_samples": 1}
-
-
-def _require_fields(kind: str, spec: Mapping[str, Any], fields: Sequence[str]) -> None:
-    if not isinstance(spec, Mapping):
-        raise ConfigurationError(f"{kind} spec must be a mapping, got {type(spec)!r}")
-    missing = [f for f in fields if f not in spec]
-    if missing:
-        raise ConfigurationError(
-            f"{kind} spec missing fields: {', '.join(missing)}"
-        )
+def _spec_job(kind: str, namespace: str, job_id: str, shard: Shard,
+              spec: Dict[str, Any]) -> ShardJob:
+    """A job whose spec is its own store address, over one-unit blocks
+    (one trial spec per ``fault_block`` block; one block per point)."""
+    return ShardJob(
+        job_id=job_id, kind=kind, spec=spec, shard_index=shard.index,
+        shard=shard.descriptor(), block_samples=1, namespace=namespace,
+        payload=spec,
+    )
 
 
-def _positive_number(kind: str, name: str, value: Any) -> float:
-    if (not isinstance(value, (int, float)) or isinstance(value, bool)
-            or not (math.isfinite(value) and value > 0)):
-        raise ConfigurationError(
-            f"{kind} spec {name} must be a positive number, got {value!r}"
-        )
-    return float(value)
+def _point_shard(index: int) -> Shard:
+    """The trivial one-block shard of point ``index``: it keeps the
+    8-field wire format the same for the point-shaped kinds."""
+    return Shard(index=index, blocks=((index, 1),))
 
 
-def _strict_int(kind: str, name: str, value: Any, minimum: int) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ConfigurationError(
-            f"{kind} spec {name} must be an int >= {minimum}, got {value!r}"
-        )
-    return value
+def _from_circuit_spec(
+    label: str, spec: Mapping[str, Any],
+    build: Callable[[Any, Optional[BitlineModel]], Any],
+) -> Any:
+    """``build(cell, bitline)`` from a spec's circuit fields.
 
-
-def _reject_kernel_tag(kind: str, spec: Dict[str, Any]) -> None:
-    """Refuse a spec tagged with a margin-kernel identity.
-
-    Margins have one canonical kernel, so no spec this library writes
-    carries ``margin_kernel``; one that does asks for numerics this
-    version does not have and must not be computed as if it did.
+    Rebuilds the technology, cell and (optional) bitline that
+    ``cache_payload``/``point_payload`` serialize.  Margins have one
+    canonical kernel, so no spec this library writes carries
+    ``margin_kernel``; one that does asks for numerics this version
+    does not have and is refused rather than computed as canonical.
     """
     if "margin_kernel" in spec:
         raise ConfigurationError(
-            f"{kind} spec names a margin kernel "
+            f"{label} spec names a margin kernel "
             f"({spec['margin_kernel']!r}); only the canonical margins "
             f"are computed"
         )
+    try:
+        tech_fields = spec["technology"]
+        tech = Technology(**{
+            **tech_fields,
+            "nmos": MosfetParams(**tech_fields["nmos"]),
+            "pmos": MosfetParams(**tech_fields["pmos"]),
+        })
+        cell = make_cell(spec["kind"], tech, CellSizing(**spec["sizing"]))
+        bitline = spec["bitline"]
+        if bitline is not None:
+            bitline = BitlineModel(
+                tech, rows=int(bitline["rows"]), port_width=bitline["port_width"]
+            )
+        return build(cell, bitline)
+    except (KeyError, TypeError) as exc:
+        raise ConfigurationError(
+            f"{label} spec is not reconstructible: {exc!r}"
+        ) from None
 
 
 # ----------------------------------------------------------------------
@@ -305,46 +337,25 @@ def analyzer_from_spec(spec: Dict[str, Any]) -> MonteCarloAnalyzer:
     :class:`~repro.errors.ConfigurationError` on a spec this library
     version cannot reproduce.
     """
-    _reject_kernel_tag("margin_tally", spec)
-    try:
-        tech_fields = dict(spec["technology"])
-        tech = Technology(
-            **{
-                **tech_fields,
-                "nmos": MosfetParams(**tech_fields["nmos"]),
-                "pmos": MosfetParams(**tech_fields["pmos"]),
-            }
-        )
-        cell = make_cell(spec["kind"], tech, CellSizing(**spec["sizing"]))
-        bitline = None
-        if spec["bitline"] is not None:
-            bitline = BitlineModel(
-                tech,
-                rows=int(spec["bitline"]["rows"]),
-                port_width=spec["bitline"]["port_width"],
-            )
-        return MonteCarloAnalyzer(
+    return _from_circuit_spec(
+        "margin_tally",
+        spec,
+        lambda cell, bitline: MonteCarloAnalyzer(
             cell=cell,
             n_samples=int(spec["n_samples"]),
             bitline=bitline,
             seed=int(spec["seed"]),
             read_cycle=float(spec["read_cycle"]),
             block_samples=int(spec["block_samples"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ConfigurationError(
-            f"margin-tally spec is not reconstructible: {exc!r}"
-        ) from None
+        ),
+    )
 
 
 def _run_margin_tally(job: ShardJob) -> Dict[str, Any]:
     """Worker compute function: tally one shard, return its JSON form."""
     analyzer = analyzer_from_spec(job.spec)
-    vdd = _positive_number("margin_tally", "vdd", job.spec.get("vdd"))
-    return tally_shard(analyzer, vdd, job.to_shard()).to_dict()
-
-
-register_job_kind("margin_tally", _run_margin_tally)
+    _check_fields("margin_tally spec", job.spec, {"vdd": _POSITIVE})
+    return tally_shard(analyzer, float(job.spec["vdd"]), job.to_shard()).to_dict()
 
 
 def margin_tally_jobs(
@@ -388,24 +399,18 @@ def margin_tally_jobs(
 # ----------------------------------------------------------------------
 # The "is_shard" kind: importance-sampled failure estimates
 # ----------------------------------------------------------------------
-_IS_SHARD_FIELDS = (
-    "technology", "kind", "sizing", "bitline", "read_cycle",
-    "failure_type", "n_samples", "seed", "max_shift_sigma", "vdd",
-)
-
-
-def _validate_is_shard_spec(spec: Dict[str, Any]) -> None:
-    _require_fields("is_shard", spec, _IS_SHARD_FIELDS)
-    _positive_number("is_shard", "vdd", spec["vdd"])
-    _positive_number("is_shard", "max_shift_sigma", spec["max_shift_sigma"])
-    _strict_int("is_shard", "n_samples", spec["n_samples"], 100)
-    _strict_int("is_shard", "seed", spec["seed"], 0)
-    try:
-        FailureType(spec["failure_type"])
-    except ValueError:
-        raise ConfigurationError(
-            f"is_shard spec failure_type is unknown: {spec['failure_type']!r}"
-        ) from None
+_IS_SHARD_FIELDS: Dict[str, _Rule] = {
+    "technology": _MAPPING,
+    "kind": _STRING,
+    "sizing": _MAPPING,
+    "bitline": _MAPPING,
+    "read_cycle": _POSITIVE,
+    "failure_type": _FAILURE_TYPE,
+    "n_samples": _int_at_least(100),
+    "seed": _int_at_least(0),
+    "max_shift_sigma": _POSITIVE,
+    "vdd": _POSITIVE,
+}
 
 
 def sampler_from_spec(spec: Dict[str, Any]) -> ImportanceSampler:
@@ -416,31 +421,13 @@ def sampler_from_spec(spec: Dict[str, Any]) -> ImportanceSampler:
     for everything that defines the estimator (the per-point fields —
     ``vdd``, ``n_samples``, ``seed``, ... — ride along untouched).
     """
-    _reject_kernel_tag("is_shard", spec)
-    try:
-        tech_fields = dict(spec["technology"])
-        tech = Technology(
-            **{
-                **tech_fields,
-                "nmos": MosfetParams(**tech_fields["nmos"]),
-                "pmos": MosfetParams(**tech_fields["pmos"]),
-            }
-        )
-        cell = make_cell(spec["kind"], tech, CellSizing(**spec["sizing"]))
-        bitline = BitlineModel(
-            tech,
-            rows=int(spec["bitline"]["rows"]),
-            port_width=spec["bitline"]["port_width"],
-        )
-        return ImportanceSampler(
-            cell,
-            bitline=bitline,
-            read_cycle=float(spec["read_cycle"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ConfigurationError(
-            f"is-shard spec is not reconstructible: {exc!r}"
-        ) from None
+    return _from_circuit_spec(
+        "is_shard",
+        spec,
+        lambda cell, bitline: ImportanceSampler(
+            cell, bitline=bitline, read_cycle=float(spec["read_cycle"])
+        ),
+    )
 
 
 def _run_is_shard(job: ShardJob) -> Dict[str, Any]:
@@ -456,14 +443,11 @@ def _run_is_shard(job: ShardJob) -> Dict[str, Any]:
     result = sampler.estimate(
         vdd,
         failure_type=FailureType(spec["failure_type"]),
-        n_samples=int(spec["n_samples"]),
-        seed=derive_seed(int(spec["seed"]), int(round(vdd * 1e6))),
+        n_samples=spec["n_samples"],
+        seed=derive_seed(spec["seed"], int(round(vdd * 1e6))),
         max_shift_sigma=float(spec["max_shift_sigma"]),
     )
     return result.to_dict()
-
-
-register_job_kind("is_shard", _run_is_shard, validate_spec=_validate_is_shard_spec)
 
 
 def is_shard_jobs(
@@ -485,45 +469,33 @@ def is_shard_jobs(
         raise ConfigurationError("vdds must be non-empty")
     base_seed = resolve_seed(seed)
     run_id = run_id or uuid.uuid4().hex[:12]
-    jobs: List[ShardJob] = []
-    for i, vdd in enumerate(vdds):
-        spec = sampler.point_payload(
-            float(vdd), failure_type, n_samples, base_seed, max_shift_sigma
+    return [
+        _spec_job(
+            "is_shard", IS_SHARD_NAMESPACE, f"is-{run_id}-{i}", _point_shard(i),
+            sampler.point_payload(
+                float(vdd), failure_type, n_samples, base_seed, max_shift_sigma
+            ),
         )
-        jobs.append(
-            ShardJob(
-                job_id=f"is-{run_id}-{i}",
-                kind="is_shard",
-                spec=spec,
-                shard_index=i,
-                shard=_point_shard(i),
-                block_samples=1,
-                namespace=IS_SHARD_NAMESPACE,
-                payload=spec,
-            )
-        )
-    return jobs
+        for i, vdd in enumerate(vdds)
+    ]
 
 
 # ----------------------------------------------------------------------
 # Shared model spec of the NN-facing kinds
 # ----------------------------------------------------------------------
-_MODEL_SPEC_FIELDS = (
-    "profile", "seed", "n_train", "n_val", "n_test", "epochs", "n_bits",
+_MODEL_FIELDS: Dict[str, _Rule] = {
+    "profile": _OPTIONAL_STRING,
+    "seed": _int_at_least(0),
+    "n_train": _int_at_least(1),
+    "n_val": _int_at_least(1),
+    "n_test": _int_at_least(1),
+    "epochs": _int_at_least(1),
+    "n_bits": _int_at_least(2),
+}
+
+_MODEL: _Rule = (
+    "a model spec", lambda v: _check_fields("model spec", v, _MODEL_FIELDS)
 )
-
-
-def _validate_model_spec(spec: Any) -> None:
-    _require_fields("model", spec, _MODEL_SPEC_FIELDS)
-    profile = spec["profile"]
-    if profile is not None and not isinstance(profile, str):
-        raise ConfigurationError(
-            f"model spec profile must be a string or None, got {profile!r}"
-        )
-    _strict_int("model", "seed", spec["seed"], 0)
-    for name in ("n_train", "n_val", "n_test", "epochs"):
-        _strict_int("model", name, spec[name], 1)
-    _strict_int("model", "n_bits", spec["n_bits"], 2)
 
 
 def benchmark_model_spec(
@@ -553,7 +525,7 @@ def benchmark_model_spec(
         "epochs": int(epochs),
         "n_bits": int(n_bits),
     }
-    _validate_model_spec(spec)
+    _check_fields("model spec", spec, _MODEL_FIELDS)
     return spec
 
 
@@ -578,10 +550,10 @@ def model_from_spec(spec: Dict[str, Any]) -> Any:
     are shared and must be treated as read-only.
     """
     global _model_memo
-    _validate_model_spec(spec)
+    _check_fields("model spec", spec, _MODEL_FIELDS)
     from repro.core.framework import resolve_profile, train_benchmark_ann
 
-    args = {name: int(spec[name]) for name in _MODEL_SPEC_FIELDS[1:]}
+    args = {name: spec[name] for name in _MODEL_FIELDS if name != "profile"}
     key = (resolve_profile(spec["profile"], seed=args["seed"]), args)
     with _MODEL_LOCK:
         if _model_memo is None or _model_memo[0] != key:
@@ -594,21 +566,10 @@ def model_from_spec(spec: Dict[str, Any]) -> Any:
 # ----------------------------------------------------------------------
 # The "fault_block" kind: batched fault-trial evaluation
 # ----------------------------------------------------------------------
-def _validate_fault_block_spec(spec: Dict[str, Any]) -> None:
-    _require_fields("fault_block", spec, ("model", "specs"))
-    _validate_model_spec(spec["model"])
-    trial_specs = spec["specs"]
-    if not isinstance(trial_specs, (list, tuple)) or not trial_specs:
-        raise ConfigurationError(
-            "fault_block spec must carry a non-empty list of trial specs"
-        )
-    for doc in trial_specs:
-        parsed = FaultTrialSpec.from_dict(doc)
-        if parsed.n_trials <= 0:
-            raise ConfigurationError(
-                f"fault_block trial spec n_trials must be positive, "
-                f"got {parsed.n_trials}"
-            )
+_FAULT_BLOCK_FIELDS: Dict[str, _Rule] = {
+    "model": _MODEL,
+    "specs": _documents(FaultTrialSpec.from_dict, "trial specs"),
+}
 
 
 def _run_fault_block(job: ShardJob) -> List[Dict[str, Any]]:
@@ -633,11 +594,6 @@ def _run_fault_block(job: ShardJob) -> List[Dict[str, Any]]:
     return [evaluation.to_dict() for evaluation in evaluations]
 
 
-register_job_kind(
-    "fault_block", _run_fault_block, validate_spec=_validate_fault_block_spec
-)
-
-
 def fault_block_jobs(
     model_spec: Dict[str, Any],
     trial_specs: Sequence[FaultTrialSpec],
@@ -655,7 +611,7 @@ def fault_block_jobs(
     """
     if not trial_specs:
         raise ConfigurationError("trial_specs must be non-empty")
-    _validate_model_spec(model_spec)
+    _check_fields("model spec", model_spec, _MODEL_FIELDS)
     plan = ShardPlan.plan(
         n_samples=len(trial_specs),
         block_samples=1,
@@ -663,23 +619,17 @@ def fault_block_jobs(
         max_shard_samples=max_block_specs,
     )
     run_id = uuid.uuid4().hex[:12]
-    jobs: List[ShardJob] = []
-    for shard in plan.shards():
-        block = [trial_specs[index].to_dict() for index, _ in shard.blocks]
-        spec = {"model": dict(model_spec), "specs": block, "rev": 1}
-        jobs.append(
-            ShardJob(
-                job_id=f"fb-{run_id}-{shard.index}",
-                kind="fault_block",
-                spec=spec,
-                shard_index=shard.index,
-                shard=shard.descriptor(),
-                block_samples=1,
-                namespace=FAULT_BLOCK_NAMESPACE,
-                payload=spec,
-            )
+    return [
+        _spec_job(
+            "fault_block", FAULT_BLOCK_NAMESPACE, f"fb-{run_id}-{shard.index}",
+            shard, {
+                "model": dict(model_spec),
+                "specs": [trial_specs[i].to_dict() for i, _ in shard.blocks],
+                "rev": 1,
+            },
         )
-    return jobs
+        for shard in plan.shards()
+    ]
 
 
 def concat_blocks(blocks: Sequence[List[Any]]) -> List[Any]:
@@ -699,31 +649,15 @@ def concat_blocks(blocks: Sequence[List[Any]]) -> List[Any]:
 # ----------------------------------------------------------------------
 # The "nn_fault_eval" kind: NN fault-accuracy points
 # ----------------------------------------------------------------------
-_NN_FAULT_EVAL_FIELDS = ("model", "rates", "n_trials", "seed", "vdd", "label")
-
-
-def _validate_nn_fault_eval_spec(spec: Dict[str, Any]) -> None:
-    _require_fields("nn_fault_eval", spec, _NN_FAULT_EVAL_FIELDS)
-    _validate_model_spec(spec["model"])
-    rates = spec["rates"]
-    if rates is not None:
-        if not isinstance(rates, (list, tuple)) or not rates:
-            raise ConfigurationError(
-                "nn_fault_eval spec rates must be None or a non-empty list"
-            )
-        for doc in rates:
-            BitErrorRates.from_dict(doc)
-    _strict_int("nn_fault_eval", "n_trials", spec["n_trials"], 1)
-    seed = spec["seed"]
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
-        raise ConfigurationError(
-            f"nn_fault_eval spec seed must be an int or None, got {seed!r}"
-        )
-    _positive_number("nn_fault_eval", "vdd", spec["vdd"])
-    if not isinstance(spec["label"], str):
-        raise ConfigurationError(
-            f"nn_fault_eval spec label must be a string, got {spec['label']!r}"
-        )
+_NN_FAULT_EVAL_FIELDS: Dict[str, _Rule] = {
+    "model": _MODEL,
+    "rates": _documents(BitErrorRates.from_dict, "bit-error rates",
+                        optional=True),
+    "n_trials": _int_at_least(1),
+    "seed": _OPTIONAL_INT,
+    "vdd": _POSITIVE,
+    "label": _STRING,
+}
 
 
 def _run_nn_fault_eval(job: ShardJob) -> Dict[str, Any]:
@@ -742,19 +676,14 @@ def _run_nn_fault_eval(job: ShardJob) -> Dict[str, Any]:
         injector,
         model.dataset.x_test,
         model.dataset.y_test,
-        n_trials=int(spec["n_trials"]),
+        n_trials=spec["n_trials"],
         seed=spec["seed"],
     )
     return {
         "vdd": float(spec["vdd"]),
-        "label": str(spec["label"]),
+        "label": spec["label"],
         "evaluation": evaluation.to_dict(),
     }
-
-
-register_job_kind(
-    "nn_fault_eval", _run_nn_fault_eval, validate_spec=_validate_nn_fault_eval_spec
-)
 
 
 def nn_fault_eval_jobs(
@@ -775,37 +704,49 @@ def nn_fault_eval_jobs(
     """
     if not points:
         raise ConfigurationError("points must be non-empty")
-    _validate_model_spec(model_spec)
+    _check_fields("model spec", model_spec, _MODEL_FIELDS)
     run_id = run_id or uuid.uuid4().hex[:12]
     jobs: List[ShardJob] = []
     for i, point in enumerate(points):
         if "vdd" not in point:
             raise ConfigurationError(f"point {i} lacks a vdd")
         injector = point.get("injector")
-        rates = (
-            None
-            if injector is None
-            else [r.to_dict() for r in injector.layer_rates]
-        )
         spec = {
             "model": dict(model_spec),
-            "rates": rates,
+            "rates": (
+                None
+                if injector is None
+                else [r.to_dict() for r in injector.layer_rates]
+            ),
             "n_trials": int(point.get("n_trials", 5)),
             "seed": point.get("seed"),
             "vdd": float(point["vdd"]),
             "label": str(point.get("label", f"point-{i}")),
             "rev": 1,
         }
-        jobs.append(
-            ShardJob(
-                job_id=f"nf-{run_id}-{i}",
-                kind="nn_fault_eval",
-                spec=spec,
-                shard_index=i,
-                shard=_point_shard(i),
-                block_samples=1,
-                namespace=NN_FAULT_EVAL_NAMESPACE,
-                payload=spec,
-            )
-        )
+        jobs.append(_spec_job(
+            "nn_fault_eval", NN_FAULT_EVAL_NAMESPACE, f"nf-{run_id}-{i}",
+            _point_shard(i), spec,
+        ))
     return jobs
+
+
+# ----------------------------------------------------------------------
+# The closed table of job kinds
+# ----------------------------------------------------------------------
+class _Kind(NamedTuple):
+    compute: Callable[[ShardJob], Any]
+    #: Checked at construction; margin_tally's spec is checked when
+    #: the worker rebuilds its analyzer instead.
+    spec_fields: Dict[str, _Rule]
+
+
+_KINDS: Dict[str, _Kind] = {
+    "margin_tally": _Kind(_run_margin_tally, {}),
+    "is_shard": _Kind(_run_is_shard, _IS_SHARD_FIELDS),
+    "fault_block": _Kind(_run_fault_block, _FAULT_BLOCK_FIELDS),
+    "nn_fault_eval": _Kind(_run_nn_fault_eval, _NN_FAULT_EVAL_FIELDS),
+}
+
+#: Every job kind, in pipeline order.
+JOB_KINDS: Tuple[str, ...] = tuple(_KINDS)

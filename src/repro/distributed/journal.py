@@ -199,9 +199,10 @@ class RunJournal:
         Tolerant by design: unparseable lines (the torn final record of
         a crashed writer) are counted and skipped, duplicate ``done``
         records collapse idempotently, duplicate ``job`` records keep
-        the first occurrence, job records whose kind this build cannot
-        rebuild land in ``unknown`` instead of aborting, and unknown
-        ``rec`` discriminators (future schema additions) are ignored.
+        the first occurrence, job records this build cannot rebuild (a
+        foreign kind, a mistyped envelope or spec) land in ``unknown``
+        instead of aborting, and unknown ``rec`` discriminators (future
+        schema additions) are ignored.
         """
         replay = JournalReplay()
         jobs: Dict[str, JournaledJob] = {}
@@ -248,8 +249,8 @@ class RunJournal:
         try:
             job = ShardJob.from_wire(dict(wire) if isinstance(wire, dict) else {})
         except ConfigurationError as exc:
-            # A kind this build does not register (or a spec it cannot
-            # validate) is a *skipped* record, not a failed recovery:
+            # A kind this build does not know (or an envelope or spec it
+            # cannot validate) is a *skipped* record, not a failed recovery:
             # the jobs a newer/foreign dispatcher journaled are not
             # ours to recompute.
             job_id = wire.get("job_id") if isinstance(wire, dict) else None

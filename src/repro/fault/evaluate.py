@@ -121,23 +121,36 @@ class FaultTrialSpec:
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "FaultTrialSpec":
+        if not isinstance(doc, Mapping):
+            raise ConfigurationError(
+                f"FaultTrialSpec document must be a mapping, got {type(doc)!r}"
+            )
         missing = {"rates", "n_trials", "seed"} - set(doc)
         if missing:
             raise ConfigurationError(
                 f"FaultTrialSpec document missing fields: {sorted(missing)}"
             )
         rates = doc["rates"]
+        if not (rates is None or isinstance(rates, (list, tuple))):
+            raise ConfigurationError(
+                f"FaultTrialSpec rates must be a list or None, got {type(rates)!r}"
+            )
         injector = (
             None
             if rates is None
             else WeightFaultInjector([BitErrorRates.from_dict(r) for r in rates])
         )
+        n_trials = doc["n_trials"]
+        if isinstance(n_trials, bool) or not isinstance(n_trials, int) or n_trials < 1:
+            raise ConfigurationError(
+                f"FaultTrialSpec n_trials must be an int >= 1, got {n_trials!r}"
+            )
         seed = doc["seed"]
         if not (seed is None or isinstance(seed, int)):
             raise ConfigurationError(
                 f"FaultTrialSpec seed must be an int or None, got {type(seed)!r}"
             )
-        return cls(injector=injector, n_trials=int(doc["n_trials"]), seed=seed)
+        return cls(injector=injector, n_trials=n_trials, seed=seed)
 
 
 def evaluate_many_under_faults(

@@ -102,13 +102,18 @@ class BitErrorRates:
             raise ConfigurationError(
                 f"BitErrorRates document missing fields: {sorted(missing)}"
             )
-        return cls(
-            vdd=float(doc["vdd"]),
-            n_bits=int(doc["n_bits"]),
-            msb_in_8t=int(doc["msb_in_8t"]),
-            p_read=np.asarray(doc["p_read"], dtype=float),
-            p_write=np.asarray(doc["p_write"], dtype=float),
-        )
+        try:
+            return cls(
+                vdd=float(doc["vdd"]),
+                n_bits=int(doc["n_bits"]),
+                msb_in_8t=int(doc["msb_in_8t"]),
+                p_read=np.asarray(doc["p_read"], dtype=float),
+                p_write=np.asarray(doc["p_write"], dtype=float),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"BitErrorRates document is malformed: {exc}"
+            ) from None
 
 
 def _point(table, vdd: float) -> CharacterizationPoint:

@@ -39,12 +39,17 @@ def build_simulator() -> CircuitToSystemSimulator:
     return CircuitToSystemSimulator(model, tables=tables, n_trials=3)
 
 
+def request_memory(sim: CircuitToSystemSimulator, request: dict):
+    """The memory one pinned ``request`` names (``base`` or ``config1``)."""
+    if request["config"] == "config1":
+        return sim.config1_memory(request["vdd"], request["msb_in_8t"])
+    return sim.base_memory(request["vdd"])
+
+
 def golden_entries(sim: CircuitToSystemSimulator) -> list:
     entries = []
     for spec in POINTS:
-        memory = sim.memory_for(
-            spec["config"], spec["vdd"], msb_in_8t=spec.get("msb_in_8t")
-        )
+        memory = request_memory(sim, spec)
         evaluation = sim.evaluate(memory, seed=SEED)
         entries.append(
             {

@@ -153,12 +153,11 @@ class TestEvaluateBatch:
         sim = CircuitToSystemSimulator(model, tables=tables, n_trials=2,
                                        jobs=jobs)
         items = [
-            (sim.memory_for("base", 0.70), None, 1),
-            (sim.memory_for("config1", 0.65, msb_in_8t=3), 3, 7),
-            (sim.memory_for("config2", 0.65, msb_per_layer=(2, 3, 1, 1, 3)),
-             1, 11),
-            (sim.memory_for("base", 0.95), 2, 5),
-            (sim.memory_for("base", 0.70), 2, 1),
+            (sim.base_memory(0.70), None, 1),
+            (sim.config1_memory(0.65, msb_in_8t=3), 3, 7),
+            (sim.config2_memory(0.65, msb_per_layer=(2, 3, 1, 1, 3)), 1, 11),
+            (sim.base_memory(0.95), 2, 5),
+            (sim.base_memory(0.70), 2, 1),
         ]
         batch = sim.evaluate_batch(items)
         assert len(batch) == len(items)

@@ -21,7 +21,7 @@ import os
 
 import pytest
 
-from tests.core.regen_golden import GOLDEN_PATH, SEED
+from tests.core.regen_golden import GOLDEN_PATH, SEED, request_memory
 
 #: Deterministic-scalar relative tolerance.
 REL = 1e-9
@@ -48,9 +48,7 @@ def test_fast_profile_matches_golden(sim, golden):
     for entry in golden:
         spec = entry["request"]
         label = f"{spec['config']} @ {spec['vdd']} V"
-        memory = sim.memory_for(
-            spec["config"], spec["vdd"], msb_in_8t=spec.get("msb_in_8t")
-        )
+        memory = request_memory(sim, spec)
         evaluation = sim.evaluate(memory, seed=SEED)
 
         assert evaluation.baseline_accuracy == pytest.approx(

@@ -3,7 +3,7 @@
 import json
 import os
 import sys
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.core import framework
 from repro.devices import ptm22
 from repro.distributed import (
+    JOB_KINDS,
     ShardJob,
     analyzer_from_spec,
     benchmark_model_spec,
@@ -21,12 +22,9 @@ from repro.distributed import (
     is_shard_jobs,
     margin_tally_jobs,
     nn_fault_eval_jobs,
-    register_job_kind,
-    registered_job_kinds,
 )
 from repro.distributed import concat_blocks, model_from_spec, sampler_from_spec
 from repro.distributed import jobs as jobs_module
-from repro.distributed.jobs import _JOB_KINDS
 from repro.errors import ConfigurationError
 from repro.fault.evaluate import (
     FaultTrialSpec,
@@ -157,7 +155,7 @@ class TestExecuteJob:
 
 
 # ----------------------------------------------------------------------
-# Job-kind registry and the multi-workload wire format
+# The job-kind table and the multi-workload wire format
 # ----------------------------------------------------------------------
 @lru_cache(maxsize=None)
 def _resolved_analyzer():
@@ -180,12 +178,12 @@ def _rates(p_read, p_write):
 
 @st.composite
 def any_kind_jobs(draw):
-    """One job of any registered kind, with drawn parameters.
+    """One job of any kind, with drawn parameters.
 
     Construction only — no compute function ever runs, so the strategy
     is cheap enough to sweep every kind's parameter space.
     """
-    kind = draw(st.sampled_from(registered_job_kinds()))
+    kind = draw(st.sampled_from(JOB_KINDS))
     if kind == "margin_tally":
         resolved = _resolved_analyzer()
         shards = draw(st.integers(min_value=1, max_value=5))
@@ -261,41 +259,16 @@ class TestMultiKindWire:
     @given(job=any_kind_jobs(), kind=st.text(max_size=12))
     @settings(max_examples=40, deadline=None)
     def test_arbitrary_unknown_kinds_rejected(self, job, kind):
-        if kind in registered_job_kinds():
+        if kind in JOB_KINDS:
             return
         wire = {**job.to_wire(), "kind": kind}
         with pytest.raises(ConfigurationError, match="unknown job kind"):
             ShardJob.from_wire(wire)
 
     def test_all_four_kinds_registered(self):
-        assert set(registered_job_kinds()) >= {
+        assert set(JOB_KINDS) >= {
             "margin_tally", "is_shard", "fault_block", "nn_fault_eval",
         }
-
-    def test_register_job_kind_validator_runs_at_construction(self):
-        def reject_odd(spec):
-            if spec.get("n") % 2:
-                raise ConfigurationError("n must be even")
-
-        register_job_kind("test_parity", lambda job: job.spec["n"],
-                          validate_spec=reject_odd)
-        try:
-            good = ShardJob(
-                job_id="t-0", kind="test_parity", spec={"n": 2},
-                shard_index=0,
-                shard={"start_block": 0, "n_blocks": 1, "n_samples": 1},
-                block_samples=1, namespace="test", payload={"n": 2},
-            )
-            assert execute_job(good, store=None) == (2, False)
-            with pytest.raises(ConfigurationError, match="must be even"):
-                ShardJob(
-                    job_id="t-1", kind="test_parity", spec={"n": 3},
-                    shard_index=0,
-                    shard={"start_block": 0, "n_blocks": 1, "n_samples": 1},
-                    block_samples=1, namespace="test", payload={"n": 3},
-                )
-        finally:
-            _JOB_KINDS.pop("test_parity", None)
 
 
 class TestMalformedSpecs:
@@ -400,6 +373,70 @@ class TestMalformedSpecs:
             for job in [*is_jobs, *fb_jobs, *nn_jobs, *mt_jobs]
         }
         assert namespaces == {"is", "faultblock", "nnfault", "mcshard"}
+
+
+#: Stand-in for "delete the field" among the boundary mutations.
+_DELETED = object()
+
+_BAD_VALUES = (_DELETED, None, "x", True, -1, float("nan"), [5], {})
+
+
+def _boundary_job(kind):
+    """One job of ``kind`` whose spec has every optional part filled."""
+    injector = WeightFaultInjector([_rates(5e-3, 2e-3)] * 2)
+    if kind == "margin_tally":
+        resolved = _resolved_analyzer()
+        return margin_tally_jobs(resolved, VDD, resolved.shard_plan(shards=1))[0]
+    if kind == "is_shard":
+        return is_shard_jobs(_sampler(), [VDD], n_samples=200, seed=1)[0]
+    if kind == "fault_block":
+        spec = FaultTrialSpec(injector=injector, n_trials=1, seed=0)
+        return fault_block_jobs(MODEL, [spec])[0]
+    return nn_fault_eval_jobs(MODEL, [{"vdd": VDD, "injector": injector}])[0]
+
+
+def _field_paths(doc, prefix=()):
+    """The key path of every field of ``doc`` and of the mappings nested
+    in it (for a list of mappings, in its first element)."""
+    for key, value in doc.items():
+        path = (*prefix, key)
+        yield path
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            value, path = value[0], (*path, 0)
+        if isinstance(value, dict):
+            yield from _field_paths(value, path)
+
+
+def _mutated(wire, path, value):
+    wire = json.loads(json.dumps(wire))  # the wire's copy: nothing aliased
+    *parents, last = path
+    target = reduce(lambda doc, key: doc[key], parents, wire)
+    if value is _DELETED:
+        del target[last]
+    else:
+        target[last] = value
+    return wire
+
+
+class TestWireBoundary:
+    @pytest.mark.parametrize("kind", JOB_KINDS)
+    def test_any_field_mutation_parses_or_is_a_configuration_error(self, kind):
+        """Deleting any field of the envelope or of any document nested
+        in it, or retyping it to a wrong-kind value, never escapes
+        ``from_wire`` as anything but ``ConfigurationError`` — the
+        journal replay and the worker both rely on that to skip a bad
+        record instead of crashing."""
+        wire = _boundary_job(kind).to_wire()
+        escaped = []
+        for path in _field_paths(wire):
+            for value in _BAD_VALUES:
+                try:
+                    ShardJob.from_wire(_mutated(wire, path, value))
+                except ConfigurationError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - the property
+                    escaped.append((path, value, repr(exc)))
+        assert escaped == []
 
 
 # ----------------------------------------------------------------------

@@ -133,6 +133,24 @@ class TestReplayTolerance:
         assert unknown["job_id"] == "alien-0"
         assert "alien_kind" in unknown["error"]
 
+    @pytest.mark.parametrize("field,value", [
+        ("spec", "abc"), ("shard", None), ("shard_index", "x"),
+        ("block_samples", True), ("job_id", ""),
+    ])
+    def test_mistyped_job_record_lands_in_unknown(self, journal, jobs,
+                                                  field, value):
+        """A corrupt-but-parseable job record is skipped like a foreign
+        kind; it must not abort the replay of the records around it."""
+        bad = dict(jobs[0].to_wire(), job_id="bad-0")
+        bad[field] = value
+        journal._append({"rec": "job", "job": bad, "client": "x",
+                         "priority": 0})
+        journal.record_job(jobs[1], "alice", 0)
+        replay = journal.replay()
+        assert [e.job.job_id for e in replay.pending] == [jobs[1].job_id]
+        (unknown,) = replay.unknown
+        assert field in unknown["error"]
+
     def test_future_record_kinds_are_ignored(self, journal, jobs):
         journal._append({"rec": "checkpoint", "epoch": 7})
         journal.record_job(jobs[0], "alice", 0)
