@@ -27,13 +27,14 @@ import os
 import tempfile
 import zipfile
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError, DatasetError
 from repro.fault.evaluate import (
+    CleanReference,
     FaultEvaluation,
     FaultTrialSpec,
     evaluate_many_under_faults,
@@ -102,6 +103,14 @@ class TrainedModel:
     dataset: DigitDataset
     float_accuracy: float
     quantized_accuracy: float
+    #: The clean reference every fault evaluation of this model shares.
+    reference: CleanReference = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.reference = CleanReference(
+            self.network, self.image, self.dataset.x_test,
+            self.dataset.y_test, self.quantized_accuracy,
+        )
 
     @property
     def spec(self) -> NetworkSpec:
@@ -322,9 +331,10 @@ class CircuitToSystemSimulator:
     when the simulator builds its own tables.  Accuracies are fractions in
     [0, 1]; powers W; areas m^2; voltages V.
 
-    The clean-image baseline of every evaluation is the model's
-    ``quantized_accuracy``: the same clean-image pass on the same test
-    split, already paid for when the model was built.
+    Every evaluation shares the model's clean reference: its baseline is
+    the model's ``quantized_accuracy`` (the same clean-image pass on the
+    same test split, already paid for when the model was built), and its
+    clean activations serve every light die.
     """
 
     def __init__(
@@ -419,7 +429,7 @@ class CircuitToSystemSimulator:
             specs,
             self.model.dataset.x_test,
             self.model.dataset.y_test,
-            baseline=self.model.quantized_accuracy,
+            reference=self.model.reference,
             jobs=self.jobs,
         )
 

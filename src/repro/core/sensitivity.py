@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.framework import TrainedModel
 from repro.errors import ConfigurationError
-from repro.fault.evaluate import evaluate_under_faults
+from repro.fault.evaluate import CleanReference, evaluate_under_faults
 from repro.fault.injector import WeightFaultInjector
 from repro.fault.model import BitErrorRates
 from repro.nn.network import FeedforwardANN
@@ -147,6 +147,7 @@ def _layer_point(
     stress_ber: float,
     n_trials: int,
     base_seed: int,
+    baseline: Optional[float],
     target: int,
 ) -> LayerSensitivity:
     """Worker entry point: stress one layer, measure the accuracy drop."""
@@ -160,6 +161,7 @@ def _layer_point(
     result = evaluate_under_faults(
         network, image, injector, x_eval, y_eval,
         n_trials=n_trials, seed=derive_seed(base_seed, target),
+        reference=CleanReference(network, image, x_eval, y_eval, baseline),
     )
     return LayerSensitivity(
         layer_index=target,
@@ -195,13 +197,15 @@ def layer_sensitivity_profile(
     n_layers = model.image.n_layers
     x_eval = model.dataset.x_test
     y_eval = model.dataset.y_test
+    # The model's baseline is that of the full test split.
+    baseline = model.quantized_accuracy if eval_samples is None else None
     if eval_samples is not None:
         x_eval = x_eval[:eval_samples]
         y_eval = y_eval[:eval_samples]
 
     worker = partial(
         _layer_point, model.network, model.image, x_eval, y_eval,
-        stress_ber, n_trials, resolve_seed(seed),
+        stress_ber, n_trials, resolve_seed(seed), baseline,
     )
     layers = SweepExecutor(jobs).map(worker, range(n_layers))
     return SensitivityProfile(stress_ber=stress_ber, layers=tuple(layers))

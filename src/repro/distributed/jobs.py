@@ -589,7 +589,7 @@ def _run_fault_block(job: ShardJob) -> List[Dict[str, Any]]:
         trial_specs,
         model.dataset.x_test,
         model.dataset.y_test,
-        baseline=model.quantized_accuracy,
+        reference=model.reference,
     )
     return [evaluation.to_dict() for evaluation in evaluations]
 
@@ -678,6 +678,7 @@ def _run_nn_fault_eval(job: ShardJob) -> Dict[str, Any]:
         model.dataset.y_test,
         n_trials=spec["n_trials"],
         seed=spec["seed"],
+        reference=model.reference,
     )
     return {
         "vdd": float(spec["vdd"]),

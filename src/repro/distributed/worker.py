@@ -27,6 +27,7 @@ import os
 import random
 import socket
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -156,6 +157,11 @@ class Worker:
         # one dispatcher stream: two coroutines awaiting the same
         # drain() is an asyncio flow-control assertion error.
         self._write_lock: Optional[asyncio.Lock] = None
+        # Jobs run one at a time, on one thread for the life of run():
+        # the loop's default executor starts another thread whenever a
+        # job is submitted before the last one's thread went idle, and
+        # each thread's malloc arena keeps its own freed memory.
+        self._job_thread: Optional[ThreadPoolExecutor] = None
 
     async def _send(
         self, writer: "asyncio.StreamWriter", payload: Dict[str, Any]
@@ -174,6 +180,15 @@ class Worker:
         an explicit ``shutdown``, a ``--max-jobs`` drain, an exhausted
         attempt budget or a protocol error ends the worker.
         """
+        self._job_thread = ThreadPoolExecutor(max_workers=1)
+        try:
+            return await self._serve()
+        finally:
+            # Never block the loop: a job still running after a
+            # cancellation finishes on its thread.
+            self._job_thread.shutdown(wait=False)
+
+    async def _serve(self) -> int:
         attempts = 0
         while True:
             sessions_before = self._sessions
@@ -341,7 +356,7 @@ class Worker:
             job_id = job.job_id
             span.set_attr("job_id", job_id)
             value, cached = await loop.run_in_executor(
-                None, execute_job, job, self.store
+                self._job_thread, execute_job, job, self.store
             )
         except asyncio.CancelledError:
             span.end(status="cancelled")

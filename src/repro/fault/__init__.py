@@ -20,6 +20,7 @@ from repro.fault.bitflip import apply_flip_mask, count_flipped_bits, random_flip
 from repro.fault.model import BitErrorRates, word_bit_error_rates
 from repro.fault.injector import WeightFaultInjector
 from repro.fault.evaluate import (
+    CleanReference,
     FaultEvaluation,
     FaultTrialSpec,
     evaluate_many_under_faults,
@@ -33,6 +34,7 @@ __all__ = [
     "BitErrorRates",
     "word_bit_error_rates",
     "WeightFaultInjector",
+    "CleanReference",
     "FaultEvaluation",
     "FaultTrialSpec",
     "evaluate_many_under_faults",

@@ -5,26 +5,210 @@ paper's simulator: for each trial, sample a faulty die (bit-flip masks)
 and measure classification accuracy on the evaluation set with the
 die's weights.  The caller's network is only read, never written.  A
 sampled die with no flipped bit holds the clean image's codes, so its
-accuracy is the baseline and its forward pass is skipped.
+accuracy is the baseline and its forward pass is skipped.  A die that
+changes only a few first-layer rows is classified from the clean
+activations (:class:`CleanReference`) when a rounding-error bound
+certifies that the result equals the full pass.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import (Any, Callable, Dict, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.fault.injector import WeightFaultInjector
 from repro.fault.model import BitErrorRates
+from repro.nn.activations import Identity, Sigmoid
 from repro.nn.metrics import accuracy
 from repro.nn.network import FeedforwardANN, Params
 from repro.nn.quantize import QuantizedWeights
 from repro.rng import SeedLike, derive_seed
 from repro.runtime.executor import resolve_jobs
+
+#: Unit roundoff of IEEE double precision.
+_U = 2.0 ** -53
+#: Allowance for numpy's ``1 / (1 + exp(-z))`` (exp's error plus two
+#: roundings); absolute, as the result is at most 1.
+_SIGMOID_ERR = 16 * _U
+#: Margin on the certificate threshold for the rounding of the bound's
+#: own arithmetic and of the norms it reads (relative errors < 1e-9).
+_SLACK = 1.01
+
+
+def _gamma(n: int) -> float:
+    """``γ_n = nu / (1 - nu)`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, §3.1): an ``n``-term inner product, or
+    a sum of ``n + 1`` terms, computed in any order is within ``γ_n``
+    times the sum of the magnitudes of its terms."""
+    return n * _U / (1.0 - n * _U)
+
+
+def _row_norm(w: np.ndarray) -> float:
+    """``‖w‖_∞``, the largest absolute row sum."""
+    return float(np.abs(w).sum(axis=1).max(initial=0.0))
+
+
+def _logit_error(
+    layers: Sequence[Tuple[int, float, float]], eps: float, magnitude: float
+) -> float:
+    """Bound on ``|computed - exact|`` of the outputs of a dense pass
+    over ``layers`` (``(fan_in, ‖W‖_∞, max |b|)``, sigmoid between them)
+    whose inputs are within ``eps`` of exact and at most ``magnitude``."""
+    for fan_in, w_norm, b_max in layers:
+        err = _gamma(fan_in + 1) * (magnitude * w_norm + b_max) + w_norm * eps
+        eps, magnitude = err / 4 + _SIGMOID_ERR, 1.0
+    return err
+
+
+class _Die(NamedTuple):
+    """A sampled die: its parameters, the first layer's changed rows
+    (weight or bias) and the second layer's changed weight columns."""
+
+    params: Params
+    rows: np.ndarray
+    cols: np.ndarray
+
+
+class CleanReference:
+    """The clean image's accuracy on one evaluation set (pass it when
+    known; else the first read makes the clean pass), plus the clean
+    first-layer activations and second-layer pre-activations, built
+    under a lock by the first light die and shared by every later one.
+
+    A light die recomputes its changed first-layer rows ``R``, updates
+    the second layer by ``(a1'[:, R] - a1[:, R]) @ W2'[:, R].T + a1[:,
+    C] @ ΔW2[:, C].T + Δb2`` and runs the rest densely; its predictions
+    count only when a rounding-error bound certifies the full pass's
+    argmax is the same (docs/performance.md).
+    """
+
+    def __init__(
+        self,
+        network: FeedforwardANN,
+        image: QuantizedWeights,
+        x_eval: np.ndarray,
+        y_eval: np.ndarray,
+        accuracy: Optional[float] = None,
+    ):
+        self.network, self.image = network, image
+        self.x_eval, self.y_eval = x_eval, y_eval
+        self._accuracy = accuracy
+        self._lock = threading.Lock()
+        self._clean: Optional[tuple] = None
+        layers = network.layers
+        self._sizes = sizes = network.spec.layer_sizes
+        self._full_macs = sum(a * b for a, b in zip(sizes, sizes[1:]))
+        self._incremental = (
+            len(layers) > 1 and sizes[-1] > 1
+            and isinstance(layers[-1].activation, Identity)
+            and all(isinstance(l.activation, Sigmoid) for l in layers[:-1])
+        )
+
+    @property
+    def accuracy(self) -> float:
+        if self._accuracy is None:
+            self._accuracy = accuracy(self.network.predict(
+                self.x_eval, params=self.image.dequantized()), self.y_eval)
+        return self._accuracy
+
+    def _activations(self) -> tuple:
+        with self._lock:
+            if self._clean is None:
+                (w0, w1, *_), (b0, b1, *_) = self.image.dequantized()
+                x = np.asarray(self.x_eval, dtype=float)
+                a1 = self.network.layers[0].forward(x, weights=w0, biases=b0)
+                z2 = a1 @ w1.T
+                z2 += b1
+                self._clean = (
+                    x, a1, z2, w1, b1, np.abs(w0).sum(axis=1),
+                    _row_norm(w1) + float(np.abs(b1).max()),
+                    float(np.abs(x).max()),
+                )
+            return self._clean
+
+    def predictions(self, die: _Die) -> Optional[np.ndarray]:
+        """The die's certified predictions from the clean activations, or
+        ``None`` when it should take the full pass."""
+        incremental = self._incremental_logits(die)
+        if incremental is None:
+            return None
+        logits, full_err, inc_err = incremental
+        top = np.partition(logits, -2, axis=1)
+        if not np.all(top[:, -1] - top[:, -2]
+                      > 2 * (full_err + inc_err) * _SLACK):
+            return None
+        return np.argmax(logits, axis=1)
+
+    def _incremental_logits(
+        self, die: _Die
+    ) -> Optional[Tuple[np.ndarray, float, float]]:
+        """The die's logits from the clean activations and bounds on the
+        rounding error of the full pass and of this one, or ``None`` when
+        this costs the full pass's multiply-adds or more."""
+        (w, b), rows, cols = die
+        if not self._incremental:
+            return None
+        sizes = self._sizes
+        n0, n1, n2 = sizes[:3]
+        if (len(rows) * (n0 + n2) + len(cols) * n2
+                + self._full_macs - n1 * (n0 + n2)) >= self._full_macs:
+            return None
+        x, a1, z2, w1, b1, row_sums, z2_scale, x_max = self._activations()
+        first, second, *rest = self.network.layers
+        z = z2.copy()
+        if rows.size:
+            # (W @ x.T).T: for few rows a faster BLAS layout than x @ W.T.
+            delta = (w[0][rows] @ x.T).T
+            delta += b[0][rows]
+            delta = first.activation.forward(delta, in_place=True)
+            delta -= a1[:, rows]
+            z += delta @ w[1][:, rows].T
+        # Exact: both operands are multiples of 2**-frac_bits.
+        dw, db = w[1][:, cols] - w1[:, cols], b[1] - b1
+        if cols.size:
+            z += a1[:, cols] @ dw.T
+        z += db
+        logits = second.activation.forward(z, in_place=True)
+        for layer, wl, bl in zip(rest, w[2:], b[2:]):
+            logits = layer.forward(logits, weights=wl, biases=bl)
+
+        row_sums = row_sums.copy()
+        row_sums[rows] = np.abs(w[0][rows]).sum(axis=1)
+        layers = [(n0, float(row_sums.max()), float(np.abs(b[0]).max()))]
+        layers += [(n_in, _row_norm(wl), float(np.abs(bl).max()))
+                   for n_in, wl, bl in zip(sizes[1:], w[1:], b[1:])]
+        w_norm, dw_norm = layers[1][1], _row_norm(dw)
+        # Second layer: the first layer's error through ‖W2'‖, plus the
+        # rounding of the stored z2 (γ_{n1+1}), of a1' - a1 and the
+        # rank-|R| product (u + γ_|R|), of the rank-|C| product and of
+        # the three accumulations (γ_3), each at most γ_{n1+3} times its
+        # terms' magnitudes (|a1| <= 1, so |a1' - a1| <= 1).
+        eps1 = _logit_error(layers[:1], 0.0, x_max) / 4 + _SIGMOID_ERR
+        err2 = w_norm * eps1 + 2 * _gamma(n1 + 3) * (
+            z2_scale + w_norm + dw_norm + float(np.abs(db).max()))
+        inc_err = (_logit_error(layers[2:], err2 / 4 + _SIGMOID_ERR, 1.0)
+                   if rest else err2)
+        return logits, _logit_error(layers, 0.0, x_max), inc_err
+
+
+def _reference_for(
+    reference: Optional[CleanReference], network: FeedforwardANN,
+    image: QuantizedWeights, x_eval: np.ndarray, y_eval: np.ndarray,
+) -> CleanReference:
+    if reference is None:
+        return CleanReference(network, image, x_eval, y_eval)
+    owner = (reference.network, reference.image, reference.x_eval,
+             reference.y_eval)
+    if any(a is not b for a, b in zip(owner, (network, image, x_eval, y_eval))):
+        raise ConfigurationError("the clean reference belongs to another "
+                                 "network, image or evaluation set")
+    return reference
 
 
 @dataclass(frozen=True)
@@ -159,7 +343,7 @@ def evaluate_many_under_faults(
     specs: Sequence[FaultTrialSpec],
     x_eval: np.ndarray,
     y_eval: np.ndarray,
-    baseline: Optional[float] = None,
+    reference: Optional[CleanReference] = None,
     jobs: Optional[int] = 1,
 ) -> List[FaultEvaluation]:
     """Batched persistent-mode evaluation sharing the clean pass.
@@ -173,15 +357,16 @@ def evaluate_many_under_faults(
     requests: one clean forward pass over the evaluation set serves
     every spec, instead of being repeated per request.
 
-    ``baseline`` is the clean-image accuracy of ``image`` on the
-    evaluation set when the caller already has it (the model's
-    ``quantized_accuracy``, or an earlier call on the same network,
-    image and set); the clean pass is then skipped.
+    ``reference`` is the :class:`CleanReference` of this network, image
+    and evaluation set when the caller holds one (the model's): its
+    baseline accuracy skips the clean pass, and its clean activations,
+    built once, serve every call.  Without it the call makes its own.
 
     The trials of every spec form one task list.  Each trial is two
     stages: *sample* (inject the die's flips and dequantize it) and
-    *classify* (``network.predict`` with the die's parameters; no trial
-    writes to ``network``).  On ``resolve_jobs(jobs)`` threads (numpy's
+    *classify* (certified incremental predictions for a light die, else
+    ``network.predict`` with the die's parameters; no trial writes to
+    ``network``).  On ``resolve_jobs(jobs)`` threads (numpy's
     matmul and ufuncs release the GIL) an idle thread samples the next
     die while the others classify, and the accuracies are collected in
     task order, so the result is the same for any thread count.  An
@@ -198,18 +383,16 @@ def evaluate_many_under_faults(
                 f"n_trials must be positive, got {spec.n_trials}"
             )
 
-    if baseline is None:
-        baseline = accuracy(
-            network.predict(x_eval, params=image.dequantized()), y_eval
-        )
+    reference = _reference_for(reference, network, image, x_eval, y_eval)
+    baseline = reference.accuracy
     tasks = [
         (spec.injector, derive_seed(spec.seed, trial))
         for spec in specs if spec.injector is not None
         for trial in range(spec.n_trials)
     ]
 
-    def classify(params: Optional[Params]) -> float:
-        return _classify(network, params, x_eval, y_eval, baseline)
+    def classify(die: Optional[_Die]) -> float:
+        return _classify(reference, die)
 
     threads = min(resolve_jobs(jobs), len(tasks))
     if threads <= 1:
@@ -241,37 +424,39 @@ def evaluate_many_under_faults(
 
 def _sample(
     image: QuantizedWeights, injector: WeightFaultInjector, seed: int
-) -> Optional[Params]:
-    """Sample one die of a persistent-mode trial: its dequantized
-    parameters, or ``None`` when it flips no bit (it then holds the clean
-    codes, hence the clean predictions, and needs no forward pass)."""
+) -> Optional[_Die]:
+    """Sample one die of a persistent-mode trial, or ``None`` when it
+    flips no bit (it then holds the clean codes, hence the clean
+    predictions, and needs no forward pass)."""
     faulty = injector.inject(image, seed=seed)
-    if all(
-        np.array_equal(a, b)
+    changed = [
+        np.not_equal(a, b)
         for a, b in zip((*faulty.weight_codes, *faulty.bias_codes),
                         (*image.weight_codes, *image.bias_codes))
-    ):
+    ]
+    if not any(c.any() for c in changed):
         return None
-    return faulty.dequantized()
+    n = image.n_layers  # changed[n]: the first layer's biases
+    rows = np.flatnonzero(changed[0].any(axis=1) | changed[n])
+    cols = np.flatnonzero(changed[1].any(axis=0)) if n > 1 else rows[:0]
+    return _Die(faulty.dequantized(), rows, cols)
 
 
-def _classify(
-    network: FeedforwardANN,
-    params: Optional[Params],
-    x_eval: np.ndarray,
-    y_eval: np.ndarray,
-    baseline: float,
-) -> float:
-    """Accuracy of one sampled die (``baseline`` for a fault-free one)."""
-    if params is None:
-        return baseline
-    return accuracy(network.predict(x_eval, params=params), y_eval)
+def _classify(reference: CleanReference, die: Optional[_Die]) -> float:
+    """Accuracy of one sampled die (the baseline for a fault-free one)."""
+    if die is None:
+        return reference.accuracy
+    predictions = reference.predictions(die)
+    if predictions is None:
+        predictions = reference.network.predict(
+            reference.x_eval, params=die.params)
+    return accuracy(predictions, reference.y_eval)
 
 
 def _pipelined(
     image: QuantizedWeights,
     tasks: Sequence[Tuple[WeightFaultInjector, int]],
-    classify: Callable[[Optional[Params]], float],
+    classify: Callable[[Optional[_Die]], float],
     threads: int,
 ) -> List[float]:
     """Sample and classify every task's die on ``threads`` threads
@@ -317,6 +502,7 @@ def evaluate_under_faults(
     seed: SeedLike = None,
     mode: str = "persistent",
     batch_size: int = 200,
+    reference: Optional[CleanReference] = None,
 ) -> FaultEvaluation:
     """Measure accuracy with and without injected faults.
 
@@ -324,7 +510,8 @@ def evaluate_under_faults(
     nominal"); each trial injects an independent fault sample and
     classifies with it through ``network.predict``, which never writes
     the sample into ``network``.  ``injector=None`` runs only the
-    baseline (returned as a single zero-drop trial).
+    baseline (returned as a single zero-drop trial).  ``reference`` is
+    as in :func:`evaluate_many_under_faults`.
 
     Fault persistence (``mode``):
 
@@ -345,9 +532,8 @@ def evaluate_under_faults(
     if batch_size <= 0:
         raise ConfigurationError(f"batch_size must be positive, got {batch_size}")
 
-    baseline = accuracy(
-        network.predict(x_eval, params=image.dequantized()), y_eval
-    )
+    reference = _reference_for(reference, network, image, x_eval, y_eval)
+    baseline = reference.accuracy
     if injector is None:
         return FaultEvaluation(
             baseline_accuracy=baseline,
@@ -359,7 +545,7 @@ def evaluate_under_faults(
     for trial in range(n_trials):
         if mode == "persistent":
             die = _sample(image, injector, derive_seed(seed, trial))
-            trials.append(_classify(network, die, x_eval, y_eval, baseline))
+            trials.append(_classify(reference, die))
         else:
             correct = 0
             for bi, lo in enumerate(range(0, len(y_eval), batch_size)):

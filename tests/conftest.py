@@ -30,3 +30,22 @@ def tmp_cache(tmp_path, monkeypatch):
     """Redirect the characterization cache into a per-test tmp dir."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     return tmp_path / "cache"
+
+
+@pytest.fixture()
+def certified_dies(monkeypatch):
+    """The fault dies classified from a ``CleanReference``'s clean
+    activations instead of a full pass, in call order."""
+    from repro.fault.evaluate import CleanReference
+
+    dies = []
+    original = CleanReference.predictions
+
+    def recording(reference, die):
+        predictions = original(reference, die)
+        if predictions is not None:
+            dies.append(die)
+        return predictions
+
+    monkeypatch.setattr(CleanReference, "predictions", recording)
+    return dies

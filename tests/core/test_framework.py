@@ -183,16 +183,20 @@ class TestBaselineMemo:
         monkeypatch.setattr(FeedforwardANN, "predict", counting)
         return calls
 
-    def test_allocate_pays_one_clean_pass(self, model, tables, predict_calls):
+    def test_allocate_pays_one_clean_pass(self, model, tables, predict_calls,
+                                          certified_dies):
         fresh = CircuitToSystemSimulator(model, tables=tables, n_trials=3)
         result = allocate_msbs(fresh, vdd=0.65, max_accuracy_drop=0.01,
                                start_msb=3, n_trials=2, seed=22)
         assert result.evaluations_run > 1
         # The baseline is the model's quantized_accuracy: no clean pass.
-        assert len(predict_calls) == 2 * result.evaluations_run
-        before = len(predict_calls)
+        # Each die is classified once, by a full pass or incrementally.
+        assert (len(predict_calls) + len(certified_dies)
+                == 2 * result.evaluations_run)
+        before = len(predict_calls) + len(certified_dies)
         fresh.evaluate(fresh.base_memory(0.70), seed=3)
-        assert len(predict_calls) - before == fresh.n_trials
+        assert (len(predict_calls) + len(certified_dies) - before
+                == fresh.n_trials)
 
     def test_memoized_baseline_changes_no_number(self, model, tables):
         warm = CircuitToSystemSimulator(model, tables=tables, n_trials=2)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.fault.evaluate import (
+    CleanReference,
     FaultTrialSpec,
     evaluate_many_under_faults,
     evaluate_under_faults,
@@ -189,16 +190,18 @@ class TestFaultFreeTrials:
         spec = FaultTrialSpec(injector=injector, n_trials=4, seed=2)
         [batched] = evaluate_many_under_faults(
             small_net, image, [spec], x, y,
-            baseline=result.baseline_accuracy,
+            reference=CleanReference(small_net, image, x, y,
+                                     result.baseline_accuracy),
         )
         assert len(predict_calls) == 1
         assert batched == result
 
     def test_mixed_trials_equal_full_passes(self, small_net, image,
-                                            predict_calls):
+                                            predict_calls, certified_dies):
         """At ~0.4 expected flips per die some trials flip nothing and
         some flip bits; both paths equal a loop that classifies every
-        die, and only the dies with flips pay a pass."""
+        die, and only the dies with flips are classified, each once:
+        by a full pass or from the clean activations."""
         x, y = self._data(small_net)
         net = FeedforwardANN(small_net.spec)
         injector = WeightFaultInjector([uniform_rates(2e-4)] * 2)
@@ -208,7 +211,7 @@ class TestFaultFreeTrials:
         del predict_calls[:]
         single = evaluate_under_faults(small_net, image, injector, x, y,
                                        n_trials=12, seed=7)
-        assert len(predict_calls) == 1 + sum(flipped)
+        assert len(predict_calls) + len(certified_dies) == 1 + sum(flipped)
         spec = FaultTrialSpec(injector=injector, n_trials=12, seed=7)
         [batched] = evaluate_many_under_faults(small_net, image, [spec], x, y)
         assert single.baseline_accuracy == batched.baseline_accuracy == baseline

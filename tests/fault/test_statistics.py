@@ -28,6 +28,7 @@ import pytest
 
 from repro.fault.bitflip import flips_per_bit_position
 from repro.fault.evaluate import (
+    CleanReference,
     FaultTrialSpec,
     evaluate_many_under_faults,
     evaluate_under_faults,
@@ -308,7 +309,8 @@ class TestThreadedTrials:
         )]
         with pytest.raises(RuntimeError, match="classify failed"):
             evaluate_many_under_faults(
-                network, image, specs, x_eval, y_eval, baseline=0.5, jobs=jobs
+                network, image, specs, x_eval, y_eval, jobs=jobs,
+                reference=CleanReference(network, image, x_eval, y_eval, 0.5),
             )
 
     @pytest.mark.parametrize("jobs", [1, 2, 3, 8])
