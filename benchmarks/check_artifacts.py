@@ -45,9 +45,6 @@ ROW_KEYS = {
         "cell", "block_samples", "reference_samples_per_sec",
         "fused_samples_per_sec", "speedup", "check_accept_ratio",
     },
-    "tiered_cache": {
-        "scenario", "shards", "n_samples", "seconds", "samples_per_sec",
-    },
 }
 # Floor on the share of lanes the fused kernel's two-point check accepts
 # (a counter, not a timing): below it the root estimator has degraded
@@ -191,7 +188,7 @@ def check_artifacts(results_dir: str = RESULTS_DIR) -> List[str]:
     """Return a list of violations (empty means every contract holds)."""
     errors: List[str] = []
     docs: Dict[str, Any] = {}
-    for name in ("margin_kernels", "tiered_cache", "dispatch_mixed"):
+    for name in ("margin_kernels", "dispatch_mixed"):
         doc = _load(results_dir, name, errors)
         if doc is not None:
             docs[name] = _check_envelope(name, doc, errors)
@@ -269,8 +266,8 @@ def main(argv: List[str]) -> int:
         print(f"FAIL {line}")
     if errors:
         return 1
-    print(f"artifact check OK: margin_kernels, tiered_cache, "
-          f"dispatch_mixed under {results_dir}")
+    print(f"artifact check OK: margin_kernels, dispatch_mixed under "
+          f"{results_dir}")
     return 0
 
 

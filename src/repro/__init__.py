@@ -19,7 +19,7 @@ The package is organised as a circuit-to-system pipeline:
   behind the failure-margin hot path, and the per-mechanism reference
   path it is tested bit-identical against (see ``docs/performance.md``).
 * :mod:`repro.runtime` — parallel sweep executor, content-addressed
-  result cache, sharded Monte Carlo, tiered cache.
+  result cache, sharded Monte Carlo.
 * :mod:`repro.distributed` — dispatcher/worker fleet over one
   JSON-lines protocol (see ``docs/distributed.md``).
 * :mod:`repro.obs` — metrics, tracing, flight recorder and the ``top``

@@ -27,7 +27,6 @@ from repro.devices.technology import get_technology
 from repro.mem import CellTables
 from repro.runtime import (
     DEFAULT_BLOCK_SAMPLES,
-    CacheStore,
     ResultCache,
     in_pool,
     resolve_jobs,
@@ -59,6 +58,19 @@ def _int_at_least(minimum: int, what: str):
 _positive_int = _int_at_least(1, "a positive integer")
 #: argparse type for bounds where 0 switches a feature off.
 _non_negative_int = _int_at_least(0, "a non-negative integer")
+
+
+def _seconds(value: str) -> float:
+    """An argparse type accepting a non-negative number of seconds."""
+    try:
+        seconds = float(value)
+    except ValueError:
+        seconds = float("nan")
+    if not seconds >= 0:  # also refuses nan, which no age reaches
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative number of seconds, got {value!r}"
+        )
+    return seconds
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -95,59 +107,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "larger than one block cannot be split")
 
 
-def _add_store_options(parser: argparse.ArgumentParser) -> None:
-    """Tiered-cache flags shared by worker / dispatch.
-
-    Any of them upgrades the command's cache to the standard tiered
-    composition (memory LRU → directory → remote object store; see
-    ``docs/caching.md``); with none given, commands keep their
-    historical single-tier stores.
-    """
-    parser.add_argument("--store-url", default=None, metavar="URL",
-                        help="remote object-store endpoint "
-                             "(http(s)://host:port/prefix) used as the "
-                             "shared third cache tier — reads fall through "
-                             "to it, writes reach it via fail-open "
-                             "write-behind")
-    parser.add_argument("--lru-entries", type=_non_negative_int, default=None,
-                        metavar="N",
-                        help="in-process hot-tier bound in entries "
-                             "(0 disables the memory tier; default 1024 "
-                             "once tiering is active)")
-    parser.add_argument("--lru-bytes", type=_positive_int, default=None,
-                        metavar="B",
-                        help="in-process hot-tier bound in value bytes "
-                             "(default 64 MiB)")
-    parser.add_argument("--ttl", type=float, default=None, metavar="S",
-                        help="treat local cache entries older than S "
-                             "seconds as misses (expired files are reaped "
-                             "by 'repro-sram cache compact')")
-
-
-def _tiering_requested(args) -> bool:
-    return bool(getattr(args, "store_url", None)) or any(
-        getattr(args, name, None) is not None
-        for name in ("lru_entries", "lru_bytes", "ttl")
-    )
-
-
-def _build_store(args, cache_dir=None):
-    """The ``--store-url``/``--lru-*``/``--ttl`` tiered composition."""
-    from repro.runtime.tiering import (
-        DEFAULT_LRU_BYTES,
-        DEFAULT_LRU_ENTRIES,
-        make_tiered_store,
-    )
-
-    return make_tiered_store(
-        cache_dir=cache_dir,
-        store_url=args.store_url,
-        lru_entries=(DEFAULT_LRU_ENTRIES if args.lru_entries is None
-                     else args.lru_entries),
-        lru_bytes=(DEFAULT_LRU_BYTES if args.lru_bytes is None
-                   else args.lru_bytes),
-        ttl=args.ttl,
-    )
+def _add_ttl_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--ttl", type=_seconds, default=None, metavar="S",
+                        help="treat cache entries at least S seconds old as "
+                             "misses (expired files are reaped by "
+                             "'repro-sram cache compact')")
 
 
 def _build_sim(args) -> CircuitToSystemSimulator:
@@ -298,9 +262,6 @@ def cmd_worker(args) -> int:
         cache_dir=args.cache_dir,
         name=args.name,
         max_jobs=args.max_jobs,
-        store_url=args.store_url,
-        lru_entries=args.lru_entries,
-        lru_bytes=args.lru_bytes,
         ttl=args.ttl,
         metrics_port=args.metrics_port,
         reconnect=args.reconnect,
@@ -361,11 +322,7 @@ def cmd_dispatch(args) -> int:
     listen_host, listen_port = _parse_endpoint(args.listen, "--listen")
     cell = make_cell(args.cell, get_technology(args.tech))
     vdds = tuple(args.vdd) if args.vdd else DEFAULT_VDD_GRID
-    store: CacheStore
-    if _tiering_requested(args):
-        store = _build_store(args, cache_dir=args.cache_dir)
-    else:
-        store = ResultCache(args.cache_dir)
+    store = ResultCache(args.cache_dir, ttl=args.ttl)
     journal = None
     if args.journal_dir is not None:
         from repro.distributed import RunJournal
@@ -465,23 +422,10 @@ def cmd_dispatch(args) -> int:
                 metrics_server.stop()
     if journal is not None:
         journal.close()
-    close = getattr(store, "close", None)
-    if close is not None:
-        close()  # drain write-behind so the remote tier sees every result
     return 0
 
 
 def cmd_cache(args) -> int:
-    if args.action == "stats" and args.store_url:
-        # Remote-store mode: ask the object store for its own counters
-        # (object/byte totals, get/put traffic) instead of walking the
-        # local directory.
-        from repro.distributed.objectstore import ObjectStore
-        from repro.distributed.client import format_stats
-
-        print(f"object store : {args.store_url}")
-        print(format_stats(ObjectStore(args.store_url).remote_stats()))
-        return 0
     cache = ResultCache()
     if args.action == "stats":
         print(cache.stats().summary())
@@ -498,13 +442,6 @@ def cmd_cache(args) -> int:
         scope = f"namespace {args.namespace!r}" if args.namespace else "all namespaces"
         print(f"removed {removed} cache entries ({scope}) from {cache.cache_dir}")
     return 0
-
-
-def cmd_objectstore(args) -> int:
-    from repro.distributed.objectstore import serve_object_store
-
-    host, port = _parse_endpoint(args.listen, "--listen")
-    return serve_object_store(host, port)
 
 
 def cmd_top(args) -> int:
@@ -589,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="consecutive failed re-dials before giving up "
                         "(resets after each successful registration; "
                         "default 10)")
-    _add_store_options(p)
+    _add_ttl_option(p)
     _add_metrics_option(p)
     p.set_defaults(func=cmd_worker)
 
@@ -657,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", action="store_true",
                    help="probe a RUNNING dispatcher at --connect for its "
                         "counters and exit (starts nothing)")
-    _add_store_options(p)
+    _add_ttl_option(p)
     _add_metrics_option(p)
     p.set_defaults(func=cmd_dispatch)
 
@@ -675,20 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-bytes", type=int, default=None, metavar="B",
                    help="with 'compact': delete oldest entries first until "
                         "at most B bytes remain")
-    p.add_argument("--store-url", default=None, metavar="URL",
-                   help="with 'stats': probe a remote object store's own "
-                        "counters instead of the local directory")
     p.set_defaults(func=cmd_cache)
-
-    p = sub.add_parser(
-        "objectstore",
-        help="run the in-process object store (the fake S3-style backend "
-             "tests and CI drills point --store-url at)",
-    )
-    p.add_argument("--listen", default="127.0.0.1:0", metavar="HOST:PORT",
-                   help="endpoint to serve objects on (default 127.0.0.1:0 "
-                        "= ephemeral; the bound URL is printed on startup)")
-    p.set_defaults(func=cmd_objectstore)
 
     p = sub.add_parser(
         "top",

@@ -147,7 +147,7 @@ def _layer_point(
     stress_ber: float,
     n_trials: int,
     base_seed: int,
-    baseline: Optional[float],
+    baseline: float,
     target: int,
 ) -> LayerSensitivity:
     """Worker entry point: stress one layer, measure the accuracy drop."""
@@ -197,11 +197,15 @@ def layer_sensitivity_profile(
     n_layers = model.image.n_layers
     x_eval = model.dataset.x_test
     y_eval = model.dataset.y_test
-    # The model's baseline is that of the full test split.
-    baseline = model.quantized_accuracy if eval_samples is None else None
+    # The model's baseline is that of the full test split; a subset's
+    # takes one clean pass here, shared by every layer point.
+    baseline = model.quantized_accuracy
     if eval_samples is not None:
         x_eval = x_eval[:eval_samples]
         y_eval = y_eval[:eval_samples]
+        baseline = CleanReference(
+            model.network, model.image, x_eval, y_eval
+        ).accuracy
 
     worker = partial(
         _layer_point, model.network, model.image, x_eval, y_eval,

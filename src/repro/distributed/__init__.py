@@ -12,18 +12,10 @@ count, any retry history and any cache state.
 
 The pieces:
 
-* the shared :class:`~repro.runtime.cache.CacheStore` — a
-  :class:`~repro.runtime.cache.ResultCache` directory, the same
-  content-addressed cache single-host sweeps write — that makes
-  recomputation idempotent and lets local and distributed runs resume
-  from each other's work;
-* :mod:`~repro.distributed.objectstore` — the remote tier: an
-  :class:`~repro.distributed.objectstore.ObjectStore` speaking a
-  minimal S3-style HTTP protocol, plus the in-process
-  :class:`~repro.distributed.objectstore.FakeObjectStoreServer` the
-  tests and the CI degradation drill run against (compose the tiers
-  with :func:`~repro.runtime.tiering.make_tiered_store`;
-  ``docs/caching.md`` has the map);
+* the shared store — a :class:`~repro.runtime.cache.ResultCache`
+  directory, the same content-addressed cache single-host sweeps
+  write — that makes recomputation idempotent and lets local and
+  distributed runs resume from each other's work;
 * :mod:`~repro.distributed.jobs` — wire-format shard jobs plus the
   closed table of job kinds that run them (``JOB_KINDS``).  Four kinds
   — the whole circuit → memory system → NN pipeline of the paper:
@@ -79,32 +71,22 @@ from repro.distributed.jobs import (
     nn_fault_eval_jobs,
     sampler_from_spec,
 )
-from repro.distributed.objectstore import (
-    FakeObjectStoreServer,
-    ObjectStore,
-    ObjectStoreError,
-    serve_object_store,
-)
 from repro.distributed.protocol import PROTOCOL_VERSION, ProtocolError
 from repro.distributed.scheduler import DispatchError, DispatcherStats
 from repro.distributed.worker import Worker, run_worker, worker_command
-from repro.runtime.cache import CacheStore, ResultCache
+from repro.runtime.cache import ResultCache
 
 #: Former name of the directory store, kept for existing callers.
 DirectoryStore = ResultCache
 
 __all__ = [
-    "CacheStore",
     "DagNode",
     "DagRun",
     "DispatchError",
     "DispatcherStats",
-    "FakeObjectStoreServer",
     "JOB_KINDS",
     "JournalReplay",
     "JournaledJob",
-    "ObjectStore",
-    "ObjectStoreError",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "RunJournal",
@@ -126,6 +108,5 @@ __all__ = [
     "reduce_node",
     "run_worker",
     "sampler_from_spec",
-    "serve_object_store",
     "worker_command",
 ]

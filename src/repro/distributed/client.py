@@ -285,10 +285,10 @@ def _format_value(value: Any) -> str:
 def format_stats(stats: Dict[str, Any], indent: int = 0) -> str:
     """Aligned ``key : value`` rendering of one stats probe response.
 
-    Nested objects — the per-tier ``store`` block a tiered cache adds,
-    or the dispatcher's per-kind queue depths — render as indented
-    sections, so one probe shows scheduling counters and cache-tier
-    counters in a single readable report.  Keys sort by their string
+    Nested objects — the dispatcher's ``store`` counters or its
+    per-kind queue depths — render as indented sections, so one probe
+    shows scheduling counters and cache counters in a single readable
+    report.  Keys sort by their string
     form at every level, so the rendering is deterministic even when a
     probe mixes key types.  Floats display at 6 significant digits
     (see :func:`_format_value`); the wire payload stays exact.

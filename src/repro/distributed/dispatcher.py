@@ -6,8 +6,9 @@ assigns at most one job per ready worker), so a slow worker never
 accumulates a private backlog.  Results stream back inline and are
 merged as they arrive; every computed result is also persisted twice —
 by the worker to its store and by the dispatcher to its own (off-loop),
-which warms a remote tier only the dispatcher reaches.  Double writes
-are harmless: one content address, identical bytes.
+which warms the dispatcher's directory when the workers write to
+another.  Double writes are harmless: one content address, identical
+bytes.
 
 Every scheduling decision — fair per-client priority queues, retries,
 drains, speculation, journal adoption, the exact streaming merge — is
@@ -44,7 +45,7 @@ from repro.distributed.scheduler import (
     DEFAULT_HEARTBEAT_INTERVAL, Assign, CloseWorker, Command, DispatchError,
     JournalDone, JournalJob, Persist, Run, RunFailed, Scheduler, WorkerState,
 )
-from repro.runtime.cache import CacheStore
+from repro.runtime.cache import ResultCache
 
 
 class _Conn:
@@ -80,7 +81,7 @@ class ShardDispatcher:
     Parameters
     ----------
     store:
-        Shared :class:`~repro.runtime.cache.CacheStore`, consulted
+        Shared :class:`~repro.runtime.cache.ResultCache`, consulted
         before queueing a job (resume support); ``None`` leaves store
         use to the workers.
     max_retries:
@@ -106,7 +107,7 @@ class ShardDispatcher:
 
     def __init__(
         self,
-        store: Optional[CacheStore] = None,
+        store: Optional[ResultCache] = None,
         max_retries: int = 3,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         speculate: bool = True,

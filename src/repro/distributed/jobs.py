@@ -7,7 +7,7 @@ kind-specific *spec* (for ``margin_tally`` exactly the fields of
 spec doubles as the population's cache identity), the shard's
 :meth:`~repro.runtime.sharding.Shard.descriptor`, and the content
 address (``namespace`` + ``payload``) the result is stored under in the
-shared :class:`~repro.runtime.cache.CacheStore`.
+shared :class:`~repro.runtime.cache.ResultCache`.
 
 The address is built with the *same* rule the single-host paths use,
 which is the load-bearing design decision of the subsystem: a
@@ -71,7 +71,7 @@ from repro.fault.evaluate import (
 from repro.fault.injector import WeightFaultInjector
 from repro.fault.model import BitErrorRates
 from repro.rng import SeedLike, derive_seed, resolve_seed
-from repro.runtime.cache import CACHE_VERSION, CacheStore, content_key
+from repro.runtime.cache import CACHE_VERSION, ResultCache, content_key
 from repro.runtime.sharding import Shard, ShardedMonteCarlo, ShardPlan
 from repro.sram.bitcell import make_cell
 from repro.sram.failures import FailureType
@@ -251,7 +251,7 @@ def job_address(job: ShardJob) -> Tuple[str, str]:
     return job.namespace, content_key(job.namespace, job.payload, CACHE_VERSION)
 
 
-def execute_job(job: ShardJob, store: Optional[CacheStore]) -> Tuple[Any, bool]:
+def execute_job(job: ShardJob, store: Optional[ResultCache]) -> Tuple[Any, bool]:
     """Run one job against the shared store (the worker's core loop).
 
     Returns ``(value, cached)``: a populated store address short-circuits

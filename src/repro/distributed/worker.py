@@ -5,7 +5,7 @@ time (``ready`` → ``assign`` → ``result`` → ``ready``).  Execution
 happens *off* the event loop on a thread-pool worker, so heartbeats
 keep flowing while a shard computes — the dispatcher can tell a
 crunching worker from a dead one.  Every result is written to the
-worker's :class:`~repro.runtime.cache.CacheStore` before it is
+worker's :class:`~repro.runtime.cache.ResultCache` before it is
 reported, and a populated store address short-circuits the computation
 entirely (see :func:`~repro.distributed.jobs.execute_job`).
 
@@ -28,10 +28,7 @@ import random
 import socket
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.tiering import TieredStore
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigurationError, ReproError
 from repro.obs.tracing import TraceContext, Tracer, get_tracer
@@ -44,7 +41,7 @@ from repro.distributed.protocol import (
     recv_message,
     send_message,
 )
-from repro.runtime.cache import CacheStore, ResultCache
+from repro.runtime.cache import ResultCache
 
 #: Base reconnect delay (seconds); doubles per consecutive failure.
 DEFAULT_RECONNECT_BACKOFF = 0.5
@@ -67,7 +64,6 @@ def worker_command(
     *,
     name: Optional[str] = None,
     cache_dir: Optional[str] = None,
-    store_url: Optional[str] = None,
     reconnect: bool = False,
 ) -> List[str]:
     """The argv that runs ``repro-sram worker`` with this interpreter.
@@ -80,7 +76,6 @@ def worker_command(
     for flag, value in (
         ("--name", name),
         ("--cache-dir", cache_dir),
-        ("--store-url", store_url),
     ):
         if value is not None:
             cmd += [flag, str(value)]
@@ -128,7 +123,7 @@ class Worker:
         self,
         host: str,
         port: int,
-        store: Optional[CacheStore] = None,
+        store: Optional[ResultCache] = None,
         name: Optional[str] = None,
         max_jobs: Optional[int] = None,
         tracer: Optional[Tracer] = None,
@@ -400,9 +395,6 @@ def run_worker(
     cache_dir: Optional[str] = None,
     name: Optional[str] = None,
     max_jobs: Optional[int] = None,
-    store_url: Optional[str] = None,
-    lru_entries: Optional[int] = None,
-    lru_bytes: Optional[int] = None,
     ttl: Optional[float] = None,
     metrics_port: Optional[int] = None,
     ack_timeout: float = DRAIN_ACK_TIMEOUT,
@@ -412,14 +404,9 @@ def run_worker(
 ) -> int:
     """Blocking worker entry point (the ``repro-sram worker`` command).
 
-    Without tiering options the worker keeps its historical store — a
-    plain :class:`~repro.runtime.cache.ResultCache` over ``cache_dir``.  Any of
-    ``store_url`` / ``lru_entries`` / ``lru_bytes`` / ``ttl`` upgrades
-    it to the standard tiered composition
-    (:func:`~repro.runtime.tiering.make_tiered_store`): memory LRU →
-    directory → remote object store, write-behind to the remote.  A
-    cold worker pointed at a warm object store then computes nothing
-    (see ``docs/caching.md``).
+    The worker's store is a :class:`~repro.runtime.cache.ResultCache`
+    over ``cache_dir``; ``ttl`` (the CLI's ``--ttl``) makes entries at
+    least that many seconds old read as misses.
 
     Returns a process exit code: 0 after a clean shutdown/drain, 1 when
     the connection or registration failed — with ``reconnect`` that
@@ -427,32 +414,7 @@ def run_worker(
     re-dials have failed (the CLI's ``--reconnect`` /
     ``--reconnect-backoff`` / ``--reconnect-max``).
     """
-    store: CacheStore
-    tiered: Optional["TieredStore"] = None
-    # `ttl is not None`, like the neighbouring checks: a legitimate
-    # ``--ttl 0`` (treat every entry as already expired) must compose
-    # the tiered store, not silently fall through to the plain one.
-    if (store_url or lru_entries is not None or lru_bytes is not None
-            or ttl is not None):
-        from repro.runtime.tiering import (
-            DEFAULT_LRU_BYTES,
-            DEFAULT_LRU_ENTRIES,
-            TieredStore,
-            make_tiered_store,
-        )
-
-        tiered = make_tiered_store(
-            cache_dir=cache_dir,
-            store_url=store_url,
-            lru_entries=(
-                DEFAULT_LRU_ENTRIES if lru_entries is None else lru_entries
-            ),
-            lru_bytes=DEFAULT_LRU_BYTES if lru_bytes is None else lru_bytes,
-            ttl=ttl,
-        )
-        store = tiered
-    else:
-        store = ResultCache(cache_dir)
+    store = ResultCache(cache_dir, ttl=ttl)
     worker = Worker(
         host, port,
         store=store,
@@ -480,9 +442,5 @@ def run_worker(
     finally:
         if metrics_server is not None:
             metrics_server.stop()
-        if tiered is not None:
-            # Drain write-behind before exit so a short-lived worker's
-            # results still reach the shared remote tier.
-            tiered.close()
     print(f"worker {worker.name}: served {done} job(s)")
     return 0

@@ -6,7 +6,6 @@ dashboard) is imported lazily by the CLI to keep this package free of
 """
 
 from dataclasses import asdict
-from typing import TYPE_CHECKING, Dict
 
 from .exposition import CONTENT_TYPE, MetricsServer
 from .flight import FlightRecorder, get_flight_recorder, set_flight_recorder
@@ -30,9 +29,6 @@ from .tracing import (
     maybe_enable_tracing_from_env,
     set_tracer,
 )
-
-if TYPE_CHECKING:
-    from repro.runtime.cache import CacheStore
 
 __all__ = [
     "CONTENT_TYPE",
@@ -61,38 +57,20 @@ __all__ = [
 
 
 def bind_store_metrics(registry: MetricsRegistry, store: object, component: str) -> None:
-    """Publish a cache store's tier counters through ``registry``.
+    """Publish a cache store's counters through ``registry``.
 
-    Adds scrape-time collectors: a
-    :class:`~repro.runtime.tiering.TieredStore` publishes one
-    ``{component, tier}``-labeled set of ``repro_cache_*`` counters per
-    tier plus its ``{component}``-labeled write-behind counters; any
-    other :class:`~repro.runtime.cache.CacheStore` publishes its
-    counters as the ``local`` tier; anything else is a no-op.  Used by
-    CLI entry points before starting a :class:`MetricsServer`.
+    Adds a scrape-time collector: a
+    :class:`~repro.runtime.cache.ResultCache` publishes its
+    :class:`~repro.runtime.cache.TierStats` as ``{component,
+    tier="local"}``-labeled ``repro_cache_*`` counters; anything else
+    is a no-op.  Used by CLI entry points before starting a
+    :class:`MetricsServer`.
     """
-    # Imported here: the tiered store imports this package for its
-    # flight recorder.
-    from repro.runtime.cache import CacheStore
-    from repro.runtime.tiering import TieredStore
+    # Imported here: importing this package loads no runtime module.
+    from repro.runtime.cache import ResultCache
 
-    base = {"component": component}
-    if isinstance(store, TieredStore):
-        for name, tier_store in store.tier_stores():
-            _add_tier_collector(registry, tier_store, {**base, "tier": name})
-        write_behind = store.write_behind_counters
+    if isinstance(store, ResultCache):
+        labels = {"component": component, "tier": "local"}
         registry.add_collector(
-            lambda r: publish_counters(
-                r, "repro_cache_write_behind_", write_behind(), base
-            )
+            lambda r: publish_counters(r, "repro_cache_", asdict(store.tier), labels)
         )
-    elif isinstance(store, CacheStore):
-        _add_tier_collector(registry, store, {**base, "tier": "local"})
-
-
-def _add_tier_collector(
-    registry: MetricsRegistry, store: "CacheStore", labels: Dict[str, str]
-) -> None:
-    registry.add_collector(
-        lambda r: publish_counters(r, "repro_cache_", asdict(store.tier), labels)
-    )

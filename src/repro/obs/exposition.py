@@ -3,8 +3,7 @@
 ``MetricsServer`` wraps a threading HTTP server that renders a
 :class:`~repro.obs.metrics.MetricsRegistry` at ``/metrics`` in the
 Prometheus 0.0.4 text format.  It backs the ``--metrics-port`` flag on
-``dispatch``/``serve``/``worker``; the object store
-reuses :data:`CONTENT_TYPE` and renders inline in its own handler.
+``dispatch`` and ``worker``.
 """
 
 from __future__ import annotations

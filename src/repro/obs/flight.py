@@ -1,8 +1,7 @@
 """Bounded ring-buffer flight recorder for structured fleet events.
 
 The recorder keeps the last ``capacity`` events (worker join/death,
-retry, speculation start/win, drain requeue, write-behind drop, tier
-error) so that a crash or a stats probe can answer "what just
+retry, speculation start/win, drain requeue, journal replay) so that a crash or a stats probe can answer "what just
 happened" without scanning logs.  Events are plain dicts with a
 monotonic sequence number and a wall-clock timestamp; the buffer is
 thread-safe and cheap enough to leave on in production.

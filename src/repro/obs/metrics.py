@@ -1,9 +1,8 @@
 """Zero-dependency metrics registry: counters, gauges, histograms.
 
 Components count their work in plain attributes — the stats
-dataclasses (``DispatcherStats``, ``TierStats``) and
-the tiered store's write-behind counters — and the ``stats`` probes
-read those attributes directly.  A component that serves ``/metrics``
+dataclasses (``DispatcherStats``, ``TierStats``) — and the ``stats``
+probes read those attributes directly.  A component that serves ``/metrics``
 owns a :class:`MetricsRegistry` and registers a *collector*
 (:meth:`MetricsRegistry.add_collector`) that copies the same
 attributes into counters and gauges at scrape time

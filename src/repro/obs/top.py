@@ -1,7 +1,7 @@
 """`repro-sram top`: a live fleet dashboard over the stats probes.
 
 ``run_top`` polls a dispatcher's ``stats`` probe and renders a
-per-kind queue-depth / worker / tier-hit-rate dashboard in place.  The
+per-kind queue-depth / worker / cache-hit-rate dashboard in place.  The
 renderer is a pure function of the probe document so tests can assert
 its output without a live fleet.
 """
@@ -43,32 +43,13 @@ def _table(rows: List[List[str]], indent: str = "  ") -> List[str]:
 
 
 def _store_lines(store: Mapping[str, Any]) -> List[str]:
-    lines: List[str] = ["cache tiers"]
-    tiers = store.get("tiers")
-    if isinstance(tiers, Mapping):
-        rows = [["tier", "hit-rate", "hits", "misses", "puts", "errors"]]
-        for name in sorted(tiers):
-            payload = tiers[name]
-            rows.append([
-                name, _hit_rate(payload),
-                _fmt(payload.get("hits", 0)), _fmt(payload.get("misses", 0)),
-                _fmt(payload.get("puts", 0)), _fmt(payload.get("errors", 0)),
-            ])
-        lines.extend(_table(rows))
-        wb = store.get("write_behind")
-        if isinstance(wb, Mapping):
-            lines.append(
-                "  write-behind: "
-                + " ".join(f"{key}={_fmt(wb[key])}" for key in sorted(wb))
-            )
-    else:
-        lines.append(
-            f"  {store.get('store', 'store')}: hit-rate {_hit_rate(store)}"
-            f" (hits {_fmt(store.get('hits', 0))},"
-            f" misses {_fmt(store.get('misses', 0))},"
-            f" errors {_fmt(store.get('errors', 0))})"
-        )
-    return lines
+    return [
+        "cache store",
+        f"  {store.get('store', 'store')}: hit-rate {_hit_rate(store)}"
+        f" (hits {_fmt(store.get('hits', 0))},"
+        f" misses {_fmt(store.get('misses', 0))},"
+        f" errors {_fmt(store.get('errors', 0))})",
+    ]
 
 
 def _dispatch_lines(stats: Mapping[str, Any]) -> List[str]:

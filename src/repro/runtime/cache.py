@@ -15,10 +15,8 @@ can share one cache directory: a reader sees either the complete old
 document or the complete new one, never a torn write.  Corrupt or
 foreign files are treated as misses rather than errors.
 
-:class:`ResultCache` is the directory tier of the :class:`CacheStore`
-interface every store backend speaks (:mod:`repro.runtime.tiering`,
-:mod:`repro.distributed.objectstore`), so one directory serves
-single-host sweeps and worker fleets alike.
+One :class:`ResultCache` directory serves single-host sweeps and worker
+fleets alike: the dispatcher and every worker open the same directory.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ import json
 import os
 import tempfile
 import time
-from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Optional
 
@@ -63,11 +60,10 @@ def _canonical(obj: Any) -> Any:
 def content_key(namespace: str, payload: Dict[str, Any], version: int) -> str:
     """SHA-256 content address of ``(namespace, version, payload)``.
 
-    Module-level so every store backend — the on-disk
-    :class:`ResultCache`, the in-process LRU tier and the remote object
-    store (:mod:`repro.runtime.tiering`,
-    :mod:`repro.distributed.objectstore`) — addresses identical bytes
-    with identical keys: one computation, one address, everywhere.
+    Module-level so code that holds no :class:`ResultCache` (the
+    dispatcher's journal matching jobs by
+    :func:`~repro.distributed.jobs.job_address`) computes the very
+    address the store files an entry under.
     """
     blob = json.dumps(
         {"namespace": namespace, "version": int(version), "payload": payload},
@@ -79,11 +75,11 @@ def content_key(namespace: str, payload: Dict[str, Any], version: int) -> str:
 
 
 def value_bytes(value: Any) -> int:
-    """Canonical-JSON size of a cached value (the tier byte accounting).
+    """Canonical-JSON size of a cached value (the store's byte accounting).
 
-    Deliberately the size of the *value*, not of any backend's on-disk
-    document: every tier counts the same bytes for the same value, so
-    byte counters compare across tiers.
+    Deliberately the size of the *value*, not of the on-disk document
+    (which adds the payload, timestamps and indentation), so the byte
+    counters do not depend on how an entry is filed.
     """
     return len(
         json.dumps(
@@ -94,21 +90,16 @@ def value_bytes(value: Any) -> int:
 
 @dataclass
 class TierStats:
-    """Per-tier counters: hits/misses, bytes, latency, failures.
+    """Store counters: hits/misses, bytes, latency, failures.
 
-    ``errors`` counts backend failures (unreachable store, failed
-    write attempt) — *not* misses, which are a normal outcome.
-    ``retries`` counts in-band second attempts after a transient
-    failure (the remote tier's read retry); each failed attempt still
-    lands in ``errors``, so ``errors - retries`` bounds the reads that
-    actually degraded.
-    ``expirations`` counts TTL-expired reads, ``evictions`` LRU
-    displacements; both are zero for tiers without the mechanism.
-    Latency is accumulated seconds, so ``get_seconds / (hits + misses)``
-    is the mean read latency of the tier.
+    ``errors`` counts failed writes (full disk, unwritable directory) —
+    *not* misses, which are a normal outcome.  ``expirations`` counts
+    TTL-expired reads (zero without a ``ttl``).  Latency is accumulated
+    seconds, so ``get_seconds / (hits + misses)`` is the mean read
+    latency.
 
     Plain attributes, read by the ``stats`` probes through
-    :meth:`CacheStore.stats_payload`; :func:`repro.obs.bind_store_metrics`
+    :meth:`ResultCache.stats_payload`; :func:`repro.obs.bind_store_metrics`
     publishes them as ``repro_cache_*`` series at scrape time.
     """
 
@@ -118,8 +109,6 @@ class TierStats:
     bytes_read: int = 0
     bytes_written: int = 0
     errors: int = 0
-    retries: int = 0
-    evictions: int = 0
     expirations: int = 0
     get_seconds: float = 0.0
     put_seconds: float = 0.0
@@ -143,44 +132,6 @@ class TierStats:
         out["get_seconds"] = round(out["get_seconds"], 6)
         out["put_seconds"] = round(out["put_seconds"], 6)
         return out
-
-
-class CacheStore(ABC):
-    """Content-addressed result store shared across processes and hosts.
-
-    Contract (inherited from ``docs/runtime.md``'s cache rules): the
-    payload must contain everything that determines the stored value,
-    writes must be atomic (readers never observe a torn document), and
-    concurrent writers of one address must be safe because they all
-    write identical bytes.  ``get`` returns ``None`` on any kind of
-    miss — absence, corruption, backend unavailability — never raises
-    for a recoverable condition; a store that cannot be *written*
-    degrades caching, not correctness, so callers treat ``put``
-    failures as non-fatal.
-
-    Every concrete store maintains a :class:`TierStats` (``self.tier``)
-    and reports it through :meth:`stats_payload` — the object the
-    ``stats`` probe of the dispatcher embeds.
-    """
-
-    def __init__(self) -> None:
-        self.tier = TierStats()
-
-    @abstractmethod
-    def get(self, namespace: str, payload: Dict[str, Any]) -> Optional[Any]:
-        """The stored value addressed by ``payload``, or ``None``."""
-
-    @abstractmethod
-    def put(self, namespace: str, payload: Dict[str, Any], value: Any) -> None:
-        """Atomically store ``value`` under the address of ``payload``."""
-
-    @abstractmethod
-    def describe(self) -> str:
-        """Human-readable location of the store (for logs and stats)."""
-
-    def stats_payload(self) -> Dict[str, Any]:
-        """JSON-able counters for the ``stats`` protocol probes."""
-        return {"store": self.describe(), **self.tier.to_dict()}
 
 
 @dataclass(frozen=True)
@@ -222,20 +173,23 @@ class CacheStats:
         return "\n".join(lines)
 
 
-class ResultCache(CacheStore):
-    """Content-addressed JSON store with atomic writes: the directory tier.
+class ResultCache:
+    """Content-addressed JSON store with atomic writes over one directory.
 
     Correctness contract: a payload must contain *everything* that
     determines the value stored under it (model parameters, sample and
     block counts, seeds, per-namespace ``rev`` markers), so a hit is
     indistinguishable from a recompute and enabling/disabling the cache
     never changes a number.  Values must be JSON-serializable; floats
-    round-trip bit-for-bit.  The full contract (key completeness,
-    versioning levers, atomicity) is documented in ``docs/runtime.md``.
+    round-trip bit-for-bit.  ``get`` returns ``None`` on any kind of
+    miss and a failed ``put`` only counts an error: a store that cannot
+    be written degrades caching, not correctness.  The full contract
+    (key completeness, versioning levers, atomicity) is documented in
+    ``docs/runtime.md``.
 
     The directory is a plain one, sharable over NFS or rsync'd between
-    hosts.  ``self.tier`` counts hits, misses, expirations, write
-    errors, bytes and latency.
+    hosts.  ``self.tier`` (:class:`TierStats`) counts hits, misses,
+    expirations, write errors, bytes and latency.
 
     Parameters
     ----------
@@ -250,13 +204,12 @@ class ResultCache(CacheStore):
         Optional freshness bound in seconds: an entry that has lived
         its full TTL (file age ``>= ttl``) reads as a miss and counts
         an expiration; ``ttl=0`` treats every entry as already expired.
-        File age is **wall-clock** time (``time.time() - mtime``) —
-        unlike the memory tier's monotonic clock — so a backward clock
-        step makes files look younger than they are; ages are clamped
-        to be non-negative, so a future mtime reads as age 0 and
-        expires ``ttl`` seconds after the clock catches up.  Expired
-        files stay on disk for :meth:`compact` to reap, so a TTL-reading
-        process never races a TTL-less one on deletion.
+        File age is **wall-clock** time (``time.time() - mtime``), so a
+        backward clock step makes files look younger than they are;
+        ages are clamped to be non-negative, so a future mtime reads as
+        age 0 and expires ``ttl`` seconds after the clock catches up.
+        Expired files stay on disk for :meth:`compact` to reap, so a
+        TTL-reading process never races a TTL-less one on deletion.
     """
 
     def __init__(
@@ -266,13 +219,13 @@ class ResultCache(CacheStore):
         version: int = CACHE_VERSION,
         ttl: Optional[float] = None,
     ):
-        super().__init__()
-        if ttl is not None and ttl < 0:
+        if ttl is not None and not ttl >= 0:  # nan would never expire
             raise ValueError(f"ttl must be >= 0, got {ttl}")
         self.cache_dir = cache_dir or default_cache_dir()
         self.enabled = enabled
         self.version = int(version)
         self.ttl = None if ttl is None else float(ttl)
+        self.tier = TierStats()
 
     # ------------------------------------------------------------------
     # Addressing
@@ -371,7 +324,12 @@ class ResultCache(CacheStore):
         return value
 
     def describe(self) -> str:
+        """Location of the store (for logs and the ``stats`` probes)."""
         return f"directory:{self.cache_dir}"
+
+    def stats_payload(self) -> Dict[str, Any]:
+        """JSON-able counters for the ``stats`` protocol probes."""
+        return {"store": self.describe(), **self.tier.to_dict()}
 
     # ------------------------------------------------------------------
     # Maintenance (the ``repro-sram cache`` subcommand)

@@ -45,7 +45,7 @@ from typing import Any, Callable, Dict, Generic, List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.rng import derive_seed
 from repro.runtime.executor import SweepExecutor
-from repro.runtime.cache import CacheStore
+from repro.runtime.cache import ResultCache
 
 T = TypeVar("T")
 
@@ -279,7 +279,7 @@ class ShardPlan:
 
 def _compute_and_store(
     encode: Callable[[T], Any],
-    cache: Optional[CacheStore],
+    cache: Optional[ResultCache],
     namespace: str,
     item: Tuple[Callable[[Shard], T], Shard, Dict[str, Any]],
 ) -> T:
@@ -308,11 +308,9 @@ class ShardedMonteCarlo(Generic[T]):
         Worker pool for shard fan-out; ``None`` runs shards serially,
         which bounds peak memory to one shard's working set.
     cache:
-        Optional :class:`~repro.runtime.cache.CacheStore` — a
-        :class:`~repro.runtime.cache.ResultCache`, any other tier, or a
-        full :class:`~repro.runtime.tiering.TieredStore`; each
-        shard is cached under its own content address, so interrupted
-        or re-sharded runs recompute only the shards they are missing.
+        Optional :class:`~repro.runtime.cache.ResultCache`; each shard
+        is cached under its own content address, so interrupted or
+        re-sharded runs recompute only the shards they are missing.
     namespace:
         Cache namespace of the shard tallies (``repro-sram cache clear
         --namespace mcshard`` reaps them).
@@ -322,7 +320,7 @@ class ShardedMonteCarlo(Generic[T]):
         self,
         plan: ShardPlan,
         executor: Optional[SweepExecutor] = None,
-        cache: Optional[CacheStore] = None,
+        cache: Optional[ResultCache] = None,
         namespace: str = "mcshard",
     ):
         self.plan = plan

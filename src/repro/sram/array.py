@@ -22,7 +22,7 @@ if TYPE_CHECKING:  # import would cycle at runtime (distributed -> sram)
 
 from repro.errors import ConfigurationError
 from repro.rng import SeedLike
-from repro.runtime import DEFAULT_BLOCK_SAMPLES, CacheStore
+from repro.runtime import DEFAULT_BLOCK_SAMPLES, ResultCache
 from repro.sram.area import bitcell_area
 from repro.sram.bitcell import BitcellBase
 from repro.sram.montecarlo import FailureRates, MonteCarloAnalyzer
@@ -73,7 +73,7 @@ class SubArray:
     #: ``REPRO_JOBS``, default serial).
     jobs: Optional[int] = None
     #: Shared result cache for per-shard tallies (``None`` = uncached).
-    cache: Optional[CacheStore] = field(
+    cache: Optional[ResultCache] = field(
         default=None, compare=False, repr=False
     )
     #: Started :class:`~repro.distributed.ShardDispatcher`; when set,

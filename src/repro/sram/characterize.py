@@ -37,7 +37,6 @@ from repro.errors import ConfigurationError
 from repro.rng import DEFAULT_SEED, resolve_seed
 from repro.runtime import (
     DEFAULT_BLOCK_SAMPLES,
-    CacheStore,
     ResultCache,
     default_cache_dir,
 )
@@ -243,7 +242,7 @@ def characterize_cell(
     use_cache: bool = True,
     cache_dir: Optional[str] = None,
     jobs: Optional[int] = None,
-    cache: Optional[CacheStore] = None,
+    cache: Optional[ResultCache] = None,
     shards: Optional[int] = None,
     max_shard_samples: Optional[int] = None,
     block_samples: Optional[int] = None,

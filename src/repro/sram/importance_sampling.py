@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.rng import SeedLike, derive_seed, ensure_rng, resolve_seed
-from repro.runtime import CacheStore, SweepExecutor
+from repro.runtime import ResultCache, SweepExecutor
 from repro.sram.bitcell import BitcellBase
 from repro.sram.failures import FailureType, compute_failure_margins
 from repro.sram.read_path import BitlineModel, nominal_read_cycle
@@ -243,7 +243,7 @@ class ImportanceSampler:
         seed: SeedLike = None,
         max_shift_sigma: float = 12.0,
         jobs: Optional[int] = None,
-        cache: Optional[CacheStore] = None,
+        cache: Optional[ResultCache] = None,
         dispatcher: Optional[Any] = None,
     ) -> List[ImportanceSamplingResult]:
         """Importance-sampled estimates across a voltage sweep.

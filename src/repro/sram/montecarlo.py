@@ -52,7 +52,7 @@ from repro.errors import ConfigurationError
 from repro.rng import SeedLike, derive_seed, resolve_seed
 from repro.runtime import (
     DEFAULT_BLOCK_SAMPLES,
-    CacheStore,
+    ResultCache,
     Shard,
     ShardedMonteCarlo,
     ShardPlan,
@@ -539,7 +539,7 @@ class MonteCarloAnalyzer:
         shards: Optional[int] = None,
         max_shard_samples: Optional[int] = None,
         jobs: Optional[int] = None,
-        cache: Optional[CacheStore] = None,
+        cache: Optional[ResultCache] = None,
         dispatcher: Optional["ShardDispatcher"] = None,
     ) -> FailureRates:
         """Estimate failure rates with the population split into shards.
@@ -559,7 +559,7 @@ class MonteCarloAnalyzer:
         self,
         vdds: Sequence[float],
         jobs: Optional[int] = None,
-        cache: Optional[CacheStore] = None,
+        cache: Optional[ResultCache] = None,
         shards: Optional[int] = None,
         max_shard_samples: Optional[int] = None,
         dispatcher: Optional["ShardDispatcher"] = None,
@@ -694,7 +694,7 @@ def failure_rates_vs_vdd(
     seed: SeedLike = None,
     read_cycle: Optional[float] = None,
     jobs: Optional[int] = None,
-    cache: Optional[CacheStore] = None,
+    cache: Optional[ResultCache] = None,
     shards: Optional[int] = None,
     max_shard_samples: Optional[int] = None,
 ) -> List[FailureRates]:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import allocate_msbs, layer_sensitivity_profile
+from repro.core.sensitivity import _layer_point
 from repro.errors import ConfigurationError
+from repro.nn.network import FeedforwardANN
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +46,38 @@ class TestSensitivityProfile:
     def test_stress_validation(self, model):
         with pytest.raises(ConfigurationError):
             layer_sensitivity_profile(model, stress_ber=0.0)
+
+
+class TestEvalSubset:
+    def test_one_clean_pass_per_profile(self, model, monkeypatch):
+        """``eval_samples`` pays one clean pass over the subset for the
+        whole profile, and the profile equals one whose every layer
+        point made its own clean pass."""
+        x_eval = model.dataset.x_test[:500]
+        y_eval = model.dataset.y_test[:500]
+        expected = tuple(
+            _layer_point(model.network, model.image, x_eval, y_eval, 0.05, 1,
+                         21, None, target)
+            for target in range(model.image.n_layers)
+        )
+        clean_weights, clean_biases = model.image.dequantized()
+        clean_passes = []
+        original = FeedforwardANN.predict
+
+        def spy(network, x, params=None):
+            weights, biases = params
+            if all(np.array_equal(a, b) for a, b in zip(
+                    weights + biases, clean_weights + clean_biases)):
+                clean_passes.append(len(x))
+            return original(network, x, params=params)
+
+        monkeypatch.setattr(FeedforwardANN, "predict", spy)
+        profile = layer_sensitivity_profile(
+            model, stress_ber=0.05, n_trials=1, seed=21, eval_samples=500,
+            jobs=1,
+        )
+        assert clean_passes == [500]
+        assert profile.layers == expected
 
 
 class TestAllocator:

@@ -17,7 +17,7 @@ PROBE = {
     "latency_sum": 0.30000000000000004,
     "wait_max": 1.2345678901,
     "store": {
-        "store": "memory:lru",
+        "store": "directory:/c",
         "hits": 40,
         "get_seconds": 0.10000000000000002,
     },
@@ -41,7 +41,7 @@ queues:
 store:
   get_seconds : 0.1
   hits        : 40
-  store       : memory:lru"""
+  store       : directory:/c"""
 
 
 class TestFormatValue:
@@ -54,7 +54,7 @@ class TestFormatValue:
     def test_non_floats_pass_through_exactly(self):
         assert _format_value(3) == "3"
         assert _format_value(True) == "True"
-        assert _format_value("memory:lru") == "memory:lru"
+        assert _format_value("directory:/c") == "directory:/c"
         # Counters on the wire are ints; 3 must never display as 3.0.
         assert "." not in _format_value(10**9)
 

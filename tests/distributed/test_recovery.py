@@ -185,8 +185,6 @@ class TestRestartOnJournal:
         replay's store cross-check must demote every ``done`` record
         back to pending — a completion the store cannot vouch for is
         not a completion."""
-        from repro.runtime.tiering import make_tiered_store
-
         journal_dir = str(tmp_path / "journal")
         with make_dispatcher(
             store_dir, journal=RunJournal(journal_dir)
@@ -203,7 +201,7 @@ class TestRestartOnJournal:
 
         from tests.distributed.conftest import HEARTBEAT_INTERVAL
 
-        store = make_tiered_store(cache_dir=store_dir, lru_entries=0, ttl=0.0)
+        store = ResultCache(store_dir, ttl=0.0)
         with ShardDispatcher(
             store=store,
             journal=RunJournal(journal_dir),

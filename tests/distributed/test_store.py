@@ -9,14 +9,14 @@ callers rely on through the old name.
 import os
 import time
 
-from repro.distributed import CacheStore, DirectoryStore
+from repro.distributed import DirectoryStore
 from repro.runtime import ResultCache
 
 
 class TestDirectoryStore:
     def test_round_trip(self, tmp_path):
         store = DirectoryStore(str(tmp_path / "s"))
-        assert isinstance(store, ResultCache) and isinstance(store, CacheStore)
+        assert isinstance(store, ResultCache)
         payload = {"cell": "6t", "vdd": 0.7, "seed": 3}
         assert store.get("mcshard", payload) is None
         store.put("mcshard", payload, {"fails": [1, 2]})

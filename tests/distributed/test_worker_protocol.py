@@ -13,6 +13,7 @@ import threading
 import pytest
 
 from repro.distributed import ProtocolError, run_worker
+from repro.distributed.jobs import execute_job, margin_tally_jobs
 from repro.distributed.protocol import (
     PROTOCOL_VERSION,
     STREAM_LIMIT,
@@ -21,6 +22,9 @@ from repro.distributed.protocol import (
 )
 from repro.distributed.worker import Worker, worker_command
 from repro.errors import ConfigurationError
+from repro.runtime import ResultCache
+
+from tests.distributed.conftest import make_dispatcher
 
 
 GOOD_WELCOME = {
@@ -317,54 +321,43 @@ class TestDrainAckTimeout:
 
 
 class TestWorkerCliRoundTrip:
-    def test_ttl_zero_composes_tiered_store(self, tmp_path, monkeypatch):
-        """Satellite regression: ``--ttl 0`` is a real tiering request
-        ("treat every entry as already expired"), so the CLI must build
-        the tiered composition and hand it ``ttl=0.0`` — the old
-        truthiness check silently dropped it."""
-        import repro.runtime.tiering as tiering
+    def test_ttl_zero_treats_entries_as_misses(
+        self, dist_analyzer, tmp_path, monkeypatch
+    ):
+        """``worker --ttl 0``: a job whose result is already in the
+        worker's store reads it as an expired miss and computes it."""
+        import repro.distributed.worker as worker_module
         from repro.cli import main
 
-        calls = []
-        real = tiering.make_tiered_store
+        stores = []
 
-        def spy(**kwargs):
-            calls.append(kwargs)
-            return real(**kwargs)
+        class RecordingCache(ResultCache):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                stores.append(self)
 
-        monkeypatch.setattr(tiering, "make_tiered_store", spy)
-        with ScriptedDispatcher() as d:
-            rc = main([
-                "worker",
-                "--connect", f"{d.host}:{d.port}",
-                "--cache-dir", str(tmp_path / "cache"),
-                "--ttl", "0",
-            ])
-        assert rc == 0
-        assert len(calls) == 1
-        assert calls[0]["ttl"] == 0.0
-        assert calls[0]["cache_dir"] == str(tmp_path / "cache")
-
-    def test_no_tiering_flags_keeps_plain_store(self, tmp_path, monkeypatch):
-        import repro.runtime.tiering as tiering
-        from repro.cli import main
-
-        calls = []
-        real = tiering.make_tiered_store
-
-        def spy(**kwargs):
-            calls.append(kwargs)
-            return real(**kwargs)
-
-        monkeypatch.setattr(tiering, "make_tiered_store", spy)
-        with ScriptedDispatcher() as d:
-            rc = main([
-                "worker",
-                "--connect", f"{d.host}:{d.port}",
-                "--cache-dir", str(tmp_path / "cache"),
-            ])
-        assert rc == 0
-        assert calls == []
+        monkeypatch.setattr(worker_module, "ResultCache", RecordingCache)
+        cache_dir = str(tmp_path / "cache")
+        resolved = dist_analyzer.resolved()
+        (job,) = margin_tally_jobs(resolved, 0.7, resolved.shard_plan(shards=1))
+        assert execute_job(job, ResultCache(cache_dir))[1] is False
+        codes = []
+        with make_dispatcher() as dispatcher:
+            host, port = dispatcher.start()
+            worker = threading.Thread(target=lambda: codes.append(main([
+                "worker", "--connect", f"{host}:{port}",
+                "--cache-dir", cache_dir, "--ttl", "0",
+            ])), daemon=True)
+            worker.start()
+            dist_analyzer.analyze_sharded(0.7, shards=1, dispatcher=dispatcher)
+            stats = dispatcher.stats
+        worker.join(10)
+        assert codes == [0]
+        assert (stats.worker_cache_hits, stats.computed) == (0, 1)
+        (store,) = stores
+        assert store.ttl == 0.0
+        assert (store.tier.hits, store.tier.misses) == (0, 1)
+        assert store.tier.expirations == 1
 
 
 class TestWorkerCommand:
@@ -373,14 +366,13 @@ class TestWorkerCommand:
 
         cmd = worker_command(
             "10.0.0.5", 8417, name="auto-9", cache_dir="/tmp/cache",
-            store_url="http://store:9000", reconnect=True,
+            reconnect=True,
         )
         assert cmd[1:4] == ["-m", "repro.cli", "worker"]
         # The argv parses as the CLI's own worker command.
         args = build_parser().parse_args(cmd[3:])
-        assert (args.connect, args.name, args.cache_dir, args.store_url,
-                args.reconnect) == ("10.0.0.5:8417", "auto-9", "/tmp/cache",
-                                    "http://store:9000", True)
+        assert (args.connect, args.name, args.cache_dir, args.reconnect) == (
+            "10.0.0.5:8417", "auto-9", "/tmp/cache", True)
 
     def test_minimal_command_has_no_store_flags(self):
         cmd = worker_command("127.0.0.1", 8417)

@@ -4,10 +4,9 @@ The components count their work in plain attributes and publish them
 through scrape-time collectors.  Pinned here:
 
 * the union of the series the fleet components render — a dispatcher
-  that has merged one job, a tiered store bound with
-  ``bind_store_metrics`` and the object-store server — equals the
-  catalogue tables of ``docs/observability.md`` exactly, as
-  ``(name, kind, label keys)``;
+  that has merged one job and a result cache bound with
+  ``bind_store_metrics`` — equals the catalogue tables of
+  ``docs/observability.md`` exactly, as ``(name, kind, label keys)``;
 * a dispatcher's registry reports the very numbers of its ``stats``
   probe, scalar for scalar and worker for worker.
 """
@@ -17,10 +16,9 @@ import threading
 import time
 from pathlib import Path
 
-from repro.distributed.objectstore import FakeObjectStoreServer
 from repro.obs import bind_store_metrics
 from repro.obs.metrics import MetricsRegistry
-from repro.runtime import ResultCache, TieredStore
+from repro.runtime import ResultCache
 from repro.sram.montecarlo import MonteCarloAnalyzer
 
 from tests.distributed.conftest import (
@@ -106,20 +104,13 @@ class TestCatalogue:
         # A fixed speculation threshold publishes the cutoff gauge.
         dispatcher = merge_one_job(cell6, speculation_threshold=30.0)
 
-        store = TieredStore(
-            local=ResultCache(str(tmp_path)), remote=ResultCache(str(tmp_path / "r"))
-        )
         store_registry = MetricsRegistry()
-        bind_store_metrics(store_registry, store, component="dispatch")
-        store.close()
-
-        with FakeObjectStoreServer() as objectstore:
-            objectstore_series = rendered_series(objectstore.metrics)
+        bind_store_metrics(
+            store_registry, ResultCache(str(tmp_path)), component="dispatch"
+        )
 
         rendered = (
-            rendered_series(dispatcher.metrics)
-            | rendered_series(store_registry)
-            | objectstore_series
+            rendered_series(dispatcher.metrics) | rendered_series(store_registry)
         )
         documented = documented_series()
         assert rendered - documented == set(), "series missing from the docs"

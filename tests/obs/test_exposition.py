@@ -65,35 +65,18 @@ class TestMetricsServer:
 
 
 class TestBindStoreMetrics:
-    def test_tiered_store_binds_per_tier_and_write_behind_series(
-        self, tmp_path
-    ):
-        from repro.runtime import ResultCache, TieredStore
-
-        store = TieredStore(local=ResultCache(str(tmp_path)))
-        store.put("ns", {"k": 1}, {"v": 2})
-        assert store.get("ns", {"k": 1}) == {"v": 2}
-        registry = MetricsRegistry()
-        bind_store_metrics(registry, store, component="serve")
-        registry.collect()
-        assert registry.counter(
-            "repro_cache_hits_total", {"component": "serve", "tier": "local"}
-        ).value == 1
-        names = {row["name"] for row in registry.snapshot()["series"]}
-        assert "repro_cache_write_behind_dropped_total" in names
-        store.close()
-
     def test_plain_store_binds_one_local_tier(self, tmp_path):
         from repro.runtime import ResultCache
 
         store = ResultCache(str(tmp_path))
         store.put("ns", {"k": 1}, {"v": 2})
+        assert store.get("ns", {"k": 1}) == {"v": 2}
         registry = MetricsRegistry()
         bind_store_metrics(registry, store, component="worker")
         registry.collect()
-        assert registry.counter(
-            "repro_cache_puts_total", {"component": "worker", "tier": "local"}
-        ).value == 1
+        labels = {"component": "worker", "tier": "local"}
+        assert registry.counter("repro_cache_puts_total", labels).value == 1
+        assert registry.counter("repro_cache_hits_total", labels).value == 1
 
     def test_storeless_objects_are_a_no_op(self):
         registry = MetricsRegistry()

@@ -38,16 +38,11 @@ DISPATCH_STATS = {
     "latency": {"samples": 7, "mean": 0.30000000000000004, "p50": 0.25,
                 "max": 1.0},
     "speculation": {"cutoff": 0.75},
-    "store": {
-        "tiers": {
-            "memory": {"hits": 8, "misses": 2, "puts": 10, "errors": 0},
-            "remote": {"hits": 0, "misses": 0, "puts": 4, "errors": 1},
-        },
-        "write_behind": {"queued": 4, "flushed": 3, "dropped": 1},
-    },
+    "store": {"store": "directory:/c", "hits": 8, "misses": 2, "puts": 10,
+              "errors": 1},
 }
 
-#: A dispatcher over a single-tier store: ``store`` is one tier's stats.
+#: A probe with no per-kind queues, latency or workers.
 SINGLE_STORE_STATS = {
     "stats_version": 1,
     "jobs": 4,
@@ -55,7 +50,7 @@ SINGLE_STORE_STATS = {
     "computed": 1,
     "store_hits": 3,
     "queues": {"depth": 0, "inflight": 0},
-    "store": {"store": "memory:lru", "hits": 40, "misses": 60, "errors": 0},
+    "store": {"store": "directory:/s", "hits": 40, "misses": 60, "errors": 0},
 }
 
 
@@ -72,8 +67,8 @@ class TestRenderDashboard:
         assert "mean 0.3s" in frame
         assert "speculation cutoff 0.75s" in frame
         assert "w0" in frame and "w1" in frame
-        assert "memory" in frame and "80.0%" in frame
-        assert "write-behind:" in frame and "dropped=1" in frame
+        assert "directory:/c: hit-rate 80.0%" in frame
+        assert "errors 1" in frame
         assert frame.endswith("\n")
 
     def test_single_store_frame(self):
@@ -81,14 +76,14 @@ class TestRenderDashboard:
         assert frame.startswith("t — dispatcher probe (stats v1)\n")
         assert "done 4/4" in frame
         assert "store-hits 3" in frame and "computed 1" in frame
-        assert "memory:lru: hit-rate 40.0%" in frame
+        assert "directory:/s: hit-rate 40.0%" in frame
 
     def test_empty_tiers_and_zero_requests_render_dashes(self):
         frame = render_dashboard({
-            "jobs": 0, "store": {"tiers": {"memory": {}}},
+            "jobs": 0, "store": {"store": "directory:/e"},
         })
         assert "done 0/0" in frame
-        assert "  memory  -  " in frame  # no division by zero
+        assert "directory:/e: hit-rate - (hits 0" in frame  # no division by zero
 
 
 class TestRunTop:

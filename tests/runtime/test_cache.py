@@ -8,7 +8,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.runtime import CacheStore, ResultCache
+from repro.runtime import ResultCache, TierStats
+from repro.runtime.cache import value_bytes
 
 
 @pytest.fixture()
@@ -92,7 +93,7 @@ class TestRoundtrip:
             assert cache.get("mc", {"k": 1}) is None
 
     def test_torn_document_reads_as_none(self, cache):
-        """The CacheStore contract: corruption is a miss, never an error.
+        """The store contract: corruption is a miss, never an error.
 
         A torn write (killed process, full disk on a non-atomic backend)
         leaves a truncated JSON document; ``get`` must return ``None``
@@ -234,14 +235,7 @@ class TestConcurrency:
 
 
 class TestStore:
-    """ResultCache as a CacheStore: the directory tier of every fleet."""
-
-    def test_is_a_cache_store(self, cache):
-        assert isinstance(cache, CacheStore)
-
-    def test_interface_is_abstract(self):
-        with pytest.raises(TypeError):
-            CacheStore()  # type: ignore[abstract]
+    """ResultCache as the shared store of every command and fleet."""
 
     def test_describe_names_the_directory(self, tmp_path):
         store = ResultCache(str(tmp_path / "s"))
@@ -302,6 +296,40 @@ class TestStore:
         }
         assert document["value"] == [1.5, 2.5]
 
+    def test_shares_bytes_with_result_cache(self, tmp_path):
+        """A store opened with a TTL (``worker --ttl``) over a directory
+        a plain ResultCache wrote is warm from the start — one content
+        address everywhere."""
+        path = str(tmp_path / "shared")
+        ResultCache(cache_dir=path).put("mcshard", {"k": 1}, [1.5])
+        store = ResultCache(cache_dir=path, ttl=3600.0)
+        assert store.get("mcshard", {"k": 1}) == [1.5]
+        assert store.tier.hits == 1 and store.tier.expirations == 0
+
+
+class TestTierStats:
+    def test_get_accounting(self):
+        stats = TierStats()
+        stats.record_get(None, 0.25)
+        stats.record_get({"v": 1}, 0.25)
+        assert stats.hits == 1 and stats.misses == 1
+        assert stats.bytes_read == value_bytes({"v": 1})
+        assert stats.get_seconds == pytest.approx(0.5)
+
+    def test_to_dict_rounds_latency(self):
+        stats = TierStats()
+        stats.get_seconds = 0.123456789
+        out = stats.to_dict()
+        assert out["get_seconds"] == 0.123457
+        assert set(out) == {
+            "hits", "misses", "puts", "bytes_read", "bytes_written",
+            "errors", "expirations", "get_seconds", "put_seconds",
+        }
+
+    def test_value_bytes_is_canonical(self):
+        # Key order must not change the byte accounting.
+        assert value_bytes({"a": 1, "b": 2}) == value_bytes({"b": 2, "a": 1})
+
 
 class TestTTL:
     """Constructor ``ttl``: entries that lived their full TTL read as
@@ -354,8 +382,9 @@ class TestTTL:
         assert cache.tier.expirations == 0
 
     def test_ttl_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="ttl"):
-            ResultCache(str(tmp_path), ttl=-1.0)
+        for ttl in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="ttl"):
+                ResultCache(str(tmp_path), ttl=ttl)
 
     def test_backward_clock_step_clamps_age_to_zero(self, tmp_path, monkeypatch):
         """File ages are wall-clock (``time.time() - mtime``), so a

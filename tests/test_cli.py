@@ -16,6 +16,40 @@ from repro.errors import ConfigurationError
 from repro.runtime import SweepExecutor
 
 
+class TestDispatchCommand:
+    def test_ttl_zero_treats_entries_as_misses(self, tmp_path, monkeypatch):
+        """``dispatch --ttl 0``: an entry the dispatcher's store already
+        holds reads as an expired miss, so the job is computed again."""
+        import repro.distributed
+        from tests.distributed.conftest import WorkerThread
+
+        dispatchers, workers = [], []
+
+        class WithWorker(repro.distributed.ShardDispatcher):
+            def start(self, host="127.0.0.1", port=0):
+                host, port = super().start(host, port)
+                dispatchers.append(self)
+                workers.append(WorkerThread(host, port))
+                return host, port
+
+        monkeypatch.setattr(repro.distributed, "ShardDispatcher", WithWorker)
+        store_dir = tmp_path / "store"
+        argv = ["dispatch", "--listen", "127.0.0.1:0",
+                "--cache-dir", str(store_dir), "--samples", "1200",
+                "--block-samples", "256", "--vdd", "0.7", "--shards", "1"]
+        assert main(argv) == 0
+        assert len(os.listdir(store_dir)) == 1  # the entry
+        assert main(argv + ["--ttl", "0"]) == 0
+        for worker in workers:
+            worker.join()
+        first, second = dispatchers
+        assert first.stats.computed == 1
+        assert (second.stats.store_hits, second.stats.computed) == (0, 1)
+        assert second.store.ttl == 0.0
+        assert (second.store.tier.hits, second.store.tier.misses) == (0, 1)
+        assert second.store.tier.expirations == 1
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -132,12 +166,11 @@ class TestParser:
 
     @pytest.mark.parametrize("flag", ["--samples", "--trials", "--shards",
                                       "--max-shard-samples",
-                                      "--block-samples", "--max-jobs",
-                                      "--lru-bytes"])
+                                      "--block-samples", "--max-jobs"])
     @pytest.mark.parametrize("value", ["0", "-3", "many"])
     def test_sizes_must_be_positive(self, flag, value, capsys):
         command = (["worker", "--connect", "h:1"]
-                   if flag in ("--max-jobs", "--lru-bytes") else ["hybrid"])
+                   if flag == "--max-jobs" else ["hybrid"])
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(command + [flag, value])
         assert exc.value.code == 2
@@ -145,16 +178,18 @@ class TestParser:
             capsys.readouterr().err
         )
 
-    def test_lru_entries_must_not_be_negative(self, capsys):
-        worker = ["worker", "--connect", "h:1", "--lru-entries"]
+    @pytest.mark.parametrize("command", [["worker", "--connect", "h:1"],
+                                         ["dispatch"]])
+    @pytest.mark.parametrize("value", ["-1", "nan", "soon"])
+    def test_ttl_must_be_non_negative_seconds(self, command, value, capsys):
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(worker + ["-5"])
+            build_parser().parse_args(command + ["--ttl", value])
         assert exc.value.code == 2
-        assert "argument --lru-entries: expected a non-negative integer" in (
+        assert "argument --ttl: expected a non-negative number of seconds" in (
             capsys.readouterr().err
         )
-        # 0 stays legal: it disables the memory tier.
-        assert build_parser().parse_args(worker + ["0"]).lru_entries == 0
+        # 0 stays legal: every entry reads as already expired.
+        assert build_parser().parse_args(command + ["--ttl", "0"]).ttl == 0.0
 
     def test_top_iterations_must_not_be_negative(self, capsys):
         top = ["top", "--port", "1", "--iterations"]
