@@ -1,10 +1,10 @@
-"""Mixed-workload dispatch — all four job kinds through one fleet.
+"""Mixed-workload dispatch — all three job kinds through one fleet.
 
 Extension benchmark (no paper figure): the elastic dispatcher serves
 every paper workload as a distributed job kind.  This harness drives a
 realistic mixed session — circuit Monte-Carlo margin shards, importance
--sampled failure points, NN fault-trial blocks and NN accuracy points,
-dispatched *concurrently* by four client threads to one shared worker
+-sampled failure points and NN accuracy points, dispatched
+*concurrently* by three client threads to one shared worker
 fleet — and reports per-kind throughput.  A second phase measures what
 speculative re-execution buys against a deliberate straggler, using the
 chaos harness's scripted ``stall`` worker.
@@ -38,16 +38,13 @@ from repro.devices import ptm22
 from repro.distributed import (
     ShardDispatcher,
     benchmark_model_spec,
-    concat_blocks,
     execute_job,
-    fault_block_jobs,
     is_shard_jobs,
     margin_tally_jobs,
     model_from_spec,
     nn_fault_eval_jobs,
     worker_command,
 )
-from repro.fault.evaluate import FaultTrialSpec
 from repro.fault.injector import WeightFaultInjector
 from repro.fault.model import BitErrorRates
 from repro.runtime import ResultCache
@@ -101,10 +98,6 @@ def _workloads():
     sampler = ImportanceSampler(make_cell("6t", ptm22()))
     model = model_from_spec(MODEL)  # trains once; the fleet loads cache
     injector = WeightFaultInjector([_rates()] * model.image.n_layers)
-    trial_specs = [
-        FaultTrialSpec(injector=injector, n_trials=2, seed=s)
-        for s in range(5)
-    ] + [FaultTrialSpec(injector=None, n_trials=1, seed=0)]
     return {
         "margin_tally": (
             margin_tally_jobs(analyzer, VDD, analyzer.shard_plan(shards=SHARDS)),
@@ -113,10 +106,6 @@ def _workloads():
         "is_shard": (
             is_shard_jobs(sampler, [0.62, 0.66, VDD], n_samples=1500, seed=7),
             ImportanceSamplingResult.from_dict, None,
-        ),
-        "fault_block": (
-            fault_block_jobs(MODEL, trial_specs, blocks=3),
-            None, concat_blocks,
         ),
         "nn_fault_eval": (
             nn_fault_eval_jobs(MODEL, [
@@ -146,7 +135,7 @@ def _oracle_digest(jobs, decode, merge):
 
 
 def _drive_mixed(workloads, store_dir):
-    """All four kinds at once: one client thread per kind, one fleet."""
+    """All three kinds at once: one client thread per kind, one fleet."""
     results, elapsed = {}, {}
     with ShardDispatcher(store=ResultCache(store_dir)) as dispatcher:
         host, port = dispatcher.start()

@@ -17,11 +17,11 @@ The pieces:
   write — that makes recomputation idempotent and lets local and
   distributed runs resume from each other's work;
 * :mod:`~repro.distributed.jobs` — wire-format shard jobs plus the
-  closed table of job kinds that run them (``JOB_KINDS``).  Four kinds
-  — the whole circuit → memory system → NN pipeline of the paper:
-  ``margin_tally`` (Monte-Carlo failure margins), ``is_shard``
-  (importance-sampled points), ``fault_block`` (batched fault trials)
-  and ``nn_fault_eval`` (NN accuracy under faults);
+  closed table of job kinds that run them (``JOB_KINDS``).  Three
+  kinds — the whole circuit → memory system → NN pipeline of the
+  paper: ``margin_tally`` (Monte-Carlo failure margins), ``is_shard``
+  (importance-sampled points) and ``nn_fault_eval`` (NN accuracy under
+  faults);
 * :mod:`~repro.distributed.protocol` — the message vocabulary
   (register / ready / assign / result / heartbeat / stats);
 * :mod:`~repro.distributed.client` — the reconnecting JSON-lines
@@ -62,9 +62,7 @@ from repro.distributed.jobs import (
     ShardJob,
     analyzer_from_spec,
     benchmark_model_spec,
-    concat_blocks,
     execute_job,
-    fault_block_jobs,
     is_shard_jobs,
     margin_tally_jobs,
     model_from_spec,
@@ -95,9 +93,7 @@ __all__ = [
     "Worker",
     "analyzer_from_spec",
     "benchmark_model_spec",
-    "concat_blocks",
     "execute_job",
-    "fault_block_jobs",
     "is_shard_jobs",
     "job_address",
     "job_node",

@@ -19,7 +19,7 @@ bytes at one address, so whichever answer arrives first is *the*
 answer.
 
 Execution is one closed table keyed by ``kind`` (:data:`JOB_KINDS`
-names them).  Four kinds — the whole circuit → memory system → NN
+names them).  Three kinds — the whole circuit → memory system → NN
 pipeline of the paper as distributable units:
 
 ``margin_tally``
@@ -32,10 +32,6 @@ pipeline of the paper as distributable units:
     sharing the ``is`` namespace with local
     :meth:`~repro.sram.importance_sampling.ImportanceSampler.estimate_sweep`
     caches.
-``fault_block``
-    A block of :class:`~repro.fault.evaluate.FaultTrialSpec` requests
-    through :func:`~repro.fault.evaluate.evaluate_many_under_faults`;
-    blocks concatenate (the batch split is proven not to change bits).
 ``nn_fault_eval``
     One NN fault-accuracy point
     (:func:`~repro.fault.evaluate.evaluate_under_faults`) against the
@@ -63,11 +59,7 @@ from typing import (
 
 from repro.devices.technology import MosfetParams, Technology
 from repro.errors import ConfigurationError
-from repro.fault.evaluate import (
-    FaultTrialSpec,
-    evaluate_many_under_faults,
-    evaluate_under_faults,
-)
+from repro.fault.evaluate import evaluate_under_faults
 from repro.fault.injector import WeightFaultInjector
 from repro.fault.model import BitErrorRates
 from repro.rng import SeedLike, derive_seed, resolve_seed
@@ -89,9 +81,6 @@ MARGIN_TALLY_NAMESPACE = "mcshard"
 #: ``ImportanceSampler.estimate_sweep(..., cache=...)`` writes, so
 #: fleets resume local sweeps and vice versa.
 IS_SHARD_NAMESPACE = "is"
-
-#: Namespace of batched fault-trial blocks.
-FAULT_BLOCK_NAMESPACE = "faultblock"
 
 #: Namespace of NN fault-accuracy points.
 NN_FAULT_EVAL_NAMESPACE = "nnfault"
@@ -133,22 +122,6 @@ _FAILURE_TYPE: _Rule = (
     f"one of {', '.join(sorted(_FAILURE_TYPES))}",
     lambda v: isinstance(v, str) and v in _FAILURE_TYPES,
 )
-
-
-def _documents(parse: Callable[[Any], Any], what: str,
-               optional: bool = False) -> _Rule:
-    """A non-empty list (or ``None`` if ``optional``) of documents that
-    ``parse`` accepts; ``parse`` raises its own error on a bad one."""
-    def ok(value: Any) -> bool:
-        if value is None:
-            return optional
-        if not isinstance(value, (list, tuple)) or not value:
-            return False
-        for doc in value:
-            parse(doc)
-        return True
-
-    return f"{'None or ' if optional else ''}a non-empty list of {what}", ok
 
 
 def _check_fields(where: str, doc: Any, fields: Mapping[str, _Rule]) -> bool:
@@ -270,21 +243,16 @@ def execute_job(job: ShardJob, store: Optional[ResultCache]) -> Tuple[Any, bool]
     return value, False
 
 
-def _spec_job(kind: str, namespace: str, job_id: str, shard: Shard,
-              spec: Dict[str, Any]) -> ShardJob:
-    """A job whose spec is its own store address, over one-unit blocks
-    (one trial spec per ``fault_block`` block; one block per point)."""
+def _point_job(kind: str, namespace: str, job_id: str, index: int,
+               spec: Dict[str, Any]) -> ShardJob:
+    """The job of point ``index``: its spec is its own store address,
+    and the trivial one-block shard ``((index, 1),)`` keeps the 8-field
+    wire format the same for the point-shaped kinds."""
     return ShardJob(
-        job_id=job_id, kind=kind, spec=spec, shard_index=shard.index,
-        shard=shard.descriptor(), block_samples=1, namespace=namespace,
-        payload=spec,
+        job_id=job_id, kind=kind, spec=spec, shard_index=index,
+        shard=Shard(index=index, blocks=((index, 1),)).descriptor(),
+        block_samples=1, namespace=namespace, payload=spec,
     )
-
-
-def _point_shard(index: int) -> Shard:
-    """The trivial one-block shard of point ``index``: it keeps the
-    8-field wire format the same for the point-shaped kinds."""
-    return Shard(index=index, blocks=((index, 1),))
 
 
 def _from_circuit_spec(
@@ -470,8 +438,8 @@ def is_shard_jobs(
     base_seed = resolve_seed(seed)
     run_id = run_id or uuid.uuid4().hex[:12]
     return [
-        _spec_job(
-            "is_shard", IS_SHARD_NAMESPACE, f"is-{run_id}-{i}", _point_shard(i),
+        _point_job(
+            "is_shard", IS_SHARD_NAMESPACE, f"is-{run_id}-{i}", i,
             sampler.point_payload(
                 float(vdd), failure_type, n_samples, base_seed, max_shift_sigma
             ),
@@ -564,95 +532,23 @@ def model_from_spec(spec: Dict[str, Any]) -> Any:
 
 
 # ----------------------------------------------------------------------
-# The "fault_block" kind: batched fault-trial evaluation
-# ----------------------------------------------------------------------
-_FAULT_BLOCK_FIELDS: Dict[str, _Rule] = {
-    "model": _MODEL,
-    "specs": _documents(FaultTrialSpec.from_dict, "trial specs"),
-}
-
-
-def _run_fault_block(job: ShardJob) -> List[Dict[str, Any]]:
-    """Worker compute function: one contiguous block of fault trials.
-
-    Returns the block's :class:`~repro.fault.evaluate.FaultEvaluation`
-    list in spec order — ``evaluate_many_under_faults`` guarantees each
-    element is bit-identical to a standalone evaluation, so any batch
-    split concatenates to the same list.
-    """
-    spec = job.spec
-    model = model_from_spec(spec["model"])
-    trial_specs = [FaultTrialSpec.from_dict(doc) for doc in spec["specs"]]
-    evaluations = evaluate_many_under_faults(
-        model.network,
-        model.image,
-        trial_specs,
-        model.dataset.x_test,
-        model.dataset.y_test,
-        reference=model.reference,
-    )
-    return [evaluation.to_dict() for evaluation in evaluations]
-
-
-def fault_block_jobs(
-    model_spec: Dict[str, Any],
-    trial_specs: Sequence[FaultTrialSpec],
-    blocks: Optional[int] = None,
-    max_block_specs: Optional[int] = None,
-) -> List[ShardJob]:
-    """Split a fault-trial batch into ``fault_block`` jobs.
-
-    The split reuses :meth:`~repro.runtime.sharding.ShardPlan.plan`
-    over the spec list (one spec per block), so block boundaries are
-    deterministic; blocks concatenate in shard order back to the
-    one-by-one oracle.  Each block's spec doubles as its content
-    address: identical blocks — even from different runs or different
-    splits that happen to align — dedupe in the store.
-    """
-    if not trial_specs:
-        raise ConfigurationError("trial_specs must be non-empty")
-    _check_fields("model spec", model_spec, _MODEL_FIELDS)
-    plan = ShardPlan.plan(
-        n_samples=len(trial_specs),
-        block_samples=1,
-        shards=blocks,
-        max_shard_samples=max_block_specs,
-    )
-    run_id = uuid.uuid4().hex[:12]
-    return [
-        _spec_job(
-            "fault_block", FAULT_BLOCK_NAMESPACE, f"fb-{run_id}-{shard.index}",
-            shard, {
-                "model": dict(model_spec),
-                "specs": [trial_specs[i].to_dict() for i, _ in shard.blocks],
-                "rev": 1,
-            },
-        )
-        for shard in plan.shards()
-    ]
-
-
-def concat_blocks(blocks: Sequence[List[Any]]) -> List[Any]:
-    """Exact merge of ``fault_block`` results: ordered concatenation.
-
-    Matches the dispatcher's merge contract (a sequence of partials in,
-    one value out — the same shape as
-    :meth:`~repro.sram.montecarlo.MarginTally.merge`), so pass it as
-    ``dispatcher.dispatch(jobs, merge=concat_blocks)``.
-    """
-    out: List[Any] = []
-    for block in blocks:
-        out.extend(block)
-    return out
-
-
-# ----------------------------------------------------------------------
 # The "nn_fault_eval" kind: NN fault-accuracy points
 # ----------------------------------------------------------------------
+def _optional_rates(value: Any) -> bool:
+    """``None`` or a non-empty list of ``BitErrorRates`` documents
+    (``from_dict`` raises its own error on a bad one)."""
+    if value is None:
+        return True
+    if not isinstance(value, (list, tuple)) or not value:
+        return False
+    for doc in value:
+        BitErrorRates.from_dict(doc)
+    return True
+
+
 _NN_FAULT_EVAL_FIELDS: Dict[str, _Rule] = {
     "model": _MODEL,
-    "rates": _documents(BitErrorRates.from_dict, "bit-error rates",
-                        optional=True),
+    "rates": ("None or a non-empty list of bit-error rates", _optional_rates),
     "n_trials": _int_at_least(1),
     "seed": _OPTIONAL_INT,
     "vdd": _POSITIVE,
@@ -725,9 +621,9 @@ def nn_fault_eval_jobs(
             "label": str(point.get("label", f"point-{i}")),
             "rev": 1,
         }
-        jobs.append(_spec_job(
-            "nn_fault_eval", NN_FAULT_EVAL_NAMESPACE, f"nf-{run_id}-{i}",
-            _point_shard(i), spec,
+        jobs.append(_point_job(
+            "nn_fault_eval", NN_FAULT_EVAL_NAMESPACE, f"nf-{run_id}-{i}", i,
+            spec,
         ))
     return jobs
 
@@ -745,7 +641,6 @@ class _Kind(NamedTuple):
 _KINDS: Dict[str, _Kind] = {
     "margin_tally": _Kind(_run_margin_tally, {}),
     "is_shard": _Kind(_run_is_shard, _IS_SHARD_FIELDS),
-    "fault_block": _Kind(_run_fault_block, _FAULT_BLOCK_FIELDS),
     "nn_fault_eval": _Kind(_run_nn_fault_eval, _NN_FAULT_EVAL_FIELDS),
 }
 

@@ -14,16 +14,14 @@ certifies that the result equals the full pass.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, List, Mapping, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Dict, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.fault.injector import WeightFaultInjector
-from repro.fault.model import BitErrorRates
 from repro.nn.activations import Identity, Sigmoid
 from repro.nn.metrics import accuracy
 from repro.nn.network import FeedforwardANN, Params
@@ -283,59 +281,6 @@ class FaultTrialSpec:
     n_trials: int = 5
     seed: SeedLike = None
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Wire form for distributed `fault_block` jobs.
-
-        The injector serializes as its per-layer ``BitErrorRates``
-        (``rates: None`` means baseline-only).  The seed must already be
-        resolved to an integer or ``None`` so the serialized spec is a
-        pure function of the trial streams it produces.
-        """
-        if not (self.seed is None or isinstance(self.seed, int)):
-            raise ConfigurationError(
-                "FaultTrialSpec.seed must be an int or None to serialize "
-                f"(got {type(self.seed)!r}); resolve the seed first"
-            )
-        rates = (
-            None
-            if self.injector is None
-            else [r.to_dict() for r in self.injector.layer_rates]
-        )
-        return {"rates": rates, "n_trials": int(self.n_trials), "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "FaultTrialSpec":
-        if not isinstance(doc, Mapping):
-            raise ConfigurationError(
-                f"FaultTrialSpec document must be a mapping, got {type(doc)!r}"
-            )
-        missing = {"rates", "n_trials", "seed"} - set(doc)
-        if missing:
-            raise ConfigurationError(
-                f"FaultTrialSpec document missing fields: {sorted(missing)}"
-            )
-        rates = doc["rates"]
-        if not (rates is None or isinstance(rates, (list, tuple))):
-            raise ConfigurationError(
-                f"FaultTrialSpec rates must be a list or None, got {type(rates)!r}"
-            )
-        injector = (
-            None
-            if rates is None
-            else WeightFaultInjector([BitErrorRates.from_dict(r) for r in rates])
-        )
-        n_trials = doc["n_trials"]
-        if isinstance(n_trials, bool) or not isinstance(n_trials, int) or n_trials < 1:
-            raise ConfigurationError(
-                f"FaultTrialSpec n_trials must be an int >= 1, got {n_trials!r}"
-            )
-        seed = doc["seed"]
-        if not (seed is None or isinstance(seed, int)):
-            raise ConfigurationError(
-                f"FaultTrialSpec seed must be an int or None, got {type(seed)!r}"
-            )
-        return cls(injector=injector, n_trials=n_trials, seed=seed)
-
 
 def evaluate_many_under_faults(
     network: FeedforwardANN,
@@ -362,20 +307,21 @@ def evaluate_many_under_faults(
     baseline accuracy skips the clean pass, and its clean activations,
     built once, serve every call.  Without it the call makes its own.
 
-    The trials of every spec form one task list.  Each trial is two
-    stages: *sample* (inject the die's flips and dequantize it) and
-    *classify* (certified incremental predictions for a light die, else
-    ``network.predict`` with the die's parameters; no trial writes to
-    ``network``).  On ``resolve_jobs(jobs)`` threads (numpy's
-    matmul and ufuncs release the GIL) an idle thread samples the next
-    die while the others classify, and the accuracies are collected in
-    task order, so the result is the same for any thread count.  An
-    exception in a trial propagates once the running work finishes;
-    work not yet started is cancelled.
+    The trials of every spec form one task list, and each trial
+    *samples* its die (injects the flips and dequantizes) and
+    *classifies* it (certified incremental predictions for a light die,
+    else ``network.predict`` with the die's parameters; no trial writes
+    to ``network``).  ``resolve_jobs(jobs)`` lanes run the list: the
+    calling thread and up to ``jobs - 1`` helper threads (numpy's matmul
+    and ufuncs release the GIL) each take the next task, sample and
+    classify its die and drop it, so at most ``jobs`` dies are alive.
+    The accuracies land at their task index, so the result is the same
+    for any lane count.  After a trial fails no lane takes a new task,
+    and once every lane has stopped the first failure in task order is
+    raised: the one a serial run raises.
 
-    This is the vectorized fault-injection pass behind
-    :meth:`repro.core.framework.CircuitToSystemSimulator.evaluate_batch`
-    and the distributed ``fault_block`` job.
+    This is the fault-injection pass behind
+    :meth:`repro.core.framework.CircuitToSystemSimulator.evaluate_batch`.
     """
     for spec in specs:
         if spec.n_trials <= 0:
@@ -390,15 +336,7 @@ def evaluate_many_under_faults(
         for spec in specs if spec.injector is not None
         for trial in range(spec.n_trials)
     ]
-
-    def classify(die: Optional[_Die]) -> float:
-        return _classify(reference, die)
-
-    threads = min(resolve_jobs(jobs), len(tasks))
-    if threads <= 1:
-        accuracies = [classify(_sample(image, *task)) for task in tasks]
-    else:
-        accuracies = _pipelined(image, tasks, classify, threads)
+    accuracies = _run_trials(reference, tasks, resolve_jobs(jobs))
 
     results: List[FaultEvaluation] = []
     done = iter(accuracies)
@@ -453,43 +391,44 @@ def _classify(reference: CleanReference, die: Optional[_Die]) -> float:
     return accuracy(predictions, reference.y_eval)
 
 
-def _pipelined(
-    image: QuantizedWeights,
+def _run_trials(
+    reference: CleanReference,
     tasks: Sequence[Tuple[WeightFaultInjector, int]],
-    classify: Callable[[Optional[_Die]], float],
-    threads: int,
+    lanes: int,
 ) -> List[float]:
-    """Sample and classify every task's die on ``threads`` threads
-    (``threads <= len(tasks)``).
+    """The accuracy of each ``(injector, seed)`` task's persistent die,
+    in task order, on ``lanes`` lanes (the calling thread plus helper
+    threads; see :func:`evaluate_many_under_faults`)."""
+    accuracies = [0.0] * len(tasks)
+    failures: Dict[int, BaseException] = {}
+    lock = threading.Lock()
+    pending = iter(range(len(tasks)))
 
-    The pool's queue is FIFO and the work goes in as S0..S(k-1), then
-    C_i followed by S(i+k) (S = sample, C = classify, k = ``threads``),
-    so a thread that finishes classifying samples the next die while
-    the others classify.  C_i waits only on S_i, which the queue handed
-    to a thread before C_i: no deadlock.  Each die is dropped once it is
-    classified, so at most ``2 * threads`` sampled dies are alive.  The
-    results come back in task order; the first failure in that order
-    propagates once the running work finishes, and work not yet started
-    is cancelled.
-    """
-    samples: Dict[int, Future] = {}
+    def lane() -> None:
+        while True:
+            with lock:
+                i = None if failures else next(pending, None)
+            if i is None:
+                return
+            try:
+                accuracies[i] = _classify(
+                    reference, _sample(reference.image, *tasks[i]))
+            except BaseException as exc:
+                with lock:
+                    failures[i] = exc
 
-    def classify_die(i: int) -> float:
-        return classify(samples.pop(i).result())
-
-    pool = ThreadPoolExecutor(max_workers=threads)
+    helpers = [threading.Thread(target=lane, daemon=True)
+               for _ in range(min(lanes, len(tasks)) - 1)]
+    for helper in helpers:
+        helper.start()
     try:
-        for i in range(threads):
-            samples[i] = pool.submit(_sample, image, *tasks[i])
-        classified: List[Future] = []
-        for i in range(len(tasks)):
-            classified.append(pool.submit(classify_die, i))
-            if i + threads < len(tasks):
-                samples[i + threads] = pool.submit(
-                    _sample, image, *tasks[i + threads])
-        return [future.result() for future in classified]
+        lane()
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return accuracies
 
 
 def evaluate_under_faults(
@@ -541,12 +480,15 @@ def evaluate_under_faults(
             expected_flips=0.0,
         )
 
-    trials: List[float] = []
-    for trial in range(n_trials):
-        if mode == "persistent":
-            die = _sample(image, injector, derive_seed(seed, trial))
-            trials.append(_classify(reference, die))
-        else:
+    if mode == "persistent":
+        trials = _run_trials(
+            reference,
+            [(injector, derive_seed(seed, trial)) for trial in range(n_trials)],
+            1,
+        )
+    else:
+        trials = []
+        for trial in range(n_trials):
             correct = 0
             for bi, lo in enumerate(range(0, len(y_eval), batch_size)):
                 faulty = injector.inject(

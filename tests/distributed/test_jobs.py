@@ -18,19 +18,14 @@ from repro.distributed import (
     analyzer_from_spec,
     benchmark_model_spec,
     execute_job,
-    fault_block_jobs,
     is_shard_jobs,
     margin_tally_jobs,
     nn_fault_eval_jobs,
 )
-from repro.distributed import concat_blocks, model_from_spec, sampler_from_spec
+from repro.distributed import model_from_spec, sampler_from_spec
 from repro.distributed import jobs as jobs_module
 from repro.errors import ConfigurationError
-from repro.fault.evaluate import (
-    FaultTrialSpec,
-    evaluate_many_under_faults,
-    evaluate_under_faults,
-)
+from repro.fault.evaluate import evaluate_under_faults
 from repro.fault.injector import WeightFaultInjector
 from repro.fault.model import BitErrorRates
 from repro.runtime import ResultCache
@@ -199,25 +194,6 @@ def any_kind_jobs(draw):
             seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
             max_shift_sigma=draw(st.floats(min_value=4.0, max_value=14.0)),
         )
-    elif kind == "fault_block":
-        n_specs = draw(st.integers(min_value=1, max_value=6))
-        with_injector = draw(st.booleans())
-        injector = (
-            WeightFaultInjector([_rates(5e-3, 2e-3)] * 2)
-            if with_injector else None
-        )
-        specs = [
-            FaultTrialSpec(
-                injector=injector,
-                n_trials=draw(st.integers(min_value=1, max_value=4)),
-                seed=s,
-            )
-            for s in range(n_specs)
-        ]
-        jobs = fault_block_jobs(
-            MODEL, specs,
-            blocks=draw(st.integers(min_value=1, max_value=n_specs)),
-        )
     else:  # nn_fault_eval
         n_points = draw(st.integers(min_value=1, max_value=3))
         points = []
@@ -265,10 +241,8 @@ class TestMultiKindWire:
         with pytest.raises(ConfigurationError, match="unknown job kind"):
             ShardJob.from_wire(wire)
 
-    def test_all_four_kinds_registered(self):
-        assert set(JOB_KINDS) >= {
-            "margin_tally", "is_shard", "fault_block", "nn_fault_eval",
-        }
+    def test_job_kinds_are_the_pipeline_kinds(self):
+        assert JOB_KINDS == ("margin_tally", "is_shard", "nn_fault_eval")
 
 
 class TestMalformedSpecs:
@@ -304,29 +278,6 @@ class TestMalformedSpecs:
         with pytest.raises(ConfigurationError, match=match):
             ShardJob.from_wire(self._mutated(jobs, **updates))
 
-    def test_fault_block_empty_specs(self):
-        specs = [FaultTrialSpec(injector=None, n_trials=1, seed=0)]
-        jobs = fault_block_jobs(MODEL, specs, blocks=1)
-        with pytest.raises(ConfigurationError, match="non-empty"):
-            ShardJob.from_wire(self._mutated(jobs, specs=[]))
-
-    def test_fault_block_bad_model_spec(self):
-        specs = [FaultTrialSpec(injector=None, n_trials=1, seed=0)]
-        jobs = fault_block_jobs(MODEL, specs, blocks=1)
-        bad_model = {k: v for k, v in MODEL.items() if k != "epochs"}
-        with pytest.raises(ConfigurationError, match="missing fields"):
-            ShardJob.from_wire(self._mutated(jobs, model=bad_model))
-
-    def test_fault_block_bad_trial_spec(self):
-        specs = [FaultTrialSpec(injector=None, n_trials=1, seed=0)]
-        jobs = fault_block_jobs(MODEL, specs, blocks=1)
-        wire = self._mutated(jobs)
-        wire["spec"]["specs"] = [
-            {**wire["spec"]["specs"][0], "n_trials": 0}
-        ]
-        with pytest.raises(ConfigurationError, match="n_trials"):
-            ShardJob.from_wire(wire)
-
     @pytest.mark.parametrize("updates,match", [
         ({"rates": []}, "rates"),
         ({"rates": [{"vdd": 0.7}]}, "."),
@@ -334,6 +285,8 @@ class TestMalformedSpecs:
         ({"seed": "entropy"}, "seed"),
         ({"vdd": -1.0}, "vdd"),
         ({"label": 7}, "label"),
+        ({"model": {k: v for k, v in MODEL.items() if k != "epochs"}},
+         "missing fields"),
     ])
     def test_nn_fault_eval_bad_values(self, updates, match):
         jobs = nn_fault_eval_jobs(MODEL, [{"vdd": VDD, "injector": None,
@@ -357,12 +310,9 @@ class TestMalformedSpecs:
             sampler_from_spec(spec)
 
     def test_store_addresses_disjoint_across_kinds(self):
-        """The four kinds write to four namespaces: a fleet mixing
+        """The three kinds write to three namespaces: a fleet mixing
         workloads can never alias one kind's result into another's."""
         is_jobs = is_shard_jobs(_sampler(), [VDD], n_samples=200, seed=1)
-        fb_jobs = fault_block_jobs(
-            MODEL, [FaultTrialSpec(injector=None, n_trials=1, seed=0)]
-        )
         nn_jobs = nn_fault_eval_jobs(MODEL, [{"vdd": VDD, "injector": None}])
         resolved = _resolved_analyzer()
         mt_jobs = margin_tally_jobs(
@@ -370,9 +320,9 @@ class TestMalformedSpecs:
         )
         namespaces = {
             job.namespace
-            for job in [*is_jobs, *fb_jobs, *nn_jobs, *mt_jobs]
+            for job in [*is_jobs, *nn_jobs, *mt_jobs]
         }
-        assert namespaces == {"is", "faultblock", "nnfault", "mcshard"}
+        assert namespaces == {"is", "nnfault", "mcshard"}
 
 
 #: Stand-in for "delete the field" among the boundary mutations.
@@ -389,9 +339,6 @@ def _boundary_job(kind):
         return margin_tally_jobs(resolved, VDD, resolved.shard_plan(shards=1))[0]
     if kind == "is_shard":
         return is_shard_jobs(_sampler(), [VDD], n_samples=200, seed=1)[0]
-    if kind == "fault_block":
-        spec = FaultTrialSpec(injector=injector, n_trials=1, seed=0)
-        return fault_block_jobs(MODEL, [spec])[0]
     return nn_fault_eval_jobs(MODEL, [{"vdd": VDD, "injector": injector}])[0]
 
 
@@ -469,26 +416,6 @@ class TestExecuteAllKinds:
             assert cached is False
             assert value == reference.to_dict()
 
-    def test_fault_block_concatenates_to_direct_batch(self, model_cache):
-        model = model_from_spec(MODEL)
-        injector = WeightFaultInjector(
-            [_rates(5e-3, 2e-3)] * model.image.n_layers
-        )
-        specs = [
-            FaultTrialSpec(injector=injector, n_trials=1, seed=s)
-            for s in range(3)
-        ] + [FaultTrialSpec(injector=None, n_trials=1, seed=None)]
-        jobs = fault_block_jobs(MODEL, specs, blocks=2)
-        blocks = [execute_job(job, store=None)[0] for job in jobs]
-        reference = [
-            e.to_dict()
-            for e in evaluate_many_under_faults(
-                model.network, model.image, specs,
-                model.dataset.x_test, model.dataset.y_test,
-            )
-        ]
-        assert concat_blocks(blocks) == reference
-
     def test_nn_fault_eval_matches_direct_evaluation(self, model_cache):
         model = model_from_spec(MODEL)
         injector = WeightFaultInjector(
@@ -535,8 +462,8 @@ def counted_builds(monkeypatch):
 
 class TestModelMemo:
     def test_calls_share_one_unwritten_network(self, empty_memo):
-        """Every call returns the memoized network, and running both job
-        kinds that read it leaves its parameter bytes unchanged."""
+        """Every call returns the memoized network, and running a job
+        that reads it leaves its parameter bytes unchanged."""
         a = model_from_spec(MODEL)
         assert model_from_spec(MODEL).network is a.network
 
@@ -546,14 +473,10 @@ class TestModelMemo:
 
         before = parameter_bytes()
         injector = WeightFaultInjector([_rates(0.2, 0.1)] * a.image.n_layers)
-        (fb_job,) = fault_block_jobs(MODEL, [
-            FaultTrialSpec(injector=injector, n_trials=2, seed=1),
-        ], blocks=1)
         (nn_job,) = nn_fault_eval_jobs(MODEL, [
             {"vdd": VDD, "injector": injector, "n_trials": 2, "seed": 1},
         ])
-        for job in (fb_job, nn_job):
-            execute_job(job, store=None)
+        execute_job(nn_job, store=None)
         assert parameter_bytes() == before
 
     def test_concurrent_jobs_match_serial_run(self, empty_memo):
@@ -563,15 +486,10 @@ class TestModelMemo:
         from concurrent.futures import ThreadPoolExecutor
 
         injector = WeightFaultInjector([_rates(1e-2, 4e-3)] * 5)
-        nn_jobs = nn_fault_eval_jobs(MODEL, [
+        jobs = nn_fault_eval_jobs(MODEL, [
             {"vdd": VDD, "injector": injector, "n_trials": 2, "seed": s}
             for s in range(6)
         ] + [{"vdd": VDD, "injector": None, "n_trials": 1, "seed": 0}])
-        fb_jobs = fault_block_jobs(MODEL, [
-            FaultTrialSpec(injector=injector, n_trials=1, seed=s)
-            for s in range(6)
-        ], blocks=3)
-        jobs = nn_jobs + fb_jobs
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:

@@ -91,21 +91,24 @@ def assign_spans_of(tracer, job_span):
             if s.name == "assign" and s.parent_id == job_span.span_id]
 
 
-def assert_jobs_covered_exactly_once(tracer, jobs):
-    """Every dispatched job id in exactly one completed job span."""
+def assert_jobs_covered_exactly_once(tracer, jobs, context=""):
+    """Every dispatched job id in exactly one completed job span
+    (``context`` is appended to every failure message)."""
     spans = job_spans(tracer)
     ids = [s.attrs["job_id"] for s in spans]
-    assert sorted(ids) == sorted({job.job_id for job in jobs})
+    assert sorted(ids) == sorted({job.job_id for job in jobs}), (
+        f"job spans {sorted(ids)}{context}"
+    )
     for span in spans:
-        assert span.ended
-        assert span.status == "ok", (span.name, span.status)
+        assert span.ended, f"{span.name} never ended{context}"
+        assert span.status == "ok", f"{span.name}: {span.status}{context}"
         if span.attrs.get("outcome") == "store_hit":
             continue  # answered at enqueue; no assignment ever existed
         winners = [a for a in assign_spans_of(tracer, span)
                    if a.attrs.get("winner") is True]
         assert len(winners) == 1, (
             f"job {span.attrs['job_id']}: {len(winners)} winning "
-            f"assignments"
+            f"assignments{context}"
         )
 
 
@@ -122,17 +125,23 @@ class TestChaosTracing:
                 decode=MarginTally.from_dict, merge=MarginTally.merge,
                 tracer=tracer,
             )
-        assert run.digest == oracle, "tracing changed the merged bytes"
-        assert run.stats.completed == len(jobs)
-        assert_jobs_covered_exactly_once(tracer, jobs)
+        context = (f" under [{schedule.describe()}]; stats {run.stats}; "
+                   f"digest {run.digest}, oracle {oracle}")
+        assert run.digest == oracle, f"tracing changed the merged bytes{context}"
+        assert run.stats.completed == len(jobs), (
+            f"{run.stats.completed} of {len(jobs)} jobs completed{context}"
+        )
+        assert_jobs_covered_exactly_once(tracer, jobs, context)
         # The kill leaves a failed assign span behind; its job span
         # still completes (through the retry) with one winner.
         roots = [s for s in tracer.finished() if s.name == "dispatch.run"]
-        assert len(roots) == 1 and roots[0].status == "ok"
+        assert len(roots) == 1 and roots[0].status == "ok", (
+            f"dispatch.run spans {[r.status for r in roots]}{context}"
+        )
         if run.stats.retries:
             failed = [s for s in tracer.finished()
                       if s.name == "assign" and s.status == "failed"]
-            assert failed, "retried run recorded no failed assign span"
+            assert failed, f"retried run recorded no failed assign span{context}"
 
     def test_speculation_is_two_assign_children_with_one_winner(self):
         jobs, oracle = margin_case()

@@ -1,12 +1,14 @@
 """Batch-split determinism of ``evaluate_many_under_faults``.
 
-The contract the distributed ``fault_block`` kind stands on: element
-``i`` of a batched evaluation depends on spec ``i`` alone — never on
-its neighbours or its position — so *any* contiguous split of a spec
-list into blocks concatenates bit-for-bit to the unsplit batch, and to
-the one-by-one ``evaluate_under_faults`` oracle.  This is what lets the
-dispatcher choose block boundaries freely (by fleet size, by cap, by
-retry history) without ever changing a byte of output.
+The contract the simulator's
+:meth:`~repro.core.framework.CircuitToSystemSimulator.evaluate_batch`
+stands on: element ``i`` of a batched evaluation depends on spec ``i``
+alone — never on its neighbours or its position — so *any* contiguous
+split of a spec list into blocks concatenates bit-for-bit to the
+unsplit batch, and to the one-by-one ``evaluate_under_faults`` oracle.
+This is what lets a study batch its memories however it likes (one
+call per study, per voltage or per memory) without changing a byte of
+output.
 """
 
 import json

@@ -217,21 +217,3 @@ class TestFaultFreeTrials:
         assert single.baseline_accuracy == batched.baseline_accuracy == baseline
         assert single.trial_accuracies == batched.trial_accuracies == trials
         assert single.to_dict() == batched.to_dict()
-
-
-class TestFaultTrialSpecDocument:
-    @pytest.mark.parametrize("doc,match", [
-        ([5], "mapping"),
-        ({"rates": 5, "n_trials": 1, "seed": 0}, "rates"),
-        ({"rates": None, "n_trials": "x", "seed": 0}, "n_trials"),
-        ({"rates": None, "n_trials": "2", "seed": 0}, "n_trials"),
-        ({"rates": None, "n_trials": 2.9, "seed": 0}, "n_trials"),
-        ({"rates": None, "n_trials": True, "seed": 0}, "n_trials"),
-        ({"rates": None, "n_trials": 0, "seed": 0}, "n_trials"),
-        ({"rates": None, "n_trials": 1}, "missing"),
-    ])
-    def test_malformed_documents_rejected(self, doc, match):
-        """A document that would run another trial count than it names
-        (``"2"``, ``2.9``) is refused, like every other malformed one."""
-        with pytest.raises(ConfigurationError, match=match):
-            FaultTrialSpec.from_dict(doc)

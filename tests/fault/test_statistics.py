@@ -16,7 +16,7 @@ Plus the bit-identity bridge: the batched
 :func:`~repro.fault.evaluate.evaluate_many_under_faults` pass must
 reproduce the sequential :func:`~repro.fault.evaluate.evaluate_under_faults`
 loop exactly — the contract ``CircuitToSystemSimulator.evaluate_batch``
-and the distributed ``fault_block`` job are built on.
+is built on — on any number of ``jobs`` lanes.
 """
 
 import math
@@ -209,7 +209,7 @@ class TestBatchedBitIdentity:
 
 class TestThreadedTrials:
     """``evaluate_many_under_faults(..., jobs=N)`` samples and classifies
-    the dies on N threads and returns the serial bytes."""
+    the dies on N lanes and returns the serial bytes."""
 
     @staticmethod
     def _specs(image):
@@ -315,8 +315,8 @@ class TestThreadedTrials:
 
     @pytest.mark.parametrize("jobs", [1, 2, 3, 8])
     def test_classified_dies_are_freed(self, small_model, jobs):
-        """At most ``2 * jobs`` sampled dies are alive at once: each one
-        is dropped as soon as it is classified."""
+        """At most ``jobs`` sampled dies are alive at once: a lane drops
+        its die as soon as it is classified, before it samples the next."""
         network, image, x_eval, y_eval = small_model
         alive = []
         peak = []
@@ -352,7 +352,7 @@ class TestThreadedTrials:
         finally:
             sys.setswitchinterval(interval)
         assert len(peak) == 24  # every die flipped bits, so was sampled
-        assert max(peak) <= 2 * jobs
+        assert max(peak) <= jobs
         assert alive == []
         [serial] = evaluate_many_under_faults(
             network, image, specs, x_eval, y_eval
