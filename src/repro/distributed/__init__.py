@@ -30,9 +30,8 @@ The pieces:
 * :mod:`~repro.distributed.dispatcher` /
   :mod:`~repro.distributed.worker` — the two processes, with
   heartbeat-based liveness, retry/reassignment of shards from dead
-  workers, per-client priority queues with fair dequeue, speculative
-  re-execution of stragglers (first bit-identical answer wins), and
-  streaming merges;
+  workers, one FIFO job queue, speculative re-execution of stragglers
+  (first bit-identical answer wins), and streaming merges;
 * :mod:`~repro.distributed.dag` — cross-kind dependencies: a
   :class:`~repro.distributed.dag.DagRun` of named job/reduce nodes over
   one dispatcher, and :func:`~repro.distributed.dag.paper_pipeline_dag`
@@ -53,7 +52,6 @@ from repro.distributed.dag import (
 from repro.distributed.dispatcher import ShardDispatcher
 from repro.distributed.journal import (
     JournalReplay,
-    JournaledJob,
     RunJournal,
     job_address,
 )
@@ -84,7 +82,6 @@ __all__ = [
     "DispatcherStats",
     "JOB_KINDS",
     "JournalReplay",
-    "JournaledJob",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "RunJournal",

@@ -10,12 +10,12 @@ node either dispatches jobs through the shared
 :class:`~repro.distributed.dispatcher.ShardDispatcher` (a *job node*)
 or runs a pure reduction on the coordinator (a *reduce node*).
 
-Independent nodes dispatch concurrently under per-node client names, so
-the dispatcher's fair round-robin interleaves the DAG's phases across
-the fleet and the ``stats`` probe shows each node's queue depth
-separately.  Byte-identity carries over from the flat layer: every job
-spec doubles as its content address, so a DAG run resumes from (and
-feeds) the same store entries as the equivalent phase-by-phase run.
+Independent nodes dispatch concurrently under per-node client names:
+their jobs share the dispatcher's FIFO queue, and the ``stats`` probe
+shows each node's queue depth separately.  Byte-identity carries over
+from the flat layer: every job spec doubles as its content address, so
+a DAG run resumes from (and feeds) the same store entries as the
+equivalent phase-by-phase run.
 
 :func:`paper_pipeline_dag` instantiates the shape for the paper: one
 ``margin_tally`` node per (cell kind, voltage), each finalized to its
@@ -69,6 +69,9 @@ __all__ = ["DagNode", "DagRun", "job_node", "reduce_node", "paper_pipeline_dag"]
 #: results of its dependencies (keyed by dependency name).
 JobsFn = Callable[[Mapping[str, Any]], Sequence[ShardJob]]
 
+#: Coordinator threads one :meth:`DagRun.run` executes nodes on.
+MAX_PARALLEL = 4
+
 
 @dataclass(frozen=True)
 class DagNode:
@@ -89,7 +92,6 @@ class DagNode:
     merge: Optional[Callable[[Sequence[Any]], Any]] = None
     finalize: Optional[Callable[[Any, Mapping[str, Any]], Any]] = None
     compute: Optional[Callable[[Mapping[str, Any]], Any]] = None
-    priority: int = 0
 
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
@@ -117,12 +119,11 @@ def job_node(
     decode: Optional[Callable[[Any], Any]] = None,
     merge: Optional[Callable[[Sequence[Any]], Any]] = None,
     finalize: Optional[Callable[[Any, Mapping[str, Any]], Any]] = None,
-    priority: int = 0,
 ) -> DagNode:
     """A node that dispatches ``jobs_fn(upstream)`` through the fleet."""
     return DagNode(
         name=name, deps=tuple(deps), jobs_fn=jobs_fn, decode=decode,
-        merge=merge, finalize=finalize, priority=priority,
+        merge=merge, finalize=finalize,
     )
 
 
@@ -142,7 +143,7 @@ class DagRun:
     Validation happens at construction: names must be unique, every
     dependency must name a node, and the graph must be acyclic.
     :meth:`run` executes nodes as their dependencies complete — ready
-    job nodes dispatch concurrently (bounded by ``max_parallel``
+    job nodes dispatch concurrently (on at most :data:`MAX_PARALLEL`
     coordinator threads), each under client name ``dag:<node>`` so the
     ``stats`` probe attributes queue depth per stage.  Node failures
     propagate: the first failing node's exception is raised and its
@@ -150,16 +151,11 @@ class DagRun:
     """
 
     nodes: Sequence[DagNode]
-    max_parallel: int = 4
     _order: List[DagNode] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.nodes:
             raise ConfigurationError("a DagRun needs at least one node")
-        if self.max_parallel < 1:
-            raise ConfigurationError(
-                f"max_parallel must be >= 1, got {self.max_parallel}"
-            )
         by_name: Dict[str, DagNode] = {}
         for node in self.nodes:
             if node.name in by_name:
@@ -200,7 +196,7 @@ class DagRun:
     ) -> Dict[str, Any]:
         """Execute the DAG; returns ``{node name: node result}``.
 
-        ``dispatcher`` must be started (sync facade).  ``timeout``
+        ``dispatcher`` must be started.  ``timeout``
         bounds each job node's dispatch call, not the whole run.
         """
         futures: Dict[str, Future] = {}
@@ -236,8 +232,7 @@ class DagRun:
                     extra["trace_parent"] = ctx
                 merged = dispatcher.dispatch(
                     jobs, decode=node.decode, merge=node.merge,
-                    timeout=timeout, client=f"dag:{node.name}",
-                    priority=node.priority, **extra,
+                    timeout=timeout, client=f"dag:{node.name}", **extra,
                 )
                 if node.finalize is not None:
                     return node.finalize(merged, upstream)
@@ -249,7 +244,7 @@ class DagRun:
         # unfinished node is always actively running.
         try:
             with ThreadPoolExecutor(
-                max_workers=min(self.max_parallel, len(self._order)),
+                max_workers=min(MAX_PARALLEL, len(self._order)),
                 thread_name_prefix="repro-dag",
             ) as pool:
                 for node in self._order:

@@ -10,17 +10,17 @@ which warms the dispatcher's directory when the workers write to
 another.  Double writes are harmless: one content address, identical
 bytes.
 
-Every scheduling decision — fair per-client priority queues, retries,
-drains, speculation, journal adoption, the exact streaming merge — is
-made by the synchronous :class:`~repro.distributed.scheduler.Scheduler`.
-This module is its asyncio shell: it owns the TCP server, the
+Every scheduling decision — the FIFO job queue, retries, drains,
+speculation, journal adoption, the exact streaming merge — is made by
+the synchronous :class:`~repro.distributed.scheduler.Scheduler`.  This
+module is its asyncio shell: it owns the TCP server, the
 per-connection write locks, the off-loop store reads and writes, the
-journal writes and replay, the heartbeat timer and the sync facade,
-turns each wire message or timer tick into one scheduler event, and
-runs the commands the event returns in order.  The failure model is
-tabled in ``docs/distributed.md`` ("Failure semantics"); its contract —
-any worker killed, stalled or disconnected mid-run, the merge stays
-byte-identical to a single-host run — is what
+journal writes and replay, the heartbeat timer and the daemon thread
+the event loop runs on, turns each wire message or timer tick into one
+scheduler event, and runs the commands the event returns in order.
+The failure model is tabled in ``docs/distributed.md`` ("Failure
+semantics"); its contract — any worker killed, stalled or disconnected
+mid-run, the merge stays byte-identical to a single-host run — is what
 ``tests/distributed/chaos.py`` enforces for every job kind.
 """
 
@@ -66,17 +66,12 @@ class _Conn:
 class ShardDispatcher:
     """Work-queue dispatcher for :class:`~repro.distributed.jobs.ShardJob`\\ s.
 
-    Two usage styles share one implementation:
-
-    * **async** — ``server = await dispatcher.serve(host, port)`` then
-      ``merged = await dispatcher.run(jobs, decode=..., merge=...)``
-      inside an event loop the caller owns;
-    * **sync facade** — ``host, port = dispatcher.start()`` spins the
-      event loop on a daemon thread, ``dispatcher.dispatch(jobs, ...)``
-      blocks until the merge completes, ``dispatcher.close()`` tears
-      down.  This is what lets the synchronous analysis API
-      (:meth:`~repro.sram.montecarlo.MonteCarloAnalyzer.analyze_sharded`
-      with ``dispatcher=``) farm work out without going async itself.
+    ``host, port = dispatcher.start()`` serves on an event loop of its
+    own daemon thread, ``dispatcher.dispatch(jobs, ...)`` blocks until
+    the merge completes and ``dispatcher.close()`` tears down.  This is
+    what lets the synchronous analysis API
+    (:meth:`~repro.sram.montecarlo.MonteCarloAnalyzer.analyze_sharded`
+    with ``dispatcher=``) farm work out without going async itself.
 
     Parameters
     ----------
@@ -99,7 +94,7 @@ class ShardDispatcher:
     journal:
         Optional :class:`~repro.distributed.journal.RunJournal`: every
         job is journaled before it is queued and every merge-accepted
-        completion after.  :meth:`serve` replays it — completions still
+        completion after.  :meth:`start` replays it — completions still
         in the store are skipped, the rest re-enqueue, and a client
         resubmitting the same content *adopts* them.  See
         ``docs/recovery.md``.
@@ -129,23 +124,21 @@ class ShardDispatcher:
         self._conns: Dict[WorkerState, _Conn] = {}
         self._futures: Dict[Run, "asyncio.Future[Any]"] = {}
         #: Set once journal replay (or its absence) has populated the
-        #: queues; :meth:`run` waits on it so resubmissions can adopt.
+        #: queue; :meth:`_run` waits on it so resubmissions can adopt.
         self._replay_done: Optional[asyncio.Event] = None
         self._worker_event: Optional[asyncio.Event] = None
         self._monitor_task: Optional["asyncio.Task[None]"] = None
         self._conn_tasks: Set["asyncio.Task[Any]"] = set()
         self._bg_tasks: Set["asyncio.Task[Any]"] = set()
         self._server: Optional[asyncio.AbstractServer] = None
-        # Sync facade state.
+        # The daemon thread and its event loop.
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
 
-    # -- async API --------------------------------------------------------
-    async def serve(
-        self, host: str = "127.0.0.1", port: int = 0
-    ) -> asyncio.AbstractServer:
+    # -- the event loop's side -------------------------------------------
+    async def _serve(self, host: str, port: int) -> asyncio.AbstractServer:
         """Start the worker-facing TCP server (``port=0`` = ephemeral)."""
-        self._worker_event = self._worker_event or asyncio.Event()
+        self._worker_event = asyncio.Event()
         self._replay_done = asyncio.Event()
         self._server = await asyncio.start_server(
             self._serve_connection, host=host, port=port, limit=STREAM_LIMIT
@@ -166,37 +159,19 @@ class ShardDispatcher:
         self._bg_tasks.add(task)
         task.add_done_callback(self._bg_tasks.discard)
 
-    async def run(
+    async def _run(
         self,
         jobs: Sequence[ShardJob],
-        decode: Optional[Callable[[Any], Any]] = None,
-        merge: Optional[Callable[[Sequence[Any]], Any]] = None,
-        client: str = "default",
-        priority: int = 0,
-        trace_parent: Optional[TraceContext] = None,
+        decode: Optional[Callable[[Any], Any]],
+        merge: Optional[Callable[[Sequence[Any]], Any]],
+        client: str,
+        trace_parent: Optional[TraceContext],
     ) -> Any:
-        """Execute ``jobs`` on the fleet; return the (merged) results.
-
-        With ``merge`` (and optional ``decode``) the jobs are treated
-        as ordered shards and folded streaming into one value; without
-        it, the decoded per-job values come back as a list in job
-        order.  Raises :class:`DispatchError` when a job exhausts its
-        retry budget — double-computation along the way is harmless
-        (idempotent by cache address), a *lost* job is not.  A run that
-        is cancelled (or times out) takes its queued jobs with it.
-
-        Any number of runs may be in flight concurrently: jobs queue
-        under ``client`` (fair round-robin across clients) ordered by
-        ``priority`` (lower dequeues first) then submit order.
-        """
-        if self._replay_done is None:
-            raise DispatchError("dispatcher is not serving (call serve()/start())")
-        if not jobs:
-            raise DispatchError("cannot run an empty job list")
-        # Journal replay must populate the queues first, or a
+        """One :meth:`dispatch`, on the event loop."""
+        assert self._replay_done is not None
+        # Journal replay must populate the queue first, or a
         # resubmission racing it would double-queue recovered work.
         await self._replay_done.wait()
-        client = str(client)
         run = Run(jobs, decode, merge, client, self.tracer.start_span(
             "dispatch.run", parent=trace_parent,
             attrs={"client": client, "jobs": len(jobs)},
@@ -204,7 +179,7 @@ class ShardDispatcher:
         try:
             hits = [None] * len(jobs) if self.store is None else await self._store_get(jobs)
             future = self._futures[run] = asyncio.get_running_loop().create_future()
-            self._execute(self.scheduler.submit(run, hits, priority, self._now()))
+            self._execute(self.scheduler.submit(run, hits, self._now()))
             result = await future
             run.span.add_event("merged")
             run.span.end()
@@ -216,9 +191,8 @@ class ShardDispatcher:
             self._futures.pop(run, None)
             self.scheduler.cancel(run)
 
-    async def wait_for_workers(self, n: int, timeout: Optional[float] = None) -> None:
-        """Block until ``n`` workers are registered (for scripted runs)."""
-        assert self._worker_event is not None, "serve() first"
+    async def _wait_for_workers(self, n: int, timeout: Optional[float]) -> None:
+        assert self._worker_event is not None
         event: asyncio.Event = self._worker_event
 
         async def enough() -> None:
@@ -234,7 +208,7 @@ class ShardDispatcher:
                 f"({len(self.scheduler.workers)} connected)"
             ) from None
 
-    async def shutdown(self) -> None:
+    async def _shutdown(self) -> None:
         """Stop serving: retire workers (with ``shutdown``) and close."""
         if self._monitor_task is not None:
             self._monitor_task.cancel()
@@ -266,7 +240,7 @@ class ShardDispatcher:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
             self._conn_tasks.clear()
 
-    # -- sync facade (daemon-thread event loop) -------------------------
+    # -- the caller's side (any thread) ---------------------------------
     def start(self, host: str = "127.0.0.1", port: int = 0) -> Tuple[str, int]:
         """Serve on a daemon thread; returns the bound ``(host, port)``."""
         if self._thread is not None:
@@ -280,7 +254,7 @@ class ShardDispatcher:
             assert self._loop is not None
             asyncio.set_event_loop(self._loop)
             try:
-                server = self._loop.run_until_complete(self.serve(host, port))
+                server = self._loop.run_until_complete(self._serve(host, port))
             except BaseException as exc:
                 # Bind failures (port in use, bad host) must surface in
                 # start(), not strand it on started.wait() forever.
@@ -293,8 +267,18 @@ class ShardDispatcher:
             try:
                 self._loop.run_forever()
             finally:
-                self._loop.run_until_complete(self.shutdown())
-                self._loop.close()
+                try:
+                    self._loop.run_until_complete(self._shutdown())
+                finally:
+                    # Store writes run on the default executor, and
+                    # cancelling their (shielded) task stops neither a
+                    # running nor a queued one: wait for them, so every
+                    # persisted result is in the store once close()
+                    # returns.
+                    self._loop.run_until_complete(
+                        self._loop.shutdown_default_executor()
+                    )
+                    self._loop.close()
 
         self._thread = threading.Thread(
             target=_runner, name="repro-dispatcher", daemon=True
@@ -316,21 +300,30 @@ class ShardDispatcher:
         merge: Optional[Callable[[Sequence[Any]], Any]] = None,
         timeout: Optional[float] = None,
         client: str = "default",
-        priority: int = 0,
         trace_parent: Optional[TraceContext] = None,
     ) -> Any:
-        """Blocking :meth:`run` against the daemon-thread event loop.
+        """Execute ``jobs`` on the fleet; block until the (merged)
+        results are in.
+
+        With ``merge`` (and optional ``decode``) the jobs are treated
+        as ordered shards and folded streaming into one value; without
+        it, the decoded per-job values come back as a list in job
+        order.  Raises :class:`DispatchError` when a job exhausts its
+        retry budget — double-computation along the way is harmless
+        (idempotent by cache address), a *lost* job is not.
 
         Thread-safe: any number of caller threads may dispatch
-        concurrently; their runs queue under their ``client`` names and
-        share the fleet fairly.  After ``timeout`` seconds the run is
-        cancelled (its jobs leave the queues, late results are dropped)
-        and ``concurrent.futures.TimeoutError`` is raised.
+        concurrently.  Their jobs share one FIFO queue; ``client``
+        labels the run's spans, flight events and per-client queue
+        depth.  After ``timeout`` seconds the run is cancelled (its
+        jobs leave the queue, late results are dropped) and
+        ``concurrent.futures.TimeoutError`` is raised.
         """
         if self._loop is None:
             raise DispatchError("dispatcher is not started (call start())")
-        coro = self.run(jobs, decode=decode, merge=merge, client=client,
-                        priority=priority, trace_parent=trace_parent)
+        if not jobs:
+            raise DispatchError("cannot run an empty job list")
+        coro = self._run(jobs, decode, merge, str(client), trace_parent)
         if timeout is not None:
             # Time out on the loop, so the run is purged before we return.
             coro = asyncio.wait_for(coro, timeout)
@@ -344,15 +337,16 @@ class ShardDispatcher:
             ) from None
 
     def await_workers(self, n: int, timeout: Optional[float] = None) -> None:
-        """Blocking :meth:`wait_for_workers` for the sync facade."""
+        """Block until ``n`` workers are registered (for scripted runs)."""
         if self._loop is None:
             raise DispatchError("dispatcher is not started (call start())")
         asyncio.run_coroutine_threadsafe(
-            self.wait_for_workers(n, timeout=timeout), self._loop
+            self._wait_for_workers(n, timeout), self._loop
         ).result()
 
     def close(self) -> None:
-        """Tear down the daemon-thread loop (idempotent)."""
+        """Retire the workers and stop serving (idempotent).  Returns
+        once the dispatcher's own store writes have landed."""
         if self._loop is None or self._thread is None:
             return
         self._loop.call_soon_threadsafe(self._loop.stop)
@@ -383,7 +377,7 @@ class ShardDispatcher:
                     self._spawn(self._persist(command.job, command.value))
             elif isinstance(command, JournalJob):
                 if self.journal is not None:
-                    self.journal.record_job(command.job, command.client, command.priority)
+                    self.journal.record_job(command.job)
             elif isinstance(command, JournalDone):
                 if self.journal is not None:
                     self.journal.record_done(command.job)
@@ -426,9 +420,12 @@ class ShardDispatcher:
         only — the value already travelled inline)."""
         assert self.store is not None
         try:
-            await asyncio.get_running_loop().run_in_executor(
+            # Shielded: cancelling this task at shutdown must not cancel
+            # a write still queued on the executor, which shutdown then
+            # waits for.
+            await asyncio.shield(asyncio.get_running_loop().run_in_executor(
                 None, self.store.put, job.namespace, job.payload, value
-            )
+            ))
         except Exception:
             pass
 
@@ -462,11 +459,9 @@ class ShardDispatcher:
             # with no store, the completion records stand as they are.
             present = (
                 [True] * len(replay.done) if self.store is None
-                else [hit is not None for hit in await self._store_get(
-                    [entry.job for entry in replay.done]
-                )]
+                else [hit is not None for hit in await self._store_get(replay.done)]
             )
-            missing = [entry for entry, ok in zip(replay.done, present) if not ok]
+            missing = [job for job, ok in zip(replay.done, present) if not ok]
             self._execute(self.scheduler.recover(
                 list(replay.pending) + missing, sum(present), self._now()
             ))

@@ -2,12 +2,12 @@
 
 A :class:`RunJournal` is an append-only JSON-lines file
 (``journal.jsonl`` inside the journal directory) that makes the
-dispatcher's accepted work *durable*: each accepted job is recorded —
-kind, client, priority and full wire spec — **before** it is enqueued
-for assignment, and each completion is recorded by **content address**
-after the merge accepts its result.  A dispatcher restarted on the same
-journal (``repro-sram dispatch --journal-dir``) replays the log, skips
-every job whose journaled completion is still present in the store, and
+dispatcher's accepted work *durable*: each accepted job's full wire
+spec is recorded **before** it is enqueued for assignment, and each
+completion is recorded by **content address** after the merge accepts
+its result.  A dispatcher restarted on the same journal
+(``repro-sram dispatch --journal-dir``) replays the log, skips every
+job whose journaled completion is still present in the store, and
 re-enqueues only the unfinished remainder — so a SIGKILL'd control
 plane resumes where it died with zero recomputation of completed work
 (``docs/recovery.md`` walks through the whole story).
@@ -18,10 +18,11 @@ Record vocabulary (one JSON object per line, ``rec`` discriminated):
     Session header, appended once per dispatcher lifetime.  Replay
     ignores it; it exists so an operator reading the log can see where
     each incarnation started.
-``{"rec": "job", "job": {...}, "client": str, "priority": int}``
+``{"rec": "job", "job": {...}}``
     One accepted job: the full 8-field
-    :meth:`~repro.distributed.jobs.ShardJob.to_wire` object plus its
-    scheduling identity, written before the job is queued.
+    :meth:`~repro.distributed.jobs.ShardJob.to_wire` object, written
+    before the job is queued.  Records from older builds also carry
+    the submitting client's scheduling fields; replay ignores them.
 ``{"rec": "done", "job_id": str, "namespace": str, "key": str}``
     One merge-accepted completion.  ``key`` is the result's content
     address (:func:`~repro.runtime.cache.content_key`), which is how a
@@ -56,7 +57,6 @@ __all__ = [
     "JOURNAL_FILENAME",
     "JOURNAL_VERSION",
     "JournalReplay",
-    "JournaledJob",
     "RunJournal",
     "job_address",
 ]
@@ -66,15 +66,6 @@ JOURNAL_VERSION = 1
 
 #: File name of the log inside the journal directory.
 JOURNAL_FILENAME = "journal.jsonl"
-
-
-@dataclass(frozen=True)
-class JournaledJob:
-    """One job record read back from the log."""
-
-    job: ShardJob
-    client: str
-    priority: int
 
 
 @dataclass
@@ -90,8 +81,8 @@ class JournalReplay:
     ``orphan_done`` counts completions without a matching job record.
     """
 
-    pending: List[JournaledJob] = field(default_factory=list)
-    done: List[JournaledJob] = field(default_factory=list)
+    pending: List[ShardJob] = field(default_factory=list)
+    done: List[ShardJob] = field(default_factory=list)
     records: int = 0
     torn: int = 0
     unknown: List[Dict[str, Any]] = field(default_factory=list)
@@ -152,16 +143,9 @@ class RunJournal:
             {"rec": "open", "version": JOURNAL_VERSION, "pid": os.getpid()}
         )
 
-    def record_job(self, job: ShardJob, client: str, priority: int) -> None:
+    def record_job(self, job: ShardJob) -> None:
         """Journal one accepted job — called *before* it is enqueued."""
-        self._append(
-            {
-                "rec": "job",
-                "job": job.to_wire(),
-                "client": str(client),
-                "priority": int(priority),
-            }
-        )
+        self._append({"rec": "job", "job": job.to_wire()})
 
     def record_done(self, job: ShardJob) -> None:
         """Journal one completion by content address (after merge-accept)."""
@@ -205,7 +189,7 @@ class RunJournal:
         schema additions) are ignored.
         """
         replay = JournalReplay()
-        jobs: Dict[str, JournaledJob] = {}
+        jobs: Dict[str, ShardJob] = {}
         done_ids: set = set()
         try:
             with open(self.path, "r", encoding="utf-8") as handle:
@@ -235,14 +219,14 @@ class RunJournal:
                 else:
                     replay.orphan_done += 1
             # "open" and future record kinds: bookkeeping only.
-        for job_id, entry in jobs.items():
-            (replay.done if job_id in done_ids else replay.pending).append(entry)
+        for job_id, job in jobs.items():
+            (replay.done if job_id in done_ids else replay.pending).append(job)
         return replay
 
     @staticmethod
     def _replay_job(
         record: Dict[str, Any],
-        jobs: Dict[str, JournaledJob],
+        jobs: Dict[str, ShardJob],
         replay: JournalReplay,
     ) -> None:
         wire = record.get("job")
@@ -258,17 +242,8 @@ class RunJournal:
                 {"job_id": str(job_id) if job_id else "?", "error": str(exc)}
             )
             return
-        if job.job_id in jobs:
-            return  # duplicate job record: first occurrence wins
-        client = record.get("client")
-        priority = record.get("priority")
-        jobs[job.job_id] = JournaledJob(
-            job=job,
-            client=client if isinstance(client, str) and client else "journal",
-            priority=priority
-            if isinstance(priority, int) and not isinstance(priority, bool)
-            else 0,
-        )
+        # A duplicate job record keeps the first occurrence.
+        jobs.setdefault(job.job_id, job)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RunJournal({str(self.path)!r})"

@@ -1,12 +1,14 @@
 """The dispatcher's scheduling core: every policy decision, no I/O.
 
 :class:`Scheduler` decides what happens to each job and worker of a
-:class:`~repro.distributed.dispatcher.ShardDispatcher` — per-client
-priority heaps dequeued round-robin, pull assignment, retries and
-graceful drain requeues, straggler speculation, the streaming merge,
-run purge and journal adoption — and keeps the in-memory record of it
-(:class:`DispatcherStats`, flight events, spans, metrics).  It never
-awaits and touches no socket, store or journal file.  Each event takes
+:class:`~repro.distributed.dispatcher.ShardDispatcher` — one FIFO job
+queue, pull assignment, retries and graceful drain requeues, straggler
+speculation, the streaming merge, run purge and journal adoption — and
+keeps the in-memory record of it (:class:`DispatcherStats`, flight
+events, spans, metrics).  It never awaits and touches no socket, store
+or journal file.  A job's client is a label only (spans, per-client
+queue depth, flight events): every job waits in submission order, and
+every run still merges in shard-position order.  Each event takes
 the current time ``now`` and returns the ordered commands the asyncio
 shell runs; running them in order keeps the journal's write-ahead
 order.  Replayed on a fake clock, an event sequence reproduces every
@@ -15,7 +17,6 @@ decision: ``tests/distributed/test_scheduler.py`` is that oracle.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field, fields
@@ -189,17 +190,11 @@ _Slot = NamedTuple("_Slot", [("started", float), ("span", SpanLike), ("speculati
 class _JobState:
     """One job's dispatch bookkeeping."""
 
-    def __init__(
-        self, job: ShardJob, run: Run, position: int,
-        client: str, priority: int, span: SpanLike,
-    ):
+    def __init__(self, job: ShardJob, run: Run, position: int, span: SpanLike):
         self.job = job
         self.run = run
         self.position = position
-        self.client = client
-        self.priority = priority
         self.span = span  # the job's whole dispatch lifetime
-        self.seq = 0  # FIFO tiebreaker within a priority class
         self.attempts = 0
         #: Workers computing it now (2 while a speculation race runs).
         self.assignees: Dict[WorkerState, _Slot] = {}
@@ -213,7 +208,7 @@ class _JobState:
 # worker's connection, settle a run.
 Assign = NamedTuple("Assign", [("worker", WorkerState), ("message", Dict[str, Any])])
 Persist = NamedTuple("Persist", [("job", ShardJob), ("value", Any)])
-JournalJob = NamedTuple("JournalJob", [("job", ShardJob), ("client", str), ("priority", int)])
+JournalJob = NamedTuple("JournalJob", [("job", ShardJob)])
 JournalDone = NamedTuple("JournalDone", [("job", ShardJob)])
 CloseWorker = NamedTuple("CloseWorker", [("worker", WorkerState)])
 RunFinished = NamedTuple("RunFinished", [("run", Run), ("value", Any)])
@@ -267,11 +262,9 @@ class Scheduler:
         #: Registered workers, in join order.
         self.workers: Dict[WorkerState, None] = {}
         self._idle: Deque[WorkerState] = deque()
-        #: Per-client priority heaps of (priority, seq, state), and the
-        #: round-robin order of clients with queued work.
-        self._queues: Dict[str, List[Tuple[int, int, _JobState]]] = {}
-        self._rr: Deque[str] = deque()
-        self._seq = 0
+        #: Jobs waiting for a worker, in FIFO order (may hold stale
+        #: entries: see :meth:`_dequeue`).
+        self._queue: Deque[_JobState] = deque()
         self._outstanding: Dict[str, _JobState] = {}
         #: Runs of journal-replayed jobs, held until a client resubmits
         #: (adopts) them or the fleet finishes them unprompted.
@@ -285,9 +278,7 @@ class Scheduler:
         return commands
 
     # -- events ---------------------------------------------------------
-    def submit(
-        self, run: Run, hits: Sequence[Any], priority: int, now: float
-    ) -> List[Command]:
+    def submit(self, run: Run, hits: Sequence[Any], now: float) -> List[Command]:
         """Queue ``run``; ``hits[i]`` is the dispatcher store's answer
         for job ``i`` (``None`` on a miss).  A rejected run (repeated
         or outstanding ids, an undecodable hit) raises before anything
@@ -324,7 +315,6 @@ class Scheduler:
                 hit = run.decode(hit)
             plan.append((job, hit, recovered))
 
-        priority = int(priority)
         for position, (job, hit, recovered) in enumerate(plan):
             if run.done:
                 break  # a store hit's merge failed the run
@@ -332,13 +322,13 @@ class Scheduler:
                 self._adopt(recovered, run, position, job)
                 continue
             self.stats.jobs += 1
-            self._commands.append(JournalJob(job, run.client, priority))
+            self._commands.append(JournalJob(job))
             attrs = {"job_id": job.job_id}
             if hit is not None:
                 attrs["outcome"] = "store_hit"
             span = self.tracer.start_span(f"job:{job.kind}", parent=run.span, attrs=attrs)
             if hit is None:
-                self._track(_JobState(job, run, position, run.client, priority, span))
+                self._track(_JobState(job, run, position, span))
                 continue
             self.stats.store_hits += 1
             self.stats.completed += 1
@@ -349,23 +339,18 @@ class Scheduler:
         return self._flush()
 
     def recover(
-        self, requeue: Sequence[Any], skipped: int, now: float
+        self, requeue: Sequence[ShardJob], skipped: int, now: float
     ) -> List[Command]:
-        """Queue a journal replay's unfinished jobs (``requeue``:
-        :class:`~repro.distributed.journal.JournaledJob` records) as a
-        recovery run; ``skipped`` completions were still in the store."""
+        """Queue a journal replay's unfinished jobs as a recovery run;
+        ``skipped`` completions were still in the store."""
         self.stats.journal_skipped += skipped
         if requeue:
-            run = Run([entry.job for entry in requeue], client="journal-recovery")
+            run = Run(requeue, client="journal-recovery")
             self._recovery_runs.add(run)
-            for position, entry in enumerate(requeue):
-                self._track(_JobState(
-                    entry.job, run, position, entry.client, entry.priority,
-                    self.tracer.start_span(
-                        f"job:{entry.job.kind}",
-                        attrs={"job_id": entry.job.job_id, "recovered": True},
-                    ),
-                ))
+            for position, job in enumerate(requeue):
+                self._track(_JobState(job, run, position, self.tracer.start_span(
+                    f"job:{job.kind}", attrs={"job_id": job.job_id, "recovered": True},
+                )))
                 self.stats.jobs += 1
                 self.stats.journal_replayed += 1
         self.flight.record("journal_replay", replayed=len(requeue), skipped=skipped)
@@ -379,7 +364,7 @@ class Scheduler:
         for job_id in run.job_ids:
             state = self._outstanding.get(job_id)
             if state is not None and state.run is run:
-                del self._outstanding[job_id]  # its heap entry goes stale
+                del self._outstanding[job_id]  # its queue entry goes stale
 
     def worker_joined(self, name: str, now: float) -> WorkerState:
         """Register a worker; it gets work once it reports :meth:`ready`."""
@@ -473,33 +458,19 @@ class Scheduler:
     # -- queues and assignment -------------------------------------------
     def _track(self, state: _JobState) -> None:
         self._outstanding[state.job.job_id] = state
-        self._enqueue(state)
+        self._queue.append(state)
 
-    def _enqueue(self, state: _JobState) -> None:
-        self._seq += 1
-        state.seq = self._seq
-        heapq.heappush(
-            self._queues.setdefault(state.client, []),
-            (state.priority, state.seq, state),
-        )
-        if state.client not in self._rr:
-            self._rr.append(state.client)
+    def _queued(self, state: _JobState) -> bool:
+        """False for a stale queue entry: answered while queued, or
+        purged with its run."""
+        return self._outstanding.get(state.job.job_id) is state
 
     def _dequeue(self) -> Optional[_JobState]:
-        """Fair dequeue: one job from the next client in round-robin,
-        best (priority, submit order) first within that client."""
-        while self._rr:
-            client = self._rr[0]
-            heap = self._queues.get(client, [])
-            while heap:
-                _, _, state = heapq.heappop(heap)
-                # Skip stale entries: answered while queued, or purged
-                # with their run.
-                if self._outstanding.get(state.job.job_id) is state:
-                    self._rr.rotate(-1)  # this client goes to the back
-                    return state
-            self._rr.popleft()
-            self._queues.pop(client, None)
+        """The oldest queued job, skipping stale entries."""
+        while self._queue:
+            state = self._queue.popleft()
+            if self._queued(state):
+                return state
         return None
 
     def _next_idle(self) -> Optional[WorkerState]:
@@ -517,7 +488,7 @@ class Scheduler:
                 break
             worker = self._next_idle()
             if worker is None:
-                self._enqueue(state)  # back until the next ``ready``
+                self._queue.appendleft(state)  # keeps its place
                 break
             self._assign(worker, state, now, speculative=False)
         self._maybe_speculate(now)
@@ -619,7 +590,7 @@ class Scheduler:
             self.stats.retries += 1
             self.flight.record("retry", job_id=job_id, attempt=state.attempts, reason=reason)
         state.speculated = False  # the fresh attempt may speculate again
-        self._enqueue(state)
+        self._queue.append(state)
         self._pump(now)
 
     def _complete(
@@ -708,12 +679,11 @@ class Scheduler:
         (sustained depth with no idle capacity: the fleet is too small)."""
         per_kind: Dict[str, int] = {}
         per_client: Dict[str, int] = {}
-        for client, heap in self._queues.items():
-            for _, _, state in heap:
-                if (self._outstanding.get(state.job.job_id) is state
-                        and not state.assignees):
-                    per_kind[state.job.kind] = per_kind.get(state.job.kind, 0) + 1
-                    per_client[client] = per_client.get(client, 0) + 1
+        for state in self._queue:
+            if self._queued(state):
+                kind, client = state.job.kind, state.run.client
+                per_kind[kind] = per_kind.get(kind, 0) + 1
+                per_client[client] = per_client.get(client, 0) + 1
         return {
             "depth": sum(per_kind.values()),
             "inflight": sum(1 for st in self._outstanding.values() if st.assignees),

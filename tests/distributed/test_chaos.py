@@ -132,7 +132,7 @@ class _LocalDispatcher:
     through the same in-process oracle as the flat cases."""
 
     def dispatch(self, jobs, decode=None, merge=None, timeout=None,
-                 client="default", priority=0):
+                 client="default"):
         return oracle_for(jobs, decode=decode, merge=merge)
 
 

@@ -13,6 +13,7 @@ from functools import reduce
 import pytest
 
 from repro.distributed.dag import (
+    MAX_PARALLEL,
     DagNode,
     DagRun,
     job_node,
@@ -56,7 +57,7 @@ class LocalDispatcher:
     decode/merge — no fleet, no store, no retries."""
 
     def dispatch(self, jobs, decode=None, merge=None, timeout=None,
-                 client="default", priority=0):
+                 client="default"):
         values = [execute_job(job, None)[0] for job in jobs]
         if decode is not None:
             values = [decode(v) for v in values]
@@ -93,10 +94,6 @@ class TestDagValidation:
     def test_empty_dag_rejected(self):
         with pytest.raises(ConfigurationError, match="at least one node"):
             DagRun(nodes=[])
-
-    def test_max_parallel_validated(self):
-        with pytest.raises(ConfigurationError, match="max_parallel"):
-            DagRun(nodes=[reduce_node("a", lambda u: 1)], max_parallel=0)
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ConfigurationError, match="duplicate node name"):
@@ -145,19 +142,19 @@ class TestDagExecution:
         assert seen == {"head": 41}
 
     def test_diamond_runs_with_bounded_pool(self):
-        """A diamond wider than max_parallel still completes (the
-        topological-submission deadlock-freedom argument)."""
+        """A diamond wider than the MAX_PARALLEL coordinator threads
+        still completes (the topological-submission deadlock-freedom
+        argument)."""
         def add(upstream):
             return sum(upstream.values())
 
+        middle = [f"l{i}" for i in range(MAX_PARALLEL + 2)]
         dag = DagRun(nodes=[
             reduce_node("src", lambda u: 1),
-            reduce_node("l1", add, deps=("src",)),
-            reduce_node("l2", add, deps=("src",)),
-            reduce_node("l3", add, deps=("src",)),
-            reduce_node("sink", add, deps=("l1", "l2", "l3")),
-        ], max_parallel=1)
-        assert dag.run(dispatcher=None)["sink"] == 3
+            *(reduce_node(name, add, deps=("src",)) for name in middle),
+            reduce_node("sink", add, deps=middle),
+        ])
+        assert dag.run(dispatcher=None)["sink"] == len(middle)
 
     def test_node_failure_propagates_by_name(self):
         def boom(upstream):

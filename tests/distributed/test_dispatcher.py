@@ -7,15 +7,17 @@ already wrote to the shared store.
 """
 
 import concurrent.futures
+import time
 
 import pytest
 
-from repro.distributed import DispatchError
+from repro.distributed import DispatchError, ShardDispatcher
 from repro.distributed.client import format_stats, request_stats
 from repro.runtime import ResultCache
 from repro.sram.montecarlo import MarginTally
 
 from tests.distributed.conftest import (
+    HEARTBEAT_INTERVAL,
     FakeWorker,
     WorkerThread,
     canon,
@@ -191,6 +193,36 @@ class TestSharedStoreDedupe:
         for worker in workers:
             worker.join()
 
+    def test_close_waits_for_the_dispatchers_store_writes(
+        self, dist_analyzer, store_dir
+    ):
+        """Every result the dispatcher persisted is in its store once
+        close() returns, however slow the writes (the worker keeps no
+        store, so the dispatcher's are the only ones).  A write landing
+        later would race the caller's cleanup of the store."""
+
+        class SlowStore(ResultCache):
+            def put(self, namespace, payload, value):
+                time.sleep(0.3)
+                super().put(namespace, payload, value)
+
+        jobs = margin_jobs(dist_analyzer, shards=2)
+        dispatcher = ShardDispatcher(
+            store=SlowStore(store_dir), heartbeat_interval=HEARTBEAT_INTERVAL
+        )
+        host, port = dispatcher.start()
+        worker = WorkerThread(host, port)
+        dispatcher.await_workers(1, timeout=10)
+        dispatcher.dispatch(jobs, timeout=60)
+        dispatcher.close()
+        # The stats and the store's write counters explain a failure.
+        evidence = (dispatcher.stats.to_dict(), dispatcher.store.tier)
+        assert dispatcher.stats.computed == 2, evidence
+        store = ResultCache(store_dir)
+        assert [store.get(job.namespace, job.payload) is not None
+                for job in jobs] == [True, True], evidence
+        worker.join()
+
 
 class TestDispatcherProtocol:
     def test_stats_probe_over_tcp(self, dist_analyzer, store_dir):
@@ -262,12 +294,10 @@ def margin_jobs(analyzer, shards=3):
 
 
 class TestScheduling:
-    """Per-client priority queues, fair dequeue and queue observability."""
+    """Concurrent clients on one FIFO queue, and queue observability."""
 
     @staticmethod
     def _await_depth(dispatcher, depth, timeout=10.0):
-        import time
-
         deadline = time.monotonic() + timeout
         while dispatcher.queue_snapshot()["depth"] < depth:
             assert time.monotonic() < deadline, "jobs never queued"

@@ -18,6 +18,10 @@ from repro.distributed.journal import JOURNAL_VERSION, job_address
 VDD = 0.7
 
 
+def ids(jobs):
+    return [job.job_id for job in jobs]
+
+
 @pytest.fixture()
 def jobs(dist_analyzer):
     resolved = dist_analyzer.resolved()
@@ -34,21 +38,18 @@ class TestRoundTrip:
     def test_jobs_and_done_partition(self, journal, jobs):
         journal.open_session()
         for job in jobs:
-            journal.record_job(job, "alice", 5)
+            journal.record_job(job)
         journal.record_done(jobs[0])
         replay = journal.replay()
         assert replay.records == 5  # open + 3 jobs + 1 done
-        assert [e.job.job_id for e in replay.done] == [jobs[0].job_id]
-        assert [e.job.job_id for e in replay.pending] == [
-            jobs[1].job_id, jobs[2].job_id,
-        ]
+        assert ids(replay.done) == [jobs[0].job_id]
+        assert ids(replay.pending) == [jobs[1].job_id, jobs[2].job_id]
         assert replay.torn == 0 and replay.orphan_done == 0
         assert replay.unknown == []
-        # The journaled spec round-trips the full wire form, and the
-        # scheduling identity rides along.
-        entry = replay.done[0]
-        assert entry.job.to_wire() == jobs[0].to_wire()
-        assert entry.client == "alice" and entry.priority == 5
+        # A job record is the full wire form alone, and it round-trips.
+        job_line = journal.path.read_text().splitlines()[1]
+        assert json.loads(job_line) == {"rec": "job", "job": jobs[0].to_wire()}
+        assert replay.done[0].to_wire() == jobs[0].to_wire()
 
     def test_open_record_carries_schema_version(self, journal):
         journal.open_session()
@@ -72,9 +73,9 @@ class TestRoundTrip:
 
     def test_fsync_journal_appends_identically(self, tmp_path, jobs):
         with RunJournal(str(tmp_path), fsync=True) as fsynced:
-            fsynced.record_job(jobs[0], "alice", 0)
+            fsynced.record_job(jobs[0])
         replay = RunJournal(str(tmp_path)).replay()
-        assert [e.job.job_id for e in replay.pending] == [jobs[0].job_id]
+        assert ids(replay.pending) == [jobs[0].job_id]
 
 
 class TestReplayTolerance:
@@ -82,7 +83,7 @@ class TestReplayTolerance:
         """The mid-write crash shape: the final line stops mid-token.
         Replay must count it and keep every record before it."""
         for job in jobs:
-            journal.record_job(job, "alice", 0)
+            journal.record_job(job)
         journal.close()
         with open(journal.path, "a", encoding="utf-8") as handle:
             handle.write('{"rec": "done", "job_id": "mt-')
@@ -100,7 +101,7 @@ class TestReplayTolerance:
         """Overlapping sessions can journal one completion twice (the
         store-hit fast path of a resubmitted job); the job must still
         land in ``done`` exactly once."""
-        journal.record_job(jobs[0], "alice", 0)
+        journal.record_job(jobs[0])
         journal.record_done(jobs[0])
         journal.record_done(jobs[0])
         replay = journal.replay()
@@ -114,21 +115,20 @@ class TestReplayTolerance:
         assert replay.pending == [] and replay.done == []
 
     def test_duplicate_job_record_first_wins(self, journal, jobs):
-        journal.record_job(jobs[0], "alice", 0)
-        journal.record_job(jobs[0], "bob", 9)
-        replay = journal.replay()
-        (entry,) = replay.pending
-        assert entry.client == "alice" and entry.priority == 0
+        journal.record_job(jobs[0])
+        journal._append({"rec": "job", "job": dict(jobs[1].to_wire(),
+                                                   job_id=jobs[0].job_id)})
+        (job,) = journal.replay().pending
+        assert job.to_wire() == jobs[0].to_wire()
 
     def test_unknown_job_kind_lands_in_unknown(self, journal, jobs):
         """A journal written by a newer/foreign build can hold kinds
         this build cannot rebuild — skipped with identity, not fatal."""
         alien = dict(jobs[0].to_wire(), kind="alien_kind", job_id="alien-0")
-        journal._append({"rec": "job", "job": alien, "client": "x",
-                         "priority": 0})
-        journal.record_job(jobs[1], "alice", 0)
+        journal._append({"rec": "job", "job": alien})
+        journal.record_job(jobs[1])
         replay = journal.replay()
-        assert [e.job.job_id for e in replay.pending] == [jobs[1].job_id]
+        assert ids(replay.pending) == [jobs[1].job_id]
         (unknown,) = replay.unknown
         assert unknown["job_id"] == "alien-0"
         assert "alien_kind" in unknown["error"]
@@ -160,9 +160,9 @@ class TestReplayTolerance:
                          "priority": 0})
         journal._append({"rec": "done", "job_id": retired["job_id"],
                          "namespace": namespace, "key": "0" * 64})
-        journal.record_job(jobs[0], "alice", 0)
+        journal.record_job(jobs[0])
         replay = journal.replay()
-        assert [e.job.job_id for e in replay.pending] == [jobs[0].job_id]
+        assert ids(replay.pending) == [jobs[0].job_id]
         assert replay.done == []
         (unknown,) = replay.unknown
         assert unknown["job_id"] == "fb-0123456789ab-0"
@@ -179,30 +179,33 @@ class TestReplayTolerance:
         kind; it must not abort the replay of the records around it."""
         bad = dict(jobs[0].to_wire(), job_id="bad-0")
         bad[field] = value
-        journal._append({"rec": "job", "job": bad, "client": "x",
-                         "priority": 0})
-        journal.record_job(jobs[1], "alice", 0)
+        journal._append({"rec": "job", "job": bad})
+        journal.record_job(jobs[1])
         replay = journal.replay()
-        assert [e.job.job_id for e in replay.pending] == [jobs[1].job_id]
+        assert ids(replay.pending) == [jobs[1].job_id]
         (unknown,) = replay.unknown
         assert field in unknown["error"]
 
     def test_future_record_kinds_are_ignored(self, journal, jobs):
         journal._append({"rec": "checkpoint", "epoch": 7})
-        journal.record_job(jobs[0], "alice", 0)
+        journal.record_job(jobs[0])
         replay = journal.replay()
         assert replay.records == 2
         assert len(replay.pending) == 1 and replay.torn == 0
 
     def test_malformed_scheduling_identity_falls_back(self, journal, jobs):
-        """A job record with a mangled client/priority still replays —
-        under the defaults, not as a torn line."""
-        journal._append({
-            "rec": "job", "job": jobs[0].to_wire(),
-            "client": 42, "priority": "high",
-        })
-        (entry,) = journal.replay().pending
-        assert entry.client == "journal" and entry.priority == 0
+        """Older builds journaled the submitting client and a priority
+        with every job.  Such a record replays as its job alone, whether
+        those fields are well-formed or mangled, never as a torn line."""
+        journal._append({"rec": "job", "job": jobs[0].to_wire(),
+                         "client": "alice", "priority": 5})
+        journal._append({"rec": "job", "job": jobs[1].to_wire(),
+                         "client": 42, "priority": "high"})
+        replay = journal.replay()
+        assert [job.to_wire() for job in replay.pending] == [
+            jobs[0].to_wire(), jobs[1].to_wire(),
+        ]
+        assert replay.torn == 0 and replay.unknown == []
 
 
 class TestJobAddress:

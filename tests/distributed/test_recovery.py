@@ -82,7 +82,7 @@ class TestRestartOnJournal:
         with RunJournal(str(tmp_path / "journal")) as journal:
             journal.open_session()
             for job in jobs:
-                journal.record_job(job, "alice", 0)
+                journal.record_job(job)
             # Complete job 0 exactly the way the system does: the
             # worker persists to the store *before* reporting, then the
             # dispatcher journals the merge-accepted completion.
@@ -122,7 +122,7 @@ class TestRestartOnJournal:
         jobs = margin_jobs(dist_analyzer)
         with RunJournal(str(tmp_path / "journal")) as journal:
             for job in jobs:
-                journal.record_job(job, "alice", 0)
+                journal.record_job(job)
 
         with make_dispatcher(
             store_dir, journal=RunJournal(str(tmp_path / "journal"))
@@ -165,7 +165,7 @@ class TestRestartOnJournal:
         the dispatcher must refuse it loudly, not misdeliver results."""
         jobs = margin_jobs(dist_analyzer)
         with RunJournal(str(tmp_path / "journal")) as journal:
-            journal.record_job(jobs[0], "alice", 0)
+            journal.record_job(jobs[0])
 
         other = margin_jobs(dist_analyzer, shards=2)
         impostor = type(jobs[0]).from_wire(

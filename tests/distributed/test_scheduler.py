@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from repro.devices import ptm22
 from repro.distributed.jobs import margin_tally_jobs
-from repro.distributed.journal import JournaledJob
 from repro.distributed.scheduler import (
     Assign, CloseWorker, JournalDone, JournalJob, Persist, Run, RunFailed,
     RunFinished, Scheduler,
@@ -62,7 +61,7 @@ class Fleet:
     def submit(self, jobs, merge=concat, hits=None, **kw):
         run = Run(jobs, decode, merge, kw.pop("client", "default"))
         hits = hits or [None] * len(jobs)
-        self.apply(self.core.submit(run, hits, kw.pop("priority", 0), self.now))
+        self.apply(self.core.submit(run, hits, self.now))
         return run
 
     def join(self, name, ready=True):
@@ -123,26 +122,29 @@ def ids(jobs):
     return [job.job_id for job in jobs]
 
 
-def test_priority_then_round_robin():
+def assigned(fleet):
+    return [c.message["job"]["job_id"] for c in fleet.log if isinstance(c, Assign)]
+
+
+def test_one_fifo_queue_across_clients():
     fleet = Fleet(speculate=False)
-    singles = jobs_for(0.7, 4, "p")
-    for job, priority in zip(singles, [5, 0, 5, 0]):
-        fleet.submit([job], priority=priority)
+    fleet.lost(fleet.join("gone"))  # retired, but still in the idle line
     alice, bob = jobs_for(0.65, 3, "alice"), jobs_for(0.6, 2, "bob")
+    # The pump takes alice's first job, finds no idle worker and hands
+    # it back: it keeps its place.
     fleet.submit(alice, client="alice")
     fleet.submit(bob, client="bob")
     assert fleet.core.queue_snapshot() == {
-        "depth": 9, "inflight": 0, "per_kind": {"margin_tally": 9},
-        "per_client": {"alice": 3, "bob": 2, "default": 4},
+        "depth": 5, "inflight": 0, "per_kind": {"margin_tally": 5},
+        "per_client": {"alice": 3, "bob": 2},
     }
-    fleet.drain_queue(fleet.join("solo"))
-    # One job per client per turn; (priority, submit order) within one.
-    s = ids(singles)
-    assert [c.message["job"]["job_id"] for c in fleet.log if isinstance(c, Assign)] == [
-        s[1], ids(alice)[0], ids(bob)[0], s[3], ids(alice)[1], ids(bob)[1],
-        s[0], ids(alice)[2], s[2],
-    ]
-    assert fleet.core.stats.per_worker == {"solo": 9}
+    worker = fleet.join("w")
+    fleet.error(worker)  # a released job goes to the back
+    fleet.ready(worker)
+    fleet.drain_queue(worker)
+    # Submission order, whatever the client.
+    assert assigned(fleet) == ids(alice) + ids(bob) + ids(alice)[:1]
+    assert fleet.core.stats.per_worker == {"w": 6}
 
 
 def test_drain_while_assigned_spends_no_attempt():
@@ -228,7 +230,7 @@ def test_journal_adoption():
     fleet = Fleet()
     journaled = jobs_for(0.7, 3, "journaled")
     fleet.apply(fleet.core.recover(
-        [JournaledJob(job, "alice", 0) for job in journaled], 1, fleet.now
+        list(journaled), 1, fleet.now
     ))
     # Same content under fresh ids adopts the queued recovery copies.
     run = fleet.submit(jobs_for(0.7, 3, "fresh"))
@@ -237,8 +239,7 @@ def test_journal_adoption():
     assert fleet.flight()[-4:] == ["journal_adopt"] * 3 + ["journal_recovered"]
     fleet.drain_queue(fleet.join("w"))
     # Workers answer under the journaled ids, in the adopting run's order.
-    assert [c.message["job"]["job_id"] for c in fleet.log
-            if isinstance(c, Assign)] == ids(journaled)
+    assert assigned(fleet) == ids(journaled)
     assert fleet.outcome(run) == RunFinished(run, [0, 1, 2])
     stats = fleet.core.stats
     assert (stats.jobs, stats.journal_replayed, stats.journal_skipped) == (3, 3, 1)
@@ -249,6 +250,8 @@ class CheckedScheduler(Scheduler):
 
     def _assign(self, worker, state, now, speculative):
         assert not worker.retired and worker.current is None
+        # A queued job is held by no worker.
+        assert not [st for st in self._queue if self._queued(st) and st.assignees]
         # Speculation only spends idle capacity no queued job waits for.
         assert not speculative or self.queue_snapshot()["depth"] == 0
         super()._assign(worker, state, now, speculative)
@@ -267,10 +270,9 @@ def test_random_interleavings_keep_the_invariants(data, max_retries, threshold, 
     def submit():
         jobs, client, _ = specs[len(runs)]
         hits = [data.draw(st.sampled_from([None, {"v": job.shard_index}])) for job in jobs]
-        # Bob collects raw values (merge=None) at a better priority.
+        # Bob collects raw values (merge=None).
         runs.append(fleet.submit(jobs, concat if client == "alice" else None, hits,
-                                 client=client,
-                                 priority=int(client == "alice")))
+                                 client=client))
 
     for _ in range(data.draw(st.integers(0, 40))):
         live = [w for w in workers if not w.retired]

@@ -268,7 +268,7 @@ class TestDagTraceAcceptance:
     def test_chaos_dag_chrome_trace_covers_every_job_once(self, tmp_path):
         class _Local:
             def dispatch(self, jobs, decode=None, merge=None, timeout=None,
-                         client="default", priority=0):
+                         client="default"):
                 values = [execute_job(job, None)[0] for job in jobs]
                 if decode is not None:
                     values = [decode(v) for v in values]
