@@ -567,8 +567,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "to a second worker — first result wins (default: "
                         "adaptive, from the completed-job latency quantile)")
     p.add_argument("--seed", type=int, default=None,
-                   help="base seed for --workload is (per-point seeds "
-                        "derive from it; default: entropy)")
+                   help="base seed. With --workload is, per-point seeds "
+                        "derive from it (default: entropy). With --dag, it "
+                        "seeds the margin Monte Carlo (default: "
+                        "repro.rng.DEFAULT_SEED) and is the fault trials' "
+                        "eval_seed (default: entropy)")
     p.add_argument("--cell", choices=["6t", "8t"], default="6t")
     p.add_argument("--tech", default="ptm22", help="technology name")
     p.add_argument("--samples", type=_positive_int, default=8000,

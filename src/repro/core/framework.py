@@ -54,8 +54,8 @@ from repro.mem.tables import CellTables
 from repro.nn.datasets import (
     DigitDataset,
     SyntheticDigitConfig,
-    load_synthetic_digits,
     load_test_split,
+    load_train_split,
 )
 from repro.nn.datasets.synth_digits import RENDER_REV
 from repro.nn.metrics import accuracy
@@ -178,7 +178,9 @@ def _weights_key(spec: NetworkSpec, seed: int, n_train: int, n_val: int,
         "n_train": n_train,
         "n_val": n_val,
         "epochs": epochs,
-        "rev": 2,  # rev 2: weight_clip=0.99 -> Q0.7 synaptic words
+        # rev 2: weight_clip=0.99 -> Q0.7 synaptic words; rev 3: float32
+        # training (float bytes differ by up to ~5e-6).
+        "rev": 3,
     }
 
 
@@ -232,8 +234,10 @@ def train_benchmark_ann(
     derived seed) only when the file is missing or unreadable, and
     reads the accuracies when both files hit, running a clean forward
     pass only when that entry is missing or unreadable.  A miss renders
-    the train and test splits (never the validation split: nothing
-    reads it, and ``n_val`` stays in the weight key) and trains.
+    the train split (in float32, the training precision) and the test
+    split (never the validation split: nothing reads it, and ``n_val``
+    stays in the weight key) and trains.  The float parameters are
+    float64 in memory and on disk either way.
     Either way the model's dataset holds only the test split (its
     train/val splits are empty), and the build writes what it
     computed, atomically; an unreadable file is a miss.
@@ -270,10 +274,10 @@ def train_benchmark_ann(
                    else DigitDataset.test_only(**split))
     else:
         # No early stopping, so no validation pass: the val split is not
-        # rendered (n_val only keys the weights).
-        dataset = load_synthetic_digits(
-            n_train=n_train, n_val=0, n_test=n_test, seed=seed
-        )
+        # rendered (n_val only keys the weights).  The training split is
+        # rendered straight into the trainer's float32.
+        x_train, y_train = load_train_split(n_train=n_train, seed=seed)
+        dataset = load_test_split(n_test=n_test, seed=seed)
         # weight_clip just under 1.0 keeps every parameter representable
         # in the paper's sub-unity 8-bit format (sign + 7 fraction bits).
         trainer = SGDTrainer(
@@ -281,10 +285,9 @@ def train_benchmark_ann(
             momentum=0.9, lr_decay=0.97, weight_clip=0.99,
             seed=seed + 1, verbose=verbose,
         )
-        trainer.train(network, dataset.x_train, dataset.y_train)
-        # Nothing reads the training split again; keep only the test
-        # split, as a weight hit does.
-        dataset = DigitDataset.test_only(dataset.x_test, dataset.y_test)
+        trainer.train(network, x_train, y_train)
+        # Nothing reads the training split again.
+        del x_train, y_train
         if use_cache:
             arrays = {}
             for i, layer in enumerate(network.layers):

@@ -10,7 +10,9 @@ are expressed in terms of the *output* where that is cheaper (sigmoid,
 tanh), which is what the backward pass provides.  ``forward(z,
 in_place=True)`` may overwrite ``z`` with the result (the inference
 pass, which keeps no pre-activations); it runs the same IEEE operations
-in the same order, so both forms return the same bytes.
+in the same order, so both forms return the same bytes.  Every forward
+pass and derivative keeps its input's floating dtype: the trainer runs
+in float32, inference in float64.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ class Sigmoid(Activation):
     def forward(self, z: np.ndarray, in_place: bool = False) -> np.ndarray:
         # Clip to keep exp() in range; sigmoid saturates anyway.  Every
         # later step reuses the clipped buffer: 1 / (1 + exp(-clip(z))).
-        a = np.clip(z, -60.0, 60.0, out=z if in_place else np.empty(np.shape(z)))
+        a = np.clip(z, -60.0, 60.0, out=z if in_place else np.empty_like(z))
         np.negative(a, out=a)
         np.exp(a, out=a)
         a += 1.0

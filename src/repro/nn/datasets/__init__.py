@@ -17,6 +17,7 @@ from repro.nn.datasets.loader import (
     DigitDataset,
     load_synthetic_digits,
     load_test_split,
+    load_train_split,
 )
 
 __all__ = [
@@ -26,4 +27,5 @@ __all__ = [
     "DigitDataset",
     "load_synthetic_digits",
     "load_test_split",
+    "load_train_split",
 ]

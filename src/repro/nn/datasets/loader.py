@@ -8,10 +8,15 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import DatasetError
-from repro.nn.datasets.synth_digits import SyntheticDigitConfig, generate_digit_images
+from repro.nn.datasets.synth_digits import (
+    SyntheticDigitConfig,
+    _generate,
+    generate_digit_images,
+)
 from repro.rng import SeedLike, derive_seed
 
-#: Derived-seed stream of the test split (train and val use 1 and 2).
+#: Derived-seed streams of the train and test splits (val uses 2).
+_TRAIN_STREAM = 1
 _TEST_STREAM = 3
 
 
@@ -80,8 +85,9 @@ def load_synthetic_digits(
         raise DatasetError(
             "train and test sizes must be positive, the val size non-negative"
         )
-    x_train, y_train = generate_digit_images(n_train, seed=derive_seed(seed, 1),
-                                             config=config)
+    x_train, y_train = generate_digit_images(
+        n_train, seed=derive_seed(seed, _TRAIN_STREAM), config=config
+    )
     if n_val:
         x_val, y_val = generate_digit_images(n_val, seed=derive_seed(seed, 2),
                                              config=config)
@@ -114,3 +120,21 @@ def load_test_split(
         n_test, seed=derive_seed(seed, _TEST_STREAM), config=config
     )
     return DigitDataset.test_only(x_test, y_test)
+
+
+def load_train_split(
+    n_train: int = 10000,
+    seed: SeedLike = None,
+    config: SyntheticDigitConfig = SyntheticDigitConfig(),
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Only the training split of :func:`load_synthetic_digits`, as
+    float32 ``(images, labels)``: the precision the trainer computes in.
+
+    For an integer (or ``None``) ``seed`` the images are
+    ``load_synthetic_digits(...).x_train.astype(np.float32)`` and the
+    labels are its ``y_train``, for the same ``n_train``; the images are
+    rendered batch by batch into the float32 buffer, so the split takes
+    half the memory of its float64 form and that form never exists.
+    """
+    return _generate(n_train, derive_seed(seed, _TRAIN_STREAM), config,
+                     np.float32)

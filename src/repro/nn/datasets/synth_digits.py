@@ -346,13 +346,24 @@ def generate_digit_images(
     ``i`` equals the ``i``-th :func:`render_digit` call on the same
     generator, bit for bit.
     """
+    return _generate(n_samples, seed, config, np.float64)
+
+
+def _generate(n_samples: int, seed: SeedLike, config: SyntheticDigitConfig,
+              dtype: type) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`generate_digit_images` with ``images`` of ``dtype``.
+
+    Each float64 batch is cast as it is written, so a float32 buffer
+    holds the bytes of ``generate_digit_images(...)[0].astype(float32)``
+    without the float64 array ever existing.
+    """
     if n_samples <= 0:
         raise DatasetError(f"n_samples must be positive, got {n_samples}")
     rng = ensure_rng(seed)
     labels = np.arange(n_samples) % 10
     rng.shuffle(labels)
     size = config.image_size
-    images = np.empty((n_samples, size * size), dtype=np.float64)
+    images = np.empty((n_samples, size * size), dtype=dtype)
     for lo in range(0, n_samples, _BATCH):
         batch = labels[lo:lo + _BATCH]
         images[lo:lo + len(batch)] = _render(batch, rng, config).reshape(len(batch), -1)

@@ -107,13 +107,6 @@ class DenseLayer:
         self.grad_biases = delta.mean(axis=0)
         return delta @ self.weights if input_grad else None
 
-    def apply_gradients(self, lr: float) -> None:
-        """Vanilla SGD step (momentum lives in the trainer)."""
-        if self.grad_weights is None:
-            raise ConfigurationError(f"{self.name}: no gradients to apply")
-        self.weights -= lr * self.grad_weights
-        self.biases -= lr * self.grad_biases
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"DenseLayer({self.n_in}->{self.n_out}, "

@@ -4,6 +4,9 @@
 layer can stay linear (``identity`` activation) and the combined
 gradient is the numerically benign ``softmax(z) - onehot``.
 
+Both losses compute in the scores' dtype (float32 during training); the
+one-hot targets are cast to it.
+
 ``MeanSquaredError`` against one-hot targets with sigmoid outputs is the
 historical configuration of the paper's toolbox (DeepLearnToolbox); it
 is provided for the fidelity ablation.
@@ -53,7 +56,7 @@ class CrossEntropyLoss(Loss):
 
     def value_and_grad(self, scores, labels):
         probs = softmax(scores)
-        targets = one_hot(labels, scores.shape[1])
+        targets = one_hot(labels, scores.shape[1]).astype(scores.dtype, copy=False)
         eps = 1e-12
         loss = -np.mean(np.sum(targets * np.log(probs + eps), axis=1))
         # Per-sample gradient; the layer backward averages over the batch.
@@ -68,7 +71,7 @@ class MeanSquaredError(Loss):
     name = "mse"
 
     def value_and_grad(self, scores, labels):
-        targets = one_hot(labels, scores.shape[1])
+        targets = one_hot(labels, scores.shape[1]).astype(scores.dtype, copy=False)
         diff = scores - targets
         loss = 0.5 * float(np.mean(np.sum(diff**2, axis=1)))
         return loss, diff

@@ -96,8 +96,11 @@ class FeedforwardANN:
         evaluated in place of the layers' own parameters; the network is
         not written to, so threads may classify different parameter sets
         through one network at the same time.
+
+        Inference runs in float64.  A training pass runs in the dtype
+        of the parameters (float32 inside :class:`~repro.nn.trainer.SGDTrainer`).
         """
-        a = np.asarray(x, dtype=float)
+        a = np.asarray(x, dtype=self.layers[0].weights.dtype if train else float)
         if a.ndim == 1:
             a = a[np.newaxis, :]
         if a.shape[1] != self.spec.layer_sizes[0]:

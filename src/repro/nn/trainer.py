@@ -4,6 +4,12 @@ Deliberately classical — momentum SGD with step decay — matching the
 training regime of the paper's toolbox.  Determinism: shuffling derives
 from the trainer seed, so a given (spec, data, trainer) triple always
 produces the same network.
+
+Training runs in float32, the one training precision: the trained
+parameters are stored as 8-bit Q0.7 synapses (step 2^-7), far coarser
+than float32's rounding (Gupta et al., ICML 2015; Micikevicius et al.,
+ICLR 2018).  Inference and everything downstream of training stay
+float64; :meth:`SGDTrainer.train` hands the parameters back as float64.
 """
 
 from __future__ import annotations
@@ -20,6 +26,10 @@ from repro.nn.loss import Loss, get_loss
 from repro.nn.metrics import accuracy
 from repro.nn.network import FeedforwardANN
 from repro.rng import SeedLike, ensure_rng
+
+
+#: The dtype of every training pass (see the module docstring).
+_TRAIN_DTYPE = np.float32
 
 
 @dataclass
@@ -70,7 +80,8 @@ class SGDTrainer:
         Projected SGD: clamp every parameter to ``[-clip, +clip]`` after
         each update.  The benchmark model trains with ``clip=1.0`` so the
         8-bit synaptic format is the paper's sub-unity Q0.7 layout (sign
-        bit + 7 fraction bits); ``None`` disables.
+        bit + 7 fraction bits); ``None`` disables.  The clamp runs in
+        float32, so its bound is the float32 nearest ``clip``.
     seed:
         Shuffling seed.
     verbose:
@@ -118,8 +129,12 @@ class SGDTrainer:
 
         Give both ``x_val`` and ``y_val`` (of equal length) or neither;
         a validation split costs one forward pass over it per epoch.
+        The inputs and the layer parameters are cast to float32 on entry
+        (a float32 ``x_train`` is used as is), so every training
+        product, gradient and velocity is float32; the parameters are
+        cast back to float64, exactly, before returning.
         """
-        x_train = np.asarray(x_train, dtype=float)
+        x_train = np.asarray(x_train, dtype=_TRAIN_DTYPE)
         y_train = np.asarray(y_train, dtype=int)
         if x_train.shape[0] != y_train.shape[0]:
             raise ConfigurationError("x_train/y_train length mismatch")
@@ -136,6 +151,17 @@ class SGDTrainer:
         if self.patience is not None and x_val is None:
             raise ConfigurationError("early stopping requires validation data")
 
+        for layer in network.layers:
+            layer.weights = layer.weights.astype(_TRAIN_DTYPE)
+            layer.biases = layer.biases.astype(_TRAIN_DTYPE)
+        try:
+            return self._train(network, x_train, y_train, x_val, y_val)
+        finally:
+            for layer in network.layers:
+                layer.weights = layer.weights.astype(np.float64)
+                layer.biases = layer.biases.astype(np.float64)
+
+    def _train(self, network, x_train, y_train, x_val, y_val) -> TrainingResult:
         rng = ensure_rng(self.seed)
         loss_fn = self._loss()
         result = TrainingResult()

@@ -13,6 +13,8 @@ from repro.mem import CellTables
 
 @pytest.fixture(scope="session")
 def model():
+    """The golden model; ``test_golden_regression.py`` pins its 8-bit
+    image (trained with one BLAS thread)."""
     return train_benchmark_ann(
         profile="fast", seed=0, n_train=4000, n_val=400, n_test=1000, epochs=10
     )

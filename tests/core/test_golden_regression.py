@@ -18,6 +18,8 @@ the serving/sharding property suites).
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -27,6 +29,12 @@ from tests.core.regen_golden import GOLDEN_PATH, SEED, request_memory
 REL = 1e-9
 #: Accuracy absolute tolerance (BLAS headroom, far below a regression).
 ACC_ABS = 0.005
+#: sha256 prefix of the golden model's 8-bit image (the session
+#: ``model`` fixture: seed 0, 4,000 images, 10 epochs), weight then bias
+#: codes per layer, trained with one BLAS thread.  A training change that
+#: moves any code fails here by name, even while the accuracies stay
+#: inside ``ACC_ABS``.
+MODEL_CODES_SHA256 = "b6893b9f41f2991c"
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +50,33 @@ def golden():
 def test_golden_covers_three_vdd_points(golden):
     assert len(golden) == 3
     assert sorted(p["request"]["vdd"] for p in golden) == [0.65, 0.70, 0.90]
+
+
+def test_golden_model_image_is_pinned():
+    """The golden model trains again in a child with one BLAS thread:
+    how a float32 product rounds depends on the BLAS thread count, so
+    the session fixture's image (default threads) moves with the core
+    count (2 codes differ between one and two threads on a 2-core box)."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    script = (
+        "import hashlib\n"
+        "from repro.core import train_benchmark_ann\n"
+        "image = train_benchmark_ann(profile='fast', seed=0, n_train=4000,\n"
+        "    n_val=400, n_test=1000, epochs=10, use_cache=False).image\n"
+        "digest = hashlib.sha256()\n"
+        "for w, b in zip(image.weight_codes, image.bias_codes):\n"
+        "    digest.update(w.tobytes())\n"
+        "    digest.update(b.tobytes())\n"
+        "print(digest.hexdigest()[:16])\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, check=True,
+                            timeout=600)
+    assert result.stdout.strip() == MODEL_CODES_SHA256
 
 
 def test_fast_profile_matches_golden(sim, golden):

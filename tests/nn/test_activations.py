@@ -35,6 +35,19 @@ class TestSigmoid:
             s.derivative(z, a), numeric_derivative(s, z), atol=1e-5
         )
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_keeps_its_input_dtype(self, dtype, in_place):
+        """Float32 stays float32 (the training pass) and float64 stays
+        float64, with the bytes of ``1 / (1 + exp(-clip(z)))`` in the
+        input's dtype."""
+        z = np.linspace(-70.0, 70.0, 101).astype(dtype)
+        want = (1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))).tobytes()
+        out = Sigmoid().forward(z.copy(), in_place=in_place)
+        assert out.dtype == dtype
+        assert out.tobytes() == want
+        assert Sigmoid().derivative(z, out).dtype == dtype
+
     def test_extreme_inputs_do_not_overflow(self):
         out = Sigmoid().forward(np.array([-1e6, 1e6]))
         assert out[0] == pytest.approx(0.0, abs=1e-12)

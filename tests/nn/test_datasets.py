@@ -14,10 +14,11 @@ from repro.nn.datasets import (
     glyph_distance_field,
     load_synthetic_digits,
     load_test_split,
+    load_train_split,
 )
 from repro.nn.datasets import synth_digits
 from repro.nn.datasets.synth_digits import GLYPHS, RENDER_REV, render_digit
-from repro.rng import ensure_rng
+from repro.rng import derive_seed, ensure_rng
 
 #: The configs the renderer is checked on: the default, each filter
 #: off, both off, and a wider blur on a smaller canvas.
@@ -264,6 +265,18 @@ class TestLoader:
         assert alone.y_test.tobytes() == full.y_test.tobytes()
         assert len(alone.y_train) == len(alone.y_val) == 0
         assert alone.x_train.shape == (0, 784)
+
+    @pytest.mark.parametrize("n_train, seed", [(1, 0), (150, 4), (300, 7)])
+    def test_train_split_is_the_float32_cast_of_the_render(self, n_train, seed):
+        """Rendering batch by batch into float32 gives the bytes of the
+        float64 render cast afterwards, across batch boundaries."""
+        x, y = load_train_split(n_train=n_train, seed=seed)
+        want_x, want_y = generate_digit_images(n_train, seed=derive_seed(seed, 1))
+        assert x.dtype == np.float32
+        assert x.tobytes() == want_x.astype(np.float32).tobytes()
+        assert y.tobytes() == want_y.tobytes()
+        full = load_synthetic_digits(n_train=n_train, n_val=0, n_test=5, seed=seed)
+        assert x.tobytes() == full.x_train.astype(np.float32).tobytes()
 
     def test_properties_on_pruned_dataset(self):
         """Evaluation-only datasets keep just the test split; the

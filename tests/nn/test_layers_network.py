@@ -65,6 +65,18 @@ class TestFeedforward:
         with pytest.raises(ConfigurationError):
             net.forward(np.zeros((5, 9)))
 
+    def test_training_pass_takes_the_parameters_dtype(self):
+        """A training pass on float32 parameters stays float32 in every
+        layer; inference keeps its float64 cast."""
+        net = FeedforwardANN(NetworkSpec(layer_sizes=(8, 6, 3), seed=0))
+        for layer in net.layers:
+            layer.weights = layer.weights.astype(np.float32)
+            layer.biases = layer.biases.astype(np.float32)
+        x = np.random.default_rng(1).random((5, 8))
+        assert net.forward(x, train=True).dtype == np.float32
+        assert all(layer._a.dtype == np.float32 for layer in net.layers)
+        assert net.forward(x).dtype == np.float64
+
     def test_deterministic_init(self):
         a = FeedforwardANN(NetworkSpec(layer_sizes=(8, 6, 3), seed=42))
         b = FeedforwardANN(NetworkSpec(layer_sizes=(8, 6, 3), seed=42))

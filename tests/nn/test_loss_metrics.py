@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.nn import CrossEntropyLoss, MeanSquaredError, get_loss
+from repro.nn.activations import softmax
 from repro.nn.loss import one_hot
 from repro.nn.metrics import accuracy, confusion_matrix, per_class_accuracy
 
@@ -39,6 +40,20 @@ class TestCrossEntropy:
         scores = rng.normal(size=(6, 5))
         _, grad = CrossEntropyLoss().value_and_grad(scores, rng.integers(0, 5, 6))
         np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-12)
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_keeps_the_scores_dtype(self, dtype):
+        """Float32 scores give a float32 gradient (the targets are cast,
+        not the scores); float64 gives ``softmax(s) - onehot``'s bytes."""
+        scores = np.random.default_rng(0).normal(size=(6, 4)).astype(dtype)
+        labels = np.array([0, 3, 1, 2, 2, 0])
+        _, grad = CrossEntropyLoss().value_and_grad(scores, labels)
+        want = softmax(scores) - one_hot(labels, 4).astype(dtype)
+        assert grad.dtype == dtype
+        assert grad.tobytes() == want.tobytes()
+        _, diff = MeanSquaredError().value_and_grad(scores, labels)
+        assert diff.dtype == dtype
 
 
 class TestMse:

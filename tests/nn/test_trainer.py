@@ -80,8 +80,14 @@ class TestValidation:
 def reference_training(net, x, y, trainer):
     """The trainer's arithmetic written out the plain way: a full backward
     pass (input gradient included), ``v -= lr * g`` with temporaries and
-    an end-of-epoch pass over the training split.  Returns the per-epoch
-    running accuracy (minibatch predictions before each update)."""
+    an end-of-epoch pass over the training split, in float32 (inputs and
+    parameters cast in, parameters cast back to float64 at the end).
+    Returns the per-epoch running accuracy (minibatch predictions before
+    each update)."""
+    x = x.astype(np.float32)
+    for layer in net.layers:
+        layer.weights = layer.weights.astype(np.float32)
+        layer.biases = layer.biases.astype(np.float32)
     rng = np.random.default_rng(trainer.seed)
     loss = get_loss("cross_entropy")
     lr = trainer.learning_rate
@@ -112,6 +118,9 @@ def reference_training(net, x, y, trainer):
         lr *= trainer.lr_decay
         net.predict(x)
         running.append(correct / len(y))
+    for layer in net.layers:
+        layer.weights = layer.weights.astype(np.float64)
+        layer.biases = layer.biases.astype(np.float64)
     return running
 
 
@@ -145,6 +154,19 @@ class TestWorkDone:
             assert np.array_equal(a.weights, b.weights)
             assert np.array_equal(a.biases, b.biases)
         assert result.train_accuracy == running
+
+    def test_returns_float64_parameters_of_a_float32_run(self):
+        """Training computes in float32 and hands back float64 parameters,
+        exactly the float32 values, whatever the input dtype."""
+        x, y = two_blob_problem()
+        for x_in in (x, x.astype(np.float32)):
+            net = FeedforwardANN(NetworkSpec(layer_sizes=(4, 8, 2), seed=0))
+            SGDTrainer(epochs=2, seed=1).train(net, x_in, y)
+            for layer in net.layers:
+                for p in (layer.weights, layer.biases):
+                    assert p.dtype == np.float64
+                    assert np.array_equal(p.astype(np.float32), p)
+                assert layer.grad_weights.dtype == np.float32
 
     def test_no_pass_without_validation(self, predict_calls):
         x, y = two_blob_problem()
